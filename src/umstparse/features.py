@@ -13,6 +13,7 @@ stable CRC32, so extraction is deterministic across processes and runs.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ ROOT_POS = "*ROOT*"
 NIL = "*nil*"
 
 DEFAULT_HASH_BITS = 22
+# slots come from 32-bit CRCs; the weight table has 2**hash_bits float64
+# entries (8 GiB at the maximum)
+MAX_HASH_BITS = 30
 
 MODEL_MAGIC = "umstparse-model 1"
 
@@ -36,6 +40,14 @@ def distance_bin(d: int) -> str:
     if d <= 10:
         return "6-10"
     return "11+"
+
+
+def check_hash_bits(hash_bits) -> int:
+    if isinstance(hash_bits, bool) or not isinstance(hash_bits, int) \
+            or not 1 <= hash_bits <= MAX_HASH_BITS:
+        raise InputError(f"hash_bits must be an integer in [1, {MAX_HASH_BITS}], "
+                         f"got {hash_bits!r}")
+    return hash_bits
 
 
 def hash_feature(s: str, hash_bits: int) -> int:
@@ -159,7 +171,7 @@ class Model:
             raise InputError(f"unknown feature mode {mode!r}")
         if combiner not in ("mean", "product"):
             raise InputError(f"unknown combiner {combiner!r}")
-        size = 1 << hash_bits
+        size = 1 << check_hash_bits(hash_bits)
         return cls(weights=np.zeros(size), averaged_weights=np.zeros(size),
                    mode=mode, combiner=combiner, hash_bits=hash_bits)
 
@@ -203,12 +215,212 @@ def load_model(path) -> Model:
         nnz = int(lines[4].split(" ", 1)[1])
     except (KeyError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed model header") from exc
+    try:
+        check_hash_bits(hash_bits)
+    except InputError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     model = Model.new(mode=mode, combiner=combiner, hash_bits=hash_bits)
+    size = model.size()
     for line in lines[5:5 + nnz]:
-        slot_s, value_s = line.split(" ")
-        model.averaged_weights[int(slot_s)] = float.fromhex(value_s)
+        try:
+            slot_s, value_s = line.split(" ")
+            slot, value = int(slot_s), float.fromhex(value_s)
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed weight line {line!r}") from exc
+        if not 0 <= slot < size:
+            raise DataError(f"{path}: slot {slot} outside the 2**{hash_bits} "
+                            "weight table")
+        model.averaged_weights[slot] = value
     model.weights = model.averaged_weights.copy()
     return model
+
+
+def arc_matrix(n: int) -> np.ndarray:
+    """(n+1)x(n+1) bool: [head, mod] is True for every candidate arc of an
+    n-token sentence (any head, the root included, to any other token)."""
+    arcs = ~np.eye(n + 1, dtype=bool)
+    arcs[:, 0] = False
+    return arcs
+
+
+# CRC32 composition.  zlib's CRC32 is affine over GF(2):
+# crc(A + B) = Z_|B|(crc(A)) ^ crc(B), where Z_k runs k zero bytes through
+# the raw CRC register (the identity behind zlib's crc32_combine).  A linear
+# map on 32 bits is four 256-entry lookups, one per byte of its input.
+# _LOW holds the lookups of Z_k for k < 256 (flat, k-major), _POW those of
+# Z_{256 * 2**i}; any length composes from one of each kind per set bit.
+
+def _crc_byte_table() -> np.ndarray:
+    c = np.arange(256, dtype=np.int64)
+    for _ in range(8):
+        c = (c >> 1) ^ np.where(c & 1, 0xEDB88320, 0)
+    return c
+
+
+_BYTE_TABLE = _crc_byte_table()
+
+
+def _zero_byte(x: np.ndarray) -> np.ndarray:
+    """Z_1 applied elementwise."""
+    return (x >> 8) ^ _BYTE_TABLE[x & 0xFF]
+
+
+def _apply(lanes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The linear map given by its (4, 256) lookups, applied elementwise."""
+    return (lanes[0][x & 0xFF] ^ lanes[1][(x >> 8) & 0xFF]
+            ^ lanes[2][(x >> 16) & 0xFF] ^ lanes[3][x >> 24])
+
+
+def _zero_tables() -> tuple[np.ndarray, list[np.ndarray]]:
+    identity = np.arange(256, dtype=np.int64) << (8 * np.arange(4)[:, None])
+    low = [identity]
+    for _ in range(255):
+        low.append(_zero_byte(low[-1]))
+    power = [_zero_byte(low[-1])]
+    while len(power) < 55:           # lengths up to 2**63
+        power.append(_apply(power[-1], power[-1]))
+    return np.stack(low).ravel(), power
+
+
+_LOW, _POW = _zero_tables()
+
+
+def _combine(crc_a: np.ndarray, crc_b: np.ndarray, len_b: np.ndarray) -> np.ndarray:
+    """crc(A + B) elementwise, from crc(A), crc(B) and |B| in bytes."""
+    high = len_b >> 8
+    if high.any():
+        crc_a, high = np.broadcast_arrays(crc_a, high)
+        crc_a = crc_a.copy()
+        for bit in range(int(high.max()).bit_length()):
+            sel = ((high >> bit) & 1) == 1
+            crc_a[sel] = _apply(_POW[bit], crc_a[sel])
+    lane = (len_b & 0xFF) << 10
+    out = _LOW[lane | (crc_a & 0xFF)]
+    for shift in (8, 16, 24):         # byte lane i sits at offset i << 8
+        out ^= _LOW[lane | (shift << 5) | ((crc_a >> shift) & 0xFF)]
+    out ^= crc_b
+    return out
+
+
+def _crcs(strings) -> tuple[int, ...]:
+    """CRC32 of each string, then the UTF-8 byte length of each."""
+    encoded = [s.encode("utf-8") for s in strings]
+    return tuple(zlib.crc32(e) for e in encoded) + tuple(len(e) for e in encoded)
+
+
+# Per-position pieces of the templates in _arc_templates.  The a side
+# contributes whole unigram features and the prefix of each two-sided
+# template, the b side whole unigram features and the suffix (with its
+# length) that completes it; btw joins an (a, mid) prefix with b's |{bp}.
+# Memoized per word and per POS context, since text repeats; each memo
+# holds at most 8192 entries (about 1 kB each).
+
+@functools.lru_cache(maxsize=8192)
+def _word_pieces(ra: str, rb: str, w: str, p: str) -> tuple[int, ...]:
+    whole = (f"{ra}w:{w}", f"{ra}p:{p}", f"{ra}wp:{w}|{p}",
+             f"{rb}w:{w}", f"{rb}p:{p}", f"{rb}wp:{w}|{p}",
+             f"bg1:{w}|{p}", f"bg2:{p}", f"bg3:{w}", f"bg4:{w}|{p}",
+             f"bg5:{w}|{p}", f"bg6:{w}", f"bg7:{p}", f"btw:{p}|")
+    return tuple(zlib.crc32(s.encode("utf-8")) for s in whole) + \
+        _crcs((f"|{w}|{p}", f"|{p}", f"|{w}", p))
+
+
+@functools.lru_cache(maxsize=8192)
+def _context_pieces(prev: str, p: str, nxt: str) -> tuple[int, ...]:
+    prefixes = (f"sr1:{p}|{nxt}", f"sr2:{prev}|{p}",
+                f"sr3:{p}|{nxt}", f"sr4:{prev}|{p}")
+    return tuple(zlib.crc32(s.encode("utf-8")) for s in prefixes) + \
+        _crcs((f"|{prev}|{p}", f"|{p}|{nxt}"))
+
+
+# columns of the per-position table: _word_pieces, then _context_pieces
+_A_UNIGRAMS, _B_UNIGRAMS = slice(0, 3), slice(3, 6)
+_BTW, _S_WP, _S_P, _S_W, _MID = 13, 14, 15, 16, 17
+_S_SR12, _S_SR34 = 26, 27
+_LEN = 4                         # a suffix's length sits _LEN columns on
+# bg1..bg7 and sr1..sr4: a-side prefix columns and their b-side suffixes
+_PREFIXES = np.r_[6:13, 22:26]
+_SUFFIXES = np.array([_S_WP, _S_WP, _S_WP, _S_P, _S_W, _S_W, _S_P,
+                      _S_SR12, _S_SR12, _S_SR34, _S_SR34])
+_SUFFIX_LENS = _SUFFIXES + np.where(_SUFFIXES < _S_SR12, _LEN, 2)
+
+_ROLES = {"directed": ("h", "m"), "undirected": ("l", "r")}
+
+
+def _conj_table(suffixes: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    values = np.asarray(_crcs(suffixes), dtype=np.int64)
+    return values[:len(suffixes)], values[len(suffixes):]
+
+
+# the conjunction suffix "&..." of an arc, keyed by min(distance, 11), plus
+# 12 for a rightward directed arc
+_CONJ = {
+    "directed": _conj_table([f"&{att}|{distance_bin(d)}"
+                             for att in "LR" for d in range(12)]),
+    "undirected": _conj_table([f"&{distance_bin(d)}" for d in range(12)]),
+}
+
+
+def _position_table(sentence: Sentence, mode: str) -> np.ndarray:
+    """Row i holds the pieces of position i (0 is the root)."""
+    ra, rb = _ROLES[mode]
+    forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
+    tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
+    around = [NIL] + tags + [NIL]
+    return np.array([_word_pieces(ra, rb, w, p) + _context_pieces(*around[i:i + 3])
+                     for i, (w, p) in enumerate(zip(forms, tags))], dtype=np.int64)
+
+
+def _plain_crcs(table: np.ndarray, a: np.ndarray, b: np.ndarray,
+                owner: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """CRCs of the arcs' features before conjunction: for each arc the 13
+    base and 4 sr templates, then one btw per (owner arc, mid)."""
+    count = len(a)
+    btw_prefix = _combine(table[:, _BTW, None], table[None, :, _MID],
+                          table[None, :, _MID + _LEN])
+    ta, tb = table[a], table[b]
+    two_sided = _combine(
+        np.concatenate([ta[:, _PREFIXES].ravel(), btw_prefix[a[owner], mid]]),
+        np.concatenate([tb[:, _SUFFIXES].ravel(), tb[owner, _S_P]]),
+        np.concatenate([tb[:, _SUFFIX_LENS].ravel(), tb[owner, _S_P + _LEN]]))
+    per_arc = np.hstack([ta[:, _A_UNIGRAMS], tb[:, _B_UNIGRAMS],
+                         two_sided[:11 * count].reshape(count, 11)])
+    return np.concatenate([per_arc.ravel(), two_sided[11 * count:]])
+
+
+def _hash_arcs(sentence: Sentence, mode: str, a: np.ndarray, b: np.ndarray,
+               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of the arcs (a[k], b[k]), concatenated in the emission order of
+    *_feature_strings, and the start offset of each arc."""
+    count = len(a)
+    dist = np.abs(b - a)
+    nb = dist - 1                     # btw features of each arc
+    plain = 17 + nb                   # features of each arc before conjunction
+    starts = np.zeros(count, dtype=np.int64)
+    np.cumsum(2 * plain[:-1], out=starts[1:])
+    # one btw feature per (arc, mid), mids ascending
+    owner = np.repeat(np.arange(count), nb)
+    within = np.arange(len(owner)) - np.repeat(np.cumsum(nb) - nb, nb)
+    values = _plain_crcs(_position_table(sentence, mode), a, b, owner,
+                         np.minimum(a, b)[owner] + 1 + within)
+    # per arc: 13 base templates, btw by mid, 4 sr templates, then the
+    # same again conjoined
+    column = np.arange(17)
+    pos = np.concatenate([
+        (starts[:, None] + column + (column >= 13) * nb[:, None]).ravel(),
+        starts[owner] + 13 + within])
+    arc_of = np.concatenate([np.repeat(np.arange(count), 17), owner])
+    key = np.minimum(dist, 11)
+    if mode == "directed":
+        key += 12 * (b > a)
+    key = key[arc_of]
+    conj_crc, conj_len = _CONJ[mode]
+    flat = np.empty(2 * int(plain.sum()), dtype=np.int64)
+    flat[pos] = values
+    pos += plain[arc_of]
+    flat[pos] = _combine(values, conj_crc[key], conj_len[key])
+    flat &= (1 << hash_bits) - 1
+    return flat, starts
 
 
 class SentenceFeatures:
@@ -216,56 +428,42 @@ class SentenceFeatures:
 
     Built once per sentence and reused across epochs; scoring all arcs is
     then a single gather + segmented sum over the weight vector.  With a
-    pruner, disallowed arcs are simply absent.
+    pruner, disallowed arcs are simply absent.  Pairs are (head, mod) in
+    directed mode and (left, right) in undirected mode, row-major; each
+    pair's slots follow the emission order of *_feature_strings.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
                  hash_bits: int = DEFAULT_HASH_BITS, pruner=None):
+        if mode not in _ROLES:
+            raise InputError(f"unknown feature mode {mode!r}")
+        check_hash_bits(hash_bits)
         self.sentence = sentence
         self.mode = mode
         n = len(sentence)
-        pairs: list[tuple[int, int]] = []
-        if mode == "directed":
-            for head in range(0, n + 1):
-                for mod in range(1, n + 1):
-                    if head == mod:
-                        continue
-                    if pruner is not None and not pruner.allows(sentence, head, mod):
-                        continue
-                    pairs.append((head, mod))
-            extract = lambda a, b: directed_feature_strings(sentence, a, b)
-        elif mode == "undirected":
-            for i in range(0, n + 1):
-                for j in range(i + 1, n + 1):
-                    if pruner is not None and i != 0 \
-                            and not pruner.allows(sentence, i, j) \
-                            and not pruner.allows(sentence, j, i):
-                        continue
-                    pairs.append((i, j))
-            extract = lambda a, b: undirected_feature_strings(sentence, a, b)
-        else:
-            raise InputError(f"unknown feature mode {mode!r}")
-        mask = (1 << hash_bits) - 1
-        flat: list[int] = []
-        starts = []
-        span = {}
-        for a, b in pairs:
-            start = len(flat)
-            flat.extend(zlib.crc32(s.encode("utf-8")) & mask
-                        for s in extract(a, b))
-            starts.append(start)
-            span[(a, b)] = (start, len(flat))
-        self.pairs = pairs
-        self._flat = np.asarray(flat, dtype=np.int64)
-        self._starts = np.asarray(starts, dtype=np.int64)
-        self._span = span
+        arcs = arc_matrix(n) if pruner is None else pruner.mask(sentence)
+        if mode == "undirected":
+            # a pair survives when either direction does
+            arcs = np.triu(arcs | arcs.T, 1)
+        a, b = np.nonzero(arcs)
+        self.pairs = list(zip(a.tolist(), b.tolist()))
+        self.pair_a, self.pair_b = a, b
+        self._flat, self._starts = _hash_arcs(sentence, mode, a, b, hash_bits)
+        self._ends = np.append(self._starts[1:], len(self._flat))
+        self._pair_id = np.full((n + 1, n + 1), -1, dtype=np.int64)
+        self._pair_id[a, b] = np.arange(len(a))
+        for array in (a, b, self._flat, self._starts, self._ends):
+            array.setflags(write=False)
+
+    def _ids(self, a, b) -> np.ndarray:
+        ids = self._pair_id[a, b]
+        if np.any(ids < 0):
+            raise KeyError("pair not in the feature cache")
+        return ids
 
     def indices(self, a: int, b: int) -> np.ndarray:
-        start, end = self._span[(a, b)]
-        return self._flat[start:end]
-
-    def has_pair(self, a: int, b: int) -> bool:
-        return (a, b) in self._span
+        k = self._ids(a, b)
+        return self._flat[self._starts[k]:self._ends[k]]
 
     def score_all(self, weights: np.ndarray) -> np.ndarray:
         """Score of every stored pair, aligned with self.pairs."""
@@ -275,7 +473,11 @@ class SentenceFeatures:
 
     def sum_indices(self, arcs) -> np.ndarray:
         """Concatenated slot indices of several arcs (for gold/pred updates)."""
-        parts = [self.indices(a, b) for a, b in arcs]
-        if not parts:
+        if not len(arcs):
             return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        a, b = np.asarray(arcs, dtype=np.int64).T
+        ids = self._ids(a, b)
+        starts = self._starts[ids]
+        lens = self._ends[ids] - starts
+        first = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        return self._flat[first + np.arange(len(first))]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import InputError, StructureError
-from .features import Model, SentenceFeatures
+from .features import Model, SentenceFeatures, arc_matrix
 from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, boruvka_msf, randomized_msf
 
@@ -62,9 +62,22 @@ class Pruner:
 
     An arc head->mod is allowed when its (head POS, mod POS, direction)
     was seen in training with at least this length; unseen pairs are
-    pruned.  Arcs out of the dummy root are always allowed.
+    pruned.  Arcs out of the dummy root are always allowed.  ``allows`` is
+    the rule for one arc, ``mask`` the same rule for every arc of a
+    sentence; max_len is read once, at construction.
     """
     max_len: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        tags = sorted({tag for key in self.max_len for tag in key[:2]})
+        self._tag_id = {tag: i for i, tag in enumerate(tags)}
+        # [head tag, mod tag, rightward]; the last tag id stands for any
+        # tag unseen in training, and -1 for no limit seen
+        self._limits = np.full((len(tags) + 1, len(tags) + 1, 2), -1,
+                               dtype=np.int64)
+        for (head_tag, mod_tag, direction), length in self.max_len.items():
+            self._limits[self._tag_id[head_tag], self._tag_id[mod_tag],
+                         int(direction > 0)] = length
 
     def allows(self, sentence: Sentence, head: int, mod: int) -> bool:
         if head == 0:
@@ -74,6 +87,20 @@ class Pruner:
                1 if mod > head else -1)
         limit = self.max_len.get(key)
         return limit is not None and abs(mod - head) <= limit
+
+    def mask(self, sentence: Sentence) -> np.ndarray:
+        """(n+1)x(n+1) bool: [head, mod] is True when the arc is a candidate
+        (see features.arc_matrix) that ``allows`` keeps."""
+        n = len(sentence)
+        unseen = len(self._tag_id)
+        ids = np.asarray([unseen] + [self._tag_id.get(t.postag, unseen)
+                                     for t in sentence.tokens])
+        pos = np.arange(n + 1)
+        rightward = (pos[None, :] > pos[:, None]).astype(np.int64)
+        limit = self._limits[ids[:, None], ids[None, :], rightward]
+        allowed = np.abs(pos[None, :] - pos[:, None]) <= limit
+        allowed[0] = True
+        return allowed & arc_matrix(n)
 
 
 def build_pruner(corpus: list[Sentence]) -> Pruner:
@@ -101,12 +128,10 @@ class DirectedScoreTable:
         self.matrix = matrix
 
     @classmethod
-    def from_pairs(cls, n: int, pairs, scores) -> "DirectedScoreTable":
+    def from_pairs(cls, n: int, heads: np.ndarray, mods: np.ndarray,
+                   scores: np.ndarray) -> "DirectedScoreTable":
         matrix = np.full((n + 1, n + 1), -np.inf)
-        if len(pairs):
-            pa = np.asarray([p[0] for p in pairs])
-            pb = np.asarray([p[1] for p in pairs])
-            matrix[pa, pb] = scores
+        matrix[heads, mods] = scores
         return cls(n, matrix)
 
     def get(self, head: int, mod: int) -> float:
@@ -125,7 +150,8 @@ def directed_score_table(sentence: Sentence, model: Model,
     if cache is None:
         cache = SentenceFeatures(sentence, "directed", model.hash_bits, pruner)
     scores = cache.score_all(model.weights)
-    return DirectedScoreTable.from_pairs(len(sentence), cache.pairs, scores)
+    return DirectedScoreTable.from_pairs(len(sentence), cache.pair_a,
+                                         cache.pair_b, scores)
 
 
 @dataclass
@@ -134,9 +160,6 @@ class ParseGraph:
     1..n the tokens; edge weights are negated scores (engines minimize)."""
     graph: UndirectedGraph
     pairs: list            # pairs[original_id] = (u, v) with u < v
-
-    def pair_of(self, edge_id: int):
-        return self.pairs[edge_id]
 
 
 def build_parse_graph(sentence: Sentence, model: Model,
@@ -152,44 +175,33 @@ def build_parse_graph(sentence: Sentence, model: Model,
     """
     n = len(sentence)
     table = None
-    pairs: list = []
-    weights: list = []
     if model.mode == "undirected":
         if cache is None:
             cache = SentenceFeatures(sentence, "undirected", model.hash_bits, pruner)
-        scores = cache.score_all(model.weights)
+        u, v = cache.pair_a, cache.pair_b
+        weights = -cache.score_all(model.weights)
         pairs = list(cache.pairs)
-        weights = [-s for s in scores.tolist()]
     else:
         if cache is None:
             cache = SentenceFeatures(sentence, "directed", model.hash_bits, pruner)
         table = directed_score_table(sentence, model, pruner, cache)
-        for u in range(0, n + 1):
-            for v in range(u + 1, n + 1):
-                # a direction survives when the cache covered it and the
-                # pruner (re-checked here: training uses unpruned caches so
-                # that updates can featurize any predicted arc) allows it
-                fwd = table.present(u, v) and (
-                    u == 0 or pruner is None or pruner.allows(sentence, u, v))
-                rev = u != 0 and table.present(v, u) and (
-                    pruner is None or pruner.allows(sentence, v, u))
-                if fwd and rev:
-                    s = combine(table.get(u, v), table.get(v, u), model.combiner)
-                elif fwd:
-                    s = table.get(u, v)
-                elif rev:
-                    s = table.get(v, u)
-                else:
-                    continue
-                pairs.append((u, v))
-                weights.append(-s)
-    graph = UndirectedGraph(
-        n + 1,
-        np.asarray([p[0] for p in pairs], dtype=np.int64),
-        np.asarray([p[1] for p in pairs], dtype=np.int64),
-        np.asarray(weights),
-        np.arange(len(pairs), dtype=np.int64),
-    )
+        # a direction survives when the cache covered it and the pruner
+        # (re-checked here: training uses unpruned caches so that updates
+        # can featurize any predicted arc) allows it
+        alive = np.isfinite(table.matrix)
+        if pruner is not None:
+            alive &= pruner.mask(sentence)
+        u, v = np.triu_indices(n + 1, 1)
+        fwd, rev = alive[u, v], alive[v, u]
+        s_uv, s_vu = table.matrix[u, v], table.matrix[v, u]
+        scores = np.where(fwd, s_uv, s_vu)
+        both = fwd & rev
+        scores[both] = combine(s_uv[both], s_vu[both], model.combiner)
+        keep = fwd | rev
+        u, v, weights = u[keep], v[keep], -scores[keep]
+        pairs = list(zip(u.tolist(), v.tolist()))
+    graph = UndirectedGraph(n + 1, u, v, weights,
+                            np.arange(len(pairs), dtype=np.int64))
     return ParseGraph(graph=graph, pairs=pairs), table
 
 

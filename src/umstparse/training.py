@@ -16,7 +16,7 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import InputError
-from .features import DEFAULT_HASH_BITS, Model, SentenceFeatures
+from .features import DEFAULT_HASH_BITS, Model, SentenceFeatures, check_hash_bits
 from .inference import (
     SYSTEMS,
     Pruner,
@@ -46,6 +46,7 @@ class TrainConfig:
             raise InputError("epochs must be >= 1")
         if self.system not in SYSTEMS:
             raise InputError(f"unknown system {self.system!r}")
+        check_hash_bits(self.hash_bits)
         return self
 
 

@@ -195,3 +195,35 @@ def random_graph(rng: np.random.Generator, n: int, m: int,
         pick = rng.permutation(len(keys_all))[:m]
         u, v = lo_all[pick], hi_all[pick]
     return u, v, rng.random(len(u))
+
+
+def join_sentences(sentences):
+    """One long sentence made of several in a row: heads are offset, and
+    every part keeps its own root arc."""
+    from umstparse.conll import Sentence, Token
+    tokens, heads, offset = [], [], 0
+    for s in sentences:
+        for tok, head in zip(s.tokens, s.gold_heads):
+            tokens.append(Token(index=len(tokens) + 1, form=tok.form,
+                                postag=tok.postag, cpostag=tok.cpostag))
+            heads.append(head + offset if head else 0)
+        offset += len(s)
+    return Sentence(tokens=tuple(tokens), gold_heads=tuple(heads),
+                    gold_labels=tuple(["dep"] * len(tokens)))
+
+
+def directed_arcs(sentence, pruner=None):
+    """Candidate arcs (head, mod) in row-major order, kept by the scalar
+    pruning rule."""
+    n = len(sentence)
+    return [(h, m) for h in range(n + 1) for m in range(1, n + 1)
+            if h != m and (pruner is None or pruner.allows(sentence, h, m))]
+
+
+def undirected_pairs(sentence, pruner=None):
+    """Pairs (i, j), i < j, in row-major order, kept when either direction
+    survives the scalar pruning rule."""
+    n = len(sentence)
+    return [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)
+            if pruner is None or pruner.allows(sentence, i, j)
+            or pruner.allows(sentence, j, i)]

@@ -168,6 +168,27 @@ def test_unknown_config_key_exits_2(mini_corpus, tmp_path):
                "--config", config) == 2
 
 
+@pytest.mark.parametrize("bits", ["-3", "0", "31"])
+def test_hash_bits_outside_range_exits_2(mini_corpus, tmp_path, capsys, bits):
+    train_path, _ = mini_corpus
+    assert run("train", "--train", train_path, "--model-out", tmp_path / "m",
+               "--epochs", "1", "--hash-bits", bits) == 2
+    assert "hash_bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "hash_bits 60\nmode undirected\ncombiner mean\nnnz 0\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 1\n16 0x1.0p+0\n",
+])
+def test_model_outside_its_hash_range_exits_2(mini_corpus, tmp_path, capsys, body):
+    _, dev_path = mini_corpus
+    model = tmp_path / "bad.model"
+    model.write_text("umstparse-model 1\n" + body)
+    assert run("parse", "--model", model, "--input", dev_path,
+               "--output", tmp_path / "out.conll") == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_bench_tiny(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--sizes", "200", "--densities", "4",

@@ -1,11 +1,12 @@
 import json
 import pathlib
+import zlib
 
 import numpy as np
 import pytest
 
-from umstparse.conll import Sentence, Token
-from umstparse.errors import InputError
+from umstparse.conll import Sentence, Token, load_conll
+from umstparse.errors import DataError, InputError
 from umstparse.features import (
     FeatureVector,
     Model,
@@ -20,8 +21,13 @@ from umstparse.features import (
     score,
     undirected_feature_strings,
 )
+from umstparse.inference import build_pruner
+from umstparse.training import TrainConfig
+
+from oracles import directed_arcs, join_sentences, undirected_pairs
 
 DATA = pathlib.Path(__file__).parent / "data"
+BUNDLED = pathlib.Path(__file__).parent.parent / "data"
 
 
 def sent(words_tags, heads=None):
@@ -174,9 +180,31 @@ class TestModelFile:
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("not a model\n")
-        from umstparse.errors import DataError
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize("body", [
+        "hash_bits 60\nmode directed\ncombiner mean\nnnz 0\n",
+        "hash_bits 0\nmode directed\ncombiner mean\nnnz 0\n",
+        "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n16 0x1.0p+0\n",
+        "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n-1 0x1.0p+0\n",
+        "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n3 one\n",
+    ])
+    def test_reject_out_of_range_hash_bits_and_slots(self, tmp_path, body):
+        path = tmp_path / "bad.model"
+        path.write_text("umstparse-model 1\n" + body)
+        with pytest.raises(DataError):
+            load_model(path)
+
+
+@pytest.mark.parametrize("bits", [-3, 0, 31, 60, "12", 12.0])
+def test_hash_bits_outside_range_rejected(bits):
+    with pytest.raises(InputError):
+        Model.new("directed", hash_bits=bits)
+    with pytest.raises(InputError):
+        TrainConfig(hash_bits=bits).validate()
+    with pytest.raises(InputError):
+        SentenceFeatures(FIXTURE, "directed", hash_bits=bits)
 
 
 class TestSentenceFeatures:
@@ -204,3 +232,44 @@ class TestSentenceFeatures:
         cache = SentenceFeatures(FIXTURE, "undirected", hash_bits=12)
         fv = extract_undirected(FIXTURE, 1, 4, hash_bits=12)
         assert sorted(cache.indices(1, 4).tolist()) == fv.indices.tolist()
+
+
+# non-ASCII forms and tags; one form and one tag are longer than 256 UTF-8
+# bytes, so composing them needs more than one zero-byte table
+WIDE = sent([("Straße", "NN"), ("é" * 160, "ÄDJ"), ("日本語", "名詞"),
+             ("x", "P" * 300), ("!", "PU")], heads=[0, 1, 1, 3, 1])
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    train = load_conll(BUNDLED / "fixture_train.conll")
+    dev = load_conll(BUNDLED / "fixture_dev.conll")
+    return build_pruner(train), dev
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
+    """Every pair's slots are the CRC32s of its feature strings, in the
+    order *_feature_strings emits them; pairs come in row-major order."""
+    pruner, dev = bundled
+    long = join_sentences(dev[2:10])
+    assert len(long) == 70
+    strings = directed_feature_strings if mode == "directed" \
+        else undirected_feature_strings
+    enumerate_pairs = directed_arcs if mode == "directed" else undirected_pairs
+    for sentence in (FIXTURE, long, WIDE):
+        crcs = {}
+        for rule in (None, pruner):
+            pairs = enumerate_pairs(sentence, rule)
+            for a, b in pairs:
+                if (a, b) not in crcs:
+                    crcs[a, b] = np.asarray(
+                        [zlib.crc32(s.encode("utf-8")) for s in strings(sentence, a, b)])
+            for hash_bits in (1, 12, 22, 30):
+                mask = (1 << hash_bits) - 1
+                cache = SentenceFeatures(sentence, mode, hash_bits, rule)
+                assert cache.pairs == pairs
+                for a, b in pairs:
+                    assert cache.indices(a, b).tolist() == (crcs[a, b] & mask).tolist()
+                assert cache.sum_indices(pairs).tolist() == \
+                    np.concatenate([crcs[p] & mask for p in pairs]).tolist()

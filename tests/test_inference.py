@@ -1,9 +1,11 @@
+import pathlib
+
 import numpy as np
 import pytest
 
-from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree
+from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree, load_conll
 from umstparse.errors import InputError, StructureError
-from umstparse.features import Model, extract_directed, extract_undirected
+from umstparse.features import Model, SentenceFeatures, extract_directed, extract_undirected
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
     DirectedScoreTable,
@@ -21,7 +23,19 @@ from umstparse.inference import (
 )
 from umstparse.mst import SpanningForest, kruskal_msf
 
-from oracles import exhaustive_best_arborescence
+from oracles import exhaustive_best_arborescence, join_sentences
+
+BUNDLED = pathlib.Path(__file__).parent.parent / "data"
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """Pruner from the bundled training set; the dev set plus 15 sentences
+    of 30-50 tokens joined from it."""
+    pruner = build_pruner(load_conll(BUNDLED / "fixture_train.conll"))
+    dev = load_conll(BUNDLED / "fixture_dev.conll")
+    joined = [join_sentences(dev[i:i + 4]) for i in range(0, 60, 4)]
+    return pruner, dev + joined
 
 
 def sent(words_tags, heads):
@@ -70,6 +84,16 @@ class TestPruner:
         for s in corpus:
             for m0, h in enumerate(s.gold_heads):
                 assert p.allows(s, h, m0 + 1)
+
+    def test_mask_agrees_with_allows(self, bundled):
+        pruner, sentences = bundled
+        for s in sentences:
+            n = len(s)
+            expected = np.zeros((n + 1, n + 1), dtype=bool)
+            for h in range(n + 1):
+                for m in range(1, n + 1):
+                    expected[h, m] = h != m and pruner.allows(s, h, m)
+            assert np.array_equal(pruner.mask(s), expected)
 
     def test_unseen_pair_pruned(self):
         s = sent([("a", "A"), ("b", "B")], [0, 1])
@@ -137,6 +161,33 @@ class TestBuildParseGraph:
                 expected = (s_uv + s_vu) / 2.0
             assert pg.graph.weight[eid] == pytest.approx(-expected)
         assert table is not None
+
+    @pytest.mark.parametrize("combiner", ["mean", "product"])
+    def test_directed_mode_matches_scalar_rule(self, bundled, combiner):
+        """Directed-mode graphs equal a per-pair loop over the score table,
+        with pruned caches and with the unpruned caches training uses."""
+        pruner, sentences = bundled
+        model = Model.new("directed", combiner=combiner, hash_bits=12)
+        model.weights = np.random.default_rng(71).normal(size=model.size())
+        for s in sentences[::10]:
+            n = len(s)
+            for cache in (None, SentenceFeatures(s, "directed", 12)):
+                pg, table = build_parse_graph(s, model, pruner, cache)
+                pairs, weights = [], []
+                for u in range(n + 1):
+                    for v in range(u + 1, n + 1):
+                        fwd = table.present(u, v) and pruner.allows(s, u, v)
+                        rev = u != 0 and table.present(v, u) and pruner.allows(s, v, u)
+                        if fwd and rev:
+                            w = combine(table.get(u, v), table.get(v, u), combiner)
+                        elif fwd or rev:
+                            w = table.get(u, v) if fwd else table.get(v, u)
+                        else:
+                            continue
+                        pairs.append((u, v))
+                        weights.append(-w)
+                assert pg.pairs == pairs
+                assert pg.graph.weight.tolist() == weights
 
     def test_pruning_rule_matches_brute_force(self):
         rng = np.random.default_rng(67)
