@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -73,7 +72,8 @@ def _add_shared(sub):
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--system", choices=list(SYSTEMS) + ["all"], default=None)
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=None,
+                     help="accepted for compatibility; has no effect")
     sub.add_argument("--no-punct-filter", action="store_true",
                      help="score punctuation tokens too")
 
@@ -218,18 +218,9 @@ def cmd_parse(args) -> int:
                              "to rebuild the length dictionary")
         pruner = build_pruner(load_conll(args.prune_train))
     sentences = load_conll(args.input)
-
-    def run(item):
-        index, sentence = item
-        return parse(sentence, model, config, directed_model=directed_model,
-                     pruner=pruner, sentence_index=index)
-
-    threads = merged.get("threads", 1)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(run, enumerate(sentences)))
-    else:
-        trees = [run(item) for item in enumerate(sentences)]
+    trees = [parse(sentence, model, config, directed_model=directed_model,
+                   pruner=pruner, sentence_index=index)
+             for index, sentence in enumerate(sentences)]
     save_conll(args.output, sentences, trees)
     print(f"parsed {len(sentences)} sentences -> {args.output}")
     return EXIT_OK
@@ -243,13 +234,13 @@ def cmd_eval(args) -> int:
     gold = load_conll(args.gold)
     pred_a = _trees_of(load_conll(args.pred))
     exclude_punct = not args.no_punct_filter
-    threads = _merged(args, {}).get("threads", 1) or 1
-    report = score(gold, pred_a, exclude_punct, threads=threads)
+    _merged(args, {})                   # checks the config file
+    report = score(gold, pred_a, exclude_punct)
     out = [f"== {args.pred} ==", format_report(report).rstrip()]
     csv_rows = report_csv_rows(report)
     if args.pred_b:
         pred_b = _trees_of(load_conll(args.pred_b))
-        report_b = score(gold, pred_b, exclude_punct, threads=threads)
+        report_b = score(gold, pred_b, exclude_punct)
         out += [f"== {args.pred_b} ==", format_report(report_b).rstrip()]
         pa, pb, tie = head_to_head(gold, pred_a, pred_b, exclude_punct)
         out += ["== head-to-head (directed UAS per sentence) ==",

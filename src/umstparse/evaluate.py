@@ -42,24 +42,16 @@ def _sentence_counts(sent: Sentence, pred: DependencyTree,
 
 
 def score(gold: list[Sentence], pred: list[DependencyTree],
-          exclude_punct: bool = True, threads: int = 1) -> EvalReport:
+          exclude_punct: bool = True) -> EvalReport:
     """Directed and undirected unlabeled attachment accuracy.
 
     A token counts as undirected-correct when the unordered pair
     {token, predicted head} occurs as a gold edge; punctuation tokens are
-    skipped as scored dependents when exclude_punct is set.  threads > 1
-    fans the per-sentence counting out over a thread pool (same result).
+    skipped as scored dependents when exclude_punct is set.
     """
     _check_aligned(gold, pred)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_sentence = list(pool.map(
-                lambda gp: _sentence_counts(gp[0], gp[1], exclude_punct),
-                zip(gold, pred)))
-    else:
-        per_sentence = [_sentence_counts(g, p, exclude_punct)
-                        for g, p in zip(gold, pred)]
+    per_sentence = [_sentence_counts(g, p, exclude_punct)
+                    for g, p in zip(gold, pred)]
     d = sum(row[0] for row in per_sentence)
     u = sum(row[1] for row in per_sentence)
     n = sum(row[2] for row in per_sentence)

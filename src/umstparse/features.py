@@ -14,6 +14,7 @@ stable CRC32, so extraction is deterministic across processes and runs.
 from __future__ import annotations
 
 import functools
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -204,11 +205,8 @@ def load_model(path) -> Model:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a model file")
-    header = {}
-    for line in lines[1:4]:
-        key, value = line.split(" ", 1)
-        header[key] = value
     try:
+        header = dict(line.split(" ", 1) for line in lines[1:4])
         hash_bits = int(header["hash_bits"])
         mode = header["mode"]
         combiner = header["combiner"]
@@ -219,9 +217,12 @@ def load_model(path) -> Model:
         check_hash_bits(hash_bits)
     except InputError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if len(lines) - 5 != nnz:
+        raise DataError(f"{path}: header says nnz {nnz} but {len(lines) - 5} "
+                        "weight lines follow")
     model = Model.new(mode=mode, combiner=combiner, hash_bits=hash_bits)
     size = model.size()
-    for line in lines[5:5 + nnz]:
+    for line in lines[5:]:
         try:
             slot_s, value_s = line.split(" ")
             slot, value = int(slot_s), float.fromhex(value_s)
@@ -230,6 +231,8 @@ def load_model(path) -> Model:
         if not 0 <= slot < size:
             raise DataError(f"{path}: slot {slot} outside the 2**{hash_bits} "
                             "weight table")
+        if not math.isfinite(value):
+            raise DataError(f"{path}: weight of slot {slot} is not finite")
         model.averaged_weights[slot] = value
     model.weights = model.averaged_weights.copy()
     return model
@@ -361,8 +364,9 @@ _CONJ = {
 }
 
 
-def _position_table(sentence: Sentence, mode: str) -> np.ndarray:
-    """Row i holds the pieces of position i (0 is the root)."""
+def position_table(sentence: Sentence, mode: str) -> np.ndarray:
+    """Row i holds the pieces of position i (0 is the root); built once per
+    sentence and passed to every ``hash_arcs`` call for it."""
     ra, rb = _ROLES[mode]
     forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
     tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
@@ -388,10 +392,12 @@ def _plain_crcs(table: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.concatenate([per_arc.ravel(), two_sided[11 * count:]])
 
 
-def _hash_arcs(sentence: Sentence, mode: str, a: np.ndarray, b: np.ndarray,
-               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
+def hash_arcs(table: np.ndarray, mode: str, a: np.ndarray, b: np.ndarray,
+              hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the arcs (a[k], b[k]), concatenated in the emission order of
-    *_feature_strings, and the start offset of each arc."""
+    *_feature_strings, and the start offset of each arc.  ``table`` is the
+    sentence's ``position_table`` in the same mode.  An arc's slots do not
+    depend on the other arcs of the call."""
     count = len(a)
     dist = np.abs(b - a)
     nb = dist - 1                     # btw features of each arc
@@ -401,8 +407,7 @@ def _hash_arcs(sentence: Sentence, mode: str, a: np.ndarray, b: np.ndarray,
     # one btw feature per (arc, mid), mids ascending
     owner = np.repeat(np.arange(count), nb)
     within = np.arange(len(owner)) - np.repeat(np.cumsum(nb) - nb, nb)
-    values = _plain_crcs(_position_table(sentence, mode), a, b, owner,
-                         np.minimum(a, b)[owner] + 1 + within)
+    values = _plain_crcs(table, a, b, owner, np.minimum(a, b)[owner] + 1 + within)
     # per arc: 13 base templates, btw by mid, 4 sr templates, then the
     # same again conjoined
     column = np.arange(17)
@@ -448,7 +453,8 @@ class SentenceFeatures:
         a, b = np.nonzero(arcs)
         self.pairs = list(zip(a.tolist(), b.tolist()))
         self.pair_a, self.pair_b = a, b
-        self._flat, self._starts = _hash_arcs(sentence, mode, a, b, hash_bits)
+        self._flat, self._starts = hash_arcs(position_table(sentence, mode),
+                                             mode, a, b, hash_bits)
         self._ends = np.append(self._starts[1:], len(self._flat))
         self._pair_id = np.full((n + 1, n + 1), -1, dtype=np.int64)
         self._pair_id[a, b] = np.arange(len(a))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import InputError, StructureError
-from .features import Model, SentenceFeatures, arc_matrix
+from .features import Model, SentenceFeatures, arc_matrix, hash_arcs, position_table
 from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, boruvka_msf, randomized_msf
 
@@ -140,6 +140,43 @@ class DirectedScoreTable:
     def present(self, head: int, mod: int) -> bool:
         return bool(np.isfinite(self.matrix[head, mod]))
 
+    def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
+        return self.matrix[heads, mods]
+
+
+class LazyArcScores:
+    """Directed arc scores, computed when first asked for.
+
+    Reads like a DirectedScoreTable through ``scores``, but featurizes and
+    scores only the arcs requested: all of them not yet scored in one
+    ``hash_arcs`` call, in row-major order.  Each arc has the same slots as
+    in SentenceFeatures, so its score is bit-identical to
+    ``directed_score_table``'s.  Arcs the pruner drops (or that are no
+    candidate arcs) read as -inf.
+    """
+
+    def __init__(self, sentence: Sentence, model: Model,
+                 pruner: Pruner | None = None):
+        if model.mode != "directed":
+            raise InputError("directed arc scores need a directed-mode model")
+        n = len(sentence)
+        self._weights = model.weights
+        self._hash_bits = model.hash_bits
+        self._table = position_table(sentence, "directed")
+        self._matrix = np.full((n + 1, n + 1), -np.inf)
+        # allowed arcs whose score is not in _matrix yet
+        self._pending = arc_matrix(n) if pruner is None else pruner.mask(sentence)
+
+    def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
+        todo = np.zeros_like(self._pending)
+        todo[heads, mods] = True
+        a, b = np.nonzero(todo & self._pending)      # row-major, no repeats
+        if len(a):
+            flat, starts = hash_arcs(self._table, "directed", a, b, self._hash_bits)
+            self._matrix[a, b] = np.add.reduceat(self._weights[flat], starts)
+            self._pending[a, b] = False
+        return self._matrix[heads, mods]
+
 
 def directed_score_table(sentence: Sentence, model: Model,
                          pruner: Pruner | None = None,
@@ -240,7 +277,8 @@ def direct_tree(graph: UndirectedGraph, mst: SpanningForest,
 
 
 def swap_gain(s_tu: float, s_uv: float, s_tv: float, s_vu: float) -> float:
-    """Weight saved by replacing edges (t,u),(u,v) with (t,v),(v,u).
+    """Weight saved by replacing edges (t,u),(u,v) with (t,v),(v,u)
+    (elementwise on arrays).
 
     Operates on minimization weights; a positive value means the rewired
     tree is lighter.  Callers holding maximizing scores pass them negated.
@@ -248,47 +286,39 @@ def swap_gain(s_tu: float, s_uv: float, s_tv: float, s_vu: float) -> float:
     return s_tu + s_uv - (s_tv + s_vu)
 
 
-def local_enhancement(tree: DependencyTree, s_d: DirectedScoreTable,
+def local_enhancement(tree: DependencyTree, s_d: DirectedScoreTable | LazyArcScores,
                       rounds: int = 5) -> DependencyTree:
-    """Greedy rewiring of a directed tree against a directed score table.
+    """Greedy rewiring of a directed tree against directed arc scores.
 
     Per round, every edge (u, v) whose upper endpoint u has a parent t is
     scored with :func:`swap_gain`; the single best positive-gain swap is
     applied (ties to the smallest (u, v)).  Edges out of the root are
-    skipped.  Swaps whose new arcs are absent from the table are never
+    skipped.  Swaps whose new arcs are absent (not finite) are never
     taken; absent current arcs make any legal swap infinitely attractive.
+    A round reads the four arcs of every edge with one ``scores`` call.
     """
     if not tree.is_valid():
         raise StructureError("local enhancement requires a valid tree")
-    heads = list(tree.heads)
-    n = len(heads)
+    heads = np.array([0, *tree.heads], dtype=np.int64)    # heads[v], v in 0..n
     for _ in range(rounds):
-        best_gain = 0.0
-        best = None
-        for v in range(1, n + 1):
-            u = heads[v - 1]
-            if u == 0:
-                continue            # (u, v) leaves the root: no grandparent
-            t = heads[u - 1]
-            if not s_d.present(t, v) or not s_d.present(v, u):
-                continue
-            if not s_d.present(t, u) or not s_d.present(u, v):
-                gain = np.inf
-            else:
-                gain = swap_gain(-s_d.get(t, u), -s_d.get(u, v),
-                                 -s_d.get(t, v), -s_d.get(v, u))
-            if gain <= 0.0:
-                continue
-            if best is None or gain > best_gain or \
-                    (gain == best_gain and (u, v) < best[1:]):
-                best_gain = gain
-                best = (t, u, v)
-        if best is None:
+        v = np.flatnonzero(heads)           # (u, v) with u != root
+        u = heads[v]
+        t = heads[u]
+        s = s_d.scores(np.concatenate([t, v, t, u]),
+                       np.concatenate([v, u, u, v])).reshape(4, len(v))
+        s_tv, s_vu, s_tu, s_uv = s
+        present = np.isfinite(s)
+        with np.errstate(invalid="ignore"):
+            gain = np.where(present[2] & present[3],
+                            swap_gain(-s_tu, -s_uv, -s_tv, -s_vu), np.inf)
+        legal = np.flatnonzero(present[0] & present[1] & (gain > 0.0))
+        if not len(legal):
             break
-        t, u, v = best
-        heads[u - 1] = v
-        heads[v - 1] = t
-    return DependencyTree(heads=tuple(heads))
+        top = legal[gain[legal] == gain[legal].max()]
+        best = top[np.argmin(u[top] * len(heads) + v[top])]
+        heads[u[best]] = v[best]
+        heads[v[best]] = t[best]
+    return DependencyTree(heads=tuple(heads[1:].tolist()))
 
 
 def _find_cycle(heads: np.ndarray) -> set | None:
@@ -368,26 +398,23 @@ def undirected_spanning_tree(pg: ParseGraph, backend: str,
 def parse(sentence: Sentence, model: Model, config: ParserConfig,
           directed_model: Model | None = None,
           pruner: Pruner | None = None,
-          sentence_index: int = 0,
-          cache: SentenceFeatures | None = None,
-          directed_cache: SentenceFeatures | None = None) -> DependencyTree:
+          sentence_index: int = 0) -> DependencyTree:
     """Parse one sentence with the configured system.
 
     d-mst ignores the pruner (it runs on the complete directed graph);
     u-mst-uf-lep additionally needs the separately trained directed model
-    for its rewiring pass.
+    for its rewiring pass, which scores only the arcs it reads.
     """
     config.validate()
     system = config.system
     if system == "d-mst":
         if model.mode != "directed":
             raise InputError("d-mst needs a directed-mode model")
-        table = directed_score_table(sentence, model, None, directed_cache)
-        return cle_directed_mst(table)
+        return cle_directed_mst(directed_score_table(sentence, model))
     expected_mode = "directed" if system == "u-mst-df" else "undirected"
     if model.mode != expected_mode:
         raise InputError(f"{system} needs a {expected_mode}-mode model")
-    pg, _ = build_parse_graph(sentence, model, pruner, cache)
+    pg, _ = build_parse_graph(sentence, model, pruner)
     rng = RandomSource.derive(config.seed, sentence_index)
     forest = undirected_spanning_tree(pg, config.mst_backend, rng)
     tree = direct_tree(pg.graph, forest)
@@ -395,7 +422,6 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
         if directed_model is None:
             raise InputError("u-mst-uf-lep needs the directed (d-mst) model "
                              "for its enhancement scores")
-        table = directed_score_table(sentence, directed_model, pruner,
-                                     directed_cache)
-        tree = local_enhancement(tree, table, config.enhancement_rounds)
+        scores = LazyArcScores(sentence, directed_model, pruner)
+        tree = local_enhancement(tree, scores, config.enhancement_rounds)
     return tree

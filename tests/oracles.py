@@ -227,3 +227,49 @@ def undirected_pairs(sentence, pruner=None):
     return [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)
             if pruner is None or pruner.allows(sentence, i, j)
             or pruner.allows(sentence, j, i)]
+
+
+def local_enhancement_oracle(heads, matrix: np.ndarray, rounds: int) -> tuple:
+    """Greedy rewiring by the scalar rule, one edge at a time.
+
+    Per round, every edge (u, v) with u != root and parent t of u is a
+    candidate swap to (t, v), (v, u); an arc is present when its
+    matrix[head, mod] is finite.  A swap with an absent new arc is skipped,
+    an absent current arc makes its gain +inf, and the best positive gain
+    is applied, ties to the smallest (u, v).
+    """
+    heads = list(heads)
+    n = len(heads)
+
+    def present(h, m):
+        return bool(np.isfinite(matrix[h, m]))
+
+    def get(h, m):
+        return float(matrix[h, m])
+
+    for _ in range(rounds):
+        best_gain = 0.0
+        best = None
+        for v in range(1, n + 1):
+            u = heads[v - 1]
+            if u == 0:
+                continue
+            t = heads[u - 1]
+            if not present(t, v) or not present(v, u):
+                continue
+            if not present(t, u) or not present(u, v):
+                gain = np.inf
+            else:
+                gain = -get(t, u) + -get(u, v) - (-get(t, v) + -get(v, u))
+            if gain <= 0.0:
+                continue
+            if best is None or gain > best_gain or \
+                    (gain == best_gain and (u, v) < best[1:]):
+                best_gain = gain
+                best = (t, u, v)
+        if best is None:
+            break
+        t, u, v = best
+        heads[u - 1] = v
+        heads[v - 1] = t
+    return tuple(heads)

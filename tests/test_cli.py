@@ -189,6 +189,25 @@ def test_model_outside_its_hash_range_exits_2(mini_corpus, tmp_path, capsys, bod
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "hash_bits4\nmode undirected\ncombiner mean\nnnz 0\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 1\n3 nan\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 1\n3 inf\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 1\n3 -inf\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 5\n3 0x1.0p+0\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 0\n3 0x1.0p+0\n",
+], ids=["header-without-space", "nan-weight", "inf-weight", "minus-inf-weight",
+        "fewer-weights-than-nnz", "more-weights-than-nnz"])
+def test_malformed_model_exits_2(mini_corpus, tmp_path, capsys, body):
+    """Rejected when the model is loaded, not later by the parser."""
+    _, dev_path = mini_corpus
+    model = tmp_path / "bad.model"
+    model.write_text("umstparse-model 1\n" + body)
+    assert run("parse", "--model", model, "--input", dev_path,
+               "--output", tmp_path / "out.conll") == 2
+    assert f"data error: {model}:" in capsys.readouterr().err
+
+
 def test_bench_tiny(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--sizes", "200", "--densities", "4",

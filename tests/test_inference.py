@@ -2,6 +2,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree, load_conll
 from umstparse.errors import InputError, StructureError
@@ -9,6 +10,7 @@ from umstparse.features import Model, SentenceFeatures, extract_directed, extrac
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
     DirectedScoreTable,
+    LazyArcScores,
     ParserConfig,
     Pruner,
     build_parse_graph,
@@ -23,7 +25,7 @@ from umstparse.inference import (
 )
 from umstparse.mst import SpanningForest, kruskal_msf
 
-from oracles import exhaustive_best_arborescence, join_sentences
+from oracles import exhaustive_best_arborescence, join_sentences, local_enhancement_oracle
 
 BUNDLED = pathlib.Path(__file__).parent.parent / "data"
 
@@ -353,6 +355,88 @@ class TestLocalEnhancement:
             assert tree.heads[v - 1] == u          # v was child of u
             assert out.heads[v - 1] == tree.heads[u - 1]  # v adopted by t
             assert out.heads[u - 1] == v           # u hangs under v
+
+
+@st.composite
+def lep_instances(draw):
+    """A tree (random, star- or path-shaped, randomly labelled), a score
+    matrix of small integers with -inf holes, and a round count."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["random", "star", "path"]))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for i, x in enumerate(order):
+        if shape == "path":
+            heads[x - 1] = order[i - 1] if i else 0
+        elif shape == "star":
+            heads[x - 1] = order[0] if i else 0
+        else:
+            j = draw(st.integers(0, i))
+            heads[x - 1] = order[j - 1] if j else 0
+    cells = draw(st.lists(st.sampled_from([-np.inf, -2.0, -1.0, 0.0, 1.0, 2.0]),
+                          min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    matrix = np.asarray(cells).reshape(n + 1, n + 1)
+    return heads, matrix, draw(st.integers(0, 5))
+
+
+class TestVectorizedLocalEnhancement:
+    @settings(max_examples=400, deadline=None)
+    @given(lep_instances())
+    def test_matches_scalar_oracle(self, instance):
+        heads, matrix, rounds = instance
+        out = local_enhancement(DependencyTree(heads=tuple(heads)),
+                                table_from(matrix), rounds)
+        assert out.heads == local_enhancement_oracle(heads, matrix, rounds)
+
+    def test_lazy_scores_equal_full_table(self, bundled):
+        """Every arc the lazy scorer is asked about, in any order and with
+        repeats, scores the very float of the full table; LEP on either
+        gives the same tree."""
+        pruner, sentences = bundled
+        dev = sentences[:150]
+        sentences = sentences + [join_sentences(dev[i:i + 7])
+                                 for i in range(100, 142, 7)]
+        assert max(len(s) for s in sentences) >= 65
+        rng = np.random.default_rng(131)
+        model = Model.new("directed", hash_bits=16)
+        model.weights = rng.normal(size=model.size())
+        for s in sentences:
+            n = len(s)
+            heads = _random_heads(rng, n)
+            for p in (None, pruner):
+                full = directed_score_table(s, model, p).matrix
+                lazy = LazyArcScores(s, model, p)
+                for _ in range(3):
+                    h = rng.integers(0, n + 1, size=2 * n)
+                    m = rng.integers(0, n + 1, size=2 * n)
+                    assert lazy.scores(h, m).tobytes() == full[h, m].tobytes()
+                tree = DependencyTree(heads=tuple(heads))
+                assert local_enhancement(tree, LazyArcScores(s, model, p)) == \
+                    local_enhancement(tree, table_from(full))
+                h, m = np.divmod(np.arange((n + 1) ** 2), n + 1)
+                assert lazy.scores(h, m).tobytes() == full.tobytes()
+
+    def test_one_hashing_call_per_round(self, bundled, monkeypatch):
+        import umstparse.inference as inference
+        calls = []
+        real = inference.hash_arcs
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(inference, "hash_arcs", counting)
+        s = bundled[1][-1]
+        model = Model.new("directed", hash_bits=12)
+        model.weights = np.random.default_rng(137).normal(size=model.size())
+        tree = DependencyTree(heads=tuple(_random_heads(np.random.default_rng(139), len(s))))
+        local_enhancement(tree, LazyArcScores(s, model), rounds=5)
+        assert 1 <= len(calls) <= 5
+        assert sum(calls) <= 4 * len(s) * 5 < len(s) ** 2
+
+    def test_lazy_scorer_needs_directed_model(self):
+        with pytest.raises(InputError):
+            LazyArcScores(FIXTURE, Model.new("undirected", hash_bits=10))
 
 
 class TestCLE:
