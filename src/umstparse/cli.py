@@ -20,7 +20,7 @@ from .errors import DataError, InputError, StructureError
 from .evaluate import format_report, head_to_head, oracle_combine, report_csv_rows, score
 from .features import DEFAULT_HASH_BITS, load_model, save_model
 from .inference import SYSTEMS, ParserConfig, build_pruner, parse
-from .training import TrainConfig, train_full, train_suite
+from .training import TrainConfig, train_full
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,8 +37,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-CONFIG_KEYS = ("system", "combiner", "enhancement_rounds", "mst_backend",
-               "seed", "pruning", "epochs", "shuffle", "hash_bits", "threads")
+# config-file keys and the JSON type each value must have (a bool is no int)
+CONFIG_TYPES = {"system": str, "combiner": str, "enhancement_rounds": int,
+                "mst_backend": str, "seed": int, "pruning": str, "epochs": int,
+                "shuffle": bool, "hash_bits": int, "threads": int}
 
 
 def _load_config(path) -> dict:
@@ -51,9 +53,15 @@ def _load_config(path) -> dict:
         raise
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid config JSON ({exc})") from exc
-    unknown = set(data) - set(CONFIG_KEYS)
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    unknown = set(data) - set(CONFIG_TYPES)
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in data.items():
+        if type(value) is not CONFIG_TYPES[key]:
+            raise DataError(f"{path}: config key {key!r} must be "
+                            f"{CONFIG_TYPES[key].__name__}, got {value!r}")
     return data
 
 
@@ -61,7 +69,7 @@ def _merged(args, defaults: dict) -> dict:
     """Config-file values override defaults; explicit flags override both."""
     merged = dict(defaults)
     merged.update(_load_config(getattr(args, "config", None)))
-    for key in CONFIG_KEYS:
+    for key in CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -360,6 +368,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (DataError, InputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"data error: input is not UTF-8 ({exc})", file=sys.stderr)
         return EXIT_DATA
     except StructureError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

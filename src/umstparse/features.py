@@ -156,11 +156,10 @@ class Model:
 
     mode selects the feature family ("directed" or "undirected");
     combiner is how two directed scores merge into an undirected edge
-    weight ("mean" or "product").  After training, both weight vectors
-    hold the averaged weights.
+    weight ("mean" or "product").  After training, weights holds the
+    averaged weights.
     """
     weights: np.ndarray
-    averaged_weights: np.ndarray
     mode: str
     combiner: str
     hash_bits: int
@@ -173,8 +172,8 @@ class Model:
         if combiner not in ("mean", "product"):
             raise InputError(f"unknown combiner {combiner!r}")
         size = 1 << check_hash_bits(hash_bits)
-        return cls(weights=np.zeros(size), averaged_weights=np.zeros(size),
-                   mode=mode, combiner=combiner, hash_bits=hash_bits)
+        return cls(weights=np.zeros(size), mode=mode, combiner=combiner,
+                   hash_bits=hash_bits)
 
     def size(self) -> int:
         return 1 << self.hash_bits
@@ -189,7 +188,7 @@ def score(model: Model, fv: FeatureVector) -> float:
 
 def save_model(model: Model, path) -> None:
     """Line-based text format; floats as hex so the file round-trips exactly."""
-    nz = np.nonzero(model.averaged_weights)[0]
+    nz = np.nonzero(model.weights)[0]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"hash_bits {model.hash_bits}\n")
@@ -197,7 +196,7 @@ def save_model(model: Model, path) -> None:
         fh.write(f"combiner {model.combiner}\n")
         fh.write(f"nnz {len(nz)}\n")
         for slot in nz:
-            fh.write(f"{slot} {float(model.averaged_weights[slot]).hex()}\n")
+            fh.write(f"{slot} {float(model.weights[slot]).hex()}\n")
 
 
 def load_model(path) -> Model:
@@ -233,8 +232,7 @@ def load_model(path) -> Model:
                             "weight table")
         if not math.isfinite(value):
             raise DataError(f"{path}: weight of slot {slot} is not finite")
-        model.averaged_weights[slot] = value
-    model.weights = model.averaged_weights.copy()
+        model.weights[slot] = value
     return model
 
 

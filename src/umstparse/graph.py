@@ -13,7 +13,7 @@ rather than per-edge Python work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class UndirectedGraph:
     transiently during contraction and are removed by :func:`simplify`.
     """
 
-    __slots__ = ("n_vertices", "u", "v", "weight", "original_id", "_adjacency")
+    __slots__ = ("n_vertices", "u", "v", "weight", "original_id")
 
     def __init__(self, n_vertices, u, v, weight, original_id, _validate=True):
         self.n_vertices = int(n_vertices)
@@ -43,7 +43,6 @@ class UndirectedGraph:
         self.v = np.asarray(v, dtype=np.int64)
         self.weight = np.asarray(weight, dtype=np.float64)
         self.original_id = np.asarray(original_id, dtype=np.int64)
-        self._adjacency = None
         if _validate:
             self._validate()
 
@@ -79,22 +78,6 @@ class UndirectedGraph:
     def edge(self, i: int) -> UndirectedEdge:
         return UndirectedEdge(int(self.u[i]), int(self.v[i]),
                               float(self.weight[i]), int(self.original_id[i]))
-
-    def edges(self) -> Iterator[UndirectedEdge]:
-        for i in range(self.n_edges):
-            yield self.edge(i)
-
-    def adjacency(self) -> list[list[int]]:
-        """Per-vertex lists of incident edge indices (self edges once)."""
-        if self._adjacency is None:
-            adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-            for i in range(self.n_edges):
-                a, b = int(self.u[i]), int(self.v[i])
-                adj[a].append(i)
-                if b != a:
-                    adj[b].append(i)
-            self._adjacency = adj
-        return self._adjacency
 
     def __repr__(self):
         return (f"UndirectedGraph(n_vertices={self.n_vertices}, "

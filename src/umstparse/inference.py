@@ -24,6 +24,11 @@ from .mst import RandomSource, SpanningForest, boruvka_msf, randomized_msf
 SYSTEMS = ("d-mst", "u-mst-uf", "u-mst-uf-lep", "u-mst-df")
 
 
+def feature_mode(system: str) -> str:
+    """The feature family of the model a system parses with."""
+    return "directed" if system in ("d-mst", "u-mst-df") else "undirected"
+
+
 @dataclass
 class ParserConfig:
     system: str = "u-mst-uf"
@@ -375,14 +380,12 @@ def _cle_heads(score: np.ndarray) -> np.ndarray:
     return result
 
 
-def cle_directed_mst(s_d: DirectedScoreTable, n: int | None = None) -> DependencyTree:
+def cle_directed_mst(s_d: DirectedScoreTable) -> DependencyTree:
     """Maximum-weight arborescence rooted at vertex 0 (recursive
     cycle-contracting implementation over the dense score table)."""
-    if n is None:
-        n = s_d.n
-    if n == 0:
+    if s_d.n == 0:
         return DependencyTree(heads=())
-    heads = _cle_heads(s_d.matrix[:n + 1, :n + 1])
+    heads = _cle_heads(s_d.matrix)
     return DependencyTree(heads=tuple(int(h) for h in heads[1:]))
 
 
@@ -398,23 +401,24 @@ def undirected_spanning_tree(pg: ParseGraph, backend: str,
 def parse(sentence: Sentence, model: Model, config: ParserConfig,
           directed_model: Model | None = None,
           pruner: Pruner | None = None,
-          sentence_index: int = 0) -> DependencyTree:
+          sentence_index: int = 0,
+          features: SentenceFeatures | None = None) -> DependencyTree:
     """Parse one sentence with the configured system.
 
     d-mst ignores the pruner (it runs on the complete directed graph);
     u-mst-uf-lep additionally needs the separately trained directed model
     for its rewiring pass, which scores only the arcs it reads.
+    ``features`` is the sentence's featurization in the model's mode, when
+    the caller already has it (training featurizes each sentence once).
     """
     config.validate()
     system = config.system
+    mode = feature_mode(system)
+    if model.mode != mode:
+        raise InputError(f"{system} needs a {mode}-mode model")
     if system == "d-mst":
-        if model.mode != "directed":
-            raise InputError("d-mst needs a directed-mode model")
-        return cle_directed_mst(directed_score_table(sentence, model))
-    expected_mode = "directed" if system == "u-mst-df" else "undirected"
-    if model.mode != expected_mode:
-        raise InputError(f"{system} needs a {expected_mode}-mode model")
-    pg, _ = build_parse_graph(sentence, model, pruner)
+        return cle_directed_mst(directed_score_table(sentence, model, None, features))
+    pg, _ = build_parse_graph(sentence, model, pruner, features)
     rng = RandomSource.derive(config.seed, sentence_index)
     forest = undirected_spanning_tree(pg, config.mst_backend, rng)
     tree = direct_tree(pg.graph, forest)

@@ -4,8 +4,8 @@ Averaged perceptron: each sentence is parsed with the configured system
 using the current weights, and on a mistake the weights move toward the
 gold structure's features and away from the prediction's.  Undirected
 systems compare undirected edge sets; directed systems compare head
-vectors.  Test-time inference (graph construction, spanning tree,
-directing) is reused unchanged inside the loop.
+vectors.  Each prediction is one call of the test-time ``parse``, given
+the sentence's features, which are computed once before the first epoch.
 """
 
 from __future__ import annotations
@@ -16,18 +16,19 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import InputError
-from .features import DEFAULT_HASH_BITS, Model, SentenceFeatures, check_hash_bits
-from .inference import (
-    SYSTEMS,
-    Pruner,
+from .features import DEFAULT_HASH_BITS, Model, check_hash_bits
+from .inference import ParserConfig, Pruner, build_pruner, parse
+# perfbench/tracer.py looks these names up on this module (it wraps the
+# featurizer and the inference stages, and reads feature_mode), so they
+# are imported here although training runs the stages through parse
+from .inference import (  # noqa: F401
+    SentenceFeatures,
     build_parse_graph,
-    build_pruner,
     cle_directed_mst,
     direct_tree,
     directed_score_table,
-    undirected_spanning_tree,
+    feature_mode,
 )
-from .mst import RandomSource
 
 
 @dataclass
@@ -44,38 +45,32 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if self.system not in SYSTEMS:
-            raise InputError(f"unknown system {self.system!r}")
+        self.parser_config()
         check_hash_bits(self.hash_bits)
         return self
 
+    def parser_config(self) -> ParserConfig:
+        """The (validated) inference settings training predicts with;
+        u-mst-uf-lep trains as u-mst-uf."""
+        system = "u-mst-uf" if self.system == "u-mst-uf-lep" else self.system
+        return ParserConfig(system=system, combiner=self.combiner,
+                            mst_backend=self.mst_backend, seed=self.seed,
+                            pruning=self.pruning).validate()
 
-def feature_mode(system: str) -> str:
-    return "directed" if system in ("d-mst", "u-mst-df") else "undirected"
 
-
-def _gold_arcs(sentence: Sentence, mode: str):
+def _arcs(heads, mode: str) -> list[tuple[int, int]]:
+    """A head vector's arcs: (head, mod) pairs, or unordered (low, high)
+    pairs in undirected mode."""
     if mode == "directed":
-        return [(h, m + 1) for m, h in enumerate(sentence.gold_heads)]
-    return [(min(h, m + 1), max(h, m + 1)) for m, h in enumerate(sentence.gold_heads)]
+        return [(h, m) for m, h in enumerate(heads, 1)]
+    return [(min(h, m), max(h, m)) for m, h in enumerate(heads, 1)]
 
 
-def _tree_arcs(tree: DependencyTree, mode: str):
-    if mode == "directed":
-        return [(h, m + 1) for m, h in enumerate(tree.heads)]
-    return [(min(h, m + 1), max(h, m + 1)) for m, h in enumerate(tree.heads)]
-
-
-def _predict(sentence: Sentence, model: Model, config: TrainConfig,
+def _predict(sentence: Sentence, model: Model, config: ParserConfig,
              pruner: Pruner | None, cache: SentenceFeatures,
              sentence_index: int) -> DependencyTree:
-    if config.system == "d-mst":
-        table = directed_score_table(sentence, model, None, cache)
-        return cle_directed_mst(table)
-    pg, _ = build_parse_graph(sentence, model, pruner, cache)
-    rng = RandomSource.derive(config.seed, sentence_index)
-    forest = undirected_spanning_tree(pg, config.mst_backend, rng)
-    return direct_tree(pg.graph, forest)
+    return parse(sentence, model, config, pruner=pruner,
+                 sentence_index=sentence_index, features=cache)
 
 
 def train_full(corpus: list[Sentence], config: TrainConfig,
@@ -89,7 +84,8 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     config.validate()
     if not corpus:
         raise InputError("empty training corpus")
-    mode = feature_mode(config.system)
+    parser_config = config.parser_config()
+    mode = feature_mode(parser_config.system)
     # d-mst always runs on the complete directed graph; no pruning
     pruner = None
     if config.pruning == "length-dictionary" and config.system != "d-mst":
@@ -116,12 +112,12 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
         total = 0
         for idx in order.tolist():
             sentence = corpus[idx]
-            pred = _predict(sentence, model, config, pruner, caches[idx], idx)
+            pred = _predict(sentence, model, parser_config, pruner, caches[idx], idx)
             total += len(sentence)
             correct += sum(1 for p, g in zip(pred.heads, sentence.gold_heads)
                            if p == g)
-            gold_arcs = _gold_arcs(sentence, mode)
-            pred_arcs = _tree_arcs(pred, mode)
+            gold_arcs = _arcs(sentence.gold_heads, mode)
+            pred_arcs = _arcs(pred.heads, mode)
             if set(gold_arcs) != set(pred_arcs):
                 gold_idx = caches[idx].sum_indices(gold_arcs)
                 pred_idx = caches[idx].sum_indices(pred_arcs)
@@ -131,9 +127,8 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
                 np.add.at(usum, pred_idx, -float(t - 1))
             t += 1
         epoch_uas.append(100.0 * correct / total if total else 0.0)
-    averaged = weights - usum / (t - 1)
-    model.weights = averaged
-    model.averaged_weights = averaged.copy()
+    usum /= t - 1
+    weights -= usum
     return model, epoch_uas
 
 

@@ -168,6 +168,57 @@ def test_unknown_config_key_exits_2(mini_corpus, tmp_path):
                "--config", config) == 2
 
 
+@pytest.mark.parametrize("body, named", [
+    ({"seed": "abc"}, "'seed'"),
+    ({"epochs": "2"}, "'epochs'"),
+    ({"epochs": 2.0}, "'epochs'"),
+    ({"hash_bits": True}, "'hash_bits'"),
+    ({"shuffle": 1}, "'shuffle'"),
+    ({"system": 3}, "'system'"),
+    ({"enhancement_rounds": None}, "'enhancement_rounds'"),
+    ({"threads": False}, "'threads'"),
+    ([{"seed": 1}], "JSON object"),
+])
+def test_config_value_of_wrong_type_exits_2(mini_corpus, tmp_path, capsys,
+                                            body, named):
+    train_path, _ = mini_corpus
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    assert run("train", "--train", train_path, "--model-out", tmp_path / "m",
+               "--config", config) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_misspelled_pruning_exits_2(mini_corpus, tmp_path, capsys):
+    train_path, _ = mini_corpus
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pruning": "lenght-dictionary", "epochs": 1}))
+    assert run("train", "--train", train_path, "--model-out", tmp_path / "m",
+               "--config", config) == 2
+    assert "lenght-dictionary" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("bad", ["train", "model", "config"])
+def test_non_utf8_input_exits_2(mini_corpus, tmp_path, capsys, bad):
+    train_path, dev_path = mini_corpus
+    model = tmp_path / "m.model"
+    assert run("train", "--train", train_path, "--model-out", model,
+               *TRAIN_FLAGS) == 0
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"\xff\xfe1\tx\n")
+    args = {"train": ("train", "--train", garbage, "--model-out", tmp_path / "n"),
+            "model": ("parse", "--model", garbage, "--input", dev_path,
+                      "--output", tmp_path / "out.conll"),
+            "config": ("parse", "--model", model, "--input", dev_path,
+                       "--output", tmp_path / "out.conll", "--config", garbage)}
+    capsys.readouterr()
+    assert run(*args[bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("bits", ["-3", "0", "31"])
 def test_hash_bits_outside_range_exits_2(mini_corpus, tmp_path, capsys, bits):
     train_path, _ = mini_corpus

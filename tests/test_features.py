@@ -159,20 +159,18 @@ class TestModelFile:
         rng = np.random.default_rng(41)
         model = Model.new("undirected", combiner="product", hash_bits=12)
         slots = rng.choice(model.size(), size=50, replace=False)
-        model.averaged_weights[slots] = rng.normal(size=50) * 1e-3
-        model.weights = model.averaged_weights.copy()
+        model.weights[slots] = rng.normal(size=50) * 1e-3
         path = tmp_path / "m.model"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.mode == "undirected"
         assert loaded.combiner == "product"
         assert loaded.hash_bits == 12
-        assert np.array_equal(loaded.averaged_weights, model.averaged_weights)
-        assert np.array_equal(loaded.weights, model.averaged_weights)
+        assert np.array_equal(loaded.weights, model.weights)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = Model.new("directed", hash_bits=10)
-        model.averaged_weights[3] = -0.25
+        model.weights[3] = -0.25
         save_model(model, tmp_path / "a")
         save_model(model, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()

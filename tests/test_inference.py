@@ -482,7 +482,6 @@ def _model_preferring(sentence, arcs, mode, hash_bits=14):
               if mode == "directed"
               else extract_undirected(sentence, a, b, hash_bits=hash_bits))
         model.weights[fv.indices] += 1.0
-    model.averaged_weights = model.weights.copy()
     return model
 
 

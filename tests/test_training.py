@@ -127,3 +127,25 @@ def test_lep_uses_directed_model_scores():
     swayed = parse(target, models["u-mst-uf-lep"], pconf,
                    directed_model=doctored)
     assert swayed.heads != base.heads
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pruning", "lenght-dictionary"),
+    ("mst_backend", "kruskal"),
+    ("combiner", "max"),
+    ("system", "u-mst"),
+])
+def test_config_rejects_unknown_options(field, value):
+    config = TrainConfig(epochs=1, **{field: value})
+    with pytest.raises(InputError):
+        config.validate()
+    with pytest.raises(InputError):
+        train(toy_corpus(), config)
+
+
+def test_lep_trains_as_u_mst_uf():
+    config = TrainConfig(epochs=3, system="u-mst-uf-lep", hash_bits=14, seed=3)
+    assert config.parser_config().system == "u-mst-uf"
+    uf = train(toy_corpus(), TrainConfig(epochs=3, system="u-mst-uf",
+                                         hash_bits=14, seed=3))
+    assert np.array_equal(train(toy_corpus(), config).weights, uf.weights)
