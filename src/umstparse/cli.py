@@ -18,7 +18,7 @@ from .bench import ALGORITHMS, run_bench, run_bench_file
 from .conll import DependencyTree, load_conll, save_conll
 from .errors import DataError, InputError, StructureError
 from .evaluate import format_report, head_to_head, oracle_combine, report_csv_rows, score
-from .features import DEFAULT_HASH_BITS, load_model, save_model
+from .features import COMBINERS, check_combiner, load_model, save_model
 from .inference import SYSTEMS, ParserConfig, build_pruner, parse
 from .training import TrainConfig, train_full
 
@@ -33,14 +33,18 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # full flag names only: bench would read a --seed prefix as --seeds
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
 # config-file keys and the JSON type each value must have (a bool is no int)
 CONFIG_TYPES = {"system": str, "combiner": str, "enhancement_rounds": int,
-                "mst_backend": str, "seed": int, "pruning": str, "epochs": int,
-                "shuffle": bool, "hash_bits": int, "threads": int}
+                "seed": int, "pruning": str, "epochs": int, "shuffle": bool,
+                "hash_bits": int, "threads": int}
 
 
 def _load_config(path) -> dict:
@@ -65,25 +69,14 @@ def _load_config(path) -> dict:
     return data
 
 
-def _merged(args, defaults: dict) -> dict:
-    """Config-file values override defaults; explicit flags override both."""
-    merged = dict(defaults)
-    merged.update(_load_config(getattr(args, "config", None)))
+def _merged(args) -> dict:
+    """Config-file values, overridden by explicit flags."""
+    merged = _load_config(args.config)
     for key in CONFIG_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
-
-
-def _add_shared(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--system", choices=list(SYSTEMS) + ["all"], default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; has no effect")
-    sub.add_argument("--no-punct-filter", action="store_true",
-                     help="score punctuation tokens too")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -96,15 +89,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--model-out", required=True)
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--shuffle", action="store_const", const=True, default=None)
-    p_train.add_argument("--combiner", choices=["mean", "product"], default=None)
-    p_train.add_argument("--mst-backend", choices=["randomized", "boruvka"],
-                         dest="mst_backend", default=None)
+    p_train.add_argument("--combiner", choices=COMBINERS, default=None)
     p_train.add_argument("--pruning", choices=["none", "length-dictionary"],
                          default=None)
     p_train.add_argument("--hash-bits", type=int, dest="hash_bits", default=None)
     p_train.add_argument("--log-out", default=None,
                          help="per-epoch training UAS CSV (default: <model>.trainlog.csv)")
-    _add_shared(p_train)
 
     p_parse = subs.add_parser("parse", help="parse a CoNLL file")
     p_parse.add_argument("--model", required=True)
@@ -114,15 +104,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("--output", required=True)
     p_parse.add_argument("--enhancement-rounds", type=int,
                          dest="enhancement_rounds", default=None)
-    p_parse.add_argument("--combiner", choices=["mean", "product"], default=None,
+    p_parse.add_argument("--combiner", choices=COMBINERS, default=None,
                          help="override the combiner stored in the model file")
-    p_parse.add_argument("--mst-backend", choices=["randomized", "boruvka"],
-                         dest="mst_backend", default=None)
     p_parse.add_argument("--pruning", choices=["none", "length-dictionary"],
                          default=None)
     p_parse.add_argument("--prune-train", default=None,
                          help="training CoNLL used to rebuild the pruner")
-    _add_shared(p_parse)
 
     p_eval = subs.add_parser("eval", help="score predictions against gold")
     p_eval.add_argument("--gold", required=True)
@@ -130,7 +117,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--pred-b", default=None,
                         help="second prediction file: adds head-to-head and oracle")
     p_eval.add_argument("--csv", default=None, help="also write CSV here")
-    _add_shared(p_eval)
+    p_eval.add_argument("--no-punct-filter", action="store_true",
+                        help="score punctuation tokens too")
 
     p_bench = subs.add_parser("bench", help="time MSF backends on random graphs")
     p_bench.add_argument("--sizes", default=None,
@@ -143,23 +131,26 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="bench a fixed graph in dump format instead of "
                               "random ones")
     p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")
-    _add_shared(p_bench)
 
     p_stats = subs.add_parser("prune-stats",
                               help="length-dictionary pruning statistics")
     p_stats.add_argument("--train", required=True, dest="train_path")
     p_stats.add_argument("--dev", required=True)
     p_stats.add_argument("--csv", default=None)
-    _add_shared(p_stats)
+
+    for sub in (p_train, p_parse):
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        sub.add_argument("--seed", type=int, default=None)
+        sub.add_argument("--system", choices=list(SYSTEMS) + ["all"], default=None)
+    for sub in subs.choices.values():
+        sub.add_argument("--threads", type=int, default=None,
+                         help="accepted for compatibility; has no effect")
     return top
 
 
-def _train_config(args, system: str) -> TrainConfig:
-    merged = _merged(args, {})
-    kwargs = {}
-    for f in fields(TrainConfig):
-        if f.name in merged and f.name != "system":
-            kwargs[f.name] = merged[f.name]
+def _train_config(merged: dict, system: str) -> TrainConfig:
+    kwargs = {f.name: merged[f.name] for f in fields(TrainConfig)
+              if f.name in merged and f.name != "system"}
     return TrainConfig(system=system, **kwargs).validate()
 
 
@@ -167,17 +158,23 @@ def cmd_train(args) -> int:
     corpus = load_conll(args.train_path)
     if not corpus:
         raise DataError(f"{args.train_path}: no sentences")
-    system = _merged(args, {}).get("system", "u-mst-uf")
+    merged = _merged(args)
+    system = merged.get("system", "u-mst-uf")
     if system == "all":
         os.makedirs(args.model_out, exist_ok=True)
+        trained = {}        # u-mst-uf-lep trains as u-mst-uf: train that once
         for name in SYSTEMS:
-            model, log = train_full(corpus, _train_config(args, name))
+            config = _train_config(merged, name)
+            trains_as = config.parser_config().system
+            if trains_as not in trained:
+                trained[trains_as] = train_full(corpus, config)
+            model, log = trained[trains_as]
             path = os.path.join(args.model_out, f"{name}.model")
             save_model(model, path)
             _write_train_log(f"{path}.trainlog.csv", log)
             print(f"trained {name} -> {path}")
         return EXIT_OK
-    config = _train_config(args, system)
+    config = _train_config(merged, system)
     model, log = train_full(corpus, config)
     save_model(model, args.model_out)
     _write_train_log(args.log_out or f"{args.model_out}.trainlog.csv", log)
@@ -195,18 +192,15 @@ def _write_train_log(path, log) -> None:
 
 def cmd_parse(args) -> int:
     model = load_model(args.model)
-    merged = _merged(args, {})
+    merged = _merged(args)
     default_system = "d-mst" if model.mode == "directed" else "u-mst-uf"
     system = merged.get("system", default_system)
     if system == "all":
         raise UsageError("parse needs a single --system")
-    if merged.get("combiner"):
-        model.combiner = merged["combiner"]
+    model.combiner = check_combiner(merged.get("combiner", model.combiner))
     config = ParserConfig(
         system=system,
-        combiner=model.combiner,
         enhancement_rounds=merged.get("enhancement_rounds", 5),
-        mst_backend=merged.get("mst_backend", "randomized"),
         seed=merged.get("seed", 1),
         pruning=merged.get("pruning", "none"),
     ).validate()
@@ -242,7 +236,6 @@ def cmd_eval(args) -> int:
     gold = load_conll(args.gold)
     pred_a = _trees_of(load_conll(args.pred))
     exclude_punct = not args.no_punct_filter
-    _merged(args, {})                   # checks the config file
     report = score(gold, pred_a, exclude_punct)
     out = [f"== {args.pred} ==", format_report(report).rstrip()]
     csv_rows = report_csv_rows(report)

@@ -34,6 +34,9 @@ MAX_HASH_BITS = 30
 
 MODEL_MAGIC = "umstparse-model 1"
 
+# how a directed-mode model merges a pair's two arc scores into one weight
+COMBINERS = ("mean", "product")
+
 
 def distance_bin(d: int) -> str:
     if d <= 5:
@@ -49,6 +52,12 @@ def check_hash_bits(hash_bits) -> int:
         raise InputError(f"hash_bits must be an integer in [1, {MAX_HASH_BITS}], "
                          f"got {hash_bits!r}")
     return hash_bits
+
+
+def check_combiner(combiner) -> str:
+    if combiner not in COMBINERS:
+        raise InputError(f"unknown combiner {combiner!r}")
+    return combiner
 
 
 def hash_feature(s: str, hash_bits: int) -> int:
@@ -156,7 +165,7 @@ class Model:
 
     mode selects the feature family ("directed" or "undirected");
     combiner is how two directed scores merge into an undirected edge
-    weight ("mean" or "product").  After training, weights holds the
+    weight (one of COMBINERS).  After training, weights holds the
     averaged weights.
     """
     weights: np.ndarray
@@ -169,8 +178,7 @@ class Model:
             hash_bits: int = DEFAULT_HASH_BITS) -> "Model":
         if mode not in ("directed", "undirected"):
             raise InputError(f"unknown feature mode {mode!r}")
-        if combiner not in ("mean", "product"):
-            raise InputError(f"unknown combiner {combiner!r}")
+        check_combiner(combiner)
         size = 1 << check_hash_bits(hash_bits)
         return cls(weights=np.zeros(size), mode=mode, combiner=combiner,
                    hash_bits=hash_bits)

@@ -17,9 +17,10 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import InputError, StructureError
-from .features import Model, SentenceFeatures, arc_matrix, hash_arcs, position_table
+from .features import (Model, SentenceFeatures, arc_matrix, check_combiner,
+                       hash_arcs, position_table)
 from .graph import UndirectedGraph
-from .mst import RandomSource, SpanningForest, boruvka_msf, randomized_msf
+from .mst import RandomSource, SpanningForest, randomized_msf
 
 SYSTEMS = ("d-mst", "u-mst-uf", "u-mst-uf-lep", "u-mst-df")
 
@@ -31,20 +32,15 @@ def feature_mode(system: str) -> str:
 
 @dataclass
 class ParserConfig:
+    """Inference settings; the combiner is the model's (``Model.combiner``)."""
     system: str = "u-mst-uf"
-    combiner: str = "mean"
     enhancement_rounds: int = 5
-    mst_backend: str = "randomized"   # or "boruvka"
     seed: int = 1
     pruning: str = "none"             # or "length-dictionary"
 
     def validate(self):
         if self.system not in SYSTEMS:
             raise InputError(f"unknown system {self.system!r}")
-        if self.combiner not in ("mean", "product"):
-            raise InputError(f"unknown combiner {self.combiner!r}")
-        if self.mst_backend not in ("randomized", "boruvka"):
-            raise InputError(f"unknown mst backend {self.mst_backend!r}")
         if self.pruning not in ("none", "length-dictionary"):
             raise InputError(f"unknown pruning mode {self.pruning!r}")
         if self.enhancement_rounds < 0:
@@ -54,11 +50,9 @@ class ParserConfig:
 
 def combine(s_uv: float, s_vu: float, combiner: str) -> float:
     """Merge the two directed scores of a vertex pair into one weight."""
-    if combiner == "mean":
+    if check_combiner(combiner) == "mean":
         return (s_uv + s_vu) / 2.0
-    if combiner == "product":
-        return s_uv * s_vu
-    raise InputError(f"unknown combiner {combiner!r}")
+    return s_uv * s_vu
 
 
 @dataclass
@@ -228,8 +222,8 @@ def build_parse_graph(sentence: Sentence, model: Model,
             cache = SentenceFeatures(sentence, "directed", model.hash_bits, pruner)
         table = directed_score_table(sentence, model, pruner, cache)
         # a direction survives when the cache covered it and the pruner
-        # (re-checked here: training uses unpruned caches so that updates
-        # can featurize any predicted arc) allows it
+        # (re-checked here: training uses unpruned directed caches so that
+        # updates can featurize any predicted arc) allows it
         alive = np.isfinite(table.matrix)
         if pruner is not None:
             alive &= pruner.mask(sentence)
@@ -389,15 +383,6 @@ def cle_directed_mst(s_d: DirectedScoreTable) -> DependencyTree:
     return DependencyTree(heads=tuple(int(h) for h in heads[1:]))
 
 
-def undirected_spanning_tree(pg: ParseGraph, backend: str,
-                             rng: RandomSource | None) -> SpanningForest:
-    if backend == "boruvka":
-        return boruvka_msf(pg.graph)
-    if backend == "randomized":
-        return randomized_msf(pg.graph, rng if rng is not None else RandomSource(0))
-    raise InputError(f"unknown mst backend {backend!r}")
-
-
 def parse(sentence: Sentence, model: Model, config: ParserConfig,
           directed_model: Model | None = None,
           pruner: Pruner | None = None,
@@ -405,7 +390,9 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
           features: SentenceFeatures | None = None) -> DependencyTree:
     """Parse one sentence with the configured system.
 
-    d-mst ignores the pruner (it runs on the complete directed graph);
+    d-mst ignores the pruner (it runs on the complete directed graph); the
+    others need one exactly when ``config.pruning`` is "length-dictionary",
+    and take the randomized spanning forest, seeded per sentence.
     u-mst-uf-lep additionally needs the separately trained directed model
     for its rewiring pass, which scores only the arcs it reads.
     ``features`` is the sentence's featurization in the model's mode, when
@@ -418,9 +405,12 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
         raise InputError(f"{system} needs a {mode}-mode model")
     if system == "d-mst":
         return cle_directed_mst(directed_score_table(sentence, model, None, features))
+    pruned = config.pruning == "length-dictionary"
+    if pruned != (pruner is not None):
+        raise InputError("pruning 'length-dictionary' needs a pruner" if pruned
+                         else "a pruner needs pruning 'length-dictionary'")
     pg, _ = build_parse_graph(sentence, model, pruner, features)
-    rng = RandomSource.derive(config.seed, sentence_index)
-    forest = undirected_spanning_tree(pg, config.mst_backend, rng)
+    forest = randomized_msf(pg.graph, RandomSource.derive(config.seed, sentence_index))
     tree = direct_tree(pg.graph, forest)
     if system == "u-mst-uf-lep":
         if directed_model is None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import InputError
-from .features import DEFAULT_HASH_BITS, Model, check_hash_bits
+from .features import DEFAULT_HASH_BITS, Model, check_combiner, check_hash_bits
 from .inference import ParserConfig, Pruner, build_pruner, parse
 # perfbench/tracer.py looks these names up on this module (it wraps the
 # featurizer and the inference stages, and reads feature_mode), so they
@@ -38,7 +38,6 @@ class TrainConfig:
     seed: int = 1
     shuffle: bool = False
     combiner: str = "mean"
-    mst_backend: str = "randomized"
     pruning: str = "none"
     hash_bits: int = DEFAULT_HASH_BITS
 
@@ -46,6 +45,7 @@ class TrainConfig:
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
         self.parser_config()
+        check_combiner(self.combiner)
         check_hash_bits(self.hash_bits)
         return self
 
@@ -53,8 +53,7 @@ class TrainConfig:
         """The (validated) inference settings training predicts with;
         u-mst-uf-lep trains as u-mst-uf."""
         system = "u-mst-uf" if self.system == "u-mst-uf-lep" else self.system
-        return ParserConfig(system=system, combiner=self.combiner,
-                            mst_backend=self.mst_backend, seed=self.seed,
+        return ParserConfig(system=system, seed=self.seed,
                             pruning=self.pruning).validate()
 
 
@@ -98,9 +97,11 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
         model = init_model
     weights = model.weights
     usum = np.zeros_like(weights)
-    # training caches stay unpruned so any predicted arc can be featurized;
-    # pruning is applied when the parse graph is built
-    caches = [SentenceFeatures(s, mode, config.hash_bits) for s in corpus]
+    # undirected caches hold the pairs the pruner keeps (every gold pair, as
+    # the pruner comes from this corpus); directed caches stay unpruned, as a
+    # predicted pair's arc may be a direction the pruner drops
+    cache_pruner = pruner if mode == "undirected" else None
+    caches = [SentenceFeatures(s, mode, config.hash_bits, cache_pruner) for s in corpus]
     t = 1
     epoch_uas = []
     for epoch in range(config.epochs):

@@ -308,3 +308,75 @@ def test_prune_stats_on_own_training_set(mini_corpus, tmp_path, capsys):
     assert run("prune-stats", "--train", train_path, "--dev", dev_path) == 0
     dev_fields = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert 50.0 <= float(dev_fields["gold_edges_kept_pct"]) <= 100.0
+
+
+def test_train_all_trains_u_mst_uf_once(mini_corpus, tmp_path, monkeypatch):
+    """u-mst-uf-lep trains as u-mst-uf, so `--system all` trains three
+    models and writes the u-mst-uf model and log under both names."""
+    import umstparse.cli as cli
+    train_path, _ = mini_corpus
+    trained = []
+    real = cli.train_full
+
+    def counting(corpus, config, *args, **kwargs):
+        trained.append(config.system)
+        return real(corpus, config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_full", counting)
+    out = tmp_path / "models"
+    assert run("train", "--train", train_path, "--model-out", out,
+               "--system", "all", "--epochs", "1", "--hash-bits", "12") == 0
+    assert trained == ["d-mst", "u-mst-uf", "u-mst-df"]
+    for suffix in (".model", ".model.trainlog.csv"):
+        assert ((out / f"u-mst-uf-lep{suffix}").read_bytes()
+                == (out / f"u-mst-uf{suffix}").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def removed_surface_files(mini_corpus, tmp_path_factory):
+    train_path, dev_path = mini_corpus
+    base = tmp_path_factory.mktemp("surface")
+    model = base / "uf.model"
+    assert run("train", "--train", train_path, "--model-out", model,
+               "--epochs", "1", "--hash-bits", "12") == 0
+    configs = {"empty": {}, "backend": {"mst_backend": "boruvka"},
+               "max": {"combiner": "max"}}
+    for name, body in configs.items():
+        (base / f"{name}.json").write_text(json.dumps(body))
+    return {"train": train_path, "dev": dev_path, "model": model,
+            **{name: base / f"{name}.json" for name in configs}}
+
+
+TRAIN_CMD = ("train", "--train", "{train}", "--model-out", "{out}",
+             "--epochs", "1", "--hash-bits", "12")
+PARSE_CMD = ("parse", "--model", "{model}", "--input", "{dev}", "--output", "{out}")
+COMMANDS_WITHOUT_RUN_FLAGS = {
+    "eval": ("eval", "--gold", "{dev}", "--pred", "{dev}"),
+    "bench": ("bench", "--sizes", "200", "--seeds", "1",
+              "--algorithms", "kruskal", "--out", "{out}"),
+    "prune-stats": ("prune-stats", "--train", "{train}", "--dev", "{dev}"),
+}
+REMOVED_SURFACE = {
+    "train --mst-backend": (TRAIN_CMD + ("--mst-backend", "boruvka"), 1, "--mst-backend"),
+    "parse --mst-backend": (PARSE_CMD + ("--mst-backend", "boruvka"), 1, "--mst-backend"),
+    **{f"{name} {flag}": (cmd + (flag, value), 1, flag)
+       for name, cmd in COMMANDS_WITHOUT_RUN_FLAGS.items()
+       for flag, value in (("--seed", "3"), ("--system", "d-mst"),
+                           ("--config", "{empty}"))},
+    "train config mst_backend": (TRAIN_CMD + ("--config", "{backend}"), 2, "mst_backend"),
+    "parse config mst_backend": (PARSE_CMD + ("--config", "{backend}"), 2, "mst_backend"),
+    "parse config combiner": (PARSE_CMD + ("--config", "{max}"), 2, "'max'"),
+}
+
+
+@pytest.mark.parametrize("argv, code, named", REMOVED_SURFACE.values(),
+                         ids=REMOVED_SURFACE.keys())
+def test_removed_settings_are_rejected(removed_surface_files, tmp_path, capsys,
+                                       argv, code, named):
+    """Settings that changed no result are gone: their flags are usage
+    errors (exit 1) and their config keys data errors (exit 2)."""
+    capsys.readouterr()
+    assert run(*[a.format(**removed_surface_files, out=tmp_path / "out")
+                 for a in argv]) == code
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -512,14 +512,24 @@ class TestParseDispatch:
             tree = parse(s, model, config, sentence_index=k)
             assert is_valid_tree(tree.heads)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(101)
-        model = Model.new("undirected", hash_bits=12)
-        model.weights = rng.normal(size=model.size())
-        s = sent([(f"w{i}", "N") for i in range(6)], _random_heads(rng, 6))
-        a = parse(s, model, ParserConfig(system="u-mst-uf", mst_backend="randomized"))
-        b = parse(s, model, ParserConfig(system="u-mst-uf", mst_backend="boruvka"))
-        assert a.heads == b.heads
+    def test_pruning_setting_must_match_the_pruner(self):
+        pruner = build_pruner([FIXTURE])
+        umodel = Model.new("undirected", hash_bits=10)
+        dmodel = Model.new("directed", hash_bits=10)
+        for system, model in (("u-mst-uf", umodel), ("u-mst-uf-lep", umodel),
+                              ("u-mst-df", dmodel)):
+            with pytest.raises(InputError, match="needs a pruner"):
+                parse(FIXTURE, model,
+                      ParserConfig(system=system, pruning="length-dictionary"),
+                      directed_model=dmodel)
+            with pytest.raises(InputError, match="needs pruning"):
+                parse(FIXTURE, model, ParserConfig(system=system),
+                      directed_model=dmodel, pruner=pruner)
+        # d-mst never prunes, so either combination parses
+        for pruning, given in (("length-dictionary", None), ("none", pruner)):
+            tree = parse(FIXTURE, dmodel,
+                         ParserConfig(system="d-mst", pruning=pruning), pruner=given)
+            assert is_valid_tree(tree.heads)
 
     def test_lep_requires_directed_model(self):
         umodel = _model_preferring(FIXTURE, self.gold_arcs(False), "undirected")

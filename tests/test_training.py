@@ -1,11 +1,16 @@
+import pathlib
+
 import numpy as np
 import pytest
 
-from umstparse.conll import Sentence, Token
+from umstparse import inference
+from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import InputError
 from umstparse.features import Model, SentenceFeatures, directed_feature_strings, hash_feature
-from umstparse.inference import ParserConfig, parse
+from umstparse.inference import ParserConfig, build_pruner, parse
 from umstparse.training import TrainConfig, feature_mode, train, train_full, train_suite
+
+FIXTURE_TRAIN = pathlib.Path(__file__).parent.parent / "data" / "fixture_train.conll"
 
 
 def sent(words_tags, heads):
@@ -131,7 +136,6 @@ def test_lep_uses_directed_model_scores():
 
 @pytest.mark.parametrize("field, value", [
     ("pruning", "lenght-dictionary"),
-    ("mst_backend", "kruskal"),
     ("combiner", "max"),
     ("system", "u-mst"),
 ])
@@ -149,3 +153,29 @@ def test_lep_trains_as_u_mst_uf():
     uf = train(toy_corpus(), TrainConfig(epochs=3, system="u-mst-uf",
                                          hash_bits=14, seed=3))
     assert np.array_equal(train(toy_corpus(), config).weights, uf.weights)
+
+
+def test_pruned_undirected_training_parses_only_kept_pairs(monkeypatch):
+    """u-mst-uf trains on the pruned graph that parsing uses: every edge of
+    every training parse graph is a pair the length dictionary keeps."""
+    corpus = load_conll(FIXTURE_TRAIN)[:40]
+    pruner = build_pruner(corpus)
+    build = inference.build_parse_graph
+    graphs = []
+
+    def checked(sentence, *args, **kwargs):
+        result = build(sentence, *args, **kwargs)
+        kept = pruner.mask(sentence)
+        kept |= kept.T
+        graph = result[0].graph
+        n = len(sentence)
+        graphs.append((bool(kept[graph.u, graph.v].all()),
+                       graph.n_edges < n * (n + 1) // 2))
+        return result
+
+    monkeypatch.setattr(inference, "build_parse_graph", checked)
+    train(corpus, TrainConfig(epochs=1, system="u-mst-uf", hash_bits=14,
+                              pruning="length-dictionary"))
+    assert len(graphs) == len(corpus)
+    assert all(only_kept for only_kept, _ in graphs)
+    assert any(pruned for _, pruned in graphs)
