@@ -190,6 +190,22 @@ def _write_train_log(path, log) -> None:
             fh.write(f"{i},{uas:.6f}\n")
 
 
+def _unread_parse_flags(args, config: ParserConfig) -> list[str]:
+    """The parse flags given on the command line that the system ignores."""
+    lep = config.system == "u-mst-uf-lep"
+    reads_pruner = (config.system != "d-mst"
+                    and config.pruning == "length-dictionary")
+    ignored = {
+        "--pruning length-dictionary": (args.pruning == "length-dictionary"
+                                        and config.system == "d-mst"),
+        "--prune-train": args.prune_train is not None and not reads_pruner,
+        "--combiner": args.combiner is not None and config.system != "u-mst-df",
+        "--enhancement-rounds": args.enhancement_rounds is not None and not lep,
+        "--directed-model": args.directed_model is not None and not lep,
+    }
+    return [flag for flag, hit in ignored.items() if hit]
+
+
 def cmd_parse(args) -> int:
     model = load_model(args.model)
     merged = _merged(args)
@@ -204,6 +220,9 @@ def cmd_parse(args) -> int:
         seed=merged.get("seed", 1),
         pruning=merged.get("pruning", "none"),
     ).validate()
+    unread = _unread_parse_flags(args, config)
+    if unread:
+        raise UsageError(f"{config.system} does not read {', '.join(unread)}")
     directed_model = None
     if config.system == "u-mst-uf-lep":
         if args.directed_model is None:
@@ -214,7 +233,7 @@ def cmd_parse(args) -> int:
         if directed_model.mode != "directed":
             raise DataError(f"{args.directed_model} is not a directed model")
     pruner = None
-    if config.pruning == "length-dictionary":
+    if config.pruning == "length-dictionary" and config.system != "d-mst":
         if args.prune_train is None:
             raise UsageError("--pruning length-dictionary needs --prune-train "
                              "to rebuild the length dictionary")

@@ -151,11 +151,13 @@ class LazyArcScores:
     ``hash_arcs`` call, in row-major order.  Each arc has the same slots as
     in SentenceFeatures, so its score is bit-identical to
     ``directed_score_table``'s.  Arcs the pruner drops (or that are no
-    candidate arcs) read as -inf.
+    candidate arcs) read as -inf.  ``allowed`` is ``pruner.mask(sentence)``
+    when the caller has computed it already.
     """
 
     def __init__(self, sentence: Sentence, model: Model,
-                 pruner: Pruner | None = None):
+                 pruner: Pruner | None = None,
+                 allowed: np.ndarray | None = None):
         if model.mode != "directed":
             raise InputError("directed arc scores need a directed-mode model")
         n = len(sentence)
@@ -164,7 +166,9 @@ class LazyArcScores:
         self._table = position_table(sentence, "directed")
         self._matrix = np.full((n + 1, n + 1), -np.inf)
         # allowed arcs whose score is not in _matrix yet
-        self._pending = arc_matrix(n) if pruner is None else pruner.mask(sentence)
+        self._pending = (allowed.copy() if allowed is not None
+                         else arc_matrix(n) if pruner is None
+                         else pruner.mask(sentence))
 
     def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
         todo = np.zeros_like(self._pending)
@@ -201,6 +205,7 @@ class ParseGraph:
 def build_parse_graph(sentence: Sentence, model: Model,
                       pruner: Pruner | None = None,
                       cache: SentenceFeatures | None = None,
+                      allowed: np.ndarray | None = None,
                       ) -> tuple[ParseGraph, DirectedScoreTable | None]:
     """Encode one sentence as an undirected spanning-tree instance.
 
@@ -208,25 +213,31 @@ def build_parse_graph(sentence: Sentence, model: Model,
     models combine the pair's two arc scores (or keep the single unpruned
     one).  A pair survives pruning when either of its directions does; pairs
     touching the root always survive, keeping the graph connected.
+    ``allowed`` is ``pruner.mask(sentence)`` when the caller has computed
+    it already; otherwise it is computed at most once here.
     """
     n = len(sentence)
     table = None
     if model.mode == "undirected":
         if cache is None:
-            cache = SentenceFeatures(sentence, "undirected", model.hash_bits, pruner)
+            cache = SentenceFeatures(sentence, "undirected", model.hash_bits,
+                                     pruner, allowed)
         u, v = cache.pair_a, cache.pair_b
         weights = -cache.score_all(model.weights)
         pairs = list(cache.pairs)
     else:
+        if pruner is not None and allowed is None:
+            allowed = pruner.mask(sentence)
         if cache is None:
-            cache = SentenceFeatures(sentence, "directed", model.hash_bits, pruner)
+            cache = SentenceFeatures(sentence, "directed", model.hash_bits,
+                                     pruner, allowed)
         table = directed_score_table(sentence, model, pruner, cache)
         # a direction survives when the cache covered it and the pruner
         # (re-checked here: training uses unpruned directed caches so that
         # updates can featurize any predicted arc) allows it
         alive = np.isfinite(table.matrix)
         if pruner is not None:
-            alive &= pruner.mask(sentence)
+            alive &= allowed
         u, v = np.triu_indices(n + 1, 1)
         fwd, rev = alive[u, v], alive[v, u]
         s_uv, s_vu = table.matrix[u, v], table.matrix[v, u]
@@ -248,13 +259,19 @@ def direct_tree(graph: UndirectedGraph, mst: SpanningForest,
     Breadth-first from the root, every tree edge is marked outgoing from
     the side reached first; with the root constrained to have no incoming
     edge this orientation is the only valid one.  Raises StructureError
-    when the forest does not span the graph's vertices.
+    when the forest does not span the graph's vertices or names an edge
+    id the graph lacks.
     """
     n = graph.n_vertices
-    ids = np.asarray(sorted(mst.edge_ids), dtype=np.int64)
-    sel = np.isin(graph.original_id, ids)
-    eu = graph.u[sel].tolist()
-    ev = graph.v[sel].tolist()
+    oid = graph.original_id
+    ids = np.fromiter(mst.edge_ids, dtype=np.int64, count=len(mst.edge_ids))
+    order = np.argsort(oid, kind="stable")
+    rank = np.searchsorted(oid, ids, sorter=order)
+    at = order[rank[rank < len(oid)]]             # forest edges' positions
+    if len(at) != len(ids) or np.any(oid[at] != ids):
+        raise StructureError("spanning tree has edges the graph lacks")
+    eu = graph.u[at].tolist()
+    ev = graph.v[at].tolist()
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in zip(eu, ev):
         adj[a].append(b)
@@ -409,13 +426,16 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     if pruned != (pruner is not None):
         raise InputError("pruning 'length-dictionary' needs a pruner" if pruned
                          else "a pruner needs pruning 'length-dictionary'")
-    pg, _ = build_parse_graph(sentence, model, pruner, features)
+    # u-mst-uf-lep prunes the graph and the rewiring with one mask
+    allowed = (pruner.mask(sentence)
+               if system == "u-mst-uf-lep" and pruner is not None else None)
+    pg, _ = build_parse_graph(sentence, model, pruner, features, allowed)
     forest = randomized_msf(pg.graph, RandomSource.derive(config.seed, sentence_index))
     tree = direct_tree(pg.graph, forest)
     if system == "u-mst-uf-lep":
         if directed_model is None:
             raise InputError("u-mst-uf-lep needs the directed (d-mst) model "
                              "for its enhancement scores")
-        scores = LazyArcScores(sentence, directed_model, pruner)
+        scores = LazyArcScores(sentence, directed_model, pruner, allowed)
         tree = local_enhancement(tree, scores, config.enhancement_rounds)
     return tree

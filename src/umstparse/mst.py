@@ -29,6 +29,11 @@ from .graph import (
 )
 from .unionfind import UnionFind
 
+# Graphs with at most this many edges skip the recursion for Kruskal's
+# algorithm (see randomized_msf).  tools/msf_crossover.py found Kruskal
+# faster at every size it sweeps (16..4096 edges, bench and parse graphs).
+_BASE_EDGES = 4096
+
 
 @dataclass(frozen=True)
 class SpanningForest:
@@ -42,44 +47,77 @@ class SpanningForest:
 
 
 class RandomSource:
-    """Seedable coin-flip stream; one seed fixes the whole algorithm trace."""
+    """Seedable coin-flip stream; one seed fixes the whole algorithm trace.
+
+    The generator is built on the first coin flip, so a run that flips no
+    coin (a graph small enough for the Kruskal base case) costs nothing.
+    """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def coin_flips(self, k: int) -> np.ndarray:
-        """k fair coin flips; True means the edge is sampled."""
-        return self._gen.random(k) < 0.5
+        self._seed = int(seed)
+        self._key = None
+        self._gen = None
 
     @classmethod
     def derive(cls, seed: int, *keys: int) -> "RandomSource":
-        """A child source keyed by (seed, *keys); stable across runs."""
-        ss = np.random.SeedSequence([int(seed), *[int(k) for k in keys]])
-        return cls(int(ss.generate_state(1, np.uint64)[0]))
+        """A child source keyed by (seed, *keys); stable across runs.
+
+        Its seed, ``SeedSequence([seed, *keys])``'s first 64-bit word, is
+        computed when first read.
+        """
+        key = [int(seed), *(int(k) for k in keys)]
+        if min(key) < 0:        # as SeedSequence would, flips or no flips
+            raise ValueError("seed and keys must be non-negative")
+        source = cls(0)
+        source._seed, source._key = None, key
+        return source
+
+    @property
+    def seed(self) -> int:
+        if self._seed is None:
+            ss = np.random.SeedSequence(self._key)
+            self._seed = int(ss.generate_state(1, np.uint64)[0])
+        return self._seed
+
+    def coin_flips(self, k: int) -> np.ndarray:
+        """k fair coin flips; True means the edge is sampled."""
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return self._gen.random(k) < 0.5
 
 
 def _forest_of(graph: UndirectedGraph, ids: np.ndarray) -> SpanningForest:
-    ids = np.asarray(ids, dtype=np.int64)
-    mask = np.isin(graph.original_id, ids)
-    return SpanningForest(edge_ids=frozenset(int(i) for i in ids),
-                          total_weight=float(graph.weight[mask].sum()))
+    return _forest_at(graph, np.nonzero(np.isin(graph.original_id, ids))[0])
 
 
-def kruskal_msf(graph: UndirectedGraph) -> SpanningForest:
-    """Minimum spanning forest by sorted edge insertion (the test oracle)."""
+def _forest_at(graph: UndirectedGraph, positions: np.ndarray) -> SpanningForest:
+    """The forest of the edges at these positions; the weight is summed
+    in position order."""
+    positions = np.sort(positions)
+    return SpanningForest(
+        edge_ids=frozenset(graph.original_id[positions].tolist()),
+        total_weight=float(graph.weight[positions].sum()))
+
+
+def _kruskal_positions(graph: UndirectedGraph) -> np.ndarray:
+    """Positions of the forest's edges, by sorted edge insertion."""
     order = np.lexsort((graph.original_id, graph.weight))
     us = graph.u[order].tolist()
     vs = graph.v[order].tolist()
-    oids = graph.original_id[order].tolist()
     uf = UnionFind(graph.n_vertices)
     chosen = []
-    for a, b, oid in zip(us, vs, oids):
+    for at, a, b in zip(order.tolist(), us, vs):
         if uf.union(a, b):
-            chosen.append(oid)
+            chosen.append(at)
             if uf.n_sets == 1:
                 break
-    return _forest_of(graph, np.asarray(chosen, dtype=np.int64))
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def kruskal_msf(graph: UndirectedGraph) -> SpanningForest:
+    """Minimum spanning forest by sorted edge insertion (the test oracle,
+    and the base case of :func:`randomized_msf`)."""
+    return _forest_at(graph, _kruskal_positions(graph))
 
 
 def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
@@ -229,6 +267,8 @@ def f_heavy_edges(graph: UndirectedGraph, forest: SpanningForest) -> set:
 def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> list:
     if g.n_edges == 0:
         return []
+    if g.n_edges <= _BASE_EDGES:
+        return [g.original_id[_kruskal_positions(g)]]
     parts = []
     contraction, sel1 = boruvka_step(g)
     parts.append(sel1)
@@ -274,7 +314,14 @@ def randomized_msf(graph: UndirectedGraph, rng: RandomSource) -> SpanningForest:
     whose recursive forest is used to discard edges that cannot be in the
     forest (cycle property), and a recursive call on the filtered rest.
     The same seed always yields the same trace and the same forest.
+
+    A graph of at most ``_BASE_EDGES`` edges, the input or any recursive
+    subproblem, is solved by Kruskal's algorithm instead: below that size
+    its Python loop is faster than a level's fixed numpy cost, and a
+    constant-size base case keeps the expected linear bound.
     """
+    if graph.n_edges <= _BASE_EDGES:
+        return kruskal_msf(graph)
     parts = _randomized_rec(simplify(graph), rng)
     ids = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
     return _forest_of(graph, ids)

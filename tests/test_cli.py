@@ -380,3 +380,72 @@ def test_removed_settings_are_rejected(removed_surface_files, tmp_path, capsys,
                  for a in argv]) == code
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def two_models(mini_corpus, tmp_path_factory):
+    train_path, dev_path = mini_corpus
+    base = tmp_path_factory.mktemp("flags")
+    models = {}
+    for system in ("u-mst-uf", "d-mst"):
+        models[system] = base / f"{system}.model"
+        assert run("train", "--train", train_path, "--model-out", models[system],
+                   "--system", system, "--epochs", "1", "--hash-bits", "12") == 0
+    config = base / "prune.json"
+    config.write_text(json.dumps({"pruning": "length-dictionary"}))
+    return {"train": train_path, "dev": dev_path, "uf": models["u-mst-uf"],
+            "d": models["d-mst"], "prune_config": config}
+
+
+UF_PARSE = ("parse", "--model", "{uf}", "--input", "{dev}", "--output", "{out}")
+D_PARSE = ("parse", "--model", "{d}", "--input", "{dev}", "--output", "{out}")
+PRUNE = ("--pruning", "length-dictionary", "--prune-train", "{train}")
+LEP = ("--system", "u-mst-uf-lep", "--directed-model", "{d}")
+UNREAD_FLAGS = {
+    "d-mst --pruning length-dictionary": (D_PARSE + PRUNE, "--pruning length-dictionary"),
+    "d-mst --pruning length-dictionary alone": (
+        D_PARSE + ("--pruning", "length-dictionary"), "--pruning length-dictionary"),
+    "d-mst --prune-train": (D_PARSE + ("--prune-train", "{train}"), "--prune-train"),
+    "u-mst-uf --prune-train without pruning": (
+        UF_PARSE + ("--prune-train", "{train}"), "--prune-train"),
+    "u-mst-uf --combiner": (UF_PARSE + ("--combiner", "product"), "--combiner"),
+    "u-mst-uf-lep --combiner": (UF_PARSE + LEP + ("--combiner", "mean"), "--combiner"),
+    "d-mst --combiner": (D_PARSE + ("--combiner", "product"), "--combiner"),
+    "u-mst-uf --enhancement-rounds": (
+        UF_PARSE + ("--enhancement-rounds", "3"), "--enhancement-rounds"),
+    "d-mst --enhancement-rounds": (
+        D_PARSE + ("--enhancement-rounds", "3"), "--enhancement-rounds"),
+    "u-mst-uf --directed-model": (UF_PARSE + ("--directed-model", "{d}"),
+                                  "--directed-model"),
+    "u-mst-df --directed-model": (
+        D_PARSE + ("--system", "u-mst-df", "--directed-model", "{d}"),
+        "--directed-model"),
+}
+READ_FLAGS = {
+    "u-mst-df --combiner": D_PARSE + ("--system", "u-mst-df", "--combiner", "product"),
+    "u-mst-uf-lep --enhancement-rounds": UF_PARSE + LEP + ("--enhancement-rounds", "2"),
+    "u-mst-uf --pruning length-dictionary": UF_PARSE + PRUNE,
+    "d-mst --pruning none": D_PARSE + ("--pruning", "none"),
+    "d-mst config pruning": D_PARSE + ("--config", "{prune_config}"),
+    "--threads": UF_PARSE + ("--threads", "2"),
+}
+
+
+@pytest.mark.parametrize("argv, named", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS.keys())
+def test_parse_rejects_flags_the_system_ignores(two_models, tmp_path, capsys,
+                                                argv, named):
+    """A parse flag the chosen system would not read is a usage error
+    (exit 1) before any input is read."""
+    capsys.readouterr()
+    assert run(*[a.format(**two_models, out=tmp_path / "out") for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", READ_FLAGS.values(), ids=READ_FLAGS.keys())
+def test_parse_accepts_flags_the_system_reads(two_models, tmp_path, argv):
+    """Config-file keys are not command-line flags: d-mst ignores a
+    config's pruning without asking for --prune-train."""
+    assert run(*[a.format(**two_models, out=tmp_path / "out") for a in argv]) == 0
+    assert (tmp_path / "out").exists()

@@ -234,6 +234,19 @@ class TestDirectTree:
         with pytest.raises(StructureError):
             direct_tree(g, forest)
 
+    def test_edge_ids_need_not_be_positions(self):
+        # root-1, 1-2 and a spare 0-2, with ids that are not positions
+        g = UndirectedGraph(3, [1, 0, 0], [2, 1, 2], [1.0, 1.0, 5.0], [70, 40, 9])
+        forest = SpanningForest(edge_ids=frozenset({40, 70}), total_weight=2.0)
+        assert direct_tree(g, forest).heads == (0, 1)
+
+    @pytest.mark.parametrize("ids", [{0, 5}, {0, -1}, {0, 1, 2}])
+    def test_foreign_edge_id_raises(self, ids):
+        g = UndirectedGraph(3, [0, 1], [1, 2], [1.0, 1.0], [0, 1])
+        forest = SpanningForest(edge_ids=frozenset(ids), total_weight=0.0)
+        with pytest.raises(StructureError):
+            direct_tree(g, forest)
+
     def test_random_trees_round_trip(self):
         rng = np.random.default_rng(71)
         for _ in range(100):
@@ -433,6 +446,38 @@ class TestVectorizedLocalEnhancement:
         local_enhancement(tree, LazyArcScores(s, model), rounds=5)
         assert 1 <= len(calls) <= 5
         assert sum(calls) <= 4 * len(s) * 5 < len(s) ** 2
+
+    @pytest.mark.parametrize("system", ["u-mst-uf-lep", "u-mst-df"])
+    def test_pruner_mask_once_per_parse(self, bundled, monkeypatch, system):
+        """A pruned parse computes the pruner's mask once and hands it to
+        every stage that needs it; the tree is the one each stage's own
+        mask gives."""
+        pruner, sentences = bundled
+        rng = np.random.default_rng(149)
+        dmodel = Model.new("directed", hash_bits=12)
+        dmodel.weights = rng.normal(size=dmodel.size())
+        umodel = Model.new("undirected", hash_bits=12)
+        umodel.weights = rng.normal(size=umodel.size())
+        model = umodel if system == "u-mst-uf-lep" else dmodel
+        config = ParserConfig(system=system, pruning="length-dictionary")
+        calls = []
+        real = Pruner.mask
+
+        def counting(self, sentence):
+            calls.append(1)
+            return real(self, sentence)
+
+        for s in sentences[::10]:
+            pg, _ = build_parse_graph(s, model, pruner)
+            want = direct_tree(pg.graph, kruskal_msf(pg.graph))
+            if system == "u-mst-uf-lep":
+                want = local_enhancement(want, LazyArcScores(s, dmodel, pruner))
+            monkeypatch.setattr(Pruner, "mask", counting)
+            calls.clear()
+            assert parse(s, model, config, directed_model=dmodel,
+                         pruner=pruner) == want
+            assert len(calls) == 1
+            monkeypatch.setattr(Pruner, "mask", real)
 
     def test_lazy_scorer_needs_directed_model(self):
         with pytest.raises(InputError):

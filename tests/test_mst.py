@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from umstparse import mst
 from umstparse.errors import InputError
 from umstparse.graph import UndirectedGraph
 from umstparse.mst import (
@@ -13,6 +14,7 @@ from umstparse.mst import (
 )
 
 from oracles import (
+    bfs_components,
     exhaustive_min_spanning_weight,
     forest_path_max,
     random_graph,
@@ -196,3 +198,151 @@ class TestRandomSource:
         c = RandomSource.derive(7, 4).coin_flips(50)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+@pytest.fixture
+def boruvka_steps(monkeypatch):
+    """Counts the recursion's minimum-edge steps."""
+    calls = []
+    real = mst.boruvka_step
+
+    def counting(graph):
+        calls.append(graph.n_edges)
+        return real(graph)
+
+    monkeypatch.setattr(mst, "boruvka_step", counting)
+    return calls
+
+
+@pytest.fixture
+def no_base_case(monkeypatch, boruvka_steps):
+    """Every graph with an edge runs the sampling recursion."""
+    monkeypatch.setattr(mst, "_BASE_EDGES", 0)
+    return boruvka_steps
+
+
+def assert_all_engines_agree(g, seeds=(1, 2, 3)):
+    want = kruskal_msf(g)
+    assert boruvka_msf(g) == want
+    for seed in seeds:
+        assert randomized_msf(g, RandomSource(seed)) == want
+    return want
+
+
+class TestRecursionWithoutBaseCase:
+    """The recursion below the Kruskal base case, against the oracles."""
+
+    def test_random_graphs(self, no_base_case):
+        rng = np.random.default_rng(211)
+        for _ in range(60):
+            n = int(rng.integers(2, 90))
+            m = int(rng.integers(n - 1, min(6 * n, n * (n - 1) // 2) + 1))
+            u, v, w = random_graph(rng, n, m)
+            assert_all_engines_agree(graph_of(n, u, v, w))
+        assert no_base_case              # the recursion did run
+
+    def test_exhaustive_enumeration(self, no_base_case):
+        rng = np.random.default_rng(223)
+        for _ in range(80):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
+            u, v, w = random_graph(rng, n, m)
+            best = exhaustive_min_spanning_weight(
+                n, zip(u.tolist(), v.tolist(), w.tolist()))
+            for seed in (1, 2, 3):
+                forest = randomized_msf(graph_of(n, u, v, w), RandomSource(seed))
+                assert forest.n_edges == n - 1
+                assert abs(forest.total_weight - best) < 1e-9
+
+    def test_heavy_weight_ties(self, no_base_case):
+        rng = np.random.default_rng(227)
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            m = int(rng.integers(n - 1, min(5 * n, n * (n - 1) // 2) + 1))
+            u, v, _ = random_graph(rng, n, m)
+            w = rng.integers(0, 3, size=len(u)).astype(float)
+            ids = rng.permutation(len(u))           # ties go to the smallest id
+            assert_all_engines_agree(UndirectedGraph(n, u, v, w, ids))
+
+    def test_duplicate_edges_and_self_loops(self, no_base_case):
+        rng = np.random.default_rng(229)
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            m = int(rng.integers(1, 6 * n))
+            u = rng.integers(0, n, size=m)
+            v = np.where(rng.random(m) < 0.15, u, rng.integers(0, n, size=m))
+            w = rng.integers(0, 4, size=m).astype(float)
+            g = graph_of(n, u, v, w)
+            want = assert_all_engines_agree(g)
+            comps = len(bfs_components(n, zip(u.tolist(), v.tolist())))
+            assert want.n_edges == n - comps
+            assert all(u[i] != v[i] for i in want.edge_ids)
+
+    def test_disconnected_graphs(self, no_base_case):
+        rng = np.random.default_rng(233)
+        for _ in range(40):
+            n = int(rng.integers(2, 80))
+            m = int(rng.integers(0, 3 * n))
+            u, v, w = random_graph(rng, n, m, connected=False)
+            want = assert_all_engines_agree(graph_of(n, u, v, w))
+            comps = len(bfs_components(n, zip(u.tolist(), v.tolist())))
+            assert want.n_edges == n - comps
+
+
+class TestBaseCase:
+    """Graphs at the real ``_BASE_EDGES``: at most that many edges go to
+    Kruskal, one more edge runs the recursion; both give Kruskal's forest."""
+
+    @pytest.mark.parametrize("extra, recursed", [(0, False), (1, True)])
+    def test_boundary(self, boruvka_steps, extra, recursed):
+        m = mst._BASE_EDGES + extra
+        n = m // 4
+        u, v, w = random_graph(np.random.default_rng(239), n, m)
+        g = graph_of(n, u, v, w)
+        assert g.n_edges == m
+        want = kruskal_msf(g)
+        for seed in (1, 2):
+            assert randomized_msf(g, RandomSource(seed)) == want
+        assert bool(boruvka_steps) == recursed
+
+    def test_total_weight_sums_in_position_order(self):
+        rng = np.random.default_rng(241)
+        u, v, _ = random_graph(rng, 30, 90)
+        w = rng.normal(size=len(u)) * 1e6
+        g = graph_of(30, u, v, w)
+        forest = kruskal_msf(g)
+        in_forest = np.isin(g.original_id, sorted(forest.edge_ids))
+        assert forest.total_weight == float(g.weight[in_forest].sum())
+        assert randomized_msf(g, RandomSource(3)).total_weight == forest.total_weight
+
+
+class TestLazyCoinStream:
+    @pytest.mark.parametrize("seed, key", [(0, 0), (1, 5), (7, 3), (2**40, 149)])
+    def test_derive_equals_eager_stream(self, seed, key):
+        eager_seed = int(np.random.SeedSequence([seed, key]).generate_state(
+            1, np.uint64)[0])
+        eager = np.random.Generator(np.random.PCG64(eager_seed)).random(80) < 0.5
+        assert RandomSource.derive(seed, key).seed == eager_seed
+        assert np.array_equal(RandomSource.derive(seed, key).coin_flips(80), eager)
+        source = RandomSource.derive(seed, key)
+        first = source.coin_flips(30)
+        assert source.seed == eager_seed
+        assert np.array_equal(np.concatenate([first, source.coin_flips(50)]), eager)
+
+    def test_negative_seed_rejected_at_derive(self):
+        with pytest.raises(ValueError):
+            RandomSource.derive(-1, 0)
+
+    def test_base_case_builds_no_generator(self, monkeypatch):
+        u, v, w = random_graph(np.random.default_rng(251), 100, mst._BASE_EDGES)
+        g = graph_of(100, u, v, w)
+        assert g.n_edges == mst._BASE_EDGES
+        want = kruskal_msf(g)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a coin-flip generator was built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", unexpected)
+        monkeypatch.setattr(np.random, "PCG64", unexpected)
+        assert randomized_msf(g, RandomSource.derive(5, 17)) == want
+        assert randomized_msf(g, RandomSource(5)) == want
