@@ -19,7 +19,7 @@ from .conll import DependencyTree, load_conll, save_conll
 from .errors import DataError, InputError, StructureError
 from .evaluate import format_report, head_to_head, oracle_combine, report_csv_rows, score
 from .features import COMBINERS, check_combiner, load_model, save_model
-from .inference import SYSTEMS, ParserConfig, build_pruner, parse
+from .inference import SETTINGS_READ, SYSTEMS, ParserConfig, build_pruner, parse
 from .training import TrainConfig, train_full
 
 EXIT_OK = 0
@@ -192,18 +192,18 @@ def _write_train_log(path, log) -> None:
 
 def _unread_parse_flags(args, config: ParserConfig) -> list[str]:
     """The parse flags given on the command line that the system ignores."""
-    lep = config.system == "u-mst-uf-lep"
-    reads_pruner = (config.system != "d-mst"
-                    and config.pruning == "length-dictionary")
-    ignored = {
-        "--pruning length-dictionary": (args.pruning == "length-dictionary"
-                                        and config.system == "d-mst"),
-        "--prune-train": args.prune_train is not None and not reads_pruner,
-        "--combiner": args.combiner is not None and config.system != "u-mst-df",
-        "--enhancement-rounds": args.enhancement_rounds is not None and not lep,
-        "--directed-model": args.directed_model is not None and not lep,
+    reads = SETTINGS_READ[config.system]
+    flags = {   # flag: (given, read)
+        "--pruning length-dictionary": (args.pruning == "length-dictionary",
+                                        "pruning" in reads),
+        "--prune-train": (args.prune_train is not None, config.pruned),
+        "--combiner": (args.combiner is not None, "combiner" in reads),
+        "--enhancement-rounds": (args.enhancement_rounds is not None,
+                                 "enhancement_rounds" in reads),
+        "--directed-model": (args.directed_model is not None,
+                             "directed_model" in reads),
     }
-    return [flag for flag, hit in ignored.items() if hit]
+    return [flag for flag, (given, read) in flags.items() if given and not read]
 
 
 def cmd_parse(args) -> int:
@@ -224,7 +224,7 @@ def cmd_parse(args) -> int:
     if unread:
         raise UsageError(f"{config.system} does not read {', '.join(unread)}")
     directed_model = None
-    if config.system == "u-mst-uf-lep":
+    if "directed_model" in SETTINGS_READ[config.system]:
         if args.directed_model is None:
             raise UsageError(
                 "u-mst-uf-lep rewires trees with d-mst scores: pass the "
@@ -233,7 +233,7 @@ def cmd_parse(args) -> int:
         if directed_model.mode != "directed":
             raise DataError(f"{args.directed_model} is not a directed model")
     pruner = None
-    if config.pruning == "length-dictionary" and config.system != "d-mst":
+    if config.pruned:
         if args.prune_train is None:
             raise UsageError("--pruning length-dictionary needs --prune-train "
                              "to rebuild the length dictionary")

@@ -438,16 +438,15 @@ class SentenceFeatures:
     """Hashed feature indices for every candidate arc of one sentence.
 
     Built once per sentence and reused across epochs; scoring all arcs is
-    then a single gather + segmented sum over the weight vector.  With a
-    pruner, disallowed arcs are simply absent; ``allowed`` is
-    ``pruner.mask(sentence)`` when the caller has computed it already.
-    Pairs are (head, mod) in directed mode and (left, right) in undirected
+    then a single gather + segmented sum over the weight vector.  Arcs that
+    ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps every
+    candidate arc) drops are simply absent.  Pairs are (head, mod) in directed mode and (left, right) in undirected
     mode, row-major; each pair's slots follow the emission order of
     *_feature_strings.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
-                 hash_bits: int = DEFAULT_HASH_BITS, pruner=None,
+                 hash_bits: int = DEFAULT_HASH_BITS,
                  allowed: np.ndarray | None = None):
         if mode not in _ROLES:
             raise InputError(f"unknown feature mode {mode!r}")
@@ -455,8 +454,7 @@ class SentenceFeatures:
         self.sentence = sentence
         self.mode = mode
         n = len(sentence)
-        arcs = (allowed if allowed is not None
-                else arc_matrix(n) if pruner is None else pruner.mask(sentence))
+        arcs = arc_matrix(n) if allowed is None else allowed
         if mode == "undirected":
             # a pair survives when either direction does
             arcs = np.triu(arcs | arcs.T, 1)

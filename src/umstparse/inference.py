@@ -24,6 +24,17 @@ from .mst import RandomSource, SpanningForest, randomized_msf
 
 SYSTEMS = ("d-mst", "u-mst-uf", "u-mst-uf-lep", "u-mst-df")
 
+# The parse settings each system reads besides its model and the seed.
+# d-mst runs on the complete directed graph, so it reads no pruning; only
+# u-mst-df combines two directed scores per pair; only u-mst-uf-lep rewires
+# its tree with a directed model.
+SETTINGS_READ = {
+    "d-mst": frozenset(),
+    "u-mst-uf": frozenset({"pruning"}),
+    "u-mst-uf-lep": frozenset({"pruning", "enhancement_rounds", "directed_model"}),
+    "u-mst-df": frozenset({"pruning", "combiner"}),
+}
+
 
 def feature_mode(system: str) -> str:
     """The feature family of the model a system parses with."""
@@ -46,6 +57,12 @@ class ParserConfig:
         if self.enhancement_rounds < 0:
             raise InputError("enhancement_rounds must be >= 0")
         return self
+
+    @property
+    def pruned(self) -> bool:
+        """Whether parse prunes: the system reads pruning and it is on."""
+        return ("pruning" in SETTINGS_READ[self.system]
+                and self.pruning == "length-dictionary")
 
 
 def combine(s_uv: float, s_vu: float, combiner: str) -> float:
@@ -151,12 +168,11 @@ class LazyArcScores:
     ``hash_arcs`` call, in row-major order.  Each arc has the same slots as
     in SentenceFeatures, so its score is bit-identical to
     ``directed_score_table``'s.  Arcs the pruner drops (or that are no
-    candidate arcs) read as -inf.  ``allowed`` is ``pruner.mask(sentence)``
-    when the caller has computed it already.
+    candidate arcs) read as -inf.  ``allowed`` is the pruner's arc mask
+    (``Pruner.mask``); None allows every candidate arc.
     """
 
     def __init__(self, sentence: Sentence, model: Model,
-                 pruner: Pruner | None = None,
                  allowed: np.ndarray | None = None):
         if model.mode != "directed":
             raise InputError("directed arc scores need a directed-mode model")
@@ -166,9 +182,7 @@ class LazyArcScores:
         self._table = position_table(sentence, "directed")
         self._matrix = np.full((n + 1, n + 1), -np.inf)
         # allowed arcs whose score is not in _matrix yet
-        self._pending = (allowed.copy() if allowed is not None
-                         else arc_matrix(n) if pruner is None
-                         else pruner.mask(sentence))
+        self._pending = arc_matrix(n) if allowed is None else allowed.copy()
 
     def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
         todo = np.zeros_like(self._pending)
@@ -182,13 +196,14 @@ class LazyArcScores:
 
 
 def directed_score_table(sentence: Sentence, model: Model,
-                         pruner: Pruner | None = None,
+                         allowed: np.ndarray | None = None,
                          cache: SentenceFeatures | None = None) -> DirectedScoreTable:
-    """Score every allowed directed arc of the sentence."""
+    """Score every directed arc of the sentence that ``allowed`` (a
+    ``Pruner.mask``; None for all) keeps, or that ``cache`` holds."""
     if model.mode != "directed":
         raise InputError("directed score table needs a directed-mode model")
     if cache is None:
-        cache = SentenceFeatures(sentence, "directed", model.hash_bits, pruner)
+        cache = SentenceFeatures(sentence, "directed", model.hash_bits, allowed)
     scores = cache.score_all(model.weights)
     return DirectedScoreTable.from_pairs(len(sentence), cache.pair_a,
                                          cache.pair_b, scores)
@@ -203,40 +218,34 @@ class ParseGraph:
 
 
 def build_parse_graph(sentence: Sentence, model: Model,
-                      pruner: Pruner | None = None,
-                      cache: SentenceFeatures | None = None,
                       allowed: np.ndarray | None = None,
+                      cache: SentenceFeatures | None = None,
                       ) -> tuple[ParseGraph, DirectedScoreTable | None]:
     """Encode one sentence as an undirected spanning-tree instance.
 
     Undirected-mode models score each unordered pair directly; directed-mode
     models combine the pair's two arc scores (or keep the single unpruned
-    one).  A pair survives pruning when either of its directions does; pairs
-    touching the root always survive, keeping the graph connected.
-    ``allowed`` is ``pruner.mask(sentence)`` when the caller has computed
-    it already; otherwise it is computed at most once here.
+    one).  ``allowed`` is the pruner's arc mask (``Pruner.mask``; None keeps
+    every arc): a pair survives when either of its directions does, and
+    pairs touching the root always survive, keeping the graph connected.
+    An undirected ``cache`` already holds only the surviving pairs.
     """
     n = len(sentence)
     table = None
     if model.mode == "undirected":
         if cache is None:
             cache = SentenceFeatures(sentence, "undirected", model.hash_bits,
-                                     pruner, allowed)
+                                     allowed)
         u, v = cache.pair_a, cache.pair_b
         weights = -cache.score_all(model.weights)
         pairs = list(cache.pairs)
     else:
-        if pruner is not None and allowed is None:
-            allowed = pruner.mask(sentence)
-        if cache is None:
-            cache = SentenceFeatures(sentence, "directed", model.hash_bits,
-                                     pruner, allowed)
-        table = directed_score_table(sentence, model, pruner, cache)
-        # a direction survives when the cache covered it and the pruner
+        table = directed_score_table(sentence, model, allowed, cache)
+        # a direction survives when the cache covered it and the mask
         # (re-checked here: training uses unpruned directed caches so that
         # updates can featurize any predicted arc) allows it
         alive = np.isfinite(table.matrix)
-        if pruner is not None:
+        if allowed is not None:
             alive &= allowed
         u, v = np.triu_indices(n + 1, 1)
         fwd, rev = alive[u, v], alive[v, u]
@@ -422,20 +431,22 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
         raise InputError(f"{system} needs a {mode}-mode model")
     if system == "d-mst":
         return cle_directed_mst(directed_score_table(sentence, model, None, features))
-    pruned = config.pruning == "length-dictionary"
-    if pruned != (pruner is not None):
-        raise InputError("pruning 'length-dictionary' needs a pruner" if pruned
+    if config.pruned != (pruner is not None):
+        raise InputError("pruning 'length-dictionary' needs a pruner" if config.pruned
                          else "a pruner needs pruning 'length-dictionary'")
-    # u-mst-uf-lep prunes the graph and the rewiring with one mask
-    allowed = (pruner.mask(sentence)
-               if system == "u-mst-uf-lep" and pruner is not None else None)
-    pg, _ = build_parse_graph(sentence, model, pruner, features, allowed)
+    # one mask for every stage that reads it: the graph (unless an
+    # undirected cache already holds the pruned pairs) and the rewiring
+    allowed = None
+    if pruner is not None and (features is None or model.mode == "directed"
+                               or system == "u-mst-uf-lep"):
+        allowed = pruner.mask(sentence)
+    pg, _ = build_parse_graph(sentence, model, allowed, features)
     forest = randomized_msf(pg.graph, RandomSource.derive(config.seed, sentence_index))
     tree = direct_tree(pg.graph, forest)
     if system == "u-mst-uf-lep":
         if directed_model is None:
             raise InputError("u-mst-uf-lep needs the directed (d-mst) model "
                              "for its enhancement scores")
-        scores = LazyArcScores(sentence, directed_model, pruner, allowed)
+        scores = LazyArcScores(sentence, directed_model, allowed)
         tree = local_enhancement(tree, scores, config.enhancement_rounds)
     return tree

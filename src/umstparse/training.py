@@ -85,10 +85,7 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
         raise InputError("empty training corpus")
     parser_config = config.parser_config()
     mode = feature_mode(parser_config.system)
-    # d-mst always runs on the complete directed graph; no pruning
-    pruner = None
-    if config.pruning == "length-dictionary" and config.system != "d-mst":
-        pruner = build_pruner(corpus)
+    pruner = build_pruner(corpus) if parser_config.pruned else None
     if init_model is None:
         model = Model.new(mode, config.combiner, config.hash_bits)
     else:
@@ -101,7 +98,9 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     # the pruner comes from this corpus); directed caches stay unpruned, as a
     # predicted pair's arc may be a direction the pruner drops
     cache_pruner = pruner if mode == "undirected" else None
-    caches = [SentenceFeatures(s, mode, config.hash_bits, cache_pruner) for s in corpus]
+    caches = [SentenceFeatures(s, mode, config.hash_bits,
+                               None if cache_pruner is None else cache_pruner.mask(s))
+              for s in corpus]
     t = 1
     epoch_uas = []
     for epoch in range(config.epochs):

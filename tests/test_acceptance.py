@@ -311,7 +311,7 @@ def test_09_pruning_properties(fixture_run):
 
         model = Model.new("undirected", hash_bits=12)
         for s in dev:
-            pg, _ = build_parse_graph(s, model, pruner)
+            pg, _ = build_parse_graph(s, model, pruner.mask(s))
             got = set(pg.pairs)
             n = len(s)
             expected = set()

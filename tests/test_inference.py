@@ -174,7 +174,7 @@ class TestBuildParseGraph:
         for s in sentences[::10]:
             n = len(s)
             for cache in (None, SentenceFeatures(s, "directed", 12)):
-                pg, table = build_parse_graph(s, model, pruner, cache)
+                pg, table = build_parse_graph(s, model, pruner.mask(s), cache)
                 pairs, weights = [], []
                 for u in range(n + 1):
                     for v in range(u + 1, n + 1):
@@ -202,7 +202,7 @@ class TestBuildParseGraph:
         pruner = build_pruner(corpus[:15])
         model = Model.new("undirected", hash_bits=12)
         for s in corpus[15:]:
-            pg, _ = build_parse_graph(s, model, pruner)
+            pg, _ = build_parse_graph(s, model, pruner.mask(s))
             got = set(pg.pairs)
             expected = set()
             n = len(s)
@@ -416,7 +416,7 @@ class TestVectorizedLocalEnhancement:
         for s in sentences:
             n = len(s)
             heads = _random_heads(rng, n)
-            for p in (None, pruner):
+            for p in (None, pruner.mask(s)):
                 full = directed_score_table(s, model, p).matrix
                 lazy = LazyArcScores(s, model, p)
                 for _ in range(3):
@@ -447,18 +447,19 @@ class TestVectorizedLocalEnhancement:
         assert 1 <= len(calls) <= 5
         assert sum(calls) <= 4 * len(s) * 5 < len(s) ** 2
 
-    @pytest.mark.parametrize("system", ["u-mst-uf-lep", "u-mst-df"])
+    @pytest.mark.parametrize("system", ["u-mst-uf", "u-mst-uf-lep", "u-mst-df"])
     def test_pruner_mask_once_per_parse(self, bundled, monkeypatch, system):
         """A pruned parse computes the pruner's mask once and hands it to
-        every stage that needs it; the tree is the one each stage's own
-        mask gives."""
+        every stage that needs it, and not at all when a pruned undirected
+        cache already holds the graph's pairs; the tree is the one each
+        stage's own mask gives."""
         pruner, sentences = bundled
         rng = np.random.default_rng(149)
         dmodel = Model.new("directed", hash_bits=12)
         dmodel.weights = rng.normal(size=dmodel.size())
         umodel = Model.new("undirected", hash_bits=12)
         umodel.weights = rng.normal(size=umodel.size())
-        model = umodel if system == "u-mst-uf-lep" else dmodel
+        model = dmodel if system == "u-mst-df" else umodel
         config = ParserConfig(system=system, pruning="length-dictionary")
         calls = []
         real = Pruner.mask
@@ -468,15 +469,21 @@ class TestVectorizedLocalEnhancement:
             return real(self, sentence)
 
         for s in sentences[::10]:
-            pg, _ = build_parse_graph(s, model, pruner)
+            pg, _ = build_parse_graph(s, model, pruner.mask(s))
             want = direct_tree(pg.graph, kruskal_msf(pg.graph))
             if system == "u-mst-uf-lep":
-                want = local_enhancement(want, LazyArcScores(s, dmodel, pruner))
+                want = local_enhancement(want, LazyArcScores(s, dmodel, pruner.mask(s)))
+            cache = SentenceFeatures(s, model.mode, 12,
+                                     pruner.mask(s) if model is umodel else None)
             monkeypatch.setattr(Pruner, "mask", counting)
             calls.clear()
             assert parse(s, model, config, directed_model=dmodel,
                          pruner=pruner) == want
             assert len(calls) == 1
+            calls.clear()
+            assert parse(s, model, config, directed_model=dmodel,
+                         pruner=pruner, features=cache) == want
+            assert len(calls) == (0 if system == "u-mst-uf" else 1)
             monkeypatch.setattr(Pruner, "mask", real)
 
     def test_lazy_scorer_needs_directed_model(self):

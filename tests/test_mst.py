@@ -334,8 +334,9 @@ class TestLazyCoinStream:
             RandomSource.derive(-1, 0)
 
     def test_base_case_builds_no_generator(self, monkeypatch):
-        u, v, w = random_graph(np.random.default_rng(251), 100, mst._BASE_EDGES)
-        g = graph_of(100, u, v, w)
+        n = mst._BASE_EDGES // 2
+        u, v, w = random_graph(np.random.default_rng(251), n, mst._BASE_EDGES)
+        g = graph_of(n, u, v, w)
         assert g.n_edges == mst._BASE_EDGES
         want = kruskal_msf(g)
 

@@ -3,8 +3,9 @@
 Times ``kruskal_msf`` and ``randomized_msf`` with its Kruskal base case
 switched off (``mst._BASE_EDGES = 0``) on the same graphs:
 
-* bench graphs: ``bench.random_connected_graph`` at 16..4096 edges and
-  edge/vertex densities 2 and 4;
+* bench graphs: ``bench.random_connected_graph`` at 16 edges to 1M (the
+  sizes ``umstparse bench`` runs), doubling, at edge/vertex densities 2
+  and 4;
 * short parse graphs: the 150 bundled dev sentences, pruned with the
   length dictionary, under a u-mst-uf model trained on the first 300
   training sentences (the ``short`` benchmark workload's setting);
@@ -14,8 +15,10 @@ switched off (``mst._BASE_EDGES = 0``) on the same graphs:
 Each graph is timed as the best of ``--repeats`` batches of calls.  Parse
 graphs are grouped by edge count into power-of-two bins.  The result's
 ``largest_size_kruskal_faster`` is the largest sweep size at and below
-which Kruskal wins on every bench graph and parse-graph bin: the
-candidate for ``mst._BASE_EDGES``.  Prints one JSON object.
+which Kruskal wins on every bench graph and parse-graph bin, and
+``crossover_found`` says whether the recursion wins anywhere in the sweep;
+without a crossover, ``mst._BASE_EDGES`` is a cap chosen on other grounds
+(see its comment).  Prints one JSON object.
 
     PYTHONPATH=src python tools/msf_crossover.py > /tmp/crossover.json
 """
@@ -41,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import LONG_DEV, SHORT_TRAIN, long_sentences  # noqa: E402
 
-SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+SIZES = tuple(16 << k for k in range(16)) + (1_000_000,)   # 16 .. 1M
 DENSITIES = (2, 4)
 
 
@@ -113,7 +116,7 @@ def main(argv=None) -> int:
     pruner = build_pruner(train)
     model, _ = train_full(train, TrainConfig(system="u-mst-uf", epochs=2,
                                              pruning="length-dictionary"))
-    short = [build_parse_graph(s, model, pruner)[0].graph for s in dev]
+    short = [build_parse_graph(s, model, pruner.mask(s))[0].graph for s in dev]
     long = [build_parse_graph(s, model)[0].graph
             for s in long_sentences(dev, 1, LONG_DEV)]
     parse_bins_short = parse_bins(short, args.repeats)
@@ -139,6 +142,7 @@ def main(argv=None) -> int:
         "long_edges": {"mean": round(statistics.mean(g.n_edges for g in long), 1),
                        "max": max(g.n_edges for g in long)},
         "largest_size_kruskal_faster": largest,
+        "crossover_found": largest != SIZES[-1],
     }
     json.dump(result, sys.stdout, indent=1)
     print()
