@@ -440,9 +440,9 @@ class SentenceFeatures:
     Built once per sentence and reused across epochs; scoring all arcs is
     then a single gather + segmented sum over the weight vector.  Arcs that
     ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps every
-    candidate arc) drops are simply absent.  Pairs are (head, mod) in directed mode and (left, right) in undirected
-    mode, row-major; each pair's slots follow the emission order of
-    *_feature_strings.
+    candidate arc) drops are simply absent.  Pairs are (head, mod) in
+    directed mode and (left, right) in undirected mode, row-major; each
+    pair's slots follow the emission order of *_feature_strings.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
