@@ -281,11 +281,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, flag: str, low: int) -> list[int]:
+    """Comma-separated integers, each at least ``low``."""
     try:
-        return [int(x) for x in text.split(",") if x]
+        values = [int(x) for x in text.split(",") if x]
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+    if any(v < low for v in values):
+        raise UsageError(f"{flag} values must be >= {low}, got {text!r}")
+    return values
 
 
 def cmd_bench(args) -> int:
@@ -297,13 +301,16 @@ def cmd_bench(args) -> int:
         raise UsageError("pass --sizes for random graphs or --graph-file "
                          "for a fixed one")
 
+    seeds = _int_list(args.seeds, "--seeds", 0)
+    if args.graph_file is None:
+        sizes = _int_list(args.sizes, "--sizes", 1)
+        densities = _int_list(args.densities, "--densities", 1)
+
     def go(stream):
         if args.graph_file is not None:
-            run_bench_file(args.graph_file, _int_list(args.seeds),
-                           algorithms, stream=stream)
+            run_bench_file(args.graph_file, seeds, algorithms, stream=stream)
         else:
-            run_bench(_int_list(args.sizes), _int_list(args.densities),
-                      _int_list(args.seeds), algorithms, stream=stream)
+            run_bench(sizes, densities, seeds, algorithms, stream=stream)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -319,6 +326,10 @@ def cmd_prune_stats(args) -> int:
     dev_corpus = load_conll(args.dev)
     if not train_corpus or not dev_corpus:
         raise DataError("empty corpus")
+    for name, corpus in (("train", train_corpus), ("dev", dev_corpus)):
+        for number, sent in enumerate(corpus, 1):
+            if any(not 0 <= h <= len(sent) for h in sent.gold_heads):
+                raise DataError(f"{name} sentence {number}: HEAD out of range")
     pruner = build_pruner(train_corpus)
     total_edges = kept_edges = total_gold = kept_gold = 0
     for sent in dev_corpus:

@@ -37,14 +37,6 @@ class Sentence:
     def __len__(self):
         return len(self.tokens)
 
-    @property
-    def forms(self):
-        return [t.form for t in self.tokens]
-
-    @property
-    def postags(self):
-        return [t.postag for t in self.tokens]
-
 
 @dataclass(frozen=True)
 class DependencyTree:

@@ -109,13 +109,12 @@ def format_report(report: EvalReport) -> str:
             f"scored_tokens {report.n_scored_tokens}\n")
 
 
-def report_csv_rows(report: EvalReport, include_sentences: bool = True) -> list[str]:
+def report_csv_rows(report: EvalReport) -> list[str]:
     rows = ["metric,value",
             f"d_uas,{report.d_uas:.6f}",
             f"u_uas,{report.u_uas:.6f}",
-            f"scored_tokens,{report.n_scored_tokens}"]
-    if include_sentences:
-        rows.append("sentence,d_correct,u_correct,n_scored")
-        for i, (d, u, n) in enumerate(report.per_sentence):
-            rows.append(f"{i},{d},{u},{n}")
+            f"scored_tokens,{report.n_scored_tokens}",
+            "sentence,d_correct,u_correct,n_scored"]
+    for i, (d, u, n) in enumerate(report.per_sentence):
+        rows.append(f"{i},{d},{u},{n}")
     return rows

@@ -7,8 +7,11 @@ Two template families over word forms and POS tags:
 * undirected: endpoint roles are left/right in surface order, no
   direction conjunction (distance conjunction stays).
 
-Feature strings are hashed into a fixed 2**hash_bits weight table with a
-stable CRC32, so extraction is deterministic across processes and runs.
+Each feature is the CRC32 of its template string, masked to a fixed
+2**hash_bits weight table, so extraction is deterministic across processes
+and runs.  ``hash_arcs`` composes these CRCs from per-position pieces
+without building the strings; the string templates themselves, the spec it
+is tested against, live in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -60,105 +63,6 @@ def check_combiner(combiner) -> str:
     return combiner
 
 
-def hash_feature(s: str, hash_bits: int) -> int:
-    return zlib.crc32(s.encode("utf-8")) & ((1 << hash_bits) - 1)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sorted hashed slots, implicit count 1 each (duplicates allowed)."""
-    indices: np.ndarray
-
-    def __len__(self):
-        return len(self.indices)
-
-
-def _word_pos(sentence: Sentence, i: int) -> tuple[str, str]:
-    if i == 0:
-        return ROOT_FORM, ROOT_POS
-    return sentence.tokens[i - 1].form, sentence.tokens[i - 1].postag
-
-
-def _pos_at(sentence: Sentence, i: int) -> str:
-    if i == 0:
-        return ROOT_POS
-    if 1 <= i <= len(sentence):
-        return sentence.tokens[i - 1].postag
-    return NIL
-
-
-def _arc_templates(sentence: Sentence, a: int, b: int,
-                   ra: str, rb: str) -> list[str]:
-    """Shared template body; a/b are positions, ra/rb the role prefixes."""
-    aw, ap = _word_pos(sentence, a)
-    bw, bp = _word_pos(sentence, b)
-    feats = [
-        f"{ra}w:{aw}",
-        f"{ra}p:{ap}",
-        f"{ra}wp:{aw}|{ap}",
-        f"{rb}w:{bw}",
-        f"{rb}p:{bp}",
-        f"{rb}wp:{bw}|{bp}",
-        f"bg1:{aw}|{ap}|{bw}|{bp}",
-        f"bg2:{ap}|{bw}|{bp}",
-        f"bg3:{aw}|{bw}|{bp}",
-        f"bg4:{aw}|{ap}|{bp}",
-        f"bg5:{aw}|{ap}|{bw}",
-        f"bg6:{aw}|{bw}",
-        f"bg7:{ap}|{bp}",
-    ]
-    lo, hi = (a, b) if a < b else (b, a)
-    for mid in range(lo + 1, hi):
-        feats.append(f"btw:{ap}|{_pos_at(sentence, mid)}|{bp}")
-    a_next = _pos_at(sentence, a + 1)
-    a_prev = _pos_at(sentence, a - 1) if a > 0 else NIL
-    b_next = _pos_at(sentence, b + 1)
-    b_prev = _pos_at(sentence, b - 1) if b > 0 else NIL
-    feats.append(f"sr1:{ap}|{a_next}|{b_prev}|{bp}")
-    feats.append(f"sr2:{a_prev}|{ap}|{b_prev}|{bp}")
-    feats.append(f"sr3:{ap}|{a_next}|{bp}|{b_next}")
-    feats.append(f"sr4:{a_prev}|{ap}|{bp}|{b_next}")
-    return feats
-
-
-def directed_feature_strings(sentence: Sentence, head: int, mod: int) -> list[str]:
-    """Template expansion for a directed arc head -> mod (head may be 0)."""
-    n = len(sentence)
-    if not 0 <= head <= n or not 1 <= mod <= n or head == mod:
-        raise InputError(f"invalid arc ({head}, {mod}) for a {n}-token sentence")
-    feats = _arc_templates(sentence, head, mod, "h", "m")
-    att = "R" if mod > head else "L"
-    conj = f"{att}|{distance_bin(abs(head - mod))}"
-    return feats + [f"{f}&{conj}" for f in feats]
-
-
-def undirected_feature_strings(sentence: Sentence, i: int, j: int) -> list[str]:
-    """Template expansion for the unordered pair {i, j}; order-insensitive."""
-    n = len(sentence)
-    if not 0 <= i <= n or not 0 <= j <= n or i == j or max(i, j) < 1:
-        raise InputError(f"invalid pair ({i}, {j}) for a {n}-token sentence")
-    l, r = (i, j) if i < j else (j, i)
-    feats = _arc_templates(sentence, l, r, "l", "r")
-    conj = distance_bin(r - l)
-    return feats + [f"{f}&{conj}" for f in feats]
-
-
-def _hash_all(strings: list[str], hash_bits: int) -> FeatureVector:
-    mask = (1 << hash_bits) - 1
-    idx = sorted(zlib.crc32(s.encode("utf-8")) & mask for s in strings)
-    return FeatureVector(indices=np.asarray(idx, dtype=np.int64))
-
-
-def extract_directed(sentence: Sentence, head: int, mod: int,
-                     hash_bits: int = DEFAULT_HASH_BITS) -> FeatureVector:
-    return _hash_all(directed_feature_strings(sentence, head, mod), hash_bits)
-
-
-def extract_undirected(sentence: Sentence, i: int, j: int,
-                       hash_bits: int = DEFAULT_HASH_BITS) -> FeatureVector:
-    return _hash_all(undirected_feature_strings(sentence, i, j), hash_bits)
-
-
 @dataclass
 class Model:
     """Linear model over hashed features.
@@ -185,13 +89,6 @@ class Model:
 
     def size(self) -> int:
         return 1 << self.hash_bits
-
-
-def score(model: Model, fv: FeatureVector) -> float:
-    """Dot product of the model weights with a (sparse, unit-valued) vector."""
-    if len(fv) and int(fv.indices.max()) >= model.size():
-        raise InputError("feature slot exceeds model size")
-    return float(model.weights[fv.indices].sum())
 
 
 def save_model(model: Model, path) -> None:
@@ -317,10 +214,10 @@ def _crcs(strings) -> tuple[int, ...]:
     return tuple(zlib.crc32(e) for e in encoded) + tuple(len(e) for e in encoded)
 
 
-# Per-position pieces of the templates in _arc_templates.  The a side
-# contributes whole unigram features and the prefix of each two-sided
-# template, the b side whole unigram features and the suffix (with its
-# length) that completes it; btw joins an (a, mid) prefix with b's |{bp}.
+# Per-position pieces of the feature templates.  The a side contributes
+# whole unigram features and the prefix of each two-sided template, the b
+# side whole unigram features and the suffix (with its length) that
+# completes it; btw joins an (a, mid) prefix with b's |{bp}.
 # Memoized per word and per POS context, since text repeats; each memo
 # holds at most 8192 entries (about 1 kB each).
 
@@ -401,7 +298,7 @@ def _plain_crcs(table: np.ndarray, a: np.ndarray, b: np.ndarray,
 def hash_arcs(table: np.ndarray, mode: str, a: np.ndarray, b: np.ndarray,
               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the arcs (a[k], b[k]), concatenated in the emission order of
-    *_feature_strings, and the start offset of each arc.  ``table`` is the
+    the string templates, and the start offset of each arc.  ``table`` is the
     sentence's ``position_table`` in the same mode.  An arc's slots do not
     depend on the other arcs of the call."""
     count = len(a)
@@ -442,7 +339,7 @@ class SentenceFeatures:
     ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps every
     candidate arc) drops are simply absent.  Pairs are (head, mod) in
     directed mode and (left, right) in undirected mode, row-major; each
-    pair's slots follow the emission order of *_feature_strings.
+    pair's slots follow the emission order of the string templates.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -459,7 +356,6 @@ class SentenceFeatures:
             # a pair survives when either direction does
             arcs = np.triu(arcs | arcs.T, 1)
         a, b = np.nonzero(arcs)
-        self.pairs = list(zip(a.tolist(), b.tolist()))
         self.pair_a, self.pair_b = a, b
         self._flat, self._starts = hash_arcs(position_table(sentence, mode),
                                              mode, a, b, hash_bits)
@@ -468,6 +364,11 @@ class SentenceFeatures:
         self._pair_id[a, b] = np.arange(len(a))
         for array in (a, b, self._flat, self._starts, self._ends):
             array.setflags(write=False)
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """The stored pairs as (a, b) tuples, in storage order."""
+        return list(zip(self.pair_a.tolist(), self.pair_b.tolist()))
 
     def _ids(self, a, b) -> np.ndarray:
         ids = self._pair_id[a, b]
@@ -481,7 +382,7 @@ class SentenceFeatures:
 
     def score_all(self, weights: np.ndarray) -> np.ndarray:
         """Score of every stored pair, aligned with self.pairs."""
-        if not self.pairs:
+        if not len(self.pair_a):
             return np.empty(0)
         return np.add.reduceat(weights[self._flat], self._starts)
 

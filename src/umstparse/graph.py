@@ -12,20 +12,12 @@ rather than per-edge Python work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InputError
 from .unionfind import UnionFind
-
-
-class UndirectedEdge(NamedTuple):
-    u: int
-    v: int
-    weight: float
-    original_id: int
 
 
 class UndirectedGraph:
@@ -75,39 +67,21 @@ class UndirectedGraph:
     def n_edges(self) -> int:
         return len(self.u)
 
-    def edge(self, i: int) -> UndirectedEdge:
-        return UndirectedEdge(int(self.u[i]), int(self.v[i]),
-                              float(self.weight[i]), int(self.original_id[i]))
-
     def __repr__(self):
         return (f"UndirectedGraph(n_vertices={self.n_vertices}, "
                 f"n_edges={self.n_edges})")
 
 
-@dataclass
-class ComponentLabeling:
-    """Dense component index per vertex, ordered by first vertex occurrence."""
-    component_of: np.ndarray
-    n_components: int
-
-
-@dataclass
-class ContractionResult:
-    """A contracted graph plus the vertex-to-super-vertex map."""
-    graph: UndirectedGraph
-    vertex_map: ComponentLabeling
-
-
 def _subset_indices(graph: UndirectedGraph, edge_subset) -> np.ndarray:
-    idx = np.asarray(sorted(edge_subset) if isinstance(edge_subset, (set, frozenset))
-                     else edge_subset, dtype=np.int64)
+    idx = np.asarray(edge_subset, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= graph.n_edges):
         raise InputError("edge index out of range")
     return idx
 
 
-def connected_components(graph: UndirectedGraph, edge_subset) -> ComponentLabeling:
-    """Label the connected components induced by the given edge indices.
+def connected_components(graph: UndirectedGraph, edge_subset) -> np.ndarray:
+    """Component label per vertex, for the components induced by the given
+    edge indices.
 
     Vertices not touched by any subset edge are singleton components.
     Labels are dense from 0 in order of each component's smallest vertex.
@@ -130,11 +104,10 @@ def connected_components(graph: UndirectedGraph, edge_subset) -> ComponentLabeli
     roots, first = np.unique(parent, return_index=True)
     rank = np.empty(len(roots), dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(len(roots))
-    labels = rank[np.searchsorted(roots, parent)]
-    return ComponentLabeling(component_of=labels, n_components=len(roots))
+    return rank[np.searchsorted(roots, parent)]
 
 
-def contract_graph(graph: UndirectedGraph, edge_subset) -> ContractionResult:
+def contract_graph(graph: UndirectedGraph, edge_subset) -> UndirectedGraph:
     """Collapse each component of the edge subset into one super-vertex.
 
     Every edge outside the subset survives with endpoints mapped through
@@ -142,19 +115,17 @@ def contract_graph(graph: UndirectedGraph, edge_subset) -> ContractionResult:
     :func:`simplify` to drop them).
     """
     idx = _subset_indices(graph, edge_subset)
-    labeling = connected_components(graph, idx)
+    labels = connected_components(graph, idx)
     keep = np.ones(graph.n_edges, dtype=bool)
     keep[idx] = False
-    labels = labeling.component_of
-    contracted = UndirectedGraph(
-        labeling.n_components,
+    return UndirectedGraph(
+        int(labels.max()) + 1 if len(labels) else 0,
         labels[graph.u[keep]],
         labels[graph.v[keep]],
         graph.weight[keep],
         graph.original_id[keep],
         _validate=False,
     )
-    return ContractionResult(graph=contracted, vertex_map=labeling)
 
 
 def simplify(graph: UndirectedGraph) -> UndirectedGraph:
@@ -216,23 +187,21 @@ def min_incident_edges(graph: UndirectedGraph) -> np.ndarray:
     return np.nonzero(sel)[0]
 
 
-def boruvka_step(graph: UndirectedGraph) -> tuple[ContractionResult, np.ndarray]:
+def boruvka_step(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:
     """One round of minimum-edge selection followed by contraction.
 
     Selects each vertex's minimum incident edge, contracts the selected
-    set, and simplifies the result.  Returns the contraction (with the
-    simplified graph) and the sorted original ids of the selected edges,
-    all of which belong to the unique minimum spanning forest.
+    set, and simplifies the result.  Returns the simplified contracted
+    graph and the sorted original ids of the selected edges, all of which
+    belong to the unique minimum spanning forest.
 
     The input graph must contain no self edges.
     """
     if graph.n_edges and (graph.u == graph.v).any():
         raise InputError("boruvka_step requires a simplified graph (no self edges)")
     sel = min_incident_edges(graph)
-    contraction = contract_graph(graph, sel)
-    simplified = simplify(contraction.graph)
-    result = ContractionResult(graph=simplified, vertex_map=contraction.vertex_map)
-    return result, np.sort(graph.original_id[sel])
+    contracted = simplify(contract_graph(graph, sel))
+    return contracted, np.sort(graph.original_id[sel])
 
 
 def dump_graph(graph: UndirectedGraph, stream: TextIO) -> None:
@@ -252,10 +221,13 @@ def load_graph(lines: Iterable[str], n_vertices: int | None = None) -> Undirecte
         parts = line.split()
         if len(parts) != 4:
             raise InputError(f"line {lineno}: expected 'u v weight original_id'")
-        us.append(int(parts[0]))
-        vs.append(int(parts[1]))
-        ws.append(float(parts[2]))
-        ids.append(int(parts[3]))
+        try:
+            us.append(int(parts[0]))
+            vs.append(int(parts[1]))
+            ws.append(float(parts[2]))
+            ids.append(int(parts[3]))
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: non-numeric field in {line!r}") from exc
     if n_vertices is None:
         n_vertices = max(max(us, default=-1), max(vs, default=-1)) + 1
     return UndirectedGraph(n_vertices, us, vs, ws, ids)

@@ -56,6 +56,8 @@ class ParserConfig:
             raise InputError(f"unknown pruning mode {self.pruning!r}")
         if self.enhancement_rounds < 0:
             raise InputError("enhancement_rounds must be >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @property
@@ -150,12 +152,6 @@ class DirectedScoreTable:
         matrix[heads, mods] = scores
         return cls(n, matrix)
 
-    def get(self, head: int, mod: int) -> float:
-        return float(self.matrix[head, mod])
-
-    def present(self, head: int, mod: int) -> bool:
-        return bool(np.isfinite(self.matrix[head, mod]))
-
     def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
         return self.matrix[heads, mods]
 
@@ -214,7 +210,11 @@ class ParseGraph:
     """Undirected problem instance: vertex 0 is the dummy root, vertices
     1..n the tokens; edge weights are negated scores (engines minimize)."""
     graph: UndirectedGraph
-    pairs: list            # pairs[original_id] = (u, v) with u < v
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """pairs[original_id] = (u, v) with u < v."""
+        return list(zip(self.graph.u.tolist(), self.graph.v.tolist()))
 
 
 def build_parse_graph(sentence: Sentence, model: Model,
@@ -238,7 +238,6 @@ def build_parse_graph(sentence: Sentence, model: Model,
                                      allowed)
         u, v = cache.pair_a, cache.pair_b
         weights = -cache.score_all(model.weights)
-        pairs = list(cache.pairs)
     else:
         table = directed_score_table(sentence, model, allowed, cache)
         # a direction survives when the cache covered it and the mask
@@ -255,10 +254,8 @@ def build_parse_graph(sentence: Sentence, model: Model,
         scores[both] = combine(s_uv[both], s_vu[both], model.combiner)
         keep = fwd | rev
         u, v, weights = u[keep], v[keep], -scores[keep]
-        pairs = list(zip(u.tolist(), v.tolist()))
-    graph = UndirectedGraph(n + 1, u, v, weights,
-                            np.arange(len(pairs), dtype=np.int64))
-    return ParseGraph(graph=graph, pairs=pairs), table
+    graph = UndirectedGraph(n + 1, u, v, weights, np.arange(len(u), dtype=np.int64))
+    return ParseGraph(graph=graph), table
 
 
 def direct_tree(graph: UndirectedGraph, mst: SpanningForest,

@@ -129,9 +129,8 @@ def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
     g = simplify(graph)
     parts = []
     while g.n_edges:
-        contraction, selected = boruvka_step(g)
+        g, selected = boruvka_step(g)
         parts.append(selected)
-        g = contraction.graph
     ids = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
     return _forest_of(graph, ids)
 
@@ -240,8 +239,7 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
     fu = graph.u[forest_mask]
     fv = graph.v[forest_mask]
     fw = graph.weight[forest_mask]
-    labeling = connected_components(graph, np.nonzero(forest_mask)[0])
-    labels = labeling.component_of
+    labels = connected_components(graph, np.nonzero(forest_mask)[0])
     roots = np.unique(labels, return_index=True)[1]  # first vertex per component
     parent, depth, pweight = _root_forest(graph.n_vertices, fu, fv, fw, roots)
     a = graph.u[query]
@@ -273,14 +271,11 @@ def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> list:
         return []
     if g.n_edges <= _BASE_EDGES:
         return [g.original_id[_kruskal_positions(g)]]
-    parts = []
-    contraction, sel1 = boruvka_step(g)
-    parts.append(sel1)
-    gc = contraction.graph
+    gc, sel1 = boruvka_step(g)
+    parts = [sel1]
     if gc.n_edges:
-        contraction2, sel2 = boruvka_step(gc)
+        gc, sel2 = boruvka_step(gc)
         parts.append(sel2)
-        gc = contraction2.graph
     if gc.n_edges == 0:
         return parts
     coins = rng.coin_flips(gc.n_edges)

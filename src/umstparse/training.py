@@ -10,12 +10,12 @@ the sentence's features, which are computed once before the first epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .conll import DependencyTree, Sentence
-from .errors import InputError
+from .conll import DependencyTree, Sentence, is_valid_tree
+from .errors import DataError, InputError
 from .features import DEFAULT_HASH_BITS, Model, check_combiner, check_hash_bits
 from .inference import ParserConfig, Pruner, build_pruner, parse
 # perfbench/tracer.py looks these names up on this module (it wraps the
@@ -83,6 +83,9 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     config.validate()
     if not corpus:
         raise InputError("empty training corpus")
+    for number, sentence in enumerate(corpus, 1):
+        if not is_valid_tree(sentence.gold_heads):
+            raise DataError(f"training sentence {number}: gold heads do not form a tree")
     parser_config = config.parser_config()
     mode = feature_mode(parser_config.system)
     pruner = build_pruner(corpus) if parser_config.pruned else None
@@ -135,13 +138,3 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
 def train(corpus: list[Sentence], config: TrainConfig,
           init_model: Model | None = None) -> Model:
     return train_full(corpus, config, init_model)[0]
-
-
-def train_suite(corpus: list[Sentence], systems: list[str],
-                config: TrainConfig) -> dict[str, Model]:
-    """Train each system independently; u-mst-uf-lep shares the undirected
-    training of u-mst-uf and uses the d-mst model at parse time."""
-    models = {}
-    for system in systems:
-        models[system] = train(corpus, replace(config, system=system))
-    return models

@@ -27,6 +27,3 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         self.n_sets -= 1
         return True
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)

@@ -1,14 +1,23 @@
 """Independent brute-force oracles used to check the real implementations.
 
 Everything here is deliberately written against plain edge lists / dicts,
-not against the package's graph representation or algorithms.
+not against the package's graph representation or algorithms.  The
+feature templates at the end build every feature string and hash it one
+by one: the spec that the package's composed CRCs are checked against.
 """
 
 from __future__ import annotations
 
+import zlib
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
+
+from umstparse.conll import Sentence, Token
+from umstparse.errors import InputError
+from umstparse.features import (DEFAULT_HASH_BITS, NIL, ROOT_FORM, ROOT_POS,
+                                Model, distance_bin)
 
 
 def bfs_components(n: int, edges) -> list[set]:
@@ -200,7 +209,6 @@ def random_graph(rng: np.random.Generator, n: int, m: int,
 def join_sentences(sentences):
     """One long sentence made of several in a row: heads are offset, and
     every part keeps its own root arc."""
-    from umstparse.conll import Sentence, Token
     tokens, heads, offset = [], [], 0
     for s in sentences:
         for tok, head in zip(s.tokens, s.gold_heads):
@@ -273,3 +281,114 @@ def local_enhancement_oracle(heads, matrix: np.ndarray, rounds: int) -> tuple:
         heads[u - 1] = v
         heads[v - 1] = t
     return tuple(heads)
+
+
+# The feature templates as strings: the spec that features.hash_arcs (which
+# composes the same CRCs without building any string) is tested against.
+
+def hash_feature(s: str, hash_bits: int) -> int:
+    return zlib.crc32(s.encode("utf-8")) & ((1 << hash_bits) - 1)
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """Sorted hashed slots, implicit count 1 each (duplicates allowed)."""
+    indices: np.ndarray
+
+    def __len__(self):
+        return len(self.indices)
+
+
+def _word_pos(sentence: Sentence, i: int) -> tuple[str, str]:
+    if i == 0:
+        return ROOT_FORM, ROOT_POS
+    return sentence.tokens[i - 1].form, sentence.tokens[i - 1].postag
+
+
+def _pos_at(sentence: Sentence, i: int) -> str:
+    if i == 0:
+        return ROOT_POS
+    if 1 <= i <= len(sentence):
+        return sentence.tokens[i - 1].postag
+    return NIL
+
+
+def _arc_templates(sentence: Sentence, a: int, b: int,
+                   ra: str, rb: str) -> list[str]:
+    """Shared template body; a/b are positions, ra/rb the role prefixes."""
+    aw, ap = _word_pos(sentence, a)
+    bw, bp = _word_pos(sentence, b)
+    feats = [
+        f"{ra}w:{aw}",
+        f"{ra}p:{ap}",
+        f"{ra}wp:{aw}|{ap}",
+        f"{rb}w:{bw}",
+        f"{rb}p:{bp}",
+        f"{rb}wp:{bw}|{bp}",
+        f"bg1:{aw}|{ap}|{bw}|{bp}",
+        f"bg2:{ap}|{bw}|{bp}",
+        f"bg3:{aw}|{bw}|{bp}",
+        f"bg4:{aw}|{ap}|{bp}",
+        f"bg5:{aw}|{ap}|{bw}",
+        f"bg6:{aw}|{bw}",
+        f"bg7:{ap}|{bp}",
+    ]
+    lo, hi = (a, b) if a < b else (b, a)
+    for mid in range(lo + 1, hi):
+        feats.append(f"btw:{ap}|{_pos_at(sentence, mid)}|{bp}")
+    a_next = _pos_at(sentence, a + 1)
+    a_prev = _pos_at(sentence, a - 1) if a > 0 else NIL
+    b_next = _pos_at(sentence, b + 1)
+    b_prev = _pos_at(sentence, b - 1) if b > 0 else NIL
+    feats.append(f"sr1:{ap}|{a_next}|{b_prev}|{bp}")
+    feats.append(f"sr2:{a_prev}|{ap}|{b_prev}|{bp}")
+    feats.append(f"sr3:{ap}|{a_next}|{bp}|{b_next}")
+    feats.append(f"sr4:{a_prev}|{ap}|{bp}|{b_next}")
+    return feats
+
+
+def directed_feature_strings(sentence: Sentence, head: int, mod: int) -> list[str]:
+    """Template expansion for a directed arc head -> mod (head may be 0)."""
+    n = len(sentence)
+    if not 0 <= head <= n or not 1 <= mod <= n or head == mod:
+        raise InputError(f"invalid arc ({head}, {mod}) for a {n}-token sentence")
+    feats = _arc_templates(sentence, head, mod, "h", "m")
+    att = "R" if mod > head else "L"
+    conj = f"{att}|{distance_bin(abs(head - mod))}"
+    return feats + [f"{f}&{conj}" for f in feats]
+
+
+def undirected_feature_strings(sentence: Sentence, i: int, j: int) -> list[str]:
+    """Template expansion for the unordered pair {i, j}; order-insensitive."""
+    n = len(sentence)
+    if not 0 <= i <= n or not 0 <= j <= n or i == j or max(i, j) < 1:
+        raise InputError(f"invalid pair ({i}, {j}) for a {n}-token sentence")
+    l, r = (i, j) if i < j else (j, i)
+    feats = _arc_templates(sentence, l, r, "l", "r")
+    conj = distance_bin(r - l)
+    return feats + [f"{f}&{conj}" for f in feats]
+
+
+def _hash_all(strings: list[str], hash_bits: int) -> FeatureVector:
+    mask = (1 << hash_bits) - 1
+    idx = sorted(zlib.crc32(s.encode("utf-8")) & mask for s in strings)
+    return FeatureVector(indices=np.asarray(idx, dtype=np.int64))
+
+
+def extract_directed(sentence: Sentence, head: int, mod: int,
+                     hash_bits: int = DEFAULT_HASH_BITS) -> FeatureVector:
+    return _hash_all(directed_feature_strings(sentence, head, mod), hash_bits)
+
+
+def extract_undirected(sentence: Sentence, i: int, j: int,
+                       hash_bits: int = DEFAULT_HASH_BITS) -> FeatureVector:
+    return _hash_all(undirected_feature_strings(sentence, i, j), hash_bits)
+
+
+
+
+def score(model: Model, fv: FeatureVector) -> float:
+    """Dot product of the model weights with a (sparse, unit-valued) vector."""
+    if len(fv) and int(fv.indices.max()) >= model.size():
+        raise InputError("feature slot exceeds model size")
+    return float(model.weights[fv.indices].sum())

@@ -12,6 +12,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from umstparse.mst import (
     kruskal_msf,
     randomized_msf,
 )
-from umstparse.training import TrainConfig, train_suite
+from umstparse.training import TrainConfig, train
 
 from oracles import (
     exhaustive_best_arborescence,
@@ -241,7 +242,8 @@ def fixture_run():
     dev = load_conll(DEV_CONLL)
     assert len(train_corpus) >= 500
     config = TrainConfig(epochs=10, seed=13, pruning="length-dictionary")
-    models = train_suite(train_corpus, ["d-mst", "u-mst-uf", "u-mst-df"], config)
+    models = {s: train(train_corpus, replace(config, system=s))
+              for s in ("d-mst", "u-mst-uf", "u-mst-df")}
     models["u-mst-uf-lep"] = models["u-mst-uf"]
     pruner = build_pruner(train_corpus)
 

@@ -449,3 +449,95 @@ def test_parse_accepts_flags_the_system_reads(two_models, tmp_path, argv):
     config's pruning without asking for --prune-train."""
     assert run(*[a.format(**two_models, out=tmp_path / "out") for a in argv]) == 0
     assert (tmp_path / "out").exists()
+
+
+GOOD_SENTENCE = ("1\tthe\t_\tD\tD\t_\t2\tdet\n"
+                 "2\tdog\t_\tN\tN\t_\t3\tsubj\n"
+                 "3\truns\t_\tV\tV\t_\t0\troot\n")
+
+
+def _second_sentence_with_heads(heads):
+    rows = [f"{i}\t{w}\t_\t{t}\t{t}\t_\t{h}\tdep" for i, (w, t, h)
+            in enumerate(zip(("a", "cat", "sleeps"), "DNV", heads), start=1)]
+    return GOOD_SENTENCE + "\n" + "\n".join(rows) + "\n"
+
+
+@pytest.fixture(scope="module")
+def bad_input_files(removed_surface_files, tmp_path_factory):
+    base = tmp_path_factory.mktemp("bad")
+    bodies = {
+        "self_loop": _second_sentence_with_heads((2, 2, 0)),
+        "head_past_end": _second_sentence_with_heads((2, 9, 0)),
+        "negative_head": _second_sentence_with_heads((2, -1, 0)),
+        "seed_config": json.dumps({"seed": -1}),
+        "weight_graph": "0 1 0.5 0\n1 2 heavy 1\n",
+        "vertex_graph": "zero 1 0.5 0\n",
+    }
+    files = dict(removed_surface_files)
+    for name, body in bodies.items():
+        files[name] = base / name
+        files[name].write_text(body)
+    return files
+
+
+BAD_INPUTS = {
+    # a negative seed is a data error naming the seed, from flag or config
+    "train --seed -1": (TRAIN_CMD + ("--seed", "-1"), 2, "seed"),
+    "parse --seed -1": (PARSE_CMD + ("--seed", "-1"), 2, "seed"),
+    "train config seed -1": (TRAIN_CMD + ("--config", "{seed_config}"), 2, "seed"),
+    "parse config seed -1": (PARSE_CMD + ("--config", "{seed_config}"), 2, "seed"),
+    # bench arguments out of range are usage errors
+    "bench --sizes -5": (("bench", "--sizes", "-5"), 1, "--sizes"),
+    "bench --densities 0": (("bench", "--sizes", "100", "--densities", "0"), 1,
+                            "--densities"),
+    "bench --seeds -1": (("bench", "--sizes", "100", "--seeds", "-1"), 1, "--seeds"),
+    "bench --graph-file --seeds -1": (
+        ("bench", "--graph-file", "{weight_graph}", "--seeds", "-1"), 1, "--seeds"),
+    # a graph file with a non-numeric field is a data error naming the line
+    "bench non-numeric weight": (("bench", "--graph-file", "{weight_graph}"), 2,
+                                 "line 2"),
+    "bench non-numeric vertex": (("bench", "--graph-file", "{vertex_graph}"), 2,
+                                 "line 1"),
+    # training needs gold heads that form a tree
+    **{f"train {' '.join(flags)} {name}": (
+        TRAIN_CMD[:2] + (f"{{{name}}}",) + TRAIN_CMD[3:] + flags, 2,
+        "training sentence 2")
+       for name in ("self_loop", "head_past_end", "negative_head")
+       for flags in (("--system", "d-mst"), ("--system", "u-mst-uf"),
+                     ("--system", "u-mst-uf", "--pruning", "length-dictionary"))},
+    # prune-stats needs gold heads in range on both sides
+    "prune-stats dev head past end": (
+        ("prune-stats", "--train", "{train}", "--dev", "{head_past_end}"), 2,
+        "dev sentence 2"),
+    "prune-stats train head past end": (
+        ("prune-stats", "--train", "{head_past_end}", "--dev", "{dev}"), 2,
+        "train sentence 2"),
+    "prune-stats dev negative head": (
+        ("prune-stats", "--train", "{train}", "--dev", "{negative_head}"), 2,
+        "dev sentence 2"),
+}
+
+
+@pytest.mark.parametrize("argv, code, named", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_input_exits_with_one_line(bad_input_files, tmp_path, capsys,
+                                       argv, code, named):
+    """Malformed arguments and inputs end in one error line and the exit
+    code of their kind (1 usage, 2 data), not a traceback."""
+    capsys.readouterr()
+    assert run(*[a.format(**bad_input_files, out=tmp_path / "out")
+                 for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:" if code == 1 else "data error:")
+    assert named in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_keeps_non_tree_gold_with_a_warning(bad_input_files, tmp_path, caplog):
+    """parse never reads gold heads: a non-tree gold column only warns."""
+    out = tmp_path / "out.conll"
+    with caplog.at_level("WARNING"):
+        assert run("parse", "--model", bad_input_files["model"],
+                   "--input", bad_input_files["self_loop"], "--output", out) == 0
+    assert "do not form a tree" in caplog.text
+    assert [len(s) for s in load_conll(out)] == [3, 3]

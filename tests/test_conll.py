@@ -34,14 +34,14 @@ def test_two_token_block():
     sents = read_conll(io.StringIO(text))
     assert len(sents) == 1
     assert sents[0].gold_heads == (2, 0)
-    assert sents[0].forms == ["a", "b"]
+    assert [t.form for t in sents[0].tokens] == ["a", "b"]
 
 
 def test_sample_parses():
     sents = read_conll(io.StringIO(SAMPLE))
     assert [len(s) for s in sents] == [4, 2]
     assert sents[0].gold_heads == (2, 3, 0, 3)
-    assert sents[0].postags == ["DT", "NN", "VB", "PU"]
+    assert [t.postag for t in sents[0].tokens] == ["DT", "NN", "VB", "PU"]
 
 
 def test_round_trip():

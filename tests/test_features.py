@@ -7,24 +7,22 @@ import pytest
 
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import DataError, InputError
-from umstparse.features import (
-    FeatureVector,
-    Model,
-    SentenceFeatures,
-    directed_feature_strings,
-    distance_bin,
-    extract_directed,
-    extract_undirected,
-    hash_feature,
-    load_model,
-    save_model,
-    score,
-    undirected_feature_strings,
-)
+from umstparse.features import Model, SentenceFeatures, distance_bin, load_model, save_model
 from umstparse.inference import build_pruner
 from umstparse.training import TrainConfig
 
-from oracles import directed_arcs, join_sentences, undirected_pairs
+from oracles import (
+    FeatureVector,
+    directed_arcs,
+    directed_feature_strings,
+    extract_directed,
+    extract_undirected,
+    hash_feature,
+    join_sentences,
+    score,
+    undirected_feature_strings,
+    undirected_pairs,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 BUNDLED = pathlib.Path(__file__).parent.parent / "data"

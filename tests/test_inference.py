@@ -1,4 +1,5 @@
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree, load_conll
 from umstparse.errors import InputError, StructureError
-from umstparse.features import Model, SentenceFeatures, extract_directed, extract_undirected
+from umstparse.features import Model, SentenceFeatures
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
     DirectedScoreTable,
@@ -25,7 +26,14 @@ from umstparse.inference import (
 )
 from umstparse.mst import SpanningForest, kruskal_msf
 
-from oracles import exhaustive_best_arborescence, join_sentences, local_enhancement_oracle
+from oracles import (
+    exhaustive_best_arborescence,
+    extract_directed,
+    extract_undirected,
+    join_sentences,
+    local_enhancement_oracle,
+    score,
+)
 
 BUNDLED = pathlib.Path(__file__).parent.parent / "data"
 
@@ -143,7 +151,6 @@ class TestBuildParseGraph:
         model = Model.new("undirected", hash_bits=12)
         model.weights = rng.normal(size=model.size())
         pg, _ = build_parse_graph(FIXTURE, model)
-        from umstparse.features import score
         for eid, (i, j) in enumerate(pg.pairs):
             fv = extract_undirected(FIXTURE, i, j, hash_bits=12)
             assert pg.graph.weight[eid] == pytest.approx(-score(model, fv))
@@ -153,7 +160,6 @@ class TestBuildParseGraph:
         model = Model.new("directed", combiner="mean", hash_bits=12)
         model.weights = rng.normal(size=model.size())
         pg, table = build_parse_graph(FIXTURE, model)
-        from umstparse.features import score
         for eid, (u, v) in enumerate(pg.pairs):
             s_uv = score(model, extract_directed(FIXTURE, u, v, hash_bits=12))
             if u == 0:
@@ -175,15 +181,17 @@ class TestBuildParseGraph:
             n = len(s)
             for cache in (None, SentenceFeatures(s, "directed", 12)):
                 pg, table = build_parse_graph(s, model, pruner.mask(s), cache)
+                score = table.matrix
                 pairs, weights = [], []
                 for u in range(n + 1):
                     for v in range(u + 1, n + 1):
-                        fwd = table.present(u, v) and pruner.allows(s, u, v)
-                        rev = u != 0 and table.present(v, u) and pruner.allows(s, v, u)
+                        fwd = np.isfinite(score[u, v]) and pruner.allows(s, u, v)
+                        rev = (u != 0 and np.isfinite(score[v, u])
+                               and pruner.allows(s, v, u))
                         if fwd and rev:
-                            w = combine(table.get(u, v), table.get(v, u), combiner)
+                            w = combine(score[u, v], score[v, u], combiner)
                         elif fwd or rev:
-                            w = table.get(u, v) if fwd else table.get(v, u)
+                            w = score[u, v] if fwd else score[v, u]
                         else:
                             continue
                         pairs.append((u, v))
@@ -596,13 +604,14 @@ class TestParseDispatch:
     def test_golden_trees_per_system(self):
         """Frozen parses of one dev sentence under a pinned tiny model."""
         from umstparse.conll import load_conll
-        from umstparse.training import TrainConfig, train_suite
+        from umstparse.training import TrainConfig, train
         import pathlib
         root = pathlib.Path(__file__).parent.parent
-        train = load_conll(root / "data" / "fixture_train.conll")[:30]
+        corpus = load_conll(root / "data" / "fixture_train.conll")[:30]
         target = load_conll(root / "data" / "fixture_dev.conll")[0]
         config = TrainConfig(epochs=2, seed=31, hash_bits=16)
-        models = train_suite(train, ["d-mst", "u-mst-uf", "u-mst-df"], config)
+        models = {s: train(corpus, replace(config, system=s))
+                  for s in ("d-mst", "u-mst-uf", "u-mst-df")}
         models["u-mst-uf-lep"] = models["u-mst-uf"]
         golden = {
             "d-mst": (3, 3, 8, 3, 7, 7, 4, 0, 10, 8, 10, 14, 14, 11, 8),

@@ -1,4 +1,5 @@
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from umstparse import inference
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import InputError
-from umstparse.features import Model, SentenceFeatures, directed_feature_strings, hash_feature
+from umstparse.features import Model, SentenceFeatures
 from umstparse.inference import ParserConfig, build_pruner, parse
-from umstparse.training import TrainConfig, feature_mode, train, train_full, train_suite
+from umstparse.training import TrainConfig, feature_mode, train, train_full
+
+from oracles import directed_feature_strings, hash_feature
 
 FIXTURE_TRAIN = pathlib.Path(__file__).parent.parent / "data" / "fixture_train.conll"
 
@@ -102,21 +105,13 @@ def test_feature_modes():
     assert feature_mode("u-mst-uf-lep") == "undirected"
 
 
-def test_train_suite_returns_requested_models():
-    corpus = toy_corpus()
-    config = TrainConfig(epochs=2, hash_bits=14, seed=5)
-    models = train_suite(corpus, ["d-mst", "u-mst-uf"], config)
-    assert set(models) == {"d-mst", "u-mst-uf"}
-    assert models["d-mst"].mode == "directed"
-    assert models["u-mst-uf"].mode == "undirected"
-
-
 def test_lep_uses_directed_model_scores():
     """Planting a sentinel weight in the d-mst model must change only the
     enhancement outcome, proving the gain reads the directed model."""
     corpus = toy_corpus()
     config = TrainConfig(epochs=5, hash_bits=16, seed=7)
-    models = train_suite(corpus, ["d-mst", "u-mst-uf-lep"], config)
+    models = {s: train(corpus, replace(config, system=s))
+              for s in ("d-mst", "u-mst-uf-lep")}
     target = corpus[0]
     pconf = ParserConfig(system="u-mst-uf-lep", seed=7)
     base = parse(target, models["u-mst-uf-lep"], pconf,
