@@ -181,17 +181,17 @@ class TestBuildParseGraph:
             n = len(s)
             for cache in (None, SentenceFeatures(s, "directed", 12)):
                 pg, table = build_parse_graph(s, model, pruner.mask(s), cache)
-                score = table.matrix
+                matrix = table.matrix
                 pairs, weights = [], []
                 for u in range(n + 1):
                     for v in range(u + 1, n + 1):
-                        fwd = np.isfinite(score[u, v]) and pruner.allows(s, u, v)
-                        rev = (u != 0 and np.isfinite(score[v, u])
+                        fwd = np.isfinite(matrix[u, v]) and pruner.allows(s, u, v)
+                        rev = (u != 0 and np.isfinite(matrix[v, u])
                                and pruner.allows(s, v, u))
                         if fwd and rev:
-                            w = combine(score[u, v], score[v, u], combiner)
+                            w = combine(matrix[u, v], matrix[v, u], combiner)
                         elif fwd or rev:
-                            w = score[u, v] if fwd else score[v, u]
+                            w = matrix[u, v] if fwd else matrix[v, u]
                         else:
                             continue
                         pairs.append((u, v))
