@@ -109,14 +109,11 @@ def run_bench(sizes: Iterable[int], densities: Iterable[int],
     return rows
 
 
-def run_bench_file(path, seeds: Iterable[int],
-                   algorithms: Iterable[str] = ALGORITHMS,
-                   stream: TextIO | None = None) -> list[str]:
-    """Bench a fixed graph read from the debug dump format."""
-    from .graph import load_graph
+def run_bench_graph(graph: UndirectedGraph, seeds: Iterable[int],
+                    algorithms: Iterable[str] = ALGORITHMS,
+                    stream: TextIO | None = None) -> list[str]:
+    """Bench a fixed graph, e.g. one read by :func:`graph.load_graph`."""
     algorithms = _checked(algorithms)
-    with open(path, encoding="utf-8") as fh:
-        graph = load_graph(fh)
     rows = [CSV_HEADER]
     if stream is not None:
         stream.write(CSV_HEADER + "\n")

@@ -11,14 +11,16 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
-from .bench import ALGORITHMS, run_bench, run_bench_file
+from .bench import ALGORITHMS, run_bench, run_bench_graph
 from .conll import DependencyTree, load_conll, save_conll
 from .errors import DataError, InputError, StructureError
 from .evaluate import format_report, head_to_head, oracle_combine, report_csv_rows, score
-from .features import COMBINERS, check_combiner, load_model, save_model
+from .features import COMBINERS, check_combiner, load_model, pair_mask, save_model
+from .graph import load_graph
 from .inference import SETTINGS_READ, SYSTEMS, ParserConfig, build_pruner, parse
 from .training import TrainConfig, train_full
 
@@ -305,19 +307,17 @@ def cmd_bench(args) -> int:
     if args.graph_file is None:
         sizes = _int_list(args.sizes, "--sizes", 1)
         densities = _int_list(args.densities, "--densities", 1)
-
-    def go(stream):
-        if args.graph_file is not None:
-            run_bench_file(args.graph_file, seeds, algorithms, stream=stream)
-        else:
-            run_bench(sizes, densities, seeds, algorithms, stream=stream)
+        go = partial(run_bench, sizes, densities, seeds, algorithms)
+    else:               # read before --out is opened: a bad file leaves none
+        with open(args.graph_file, encoding="utf-8") as fh:
+            go = partial(run_bench_graph, load_graph(fh), seeds, algorithms)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            go(fh)
+            go(stream=fh)
         print(f"wrote {args.out}")
     else:
-        go(sys.stdout)
+        go(stream=sys.stdout)
     return EXIT_OK
 
 
@@ -334,12 +334,12 @@ def cmd_prune_stats(args) -> int:
     total_edges = kept_edges = total_gold = kept_gold = 0
     for sent in dev_corpus:
         n = len(sent)
-        kept = pruner.mask(sent)
-        kept |= kept.T                  # a pair survives when either direction does
+        kept = pair_mask(pruner.mask(sent))
         total_edges += n * (n + 1) // 2
-        kept_edges += int(np.triu(kept, 1).sum())
+        kept_edges += int(kept.sum())
         total_gold += n
-        kept_gold += int(kept[list(sent.gold_heads), np.arange(1, n + 1)].sum())
+        gold = (kept | kept.T)[list(sent.gold_heads), np.arange(1, n + 1)]
+        kept_gold += int(gold.sum())
     edges_pct = 100.0 * kept_edges / total_edges if total_edges else 0.0
     gold_pct = 100.0 * kept_gold / total_gold if total_gold else 0.0
     lines = [f"undirected_edges_kept_pct {edges_pct:.2f}",
@@ -397,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except StructureError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -149,6 +149,12 @@ def arc_matrix(n: int) -> np.ndarray:
     return arcs
 
 
+def pair_mask(arcs: np.ndarray) -> np.ndarray:
+    """Upper-triangular bool: [a, b] with a < b is True when the pair
+    survives the arc mask, that is when either of its directions does."""
+    return np.triu(arcs | arcs.T, 1)
+
+
 # CRC32 composition.  zlib's CRC32 is affine over GF(2):
 # crc(A + B) = Z_|B|(crc(A)) ^ crc(B), where Z_k runs k zero bytes through
 # the raw CRC register (the identity behind zlib's crc32_combine).  A linear
@@ -353,8 +359,7 @@ class SentenceFeatures:
         n = len(sentence)
         arcs = arc_matrix(n) if allowed is None else allowed
         if mode == "undirected":
-            # a pair survives when either direction does
-            arcs = np.triu(arcs | arcs.T, 1)
+            arcs = pair_mask(arcs)
         a, b = np.nonzero(arcs)
         self.pair_a, self.pair_b = a, b
         self._flat, self._starts = hash_arcs(position_table(sentence, mode),

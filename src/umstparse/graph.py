@@ -115,7 +115,12 @@ def contract_graph(graph: UndirectedGraph, edge_subset) -> UndirectedGraph:
     :func:`simplify` to drop them).
     """
     idx = _subset_indices(graph, edge_subset)
-    labels = connected_components(graph, idx)
+    return _contract(graph, idx, connected_components(graph, idx))
+
+
+def _contract(graph: UndirectedGraph, idx: np.ndarray,
+              labels: np.ndarray) -> UndirectedGraph:
+    """:func:`contract_graph` given the subset's component labels."""
     keep = np.ones(graph.n_edges, dtype=bool)
     keep[idx] = False
     return UndirectedGraph(
@@ -163,6 +168,15 @@ def simplify(graph: UndirectedGraph) -> UndirectedGraph:
     )
 
 
+def min_incident_weights(graph: UndirectedGraph) -> np.ndarray:
+    """Each vertex's minimum incident edge weight; +inf for a vertex
+    without any incident edge."""
+    wmin = np.full(graph.n_vertices, np.inf)
+    np.minimum.at(wmin, graph.u, graph.weight)
+    np.minimum.at(wmin, graph.v, graph.weight)
+    return wmin
+
+
 def min_incident_edges(graph: UndirectedGraph) -> np.ndarray:
     """Indices of each vertex's minimum incident edge, deduplicated.
 
@@ -170,17 +184,13 @@ def min_incident_edges(graph: UndirectedGraph) -> np.ndarray:
     incident edge select nothing, which matches an unset minimum sentinel
     of +infinity.
     """
-    m = graph.n_edges
-    if m == 0:
+    if graph.n_edges == 0:
         return np.empty(0, dtype=np.int64)
-    n = graph.n_vertices
     u, v, w, oid = graph.u, graph.v, graph.weight, graph.original_id
-    wmin = np.full(n, np.inf)
-    np.minimum.at(wmin, u, w)
-    np.minimum.at(wmin, v, w)
+    wmin = min_incident_weights(graph)
     cu = w == wmin[u]
     cv = w == wmin[v]
-    idmin = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    idmin = np.full(graph.n_vertices, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(idmin, u[cu], oid[cu])
     np.minimum.at(idmin, v[cv], oid[cv])
     sel = (cu & (oid == idmin[u])) | (cv & (oid == idmin[v]))
@@ -214,6 +224,7 @@ def dump_graph(graph: UndirectedGraph, stream: TextIO) -> None:
 def load_graph(lines: Iterable[str], n_vertices: int | None = None) -> UndirectedGraph:
     """Read the debug text format written by :func:`dump_graph`."""
     us, vs, ws, ids = [], [], [], []
+    line_of_id = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -228,6 +239,10 @@ def load_graph(lines: Iterable[str], n_vertices: int | None = None) -> Undirecte
             ids.append(int(parts[3]))
         except ValueError as exc:
             raise InputError(f"line {lineno}: non-numeric field in {line!r}") from exc
+        first = line_of_id.setdefault(ids[-1], lineno)
+        if first != lineno:
+            raise InputError(f"line {lineno}: original_id {ids[-1]} "
+                             f"already used on line {first}")
     if n_vertices is None:
         n_vertices = max(max(us, default=-1), max(vs, default=-1)) + 1
     return UndirectedGraph(n_vertices, us, vs, ws, ids)

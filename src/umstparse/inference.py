@@ -18,7 +18,7 @@ import numpy as np
 from .conll import DependencyTree, Sentence
 from .errors import InputError, StructureError
 from .features import (Model, SentenceFeatures, arc_matrix, check_combiner,
-                       hash_arcs, position_table)
+                       hash_arcs, pair_mask, position_table)
 from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, randomized_msf
 
@@ -246,14 +246,13 @@ def build_parse_graph(sentence: Sentence, model: Model,
         alive = np.isfinite(table.matrix)
         if allowed is not None:
             alive &= allowed
-        u, v = np.triu_indices(n + 1, 1)
+        u, v = np.nonzero(pair_mask(alive))
         fwd, rev = alive[u, v], alive[v, u]
         s_uv, s_vu = table.matrix[u, v], table.matrix[v, u]
         scores = np.where(fwd, s_uv, s_vu)
         both = fwd & rev
         scores[both] = combine(s_uv[both], s_vu[both], model.combiner)
-        keep = fwd | rev
-        u, v, weights = u[keep], v[keep], -scores[keep]
+        weights = -scores
     graph = UndirectedGraph(n + 1, u, v, weights, np.arange(len(u), dtype=np.int64))
     return ParseGraph(graph=graph), table
 

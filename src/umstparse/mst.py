@@ -23,8 +23,11 @@ import numpy as np
 from .errors import InputError
 from .graph import (
     UndirectedGraph,
+    _contract,
     boruvka_step,
     connected_components,
+    min_incident_edges,
+    min_incident_weights,
     simplify,
 )
 from .unionfind import UnionFind
@@ -135,94 +138,10 @@ def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
     return _forest_of(graph, ids)
 
 
-def _csr_forest(n: int, fu: np.ndarray, fv: np.ndarray, fw: np.ndarray):
-    """CSR adjacency (neighbor, edge weight) arrays for a forest."""
-    ends = np.concatenate([fu, fv])
-    other = np.concatenate([fv, fu])
-    wts = np.concatenate([fw, fw])
-    order = np.argsort(ends, kind="stable")
-    counts = np.bincount(ends, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, other[order], wts[order]
-
-
-def _root_forest(n: int, fu: np.ndarray, fv: np.ndarray, fw: np.ndarray,
-                 roots: np.ndarray):
-    """BFS-root every tree of the forest; returns parent/depth/parent-weight."""
-    indptr, nbr, nbr_w = _csr_forest(n, fu, fv, fw)
-    parent = np.arange(n, dtype=np.int64)
-    pweight = np.full(n, -np.inf)
-    depth = np.zeros(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[roots] = True
-    frontier = roots
-    while frontier.size:
-        counts = indptr[frontier + 1] - indptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        starts = np.repeat(indptr[frontier], counts)
-        prefix = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        pos = starts + (np.arange(total) - np.repeat(prefix, counts))
-        targets = nbr[pos]
-        weights = nbr_w[pos]
-        sources = np.repeat(frontier, counts)
-        new = ~visited[targets]
-        targets, weights, sources = targets[new], weights[new], sources[new]
-        parent[targets] = sources
-        pweight[targets] = weights
-        depth[targets] = depth[sources] + 1
-        visited[targets] = True
-        frontier = targets
-    return parent, depth, pweight
-
-
-def _path_max_table(parent: np.ndarray, depth: np.ndarray,
-                    pweight: np.ndarray):
-    """Binary-lifting ancestor and path-maximum tables."""
-    n = len(parent)
-    max_depth = int(depth.max()) if n else 0
-    log = max(1, int(max_depth).bit_length())
-    up = np.empty((log, n), dtype=np.int64)
-    mx = np.empty((log, n))
-    up[0] = parent
-    mx[0] = pweight
-    for k in range(1, log):
-        up[k] = up[k - 1][up[k - 1]]
-        mx[k] = np.maximum(mx[k - 1], mx[k - 1][up[k - 1]])
-    return up, mx
-
-
-def _path_max(up, mx, depth, a, b):
-    """Maximum forest-edge weight on the tree path between a[i] and b[i].
-
-    Assumes every (a[i], b[i]) pair lies in one tree.  A zero-length path
-    yields -inf.
-    """
-    a = a.copy()
-    b = b.copy()
-    best = np.full(len(a), -np.inf)
-    swap = depth[a] < depth[b]
-    a[swap], b[swap] = b[swap], a[swap]
-    diff = depth[a] - depth[b]
-    for k in range(up.shape[0]):
-        step = (diff >> k) & 1 == 1
-        if step.any():
-            best[step] = np.maximum(best[step], mx[k][a[step]])
-            a[step] = up[k][a[step]]
-    for k in range(up.shape[0] - 1, -1, -1):
-        move = (a != b) & (up[k][a] != up[k][b])
-        if move.any():
-            best[move] = np.maximum(best[move],
-                                    np.maximum(mx[k][a[move]], mx[k][b[move]]))
-            a[move] = up[k][a[move]]
-            b[move] = up[k][b[move]]
-    last = a != b
-    if last.any():
-        best[last] = np.maximum(best[last],
-                                np.maximum(mx[0][a[last]], mx[0][b[last]]))
-    return best
+def _edges_where(g: UndirectedGraph, keep: np.ndarray) -> UndirectedGraph:
+    """The edges that ``keep`` marks, over the same vertices."""
+    return UndirectedGraph(g.n_vertices, g.u[keep], g.v[keep], g.weight[keep],
+                           g.original_id[keep], _validate=False)
 
 
 def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray:
@@ -230,25 +149,33 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
 
     Forest edges themselves are never marked; edges across distinct forest
     components are treated as having an infinite path maximum.
+
+    The path maxima come from the forest's Borůvka tree (King, Algorithmica
+    1997): contract the forest by minimum-edge rounds, weighing each
+    super-vertex by its lightest remaining forest edge (+inf once it is a
+    whole tree).  A pair's path maximum is the largest weight of the
+    super-vertices holding either end, over the rounds in which the ends
+    are apart.
     """
-    m = graph.n_edges
-    heavy = np.zeros(m, dtype=bool)
     query = np.nonzero(~forest_mask)[0]
-    if query.size == 0:
-        return heavy
-    fu = graph.u[forest_mask]
-    fv = graph.v[forest_mask]
-    fw = graph.weight[forest_mask]
-    labels = connected_components(graph, np.nonzero(forest_mask)[0])
-    roots = np.unique(labels, return_index=True)[1]  # first vertex per component
-    parent, depth, pweight = _root_forest(graph.n_vertices, fu, fv, fw, roots)
-    a = graph.u[query]
-    b = graph.v[query]
-    same_tree = labels[a] == labels[b]
-    if same_tree.any():
-        up, mx = _path_max_table(parent, depth, pweight)
-        pmax = _path_max(up, mx, depth, a[same_tree], b[same_tree])
-        heavy[query[same_tree]] = graph.weight[query[same_tree]] > pmax
+    pmax = np.full(len(query), -np.inf)     # a self edge's empty path
+    live = np.arange(len(query))            # pairs whose ends are apart
+    a, b = graph.u[query], graph.v[query]
+    forest = _edges_where(graph, forest_mask)
+    while True:
+        apart = a != b
+        live, a, b = live[apart], a[apart], b[apart]
+        if not (live.size and forest.n_edges):
+            break
+        weight = min_incident_weights(forest)
+        pmax[live] = np.maximum(pmax[live], np.maximum(weight[a], weight[b]))
+        sel = min_incident_edges(forest)
+        labels = connected_components(forest, sel)
+        forest = _contract(forest, sel, labels)
+        a, b = labels[a], labels[b]
+    pmax[live] = np.inf                     # ends in different trees
+    heavy = np.zeros(graph.n_edges, dtype=bool)
+    heavy[query] = graph.weight[query] > pmax
     return heavy
 
 
@@ -298,10 +225,7 @@ def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> list:
         f_ids = np.empty(0, dtype=np.int64)
     forest_mask = np.isin(gc.original_id, f_ids)
     keep = ~_f_heavy_mask(gc, forest_mask)
-    filtered = UndirectedGraph(gc.n_vertices, gc.u[keep], gc.v[keep],
-                               gc.weight[keep], gc.original_id[keep],
-                               _validate=False)
-    parts.extend(_randomized_rec(filtered, rng))
+    parts.extend(_randomized_rec(_edges_where(gc, keep), rng))
     return parts
 
 

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from umstparse import cli
 from umstparse.cli import main
 from umstparse.conll import load_conll
 
@@ -472,6 +473,7 @@ def bad_input_files(removed_surface_files, tmp_path_factory):
         "seed_config": json.dumps({"seed": -1}),
         "weight_graph": "0 1 0.5 0\n1 2 heavy 1\n",
         "vertex_graph": "zero 1 0.5 0\n",
+        "repeated_id_graph": "0 1 0.5 0\n1 2 0.25 1\n0 2 0.75 0\n",
     }
     files = dict(removed_surface_files)
     for name, body in bodies.items():
@@ -498,6 +500,15 @@ BAD_INPUTS = {
                                  "line 2"),
     "bench non-numeric vertex": (("bench", "--graph-file", "{vertex_graph}"), 2,
                                  "line 1"),
+    # ... and it is read before --out is opened, so no empty CSV is left
+    "bench non-numeric weight --out": (
+        ("bench", "--graph-file", "{weight_graph}", "--out", "{out}"), 2, "line 2"),
+    "bench non-numeric vertex --out": (
+        ("bench", "--graph-file", "{vertex_graph}", "--out", "{out}"), 2, "line 1"),
+    # edge ids break weight ties, so a graph file may not repeat one
+    "bench repeated original_id": (
+        ("bench", "--graph-file", "{repeated_id_graph}", "--out", "{out}"), 2,
+        "line 3"),
     # training needs gold heads that form a tree
     **{f"train {' '.join(flags)} {name}": (
         TRAIN_CMD[:2] + (f"{{{name}}}",) + TRAIN_CMD[3:] + flags, 2,
@@ -531,6 +542,18 @@ def test_bad_input_exits_with_one_line(bad_input_files, tmp_path, capsys,
     assert err.startswith("usage error:" if code == 1 else "data error:")
     assert named in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_exception_is_one_internal_error_line(monkeypatch, capsys):
+    """Any other exception from a command ends in exit 3 and one line."""
+    def broken(args):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli.COMMANDS, "bench", broken)
+    capsys.readouterr()
+    assert run("bench", "--sizes", "100") == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: invariant broken\n"
 
 
 def test_parse_keeps_non_tree_gold_with_a_warning(bad_input_files, tmp_path, caplog):

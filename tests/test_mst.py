@@ -12,6 +12,7 @@ from umstparse.mst import (
     kruskal_msf,
     randomized_msf,
 )
+from umstparse.unionfind import UnionFind
 
 from oracles import (
     bfs_components,
@@ -121,25 +122,46 @@ class TestFHeavy:
             f_heavy_edges(g, forest)
 
     def test_matches_bfs_path_max_oracle(self):
+        def check(g, forest_ids):
+            u, v, w = g.u.tolist(), g.v.tolist(), g.weight.tolist()
+            fedges = [(u[i], v[i], w[i]) for i in forest_ids]
+            expected = set()
+            for i in range(g.n_edges):
+                if i in forest_ids:
+                    continue
+                pmax = forest_path_max(g.n_vertices, fedges, u[i], v[i])
+                if pmax is not None and w[i] > pmax:
+                    expected.add(i)
+            forest = SpanningForest(edge_ids=frozenset(forest_ids),
+                                    total_weight=0.0)
+            assert f_heavy_edges(g, forest) == expected
+
         rng = np.random.default_rng(109)
         for _ in range(40):
             n = int(rng.integers(2, 40))
             m = int(rng.integers(n - 1, min(5 * n, n * (n - 1) // 2) + 1))
             u, v, w = random_graph(rng, n, m)
             g = graph_of(n, u, v, w)
-            forest = kruskal_msf(g)
-            got = f_heavy_edges(g, forest)
-            fedges = [(int(u[i]), int(v[i]), float(w[i]))
-                      for i in range(len(u)) if i in forest.edge_ids]
-            expected = set()
-            for i in range(len(u)):
-                if i in forest.edge_ids:
-                    continue
-                pmax = forest_path_max(n, fedges, int(u[i]), int(v[i]))
-                if pmax is not None and w[i] > pmax:
-                    expected.add(i)
-            assert got == expected
-
+            check(g, kruskal_msf(g).edge_ids)
+        # multigraphs with weights in {0, 1, 2} (heavy ties), parallel and
+        # self edges, and forests that are neither minimum nor spanning: a
+        # random union-find subset, stopped early, so several trees remain
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 4 * n + 1))
+            u = rng.integers(0, n, size=m)
+            v = rng.integers(0, n, size=m)
+            w = rng.integers(0, 3, size=m).astype(float)
+            g = graph_of(n, u, v, w)
+            uf = UnionFind(n)
+            size = int(rng.integers(0, n))
+            forest_ids = set()
+            for i in rng.permutation(m).tolist():
+                if len(forest_ids) == size:
+                    break
+                if rng.random() < 0.7 and uf.union(int(u[i]), int(v[i])):
+                    forest_ids.add(i)
+            check(g, forest_ids)
 
 class TestRandomized:
     def test_empty_graph(self):
