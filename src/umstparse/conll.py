@@ -3,6 +3,8 @@
 Token lines are tab separated with at least the 8 core columns
 (ID FORM LEMMA CPOSTAG POSTAG FEATS HEAD DEPREL); anything beyond DEPREL
 is carried through untouched.  Sentences are separated by blank lines.
+Comment lines (starting with ``#``, as in CoNLL-U) that precede a
+sentence's first token line are carried through verbatim too.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class Sentence:
     tokens: tuple
     gold_heads: tuple    # head per token, 0 = dummy root
     gold_labels: tuple
+    comments: tuple = ()  # leading "#" lines, verbatim, without newlines
 
     def __len__(self):
         return len(self.tokens)
@@ -85,17 +88,23 @@ def _parse_token_line(line: str, lineno: int) -> tuple[Token, int, str]:
 def read_conll(lines: Iterable[str]) -> list[Sentence]:
     """Parse CoNLL-X text into sentences.
 
-    Raises DataError (with a line number) on malformed token lines.  A gold
-    head structure that is not a tree only logs a warning; the sentence is
-    kept, since per-edge gold heads are still usable.
+    Raises DataError (with a line number) on malformed token lines, on a
+    comment line after a sentence's first token line, and on comment lines
+    that no token line follows.  A gold head structure that is not a tree
+    only logs a warning; the sentence is kept, since per-edge gold heads
+    are still usable.
     """
     sentences = []
+    comments: list[str] = []
     tokens: list[Token] = []
     heads: list[int] = []
     labels: list[str] = []
 
     def flush(lineno):
         if not tokens:
+            if comments:
+                raise DataError(f"line {lineno}: comment lines not followed "
+                                f"by a token line")
             return
         for i, t in enumerate(tokens, start=1):
             if t.index != i:
@@ -107,7 +116,9 @@ def read_conll(lines: Iterable[str]) -> list[Sentence]:
                         "form a tree", lineno)
         sentences.append(Sentence(tokens=tuple(tokens),
                                   gold_heads=tuple(heads),
-                                  gold_labels=tuple(labels)))
+                                  gold_labels=tuple(labels),
+                                  comments=tuple(comments)))
+        comments.clear()
         tokens.clear()
         heads.clear()
         labels.clear()
@@ -117,6 +128,12 @@ def read_conll(lines: Iterable[str]) -> list[Sentence]:
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
             flush(lineno)
+            continue
+        if line.startswith("#"):
+            if tokens:
+                raise DataError(f"line {lineno}: comment line inside a "
+                                f"sentence")
+            comments.append(line)
             continue
         token, head, label = _parse_token_line(line, lineno)
         tokens.append(token)
@@ -132,7 +149,8 @@ def load_conll(path) -> list[Sentence]:
 
 
 def write_conll(sentences: list[Sentence], predicted, stream: TextIO) -> None:
-    """Write sentences with the HEAD column replaced by predictions.
+    """Write sentences with the HEAD column replaced by predictions, each
+    after its comment lines.
 
     predicted may be None (keep gold heads) or a list of DependencyTree
     aligned with sentences.
@@ -145,6 +163,8 @@ def write_conll(sentences: list[Sentence], predicted, stream: TextIO) -> None:
         if len(heads) != len(sent):
             raise InputError(f"sentence {si}: {len(sent)} tokens but "
                              f"{len(heads)} predicted heads")
+        for line in sent.comments:
+            stream.write(line + "\n")
         for t, head, label in zip(sent.tokens, heads, sent.gold_labels):
             cols = [str(t.index), t.form, t.lemma, t.cpostag, t.postag,
                     t.feats, str(head), label, *t.extras]

@@ -342,67 +342,115 @@ def local_enhancement(tree: DependencyTree, s_d: DirectedScoreTable | LazyArcSco
     return DependencyTree(heads=tuple(heads[1:].tolist()))
 
 
-def _find_cycle(heads: np.ndarray) -> set | None:
-    k = len(heads)
-    for start in range(1, k):
-        seen = []
-        on_path = set()
+def _find_cycle(heads: list, nodes: list, rooted: list) -> list | None:
+    """The cycle met first by walking up ``heads`` from each of ``nodes`` in
+    turn, as a sorted list; None when every walk reaches the root (node 0).
+
+    ``rooted[v]`` is set for each node found to reach the root.  Such a
+    node never lies in a cycle, so its head never changes on contraction
+    and it still reaches the root at every later level: callers keep
+    ``rooted`` across levels, and walks stop at such nodes.
+    """
+    for start in nodes:
+        if rooted[start]:
+            continue
+        path, on_path = [], set()
         node = start
-        while node != 0:
+        while node and not rooted[node]:
             if node in on_path:
-                idx = seen.index(node)
-                return set(seen[idx:])
+                return sorted(path[path.index(node):])
             on_path.add(node)
-            seen.append(node)
-            node = int(heads[node])
-        # reached root: no cycle through start
+            path.append(node)
+            node = heads[node]
+        for v in path:
+            rooted[v] = True
     return None
 
 
-def _cle_heads(score: np.ndarray) -> np.ndarray:
-    """Best head per node over score[h, m]; node 0 is the root."""
+def _cle_heads(score: np.ndarray) -> list[int]:
+    """Best head per node over score[h, m]; node 0 is the root (head 0).
+
+    Chu-Liu-Edmonds with an explicit stack of contractions.  Every level
+    keeps the indices of the one before: a contracted cycle's nodes leave
+    the active set and a new node, numbered after all others, joins it.
+    Nodes are therefore ordered as the recursive textbook form orders them
+    (the uncontracted nodes ascending, the contracted node last), every
+    maximum takes the first index among ties, and so the heads match that
+    form's exactly (``tests/oracles.py``, ``cle_heads_reference``).
+
+    ``col[m][h]`` is the score of arc h -> m at the current level; rows of
+    inactive nodes read -inf in every active column.  A column whose head
+    is outside the contracted cycle keeps that head, since the new node's
+    entry is at most the column's maximum and comes last.  Scores must not
+    be NaN.
+    """
     k = score.shape[0]
-    s = score.copy()
-    np.fill_diagonal(s, -np.inf)
-    s[:, 0] = -np.inf
-    heads = np.zeros(k, dtype=np.int64)
-    if k > 1:
-        heads[1:] = np.argmax(s[:, 1:], axis=0)
-    cycle = _find_cycle(heads)
-    if cycle is None:
-        return heads
-    cyc = sorted(cycle)
-    rest = [v for v in range(k) if v not in cycle]
-    c_new = len(rest)
-    ns = np.full((c_new + 1, c_new + 1), -np.inf)
-    ns[:c_new, :c_new] = s[np.ix_(rest, rest)]
-    cycle_in = s[heads[cyc], cyc]                        # weight of each cycle arc
-    into = s[np.ix_(rest, cyc)] - cycle_in[None, :]      # swap cost of entering
-    ns[:c_new, c_new] = into.max(axis=1)
-    enter_choice = np.asarray(cyc)[np.argmax(into, axis=1)]
-    out = s[np.ix_(cyc, rest)]
-    ns[c_new, :c_new] = out.max(axis=0)
-    out_choice = np.asarray(cyc)[np.argmax(out, axis=0)]
-    sub = _cle_heads(ns)
-    result = heads.copy()
-    for i, m in enumerate(rest):
-        if m == 0:
-            continue
-        nh = int(sub[i])
-        result[m] = out_choice[i] if nh == c_new else rest[nh]
-    entering_head = rest[int(sub[c_new])]
-    m_star = int(enter_choice[rest.index(entering_head)])
-    result[m_star] = entering_head
-    return result
+    neg_inf = -np.inf
+    s = np.array(score, dtype=np.float64)
+    s.flat[::k + 1] = neg_inf
+    s[:, 0] = neg_inf
+    heads = s.argmax(axis=0).tolist()          # heads[0] = 0: column 0 is -inf
+    col = s.T.tolist()
+    active = list(range(k))                    # ascending; node 0 first
+    rooted = [False] * k
+    levels = []                                # (new node, out, enter) per contraction
+    while (cyc := _find_cycle(heads, active[1:], rooted)) is not None:
+        c = len(col)
+        in_cycle = set(cyc)
+        active = [v for v in active if v not in in_cycle]
+        # the new node's row: per column, the best arc out of the cycle
+        out = [0] * c
+        first, later = cyc[0], cyc[1:]
+        for m in active[1:]:
+            cm = col[m]
+            best, arg = cm[first], first
+            for h in later:
+                if cm[h] > best:
+                    best, arg = cm[h], h
+            out[m] = arg
+            for h in cyc:
+                cm[h] = neg_inf
+            cm.append(best)
+            if heads[m] in in_cycle:
+                heads[m] = cm.index(max(cm))
+        # the new node's column: per head, the best arc into the cycle,
+        # scored against the cycle arc it replaces
+        into = enter = None
+        for v in cyc:
+            cv = col[v]
+            w = cv[heads[v]]
+            swap = [x - w for x in cv]
+            if into is None:
+                into, enter = swap, [v] * c
+                continue
+            for h, x in enumerate(swap):
+                if x > into[h]:
+                    into[h] = x
+                    enter[h] = v
+        for v in cyc:
+            into[v] = neg_inf
+        into.append(neg_inf)
+        col.append(into)
+        heads.append(into.index(max(into)))
+        active.append(c)
+        rooted.append(False)
+        levels.append((c, out, enter))
+    # expand: nodes headed by a contracted node take their arc's cycle end,
+    # and the cycle node that arc enters takes the contracted node's head
+    # (the other cycle nodes kept their cycle heads)
+    for c, out, enter in reversed(levels):
+        for m in range(1, c):
+            if heads[m] == c:
+                heads[m] = out[m]
+        h = heads[c]
+        heads[enter[h]] = h
+    return heads[:k]
 
 
 def cle_directed_mst(s_d: DirectedScoreTable) -> DependencyTree:
-    """Maximum-weight arborescence rooted at vertex 0 (recursive
-    cycle-contracting implementation over the dense score table)."""
-    if s_d.n == 0:
-        return DependencyTree(heads=())
-    heads = _cle_heads(s_d.matrix)
-    return DependencyTree(heads=tuple(int(h) for h in heads[1:]))
+    """Maximum-weight arborescence rooted at vertex 0 (iterative
+    cycle-contracting Chu-Liu-Edmonds over the dense score table)."""
+    return DependencyTree(heads=tuple(_cle_heads(s_d.matrix)[1:]))
 
 
 def parse(sentence: Sentence, model: Model, config: ParserConfig,

@@ -283,6 +283,66 @@ def local_enhancement_oracle(heads, matrix: np.ndarray, rounds: int) -> tuple:
     return tuple(heads)
 
 
+# Chu-Liu-Edmonds in its recursive textbook form: the spec of
+# inference._cle_heads, tie-breaking included.  The cycle contracted is
+# the first one met by walks from nodes 1, 2, ... in turn; the contracted
+# graph orders the other nodes ascending and the new node last; every
+# argmax takes the first index among ties.
+
+def _find_cycle(heads: np.ndarray) -> set | None:
+    k = len(heads)
+    for start in range(1, k):
+        seen = []
+        on_path = set()
+        node = start
+        while node != 0:
+            if node in on_path:
+                idx = seen.index(node)
+                return set(seen[idx:])
+            on_path.add(node)
+            seen.append(node)
+            node = int(heads[node])
+        # reached root: no cycle through start
+    return None
+
+
+def cle_heads_reference(score: np.ndarray) -> np.ndarray:
+    """Best head per node over score[h, m]; node 0 is the root."""
+    k = score.shape[0]
+    s = score.copy()
+    np.fill_diagonal(s, -np.inf)
+    s[:, 0] = -np.inf
+    heads = np.zeros(k, dtype=np.int64)
+    if k > 1:
+        heads[1:] = np.argmax(s[:, 1:], axis=0)
+    cycle = _find_cycle(heads)
+    if cycle is None:
+        return heads
+    cyc = sorted(cycle)
+    rest = [v for v in range(k) if v not in cycle]
+    c_new = len(rest)
+    ns = np.full((c_new + 1, c_new + 1), -np.inf)
+    ns[:c_new, :c_new] = s[np.ix_(rest, rest)]
+    cycle_in = s[heads[cyc], cyc]                        # weight of each cycle arc
+    into = s[np.ix_(rest, cyc)] - cycle_in[None, :]      # swap cost of entering
+    ns[:c_new, c_new] = into.max(axis=1)
+    enter_choice = np.asarray(cyc)[np.argmax(into, axis=1)]
+    out = s[np.ix_(cyc, rest)]
+    ns[c_new, :c_new] = out.max(axis=0)
+    out_choice = np.asarray(cyc)[np.argmax(out, axis=0)]
+    sub = cle_heads_reference(ns)
+    result = heads.copy()
+    for i, m in enumerate(rest):
+        if m == 0:
+            continue
+        nh = int(sub[i])
+        result[m] = out_choice[i] if nh == c_new else rest[nh]
+    entering_head = rest[int(sub[c_new])]
+    m_star = int(enter_choice[rest.index(entering_head)])
+    result[m_star] = entering_head
+    return result
+
+
 # The feature templates as strings: the spec that features.hash_arcs (which
 # composes the same CRCs without building any string) is tested against.
 

@@ -474,6 +474,10 @@ def bad_input_files(removed_surface_files, tmp_path_factory):
         "weight_graph": "0 1 0.5 0\n1 2 heavy 1\n",
         "vertex_graph": "zero 1 0.5 0\n",
         "repeated_id_graph": "0 1 0.5 0\n1 2 0.25 1\n0 2 0.75 0\n",
+        "comment_inside": GOOD_SENTENCE + "\n# ok\n" + GOOD_SENTENCE.replace(
+            "2\tdog", "# misplaced\n2\tdog"),
+        "multiword": GOOD_SENTENCE + "\n1-2\tdu\t_\t_\t_\t_\t_\t_\n" + GOOD_SENTENCE,
+        "empty_node": GOOD_SENTENCE.replace("3\truns", "2.1\tx\t_\t_\t_\t_\t_\t_\n3\truns"),
     }
     files = dict(removed_surface_files)
     for name, body in bodies.items():
@@ -509,6 +513,12 @@ BAD_INPUTS = {
     "bench repeated original_id": (
         ("bench", "--graph-file", "{repeated_id_graph}", "--out", "{out}"), 2,
         "line 3"),
+    # comments are carried only before a sentence's first token line, and
+    # CoNLL-U multiword tokens and empty nodes are not read
+    **{f"parse {name}": (PARSE_CMD[:4] + (f"{{{name}}}",) + PARSE_CMD[5:], 2,
+                         f"line {line}")
+       for name, line in (("comment_inside", 7), ("multiword", 5),
+                          ("empty_node", 3))},
     # training needs gold heads that form a tree
     **{f"train {' '.join(flags)} {name}": (
         TRAIN_CMD[:2] + (f"{{{name}}}",) + TRAIN_CMD[3:] + flags, 2,
@@ -564,3 +574,28 @@ def test_parse_keeps_non_tree_gold_with_a_warning(bad_input_files, tmp_path, cap
                    "--input", bad_input_files["self_loop"], "--output", out) == 0
     assert "do not form a tree" in caplog.text
     assert [len(s) for s in load_conll(out)] == [3, 3]
+
+
+def test_parse_keeps_comments_byte_for_byte(mini_corpus, tmp_path):
+    """Every sentence's leading "#" lines come out of d-mst parsing as they
+    went in; only the HEAD column of token lines may change."""
+    train_path, dev_path = mini_corpus
+    blocks = dev_path.read_text(encoding="utf-8").split("\n\n")[:-1]
+    text = "".join(f"# sent_id = {i}\n# text = d\u00e9j\u00e0 vu\t\u2014 {i}\n{b}\n\n"
+                   for i, b in enumerate(blocks))
+    commented = tmp_path / "commented.conll"
+    commented.write_text(text, encoding="utf-8")
+    model, out = tmp_path / "d.model", tmp_path / "out.conll"
+    assert run("train", "--train", train_path, "--model-out", model,
+               "--system", "d-mst", *TRAIN_FLAGS) == 0
+    assert run("parse", "--model", model, "--system", "d-mst",
+               "--input", commented, "--output", out) == 0
+    got = out.read_bytes().decode("utf-8").split("\n")
+    want = text.split("\n")
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w.startswith("#") or not w:
+            assert g == w
+        else:
+            assert g.split("\t")[:6] + g.split("\t")[7:] == \
+                w.split("\t")[:6] + w.split("\t")[7:]

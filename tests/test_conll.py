@@ -1,6 +1,7 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umstparse.conll import (
     DependencyTree,
@@ -82,6 +83,83 @@ def test_length_mismatch_rejected():
     sents = read_conll(io.StringIO(SAMPLE))
     with pytest.raises(InputError):
         write_conll(sents, [DependencyTree(heads=(0,))], io.StringIO())
+
+
+COMMENTED = """\
+# sent_id = 1
+# text = The cat sleeps .
+1\tThe\t_\tD\tDT\t_\t2\tdet
+2\tcat\t_\tN\tNN\t_\t3\tnsubj
+3\tsleeps\t_\tV\tVB\t_\t0\troot
+4\t.\t_\tP\tPU\t_\t3\tpunct
+
+1\tBirds\t_\tN\tNN\t_\t2\tnsubj
+2\tsing\t_\tV\tVB\t_\t0\troot
+
+#\tmay\thold\ttabs\tand\tdigits\t1\t2\t3
+1\tJa\t_\tV\tVB\t_\t0\troot
+
+"""
+
+
+def test_leading_comments_are_carried_verbatim():
+    sents = read_conll(io.StringIO(COMMENTED))
+    assert [s.comments for s in sents] == [
+        ("# sent_id = 1", "# text = The cat sleeps ."), (),
+        ("#\tmay\thold\ttabs\tand\tdigits\t1\t2\t3",)]
+    assert [s.gold_heads for s in sents] == [(2, 3, 0, 3), (2, 0), (0,)]
+    buf = io.StringIO()
+    write_conll(sents, [DependencyTree(heads=s.gold_heads) for s in sents], buf)
+    assert buf.getvalue() == COMMENTED
+
+
+@pytest.mark.parametrize("text, line", [
+    # a comment line between the token lines of one sentence
+    ("1\ta\t_\t_\t_\t_\t0\troot\n# late\n2\tb\t_\t_\t_\t_\t1\tdep\n", "line 2"),
+    # comment lines that no token line follows
+    ("1\ta\t_\t_\t_\t_\t0\troot\n\n# orphan\n\n", "line 4"),
+    ("1\ta\t_\t_\t_\t_\t0\troot\n\n# at the end\n", "line 3"),
+    # CoNLL-U multiword tokens and empty nodes have no integer ID
+    ("1-2\tdu\t_\t_\t_\t_\t_\t_\n1\tde\t_\t_\t_\t_\t0\troot\n", "line 1"),
+    ("1\ta\t_\t_\t_\t_\t0\troot\n1.1\tb\t_\t_\t_\t_\t_\t_\n", "line 2"),
+])
+def test_misplaced_comments_and_non_integer_ids_name_the_line(text, line):
+    with pytest.raises(DataError, match=line):
+        read_conll(io.StringIO(text))
+
+
+# field text: no tab, no line break, no control character
+FIELD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                min_size=1, max_size=6)
+
+
+@st.composite
+def conll_sentences(draw):
+    n = draw(st.integers(1, 6))
+    tokens = tuple(Token(index=i, form=draw(FIELD), lemma=draw(FIELD),
+                         cpostag=draw(FIELD), postag=draw(FIELD),
+                         feats=draw(FIELD),
+                         extras=tuple(draw(st.lists(FIELD, max_size=3))))
+                   for i in range(1, n + 1))
+    # each token's head precedes it: always a tree, so no warning is logged
+    heads = tuple(draw(st.integers(0, i - 1)) for i in range(1, n + 1))
+    labels = tuple(draw(FIELD) for _ in range(n))
+    comments = tuple("#" + c for c in draw(st.lists(
+        st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                max_size=8), max_size=3)))
+    return Sentence(tokens=tokens, gold_heads=heads, gold_labels=labels,
+                    comments=comments)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(conll_sentences(), max_size=4))
+def test_write_read_round_trip(sents):
+    """Any sentences, extras columns, non-ASCII text and comments included,
+    read back as written (and the text survives UTF-8)."""
+    buf = io.StringIO()
+    write_conll(sents, None, buf)
+    text = buf.getvalue().encode("utf-8").decode("utf-8")
+    assert read_conll(io.StringIO(text)) == sents
 
 
 def test_malformed_line_reports_lineno():

@@ -4,10 +4,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import DataError, InputError
-from umstparse.features import Model, SentenceFeatures, distance_bin, load_model, save_model
+from umstparse.features import (COMBINERS, Model, SentenceFeatures, distance_bin,
+                                load_model, save_model)
 from umstparse.inference import build_pruner
 from umstparse.training import TrainConfig
 
@@ -164,6 +166,30 @@ class TestModelFile:
         assert loaded.mode == "undirected"
         assert loaded.combiner == "product"
         assert loaded.hash_bits == 12
+        assert np.array_equal(loaded.weights, model.weights)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mode=st.sampled_from(("directed", "undirected")),
+           combiner=st.sampled_from(COMBINERS),
+           hash_bits=st.integers(1, 10),
+           data=st.data())
+    def test_save_load_round_trip_property(self, tmp_path, mode, combiner,
+                                           hash_bits, data):
+        """Any finite weights (subnormal, huge, negative) come back exactly,
+        with the mode, combiner and hash_bits."""
+        model = Model.new(mode, combiner=combiner, hash_bits=hash_bits)
+        weights = data.draw(st.dictionaries(
+            st.integers(0, model.size() - 1),
+            st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+        for slot, value in weights.items():
+            model.weights[slot] = value
+        path = tmp_path / "p.model"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.mode, loaded.combiner, loaded.hash_bits) == \
+            (mode, combiner, hash_bits)
+        assert loaded.weights.dtype == model.weights.dtype
         assert np.array_equal(loaded.weights, model.weights)
 
     def test_save_is_byte_deterministic(self, tmp_path):

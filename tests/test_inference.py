@@ -27,6 +27,7 @@ from umstparse.inference import (
 from umstparse.mst import SpanningForest, kruskal_msf
 
 from oracles import (
+    cle_heads_reference,
     exhaustive_best_arborescence,
     extract_directed,
     extract_undirected,
@@ -499,7 +500,24 @@ class TestVectorizedLocalEnhancement:
             LazyArcScores(FIXTURE, Model.new("undirected", hash_bits=10))
 
 
+def ladder_scores(n):
+    """Scores whose every contraction makes a new 2-cycle: token m prefers
+    head m+1 (token n prefers n-1), s[m-1, m] is the runner-up, and root
+    arcs are -1e6, so CLE nests n-1 contractions."""
+    mat = np.full((n + 1, n + 1), -np.inf)
+    mat[0, 1:] = -1e6
+    m = np.arange(1, n)
+    mat[m + 1, m] = 10.0
+    mat[n - 1, n] = 10.0
+    m = np.arange(2, n + 1)
+    mat[m - 1, m] = 5.0
+    return mat
+
+
 class TestCLE:
+    def test_no_tokens(self):
+        assert cle_directed_mst(table_from(np.zeros((1, 1)))).heads == ()
+
     def test_single_token(self):
         table = table_from(np.zeros((2, 2)))
         assert cle_directed_mst(table).heads == (0,)
@@ -523,15 +541,39 @@ class TestCLE:
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(89)
-        for _ in range(120):
+        for i in range(240):
             n = int(rng.integers(1, 8))
-            mat = rng.normal(size=(n + 1, n + 1))
+            # every other table has integer scores in {0..3}: many ties
+            mat = (rng.normal(size=(n + 1, n + 1)) if i % 2
+                   else rng.integers(0, 4, size=(n + 1, n + 1)).astype(float))
             table = table_from(mat)
             tree = cle_directed_mst(table)
             assert is_valid_tree(tree.heads)
             got = sum(mat[h, m + 1] for m, h in enumerate(tree.heads))
             best, _ = exhaustive_best_arborescence(mat)
             assert got == pytest.approx(best, abs=1e-9)
+
+    def test_matches_reference_heads_on_tied_tables(self):
+        # the recursive reference fixes every tie; integer scores in
+        # {0..3} with ~30% absent arcs make ties and -inf columns common
+        rng = np.random.default_rng(2015)
+        for i in range(5200):
+            n = int(rng.integers(30, 71)) if i >= 5000 else int(rng.integers(1, 16))
+            mat = rng.integers(0, 4, size=(n + 1, n + 1)).astype(float)
+            mat[rng.random((n + 1, n + 1)) < 0.3] = -np.inf
+            want = tuple(cle_heads_reference(mat)[1:].tolist())
+            assert cle_directed_mst(table_from(mat)).heads == want, (i, mat)
+
+    def test_deep_cycle_nest_matches_reference(self):
+        # 299 nested contractions: deep, but within the reference's reach
+        mat = ladder_scores(300)
+        want = tuple(cle_heads_reference(mat)[1:].tolist())
+        assert cle_directed_mst(table_from(mat)).heads == want
+
+    def test_deeper_cycle_nest_than_the_recursion_limit(self):
+        # one contraction per token: a recursive form needs 1100 frames
+        tree = cle_directed_mst(table_from(ladder_scores(1100)))
+        assert is_valid_tree(tree.heads)
 
 
 def _model_preferring(sentence, arcs, mode, hash_bits=14):
