@@ -476,8 +476,6 @@ def bad_input_files(removed_surface_files, tmp_path_factory):
         "repeated_id_graph": "0 1 0.5 0\n1 2 0.25 1\n0 2 0.75 0\n",
         "comment_inside": GOOD_SENTENCE + "\n# ok\n" + GOOD_SENTENCE.replace(
             "2\tdog", "# misplaced\n2\tdog"),
-        "multiword": GOOD_SENTENCE + "\n1-2\tdu\t_\t_\t_\t_\t_\t_\n" + GOOD_SENTENCE,
-        "empty_node": GOOD_SENTENCE.replace("3\truns", "2.1\tx\t_\t_\t_\t_\t_\t_\n3\truns"),
     }
     files = dict(removed_surface_files)
     for name, body in bodies.items():
@@ -513,12 +511,9 @@ BAD_INPUTS = {
     "bench repeated original_id": (
         ("bench", "--graph-file", "{repeated_id_graph}", "--out", "{out}"), 2,
         "line 3"),
-    # comments are carried only before a sentence's first token line, and
-    # CoNLL-U multiword tokens and empty nodes are not read
-    **{f"parse {name}": (PARSE_CMD[:4] + (f"{{{name}}}",) + PARSE_CMD[5:], 2,
-                         f"line {line}")
-       for name, line in (("comment_inside", 7), ("multiword", 5),
-                          ("empty_node", 3))},
+    # comments are carried only before a sentence's first token line
+    "parse comment_inside": (PARSE_CMD[:4] + ("{comment_inside}",) + PARSE_CMD[5:],
+                             2, "line 7"),
     # training needs gold heads that form a tree
     **{f"train {' '.join(flags)} {name}": (
         TRAIN_CMD[:2] + (f"{{{name}}}",) + TRAIN_CMD[3:] + flags, 2,

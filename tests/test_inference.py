@@ -541,11 +541,16 @@ class TestCLE:
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(89)
-        for i in range(240):
+        tables = []
+        for _ in range(120):
             n = int(rng.integers(1, 8))
-            # every other table has integer scores in {0..3}: many ties
-            mat = (rng.normal(size=(n + 1, n + 1)) if i % 2
-                   else rng.integers(0, 4, size=(n + 1, n + 1)).astype(float))
+            tables.append(rng.normal(size=(n + 1, n + 1)))
+        # and as many with integer scores in {0..3}: many ties
+        rng = np.random.default_rng(90)
+        for _ in range(120):
+            n = int(rng.integers(1, 8))
+            tables.append(rng.integers(0, 4, size=(n + 1, n + 1)).astype(float))
+        for mat in tables:
             table = table_from(mat)
             tree = cle_directed_mst(table)
             assert is_valid_tree(tree.heads)

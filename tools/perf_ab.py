@@ -8,14 +8,18 @@ directory (no worktree is registered in the repository, so nothing is
 left behind if the run is stopped); the change is the working tree that
 holds this script.  For each seed and workload, ``perfbench/run.py
 --seconds S --trace 0`` runs once in each tree, one run at a time: odd
-seeds run the parent first, even seeds the change first.  Each run uses
-the ``perfbench/`` of its own tree.
+seeds run the parent first, even seeds the change first.  S is the
+``run_seconds`` of ``BENCHMARK.json``, so both sides run as long as the
+benchmark does.  Each run uses the ``perfbench/`` of its own tree.
 
 The output holds, per workload and end-to-end metric of
 ``BENCHMARK.json``: each side's runs, median and quartiles
 (``statistics.quantiles``, inclusive), the change's wins (pairs where it
 reads better; ties count for neither), whether its median is worse than
-the parent's by more than the metric's bound, and whether a gain could be
+the parent's by more than the metric's bound, whether the comparison is
+unresolved (the parent's interquartile range, relative to its median, is
+wider than the bound, and not every change run reads better than every
+parent run), and whether a gain could be
 claimed (wins in at least nine tenths of the pairs and medians apart by
 more than the parent's interquartile range).  It also records failed
 operations and whether every pair wrote identical model and prediction
@@ -60,7 +64,6 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="git revision to compare against")
     p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1-10")
     p.add_argument("--workloads", default="short,long")
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace-seeds", type=parse_seeds, default=[],
                    help="seeds of extra traced pairs (per-layer metrics)")
     p.add_argument("--out", required=True)
@@ -114,12 +117,16 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     worse = (c["median"] < p["median"] * (1 - bound) if higher
              else c["median"] > p["median"] * (1 + bound))
     gap = (c["median"] - p["median"]) * (1 if higher else -1)
+    spread = (p["q3"] - p["q1"]) / p["median"] if p["median"] else float("inf")
+    dominates = (min(change) > max(parent) if higher
+                 else max(change) < min(parent))
     return {"unit": spec["unit"], "better": spec["better"], "bound": bound,
             "parent": p, "change": c,
             "median_ratio_change_over_parent": (round(c["median"] / p["median"], 4)
                                                 if p["median"] else None),
             "wins": wins, "pairs": len(parent),
             "worse_than_bound": worse,
+            "unresolved": spread > bound and not dominates,
             "gain_claimable": wins >= 0.9 * len(parent) and gap > p["q3"] - p["q1"]}
 
 
@@ -172,14 +179,15 @@ def main(argv=None) -> int:
                         else ""),
            "machine": f"{os.cpu_count()} CPUs, {platform.processor() or platform.machine()}, "
                       f"Python {platform.python_version()}",
-           "seconds": args.seconds,
+           "seconds": bench["run_seconds"],
            "end_to_end": {}, "traced": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="perf_ab_") as tmp:
         export(parent_sha, tmp)
         trees = {"parent": tmp, "change": ROOT}
         for workload in workloads:
-            runs = run_pairs(trees, workload, args.seeds, args.seconds, False)
+            runs = run_pairs(trees, workload, args.seeds, bench["run_seconds"],
+                             False)
             res = summary(runs, args.seeds)
             res["metrics"] = {
                 spec["name"]: compare(
