@@ -18,7 +18,13 @@ from .mst import RandomSource, boruvka_msf, kruskal_msf, randomized_msf
 
 CSV_HEADER = "algorithm,n,m,seed,wall_time_ns,total_weight"
 
-ALGORITHMS = ("kruskal", "boruvka", "randomized")
+# engine(graph, seed) per algorithm name; only the randomized engine reads
+# the seed, which fixes its coin flips
+ALGORITHMS = {
+    "kruskal": lambda graph, seed: kruskal_msf(graph),
+    "boruvka": lambda graph, seed: boruvka_msf(graph),
+    "randomized": lambda graph, seed: randomized_msf(graph, RandomSource(seed)),
+}
 
 
 def random_connected_graph(n: int, m: int,
@@ -54,36 +60,28 @@ def random_connected_graph(n: int, m: int,
                            np.arange(len(u), dtype=np.int64))
 
 
-def _run_algorithm(name: str, graph: UndirectedGraph, seed: int):
-    if name == "kruskal":
-        return kruskal_msf(graph)
-    if name == "boruvka":
-        return boruvka_msf(graph)
-    if name == "randomized":
-        return randomized_msf(graph, RandomSource(seed))
-    raise InputError(f"unknown algorithm {name!r}")
-
-
-def _bench_graph(graph: UndirectedGraph, seed: int, algorithms, rows,
-                 stream) -> None:
-    for name in algorithms:
-        start = time.perf_counter_ns()
-        forest = _run_algorithm(name, graph, int(seed))
-        elapsed = time.perf_counter_ns() - start
-        row = (f"{name},{graph.n_vertices},{graph.n_edges},"
-               f"{seed},{elapsed},{forest.total_weight!r}")
-        rows.append(row)
-        if stream is not None:
-            stream.write(row + "\n")
-            stream.flush()
-
-
-def _checked(algorithms) -> list[str]:
+def _bench(instances: Iterable[tuple[UndirectedGraph, int]], algorithms,
+           stream: TextIO | None) -> list[str]:
+    """Time each algorithm on each (graph, seed) instance; the names are
+    checked before anything is written."""
     algorithms = list(algorithms)
     for name in algorithms:
         if name not in ALGORITHMS:
             raise InputError(f"unknown algorithm {name!r}")
-    return algorithms
+    rows = [CSV_HEADER]
+    if stream is not None:
+        stream.write(CSV_HEADER + "\n")
+    for graph, seed in instances:
+        for name in algorithms:
+            start = time.perf_counter_ns()
+            forest = ALGORITHMS[name](graph, seed)
+            elapsed = time.perf_counter_ns() - start
+            rows.append(f"{name},{graph.n_vertices},{graph.n_edges},"
+                        f"{seed},{elapsed},{forest.total_weight!r}")
+            if stream is not None:
+                stream.write(rows[-1] + "\n")
+                stream.flush()
+    return rows
 
 
 def run_bench(sizes: Iterable[int], densities: Iterable[int],
@@ -95,28 +93,19 @@ def run_bench(sizes: Iterable[int], densities: Iterable[int],
     n = max(2, m // density) vertices.  Rows also land on `stream` as
     they are produced, so long runs show progress.
     """
-    algorithms = _checked(algorithms)
-    rows = [CSV_HEADER]
-    if stream is not None:
-        stream.write(CSV_HEADER + "\n")
-    for m in sizes:
-        for density in densities:
-            n = max(2, int(m) // int(density))
-            for seed in seeds:
-                graph = random_connected_graph(
-                    n, int(m), np.random.default_rng([int(seed), int(m), int(density)]))
-                _bench_graph(graph, int(seed), algorithms, rows, stream)
-    return rows
+    def instances():
+        for m in sizes:
+            for density in densities:
+                n = max(2, int(m) // int(density))
+                for seed in seeds:
+                    rng = np.random.default_rng([int(seed), int(m), int(density)])
+                    yield random_connected_graph(n, int(m), rng), int(seed)
+
+    return _bench(instances(), algorithms, stream)
 
 
 def run_bench_graph(graph: UndirectedGraph, seeds: Iterable[int],
                     algorithms: Iterable[str] = ALGORITHMS,
                     stream: TextIO | None = None) -> list[str]:
     """Bench a fixed graph, e.g. one read by :func:`graph.load_graph`."""
-    algorithms = _checked(algorithms)
-    rows = [CSV_HEADER]
-    if stream is not None:
-        stream.write(CSV_HEADER + "\n")
-    for seed in seeds:
-        _bench_graph(graph, int(seed), algorithms, rows, stream)
-    return rows
+    return _bench(((graph, int(seed)) for seed in seeds), algorithms, stream)

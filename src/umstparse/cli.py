@@ -55,8 +55,6 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid config JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -150,10 +148,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _train_config(merged: dict, system: str) -> TrainConfig:
-    kwargs = {f.name: merged[f.name] for f in fields(TrainConfig)
-              if f.name in merged and f.name != "system"}
-    return TrainConfig(system=system, **kwargs).validate()
+def _config(cls, merged: dict, **fixed):
+    """A validated ``cls`` from the merged settings it has fields for;
+    ``fixed`` overrides them."""
+    settings = {f.name: merged[f.name] for f in fields(cls) if f.name in merged}
+    return cls(**{**settings, **fixed}).validate()
 
 
 def cmd_train(args) -> int:
@@ -166,7 +165,7 @@ def cmd_train(args) -> int:
         os.makedirs(args.model_out, exist_ok=True)
         trained = {}        # u-mst-uf-lep trains as u-mst-uf: train that once
         for name in SYSTEMS:
-            config = _train_config(merged, name)
+            config = _config(TrainConfig, merged, system=name)
             trains_as = config.parser_config().system
             if trains_as not in trained:
                 trained[trains_as] = train_full(corpus, config)
@@ -176,7 +175,7 @@ def cmd_train(args) -> int:
             _write_train_log(f"{path}.trainlog.csv", log)
             print(f"trained {name} -> {path}")
         return EXIT_OK
-    config = _train_config(merged, system)
+    config = _config(TrainConfig, merged, system=system)
     model, log = train_full(corpus, config)
     save_model(model, args.model_out)
     _write_train_log(args.log_out or f"{args.model_out}.trainlog.csv", log)
@@ -216,12 +215,7 @@ def cmd_parse(args) -> int:
     if system == "all":
         raise UsageError("parse needs a single --system")
     model.combiner = check_combiner(merged.get("combiner", model.combiner))
-    config = ParserConfig(
-        system=system,
-        enhancement_rounds=merged.get("enhancement_rounds", 5),
-        seed=merged.get("seed", 1),
-        pruning=merged.get("pruning", "none"),
-    ).validate()
+    config = _config(ParserConfig, merged, system=system)
     unread = _unread_parse_flags(args, config)
     if unread:
         raise UsageError(f"{config.system} does not read {', '.join(unread)}")
@@ -326,11 +320,10 @@ def cmd_prune_stats(args) -> int:
     dev_corpus = load_conll(args.dev)
     if not train_corpus or not dev_corpus:
         raise DataError("empty corpus")
-    for name, corpus in (("train", train_corpus), ("dev", dev_corpus)):
-        for number, sent in enumerate(corpus, 1):
-            if any(not 0 <= h <= len(sent) for h in sent.gold_heads):
-                raise DataError(f"{name} sentence {number}: HEAD out of range")
     pruner = build_pruner(train_corpus)
+    for number, sent in enumerate(dev_corpus, 1):
+        if any(not 0 <= h <= len(sent) for h in sent.gold_heads):
+            raise DataError(f"dev sentence {number}: HEAD out of range")
     total_edges = kept_edges = total_gold = kept_gold = 0
     for sent in dev_corpus:
         n = len(sent)
@@ -368,13 +361,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_arg_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -386,10 +374,7 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             pass
         return EXIT_OK
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DataError, InputError) as exc:
+    except (FileNotFoundError, IsADirectoryError, DataError, InputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except UnicodeDecodeError as exc:

@@ -76,10 +76,12 @@ def _parse_token_line(line: str, lineno: int) -> tuple[Token, int, str]:
         raise DataError(f"line {lineno}: expected >=8 tab-separated columns, "
                         f"got {len(cols)}")
     try:
-        index = int(cols[0])
-        head = int(cols[6])
-    except ValueError as exc:
-        raise DataError(f"line {lineno}: non-integer ID or HEAD column") from exc
+        index, head = int(cols[0]), int(cols[6])
+    except ValueError:
+        index = head = None
+    # int() also reads "01", "+1" and " 2", which write_conll would change
+    if str(index) != cols[0] or str(head) != cols[6]:
+        raise DataError(f"line {lineno}: ID and HEAD must be plain integers")
     token = Token(index=index, form=cols[1], lemma=cols[2], cpostag=cols[3],
                   postag=cols[4], feats=cols[5], extras=tuple(cols[8:]))
     return token, head, cols[7]
@@ -144,7 +146,8 @@ def read_conll(lines: Iterable[str]) -> list[Sentence]:
 
 
 def load_conll(path) -> list[Sentence]:
-    with open(path, encoding="utf-8") as fh:
+    """Read a CoNLL file; a leading UTF-8 byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return read_conll(fh)
 
 

@@ -63,6 +63,13 @@ def score(gold: list[Sentence], pred: list[DependencyTree],
     )
 
 
+def _directed_counts(gold, pred_a, pred_b, exclude_punct) -> list:
+    """Per sentence, the directed-correct counts (of a, of b)."""
+    return [(ra[0], rb[0]) for ra, rb in zip(
+        score(gold, pred_a, exclude_punct).per_sentence,
+        score(gold, pred_b, exclude_punct).per_sentence)]
+
+
 def head_to_head(gold: list[Sentence], pred_a: list[DependencyTree],
                  pred_b: list[DependencyTree],
                  exclude_punct: bool = True) -> tuple[float, float, float]:
@@ -70,21 +77,13 @@ def head_to_head(gold: list[Sentence], pred_a: list[DependencyTree],
 
     Returns (pct_a_better, pct_b_better, pct_tie); the three sum to 100.
     """
-    _check_aligned(gold, pred_a)
-    _check_aligned(gold, pred_b)
-    a_wins = b_wins = ties = 0
-    for g, pa, pb in zip(gold, pred_a, pred_b):
-        da = _sentence_counts(g, pa, exclude_punct)[0]
-        db = _sentence_counts(g, pb, exclude_punct)[0]
-        if da > db:
-            a_wins += 1
-        elif db > da:
-            b_wins += 1
-        else:
-            ties += 1
-    total = len(gold)
+    counts = _directed_counts(gold, pred_a, pred_b, exclude_punct)
+    total = len(counts)
     if total == 0:
         return 0.0, 0.0, 0.0
+    a_wins = sum(da > db for da, db in counts)
+    b_wins = sum(db > da for da, db in counts)
+    ties = total - a_wins - b_wins
     return (100.0 * a_wins / total, 100.0 * b_wins / total,
             100.0 * ties / total)
 
@@ -93,13 +92,9 @@ def oracle_combine(gold: list[Sentence], pred_a: list[DependencyTree],
                    pred_b: list[DependencyTree],
                    exclude_punct: bool = True) -> EvalReport:
     """Score of a per-sentence oracle keeping the better tree (ties -> a)."""
-    _check_aligned(gold, pred_a)
-    _check_aligned(gold, pred_b)
-    chosen = []
-    for g, pa, pb in zip(gold, pred_a, pred_b):
-        da = _sentence_counts(g, pa, exclude_punct)[0]
-        db = _sentence_counts(g, pb, exclude_punct)[0]
-        chosen.append(pb if db > da else pa)
+    counts = _directed_counts(gold, pred_a, pred_b, exclude_punct)
+    chosen = [pb if db > da else pa
+              for pa, pb, (da, db) in zip(pred_a, pred_b, counts)]
     return score(gold, chosen, exclude_punct)
 
 

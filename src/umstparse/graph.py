@@ -133,6 +133,22 @@ def _contract(graph: UndirectedGraph, idx: np.ndarray,
     )
 
 
+def _lightest(k: int, groups, weight: np.ndarray,
+              oid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of k groups' minimum weight (+inf if empty) and a mask of the
+    edges that are some group's minimum in the (weight, original_id) order;
+    edge i is in group ``g[i]`` for each array ``g`` of ``groups``."""
+    wmin = np.full(k, np.inf)
+    for g in groups:
+        np.minimum.at(wmin, g, weight)
+    ties = [weight == wmin[g] for g in groups]
+    idmin = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+    for g, tie in zip(groups, ties):
+        np.minimum.at(idmin, g[tie], oid[tie])
+    chosen = [tie & (oid == idmin[g]) for g, tie in zip(groups, ties)]
+    return wmin, np.logical_or.reduce(chosen)
+
+
 def simplify(graph: UndirectedGraph) -> UndirectedGraph:
     """Drop self edges and keep only the minimum edge per vertex pair.
 
@@ -146,18 +162,12 @@ def simplify(graph: UndirectedGraph) -> UndirectedGraph:
         return UndirectedGraph(graph.n_vertices, [], [], [], [], _validate=False)
     lo = np.minimum(graph.u[loopless], graph.v[loopless])
     hi = np.maximum(graph.u[loopless], graph.v[loopless])
-    w = graph.weight[loopless]
-    oid = graph.original_id[loopless]
     # group parallel edges by pair key, then scatter-minimize (weight,
     # original_id) per group; cheaper than one big multi-key sort
     gid = np.unique(lo * graph.n_vertices + hi, return_inverse=True)[1]
-    k = int(gid.max()) + 1
-    wmin = np.full(k, np.inf)
-    np.minimum.at(wmin, gid, w)
-    cand = w == wmin[gid]
-    idmin = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(idmin, gid[cand], oid[cand])
-    survivors = loopless[cand & (oid == idmin[gid])]
+    survivors = loopless[_lightest(int(gid.max()) + 1, [gid],
+                                   graph.weight[loopless],
+                                   graph.original_id[loopless])[1]]
     return UndirectedGraph(
         graph.n_vertices,
         graph.u[survivors],
@@ -168,33 +178,16 @@ def simplify(graph: UndirectedGraph) -> UndirectedGraph:
     )
 
 
-def min_incident_weights(graph: UndirectedGraph) -> np.ndarray:
-    """Each vertex's minimum incident edge weight; +inf for a vertex
-    without any incident edge."""
-    wmin = np.full(graph.n_vertices, np.inf)
-    np.minimum.at(wmin, graph.u, graph.weight)
-    np.minimum.at(wmin, graph.v, graph.weight)
-    return wmin
+def min_incident_edges(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of each vertex's minimum incident edge, deduplicated, and
+    each vertex's minimum incident weight.
 
-
-def min_incident_edges(graph: UndirectedGraph) -> np.ndarray:
-    """Indices of each vertex's minimum incident edge, deduplicated.
-
-    The comparison order is (weight, original_id); vertices without any
-    incident edge select nothing, which matches an unset minimum sentinel
-    of +infinity.
+    The comparison order is (weight, original_id); a vertex without any
+    incident edge selects nothing and weighs +inf.
     """
-    if graph.n_edges == 0:
-        return np.empty(0, dtype=np.int64)
-    u, v, w, oid = graph.u, graph.v, graph.weight, graph.original_id
-    wmin = min_incident_weights(graph)
-    cu = w == wmin[u]
-    cv = w == wmin[v]
-    idmin = np.full(graph.n_vertices, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(idmin, u[cu], oid[cu])
-    np.minimum.at(idmin, v[cv], oid[cv])
-    sel = (cu & (oid == idmin[u])) | (cv & (oid == idmin[v]))
-    return np.nonzero(sel)[0]
+    wmin, chosen = _lightest(graph.n_vertices, [graph.u, graph.v],
+                             graph.weight, graph.original_id)
+    return np.nonzero(chosen)[0], wmin
 
 
 def boruvka_step(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:
@@ -209,7 +202,7 @@ def boruvka_step(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:
     """
     if graph.n_edges and (graph.u == graph.v).any():
         raise InputError("boruvka_step requires a simplified graph (no self edges)")
-    sel = min_incident_edges(graph)
+    sel = min_incident_edges(graph)[0]
     contracted = simplify(contract_graph(graph, sel))
     return contracted, np.sort(graph.original_id[sel])
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conll import DependencyTree, Sentence
-from .errors import InputError, StructureError
+from .errors import DataError, InputError, StructureError
 from .features import (Model, SentenceFeatures, arc_matrix, check_combiner,
                        hash_arcs, pair_mask, position_table)
 from .graph import UndirectedGraph
@@ -122,13 +122,18 @@ class Pruner:
 
 
 def build_pruner(corpus: list[Sentence]) -> Pruner:
-    """Collect maximum gold attachment lengths per directed POS pair."""
+    """Collect maximum gold attachment lengths per directed POS pair.
+
+    A gold HEAD outside [0, n] is a DataError naming the sentence.
+    """
     max_len: dict = {}
-    for sent in corpus:
-        for mod0, head in enumerate(sent.gold_heads):
-            mod = mod0 + 1
+    for number, sent in enumerate(corpus, 1):
+        n = len(sent)
+        for mod, head in enumerate(sent.gold_heads, 1):
             if head == 0:
                 continue
+            if not 0 < head <= n:
+                raise DataError(f"train sentence {number}: HEAD out of range")
             key = (sent.tokens[head - 1].postag,
                    sent.tokens[mod - 1].postag,
                    1 if mod > head else -1)

@@ -27,7 +27,6 @@ from .graph import (
     boruvka_step,
     connected_components,
     min_incident_edges,
-    min_incident_weights,
     simplify,
 )
 from .unionfind import UnionFind
@@ -56,28 +55,22 @@ class SpanningForest:
 class RandomSource:
     """Seedable coin-flip stream; one seed fixes the whole algorithm trace.
 
-    The generator is built on the first coin flip, so a run that flips no
-    coin (a graph small enough for the Kruskal base case) costs nothing.
+    ``RandomSource(seed)`` flips from ``PCG64(seed)``; with keys, from the
+    first word of ``SeedSequence([seed, *keys])``.  The generator is built
+    on the first flip, so a run that flips no coin (a graph small enough for
+    the Kruskal base case) costs nothing.
     """
 
-    def __init__(self, seed: int):
-        self._seed = int(seed)
-        self._key = None
+    def __init__(self, seed: int, *keys: int):
+        self._key = [int(seed), *(int(k) for k in keys)]
+        if min(self._key) < 0:      # as numpy would, at the first flip
+            raise ValueError("seed and keys must be non-negative")
+        self._seed = None if keys else self._key[0]
         self._gen = None
 
     @classmethod
     def derive(cls, seed: int, *keys: int) -> "RandomSource":
-        """A child source keyed by (seed, *keys); stable across runs.
-
-        Its seed, ``SeedSequence([seed, *keys])``'s first 64-bit word, is
-        computed when first read.
-        """
-        key = [int(seed), *(int(k) for k in keys)]
-        if min(key) < 0:        # as SeedSequence would, flips or no flips
-            raise ValueError("seed and keys must be non-negative")
-        source = cls(0)
-        source._seed, source._key = None, key
-        return source
+        return cls(seed, *keys)
 
     @property
     def seed(self) -> int:
@@ -129,13 +122,11 @@ def kruskal_msf(graph: UndirectedGraph) -> SpanningForest:
 
 def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
     """Minimum spanning forest by repeated minimum-edge contraction."""
-    g = simplify(graph)
-    parts = []
+    g, ids = simplify(graph), [np.empty(0, dtype=np.int64)]
     while g.n_edges:
         g, selected = boruvka_step(g)
-        parts.append(selected)
-    ids = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
-    return _forest_of(graph, ids)
+        ids.append(selected)
+    return _forest_of(graph, np.concatenate(ids))
 
 
 def _edges_where(g: UndirectedGraph, keep: np.ndarray) -> UndirectedGraph:
@@ -167,9 +158,8 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
         live, a, b = live[apart], a[apart], b[apart]
         if not (live.size and forest.n_edges):
             break
-        weight = min_incident_weights(forest)
+        sel, weight = min_incident_edges(forest)
         pmax[live] = np.maximum(pmax[live], np.maximum(weight[a], weight[b]))
-        sel = min_incident_edges(forest)
         labels = connected_components(forest, sel)
         forest = _contract(forest, sel, labels)
         a, b = labels[a], labels[b]
@@ -193,40 +183,30 @@ def f_heavy_edges(graph: UndirectedGraph, forest: SpanningForest) -> set:
     return {int(i) for i in graph.original_id[heavy]}
 
 
-def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> list:
-    if g.n_edges == 0:
-        return []
+def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> np.ndarray:
+    """Original ids of the forest edges of the simple graph g."""
     if g.n_edges <= _BASE_EDGES:
-        return [g.original_id[_kruskal_positions(g)]]
-    gc, sel1 = boruvka_step(g)
-    parts = [sel1]
+        return g.original_id[_kruskal_positions(g)]
+    gc, ids = boruvka_step(g)
     if gc.n_edges:
-        gc, sel2 = boruvka_step(gc)
-        parts.append(sel2)
+        gc, more = boruvka_step(gc)
+        ids = np.concatenate([ids, more])
     if gc.n_edges == 0:
-        return parts
-    coins = rng.coin_flips(gc.n_edges)
-    sampled = np.nonzero(coins)[0]
-    if sampled.size:
-        su, sv = gc.u[sampled], gc.v[sampled]
-        verts = np.unique(np.concatenate([su, sv]))
-        sample = UndirectedGraph(
-            len(verts),
-            np.searchsorted(verts, su),
-            np.searchsorted(verts, sv),
-            gc.weight[sampled],
-            gc.original_id[sampled],
-            _validate=False,
-        )
-        f_parts = _randomized_rec(sample, rng)
-        f_ids = (np.concatenate(f_parts) if f_parts
-                 else np.empty(0, dtype=np.int64))
-    else:
-        f_ids = np.empty(0, dtype=np.int64)
-    forest_mask = np.isin(gc.original_id, f_ids)
+        return ids
+    sampled = np.nonzero(rng.coin_flips(gc.n_edges))[0]
+    su, sv = gc.u[sampled], gc.v[sampled]
+    verts = np.unique(np.concatenate([su, sv]))
+    sample = UndirectedGraph(
+        len(verts),
+        np.searchsorted(verts, su),
+        np.searchsorted(verts, sv),
+        gc.weight[sampled],
+        gc.original_id[sampled],
+        _validate=False,
+    )
+    forest_mask = np.isin(gc.original_id, _randomized_rec(sample, rng))
     keep = ~_f_heavy_mask(gc, forest_mask)
-    parts.extend(_randomized_rec(_edges_where(gc, keep), rng))
-    return parts
+    return np.concatenate([ids, _randomized_rec(_edges_where(gc, keep), rng)])
 
 
 def randomized_msf(graph: UndirectedGraph, rng: RandomSource) -> SpanningForest:
@@ -245,6 +225,4 @@ def randomized_msf(graph: UndirectedGraph, rng: RandomSource) -> SpanningForest:
     """
     if graph.n_edges <= _BASE_EDGES:
         return kruskal_msf(graph)
-    parts = _randomized_rec(simplify(graph), rng)
-    ids = (np.concatenate(parts) if parts else np.empty(0, dtype=np.int64))
-    return _forest_of(graph, ids)
+    return _forest_of(graph, _randomized_rec(simplify(graph), rng))

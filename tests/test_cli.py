@@ -531,6 +531,11 @@ BAD_INPUTS = {
     "prune-stats dev negative head": (
         ("prune-stats", "--train", "{train}", "--dev", "{negative_head}"), 2,
         "dev sentence 2"),
+    # the pruner parse rebuilds reads the same gold heads
+    **{f"parse --prune-train {name}": (
+        PARSE_CMD + ("--pruning", "length-dictionary", "--prune-train", f"{{{name}}}"),
+        2, "train sentence 2")
+       for name in ("head_past_end", "negative_head")},
 }
 
 

@@ -9,7 +9,9 @@ from umstparse.conll import (
     Token,
     is_punctuation,
     is_valid_tree,
+    load_conll,
     read_conll,
+    save_conll,
     write_conll,
 )
 from umstparse.errors import DataError, InputError
@@ -122,10 +124,28 @@ def test_leading_comments_are_carried_verbatim():
     # CoNLL-U multiword tokens and empty nodes have no integer ID
     ("1-2\tdu\t_\t_\t_\t_\t_\t_\n1\tde\t_\t_\t_\t_\t0\troot\n", "line 1"),
     ("1\ta\t_\t_\t_\t_\t0\troot\n1.1\tb\t_\t_\t_\t_\t_\t_\n", "line 2"),
+    # ID and HEAD are plain integers: no leading zero, sign or space, which
+    # write_conll would not write back as they came
+    ("01\ta\t_\t_\t_\t_\t0\troot\n", "line 1"),
+    ("1\ta\t_\t_\t_\t_\t0\troot\n+2\tb\t_\t_\t_\t_\t1\tdep\n", "line 2"),
+    ("1\ta\t_\t_\t_\t_\t+0\troot\n", "line 1"),
+    ("1\ta\t_\t_\t_\t_\t2\tdep\n2\tb\t_\t_\t_\t_\t00\troot\n", "line 2"),
+    ("1\ta\t_\t_\t_\t_\t 0\troot\n", "line 1"),
+    ("1\ta\t_\t_\t_\t_\t-0\troot\n", "line 1"),
 ])
 def test_misplaced_comments_and_non_integer_ids_name_the_line(text, line):
     with pytest.raises(DataError, match=line):
         read_conll(io.StringIO(text))
+
+
+def test_byte_order_mark_is_skipped_and_not_written(tmp_path):
+    path = tmp_path / "bom.conll"
+    path.write_bytes(b"\xef\xbb\xbf" + SAMPLE.encode("utf-8"))
+    sents = load_conll(path)
+    assert sents == read_conll(io.StringIO(SAMPLE))
+    out = tmp_path / "out.conll"
+    save_conll(out, sents)
+    assert out.read_bytes() == SAMPLE.encode("utf-8")
 
 
 # field text: no tab, no line break, no control character

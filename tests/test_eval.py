@@ -92,6 +92,12 @@ def test_misalignment_rejected():
         score(GOLD, trees([0]))
     with pytest.raises(InputError):
         score(GOLD, trees([2, 3, 0, 3]))
+    aligned = trees([2, 3, 0, 3], [2, 0])
+    for compare in (head_to_head, oracle_combine):
+        for misaligned in (trees([0]), trees([2, 3, 0, 3]),
+                           trees([2, 3, 0, 3], [2, 0, 1])):
+            with pytest.raises(InputError):
+                compare(GOLD, aligned, misaligned)
 
 
 class TestHeadToHead:

@@ -354,6 +354,8 @@ class TestLazyCoinStream:
     def test_negative_seed_rejected_at_derive(self):
         with pytest.raises(ValueError):
             RandomSource.derive(-1, 0)
+        with pytest.raises(ValueError):     # at construction, not the first flip
+            RandomSource(-1)
 
     def test_base_case_builds_no_generator(self, monkeypatch):
         n = mst._BASE_EDGES // 2
