@@ -77,10 +77,11 @@ def _parse_token_line(line: str, lineno: int) -> tuple[Token, int, str]:
                         f"got {len(cols)}")
     try:
         index, head = int(cols[0]), int(cols[6])
+        plain = str(index) == cols[0] and str(head) == cols[6]
     except ValueError:
-        index = head = None
+        plain = False
     # int() also reads "01", "+1" and " 2", which write_conll would change
-    if str(index) != cols[0] or str(head) != cols[6]:
+    if not plain:
         raise DataError(f"line {lineno}: ID and HEAD must be plain integers")
     token = Token(index=index, form=cols[1], lemma=cols[2], cpostag=cols[3],
                   postag=cols[4], feats=cols[5], extras=tuple(cols[8:]))

@@ -16,15 +16,6 @@ class EvalReport:
     per_sentence: list   # (d_correct, u_correct, n_scored) per sentence
 
 
-def _check_aligned(gold: list[Sentence], pred: list[DependencyTree]) -> None:
-    if len(gold) != len(pred):
-        raise InputError(f"{len(gold)} gold sentences vs {len(pred)} predictions")
-    for i, (g, p) in enumerate(zip(gold, pred)):
-        if len(g) != len(p.heads):
-            raise InputError(f"sentence {i}: {len(g)} tokens vs "
-                             f"{len(p.heads)} predicted heads")
-
-
 def _sentence_counts(sent: Sentence, pred: DependencyTree,
                      exclude_punct: bool) -> tuple[int, int, int]:
     gold_pairs = {(min(h, m + 1), max(h, m + 1))
@@ -49,7 +40,12 @@ def score(gold: list[Sentence], pred: list[DependencyTree],
     {token, predicted head} occurs as a gold edge; punctuation tokens are
     skipped as scored dependents when exclude_punct is set.
     """
-    _check_aligned(gold, pred)
+    if len(gold) != len(pred):
+        raise InputError(f"{len(gold)} gold sentences vs {len(pred)} predictions")
+    for i, (g, p) in enumerate(zip(gold, pred)):
+        if len(g) != len(p.heads):
+            raise InputError(f"sentence {i}: {len(g)} tokens vs "
+                             f"{len(p.heads)} predicted heads")
     per_sentence = [_sentence_counts(g, p, exclude_punct)
                     for g, p in zip(gold, pred)]
     d = sum(row[0] for row in per_sentence)

@@ -133,6 +133,9 @@ def _contract(graph: UndirectedGraph, idx: np.ndarray,
     )
 
 
+_NO_ID = np.iinfo(np.int64).max     # above every original_id
+
+
 def _lightest(k: int, groups, weight: np.ndarray,
               oid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each of k groups' minimum weight (+inf if empty) and a mask of the
@@ -142,11 +145,13 @@ def _lightest(k: int, groups, weight: np.ndarray,
     for g in groups:
         np.minimum.at(wmin, g, weight)
     ties = [weight == wmin[g] for g in groups]
-    idmin = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
+    idmin = np.full(k, _NO_ID, dtype=np.int64)
     for g, tie in zip(groups, ties):
         np.minimum.at(idmin, g[tie], oid[tie])
-    chosen = [tie & (oid == idmin[g]) for g, tie in zip(groups, ties)]
-    return wmin, np.logical_or.reduce(chosen)
+    chosen = np.zeros(len(weight), dtype=bool)
+    for g, tie in zip(groups, ties):
+        chosen |= tie & (oid == idmin[g])
+    return wmin, chosen
 
 
 def simplify(graph: UndirectedGraph) -> UndirectedGraph:

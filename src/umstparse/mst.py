@@ -63,7 +63,7 @@ class RandomSource:
 
     def __init__(self, seed: int, *keys: int):
         self._key = [int(seed), *(int(k) for k in keys)]
-        if min(self._key) < 0:      # as numpy would, at the first flip
+        if min(self._key) < 0:      # numpy would raise only at the first flip
             raise ValueError("seed and keys must be non-negative")
         self._seed = None if keys else self._key[0]
         self._gen = None
