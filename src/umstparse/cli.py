@@ -21,7 +21,8 @@ from .errors import DataError, InputError, StructureError
 from .evaluate import format_report, head_to_head, oracle_combine, report_csv_rows, score
 from .features import COMBINERS, check_combiner, load_model, pair_mask, save_model
 from .graph import load_graph
-from .inference import SETTINGS_READ, SYSTEMS, ParserConfig, build_pruner, parse
+from .inference import (PRUNING_MODES, SETTINGS_READ, SYSTEMS, ParserConfig,
+                        build_pruner, parse)
 from .training import TrainConfig, train_full
 
 EXIT_OK = 0
@@ -90,8 +91,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, default=None)
     p_train.add_argument("--shuffle", action="store_const", const=True, default=None)
     p_train.add_argument("--combiner", choices=COMBINERS, default=None)
-    p_train.add_argument("--pruning", choices=["none", "length-dictionary"],
-                         default=None)
+    p_train.add_argument("--pruning", choices=PRUNING_MODES, default=None)
     p_train.add_argument("--hash-bits", type=int, dest="hash_bits", default=None)
     p_train.add_argument("--log-out", default=None,
                          help="per-epoch training UAS CSV (default: <model>.trainlog.csv)")
@@ -106,8 +106,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          dest="enhancement_rounds", default=None)
     p_parse.add_argument("--combiner", choices=COMBINERS, default=None,
                          help="override the combiner stored in the model file")
-    p_parse.add_argument("--pruning", choices=["none", "length-dictionary"],
-                         default=None)
+    p_parse.add_argument("--pruning", choices=PRUNING_MODES, default=None)
     p_parse.add_argument("--prune-train", default=None,
                          help="training CoNLL used to rebuild the pruner")
 

@@ -354,7 +354,6 @@ class SentenceFeatures:
         if mode not in _ROLES:
             raise InputError(f"unknown feature mode {mode!r}")
         check_hash_bits(hash_bits)
-        self.sentence = sentence
         self.mode = mode
         n = len(sentence)
         arcs = arc_matrix(n) if allowed is None else allowed

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import InputError
-from .unionfind import UnionFind
 
 
 class UndirectedGraph:
@@ -88,23 +87,24 @@ def connected_components(graph: UndirectedGraph, edge_subset) -> np.ndarray:
     """
     idx = _subset_indices(graph, edge_subset)
     n = graph.n_vertices
-    uf = UnionFind(n)
-    us = graph.u[idx].tolist()
-    vs = graph.v[idx].tolist()
-    union = uf.union
-    for a, b in zip(us, vs):
-        union(a, b)
-    parent = np.asarray(uf.parent, dtype=np.int64)
-    # flatten the (already shallow) union-find trees
+    parent = np.arange(n)
+    a, b = graph.u[idx], graph.v[idx]
+    # hook and shortcut (Shiloach-Vishkin): each round hooks every root to
+    # its smallest neighbouring root, then jumps pointers until every tree
+    # is a star; a root is thus always its component's smallest vertex
     while True:
-        nxt = parent[parent]
-        if np.array_equal(nxt, parent):
+        a, b = parent[a], parent[b]
+        cross = a != b
+        a, b = a[cross], b[cross]
+        if not a.size:
             break
-        parent = nxt
-    roots, first = np.unique(parent, return_index=True)
-    rank = np.empty(len(roots), dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(len(roots))
-    return rank[np.searchsorted(roots, parent)]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = parent[parent]
+            if not np.count_nonzero(jumped != parent):
+                break
+            parent = jumped
+    return (np.cumsum(parent == np.arange(n)) - 1)[parent]
 
 
 def contract_graph(graph: UndirectedGraph, edge_subset) -> UndirectedGraph:

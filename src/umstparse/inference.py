@@ -23,6 +23,7 @@ from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, randomized_msf
 
 SYSTEMS = ("d-mst", "u-mst-uf", "u-mst-uf-lep", "u-mst-df")
+PRUNING_MODES = ("none", "length-dictionary")
 
 # The parse settings each system reads besides its model and the seed.
 # d-mst runs on the complete directed graph, so it reads no pruning; only
@@ -47,12 +48,12 @@ class ParserConfig:
     system: str = "u-mst-uf"
     enhancement_rounds: int = 5
     seed: int = 1
-    pruning: str = "none"             # or "length-dictionary"
+    pruning: str = "none"             # one of PRUNING_MODES
 
     def validate(self):
         if self.system not in SYSTEMS:
             raise InputError(f"unknown system {self.system!r}")
-        if self.pruning not in ("none", "length-dictionary"):
+        if self.pruning not in PRUNING_MODES:
             raise InputError(f"unknown pruning mode {self.pruning!r}")
         if self.enhancement_rounds < 0:
             raise InputError("enhancement_rounds must be >= 0")
@@ -490,7 +491,7 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
                                or system == "u-mst-uf-lep"):
         allowed = pruner.mask(sentence)
     pg, _ = build_parse_graph(sentence, model, allowed, features)
-    forest = randomized_msf(pg.graph, RandomSource.derive(config.seed, sentence_index))
+    forest = randomized_msf(pg.graph, RandomSource(config.seed, sentence_index))
     tree = direct_tree(pg.graph, forest)
     if system == "u-mst-uf-lep":
         if directed_model is None:

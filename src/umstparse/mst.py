@@ -68,10 +68,6 @@ class RandomSource:
         self._seed = None if keys else self._key[0]
         self._gen = None
 
-    @classmethod
-    def derive(cls, seed: int, *keys: int) -> "RandomSource":
-        return cls(seed, *keys)
-
     @property
     def seed(self) -> int:
         if self._seed is None:

@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from umstparse.graph import (
     contract_graph,
     dump_graph,
     load_graph,
+    min_incident_edges,
     simplify,
 )
 
@@ -26,6 +28,15 @@ def labels_to_sets(labels, n):
     for v in range(n):
         comps.setdefault(int(labels[v]), set()).add(v)
     return sorted(comps.values(), key=min)
+
+
+def dense_labels(components, n):
+    """Labels dense from 0 in order of each component's smallest vertex."""
+    lab = [0] * n
+    for k, comp in enumerate(sorted(components, key=min)):
+        for x in comp:
+            lab[x] = k
+    return lab
 
 
 class TestConnectedComponents:
@@ -53,10 +64,35 @@ class TestConnectedComponents:
             m = int(rng.integers(0, max(1, n * (n - 1) // 2)))
             u, v, w = random_graph(rng, n, m, connected=False)
             g = UndirectedGraph(n, u, v, w, np.arange(len(u)))
-            lab = connected_components(g, range(g.n_edges))
-            expected = sorted(bfs_components(n, zip(u.tolist(), v.tolist())),
-                              key=min)
-            assert labels_to_sets(lab, n) == expected
+            # the full edge set, a minimum-incident selection (the Boruvka
+            # and F-heavy callers' input) and a random half
+            for subset in (np.arange(g.n_edges), min_incident_edges(g)[0],
+                           np.nonzero(rng.random(g.n_edges) < 0.5)[0]):
+                lab = connected_components(g, subset)
+                expected = sorted(bfs_components(
+                    n, zip(u[subset].tolist(), v[subset].tolist())), key=min)
+                assert labels_to_sets(lab, n) == expected
+                assert lab.tolist() == dense_labels(expected, n)
+
+    @pytest.mark.parametrize("shape", ["star", "descending_path",
+                                       "random_path"])
+    def test_adversarial_numbering_settles_fast(self, shape):
+        # hooking to the last root written instead of the smallest would
+        # need n - 1 rounds on the star whose centre is the largest vertex
+        n = 20_000
+        if shape == "star":
+            u, v = np.arange(n - 1), np.full(n - 1, n - 1)
+        elif shape == "descending_path":
+            u, v = np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)
+        else:
+            order = np.random.default_rng(3).permutation(n)
+            u, v = order[:-1], order[1:]
+        g = UndirectedGraph(n, u, v, np.ones(n - 1), np.arange(n - 1))
+        start = time.perf_counter()
+        lab = connected_components(g, np.arange(n - 1))
+        assert time.perf_counter() - start < 0.5
+        expected = bfs_components(n, zip(u.tolist(), v.tolist()))
+        assert lab.tolist() == dense_labels(expected, n) == [0] * n
 
     def test_labels_dense_and_first_occurrence_ordered(self):
         g = make(5, [(3, 4, 1.0), (1, 2, 1.0)])

@@ -215,9 +215,9 @@ class TestRandomSource:
         assert np.array_equal(a, b)
 
     def test_derive_is_stable_and_keyed(self):
-        a = RandomSource.derive(7, 3).coin_flips(50)
-        b = RandomSource.derive(7, 3).coin_flips(50)
-        c = RandomSource.derive(7, 4).coin_flips(50)
+        a = RandomSource(7, 3).coin_flips(50)
+        b = RandomSource(7, 3).coin_flips(50)
+        c = RandomSource(7, 4).coin_flips(50)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -344,18 +344,18 @@ class TestLazyCoinStream:
         eager_seed = int(np.random.SeedSequence([seed, key]).generate_state(
             1, np.uint64)[0])
         eager = np.random.Generator(np.random.PCG64(eager_seed)).random(80) < 0.5
-        assert RandomSource.derive(seed, key).seed == eager_seed
-        assert np.array_equal(RandomSource.derive(seed, key).coin_flips(80), eager)
-        source = RandomSource.derive(seed, key)
+        assert RandomSource(seed, key).seed == eager_seed
+        assert np.array_equal(RandomSource(seed, key).coin_flips(80), eager)
+        source = RandomSource(seed, key)
         first = source.coin_flips(30)
         assert source.seed == eager_seed
         assert np.array_equal(np.concatenate([first, source.coin_flips(50)]), eager)
 
     def test_negative_seed_rejected_at_derive(self):
-        with pytest.raises(ValueError):
-            RandomSource.derive(-1, 0)
-        with pytest.raises(ValueError):     # at construction, not the first flip
-            RandomSource(-1)
+        # at construction, not the first flip; keyed or not
+        for args in ((-1, 0), (-1,), (1, -1)):
+            with pytest.raises(ValueError):
+                RandomSource(*args)
 
     def test_base_case_builds_no_generator(self, monkeypatch):
         n = mst._BASE_EDGES // 2
@@ -369,5 +369,5 @@ class TestLazyCoinStream:
 
         monkeypatch.setattr(np.random, "SeedSequence", unexpected)
         monkeypatch.setattr(np.random, "PCG64", unexpected)
-        assert randomized_msf(g, RandomSource.derive(5, 17)) == want
+        assert randomized_msf(g, RandomSource(5, 17)) == want
         assert randomized_msf(g, RandomSource(5)) == want

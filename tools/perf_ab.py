@@ -3,10 +3,13 @@
     python3 tools/perf_ab.py --parent HEAD~1 --seeds 1-10 \
         --workloads short,long --out BENCH_x.json [--trace-seeds 1]
 
-The parent is exported with ``git archive REV`` into a temporary
-directory (no worktree is registered in the repository, so nothing is
-left behind if the run is stopped); the change is the working tree that
-holds this script.  For each seed and workload, ``perfbench/run.py
+Both sides run from fresh copies in temporary directories (no worktree
+is registered in the repository, so nothing is left behind if the run
+is stopped): the parent is ``git archive REV``; the change is the
+working tree that holds this script, as its tracked files plus the
+untracked ones git does not ignore (``git ls-files -co
+--exclude-standard``), so new files come along and ignored ones, such as
+a persisted ``.perfbench_work/``, do not.  For each seed and workload, ``perfbench/run.py
 --seconds S --trace 0`` runs once in each tree, one run at a time: odd
 seeds run the parent first, even seeds the change first.  S is the
 ``run_seconds`` of ``BENCHMARK.json``, so both sides run as long as the
@@ -36,6 +39,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -80,6 +84,16 @@ def export(rev: str, dest: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def export_worktree(dest: str) -> None:
+    """Copy the working tree's tracked and unignored untracked files (as
+    they are on disk; deleted ones are skipped) into ``dest``."""
+    for name in git("ls-files", "-z", "-co", "--exclude-standard").split("\0"):
+        src = os.path.join(ROOT, name)
+        if name and os.path.lexists(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name), follow_symlinks=False)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float,
@@ -183,8 +197,11 @@ def main(argv=None) -> int:
            "end_to_end": {}, "traced": {}}
     ok = True
     with tempfile.TemporaryDirectory(prefix="perf_ab_") as tmp:
-        export(parent_sha, tmp)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in ("parent", "change")}
+        for tree in trees.values():
+            os.mkdir(tree)
+        export(parent_sha, trees["parent"])
+        export_worktree(trees["change"])
         for workload in workloads:
             runs = run_pairs(trees, workload, args.seeds, bench["run_seconds"],
                              False)
