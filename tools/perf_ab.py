@@ -8,12 +8,13 @@ is registered in the repository, so nothing is left behind if the run
 is stopped): the parent is ``git archive REV``; the change is the
 working tree that holds this script, as its tracked files plus the
 untracked ones git does not ignore (``git ls-files -co
---exclude-standard``), so new files come along and ignored ones, such as
-a persisted ``.perfbench_work/``, do not.  For each seed and workload, ``perfbench/run.py
---seconds S --trace 0`` runs once in each tree, one run at a time: odd
-seeds run the parent first, even seeds the change first.  S is the
-``run_seconds`` of ``BENCHMARK.json``, so both sides run as long as the
-benchmark does.  Each run uses the ``perfbench/`` of its own tree.
+--exclude-standard``), so new files come along and ignored ones, such
+as a persisted ``.perfbench_work/``, do not.  For each seed and
+workload, ``perfbench/run.py --seconds S --trace 0`` runs once in each
+tree, one run at a time: odd seeds run the parent first, even seeds the
+change first.  S is the ``run_seconds`` of ``BENCHMARK.json``, so both
+sides run as long as the benchmark does.  Each run uses the
+``perfbench/`` of its own tree.
 
 The output holds, per workload and end-to-end metric of
 ``BENCHMARK.json``: each side's runs, median and quartiles
