@@ -117,14 +117,13 @@ def load_model(path) -> Model:
         nnz = int(lines[4].split(" ", 1)[1])
     except (KeyError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed model header") from exc
-    try:
-        check_hash_bits(hash_bits)
-    except InputError as exc:
-        raise DataError(f"{path}: {exc}") from exc
     if len(lines) - 5 != nnz:
         raise DataError(f"{path}: header says nnz {nnz} but {len(lines) - 5} "
                         "weight lines follow")
-    model = Model.new(mode=mode, combiner=combiner, hash_bits=hash_bits)
+    try:
+        model = Model.new(mode=mode, combiner=combiner, hash_bits=hash_bits)
+    except InputError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     size = model.size()
     for line in lines[5:]:
         try:

@@ -4,6 +4,9 @@ Edges carry an ``original_id`` that survives contraction, so any edge of a
 derived graph can be traced back to the outermost input graph.  All weight
 comparisons across the package break ties by smallest original_id, which
 makes the minimum spanning forest unique and every algorithm deterministic.
+That order picks each minimum exactly among parallel edges too, so the
+spanning-forest engines need no clean-up but contraction's own: it drops
+the self edges it creates and keeps parallel edges.
 
 The edge store is a set of parallel numpy arrays; this keeps the per-step
 cost of the spanning-forest algorithms dominated by vectorised array passes
@@ -22,8 +25,8 @@ from .errors import InputError
 class UndirectedGraph:
     """Undirected multigraph over vertices 0..n_vertices-1.
 
-    Self edges and repetitive (parallel) edges are permitted; they appear
-    transiently during contraction and are removed by :func:`simplify`.
+    Self edges and repetitive (parallel) edges are permitted.  Contraction
+    leaves parallel edges but no self edges; :func:`simplify` drops both.
     """
 
     __slots__ = ("n_vertices", "u", "v", "weight", "original_id")
@@ -71,13 +74,6 @@ class UndirectedGraph:
                 f"n_edges={self.n_edges})")
 
 
-def _subset_indices(graph: UndirectedGraph, edge_subset) -> np.ndarray:
-    idx = np.asarray(edge_subset, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= graph.n_edges):
-        raise InputError("edge index out of range")
-    return idx
-
-
 def connected_components(graph: UndirectedGraph, edge_subset) -> np.ndarray:
     """Component label per vertex, for the components induced by the given
     edge indices.
@@ -85,7 +81,9 @@ def connected_components(graph: UndirectedGraph, edge_subset) -> np.ndarray:
     Vertices not touched by any subset edge are singleton components.
     Labels are dense from 0 in order of each component's smallest vertex.
     """
-    idx = _subset_indices(graph, edge_subset)
+    idx = np.asarray(edge_subset, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= graph.n_edges):
+        raise InputError("edge index out of range")
     n = graph.n_vertices
     parent = np.arange(n)
     a, b = graph.u[idx], graph.v[idx]
@@ -110,23 +108,22 @@ def connected_components(graph: UndirectedGraph, edge_subset) -> np.ndarray:
 def contract_graph(graph: UndirectedGraph, edge_subset) -> UndirectedGraph:
     """Collapse each component of the edge subset into one super-vertex.
 
-    Every edge outside the subset survives with endpoints mapped through
-    the labeling; self edges and repetitive edges are retained (use
-    :func:`simplify` to drop them).
+    Every edge whose ends land in different super-vertices survives, with
+    its ends mapped through the labeling.  The subset's own edges, and any
+    other edge inside one component, become self edges and are dropped;
+    repetitive edges are retained (use :func:`simplify` to drop them).
     """
-    idx = _subset_indices(graph, edge_subset)
-    return _contract(graph, idx, connected_components(graph, idx))
+    return _contract(graph, connected_components(graph, edge_subset))
 
 
-def _contract(graph: UndirectedGraph, idx: np.ndarray,
-              labels: np.ndarray) -> UndirectedGraph:
+def _contract(graph: UndirectedGraph, labels: np.ndarray) -> UndirectedGraph:
     """:func:`contract_graph` given the subset's component labels."""
-    keep = np.ones(graph.n_edges, dtype=bool)
-    keep[idx] = False
+    u, v = labels[graph.u], labels[graph.v]
+    keep = u != v
     return UndirectedGraph(
         int(labels.max()) + 1 if len(labels) else 0,
-        labels[graph.u[keep]],
-        labels[graph.v[keep]],
+        u[keep],
+        v[keep],
         graph.weight[keep],
         graph.original_id[keep],
         _validate=False,
@@ -198,18 +195,17 @@ def min_incident_edges(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
 def boruvka_step(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:
     """One round of minimum-edge selection followed by contraction.
 
-    Selects each vertex's minimum incident edge, contracts the selected
-    set, and simplifies the result.  Returns the simplified contracted
-    graph and the sorted original ids of the selected edges, all of which
-    belong to the unique minimum spanning forest.
+    Selects each vertex's minimum incident edge and contracts the selected
+    set.  Returns the contracted graph, which has no self edges but may
+    hold repetitive edges, and the sorted original ids of the selected
+    edges, all of which belong to the unique minimum spanning forest.
 
     The input graph must contain no self edges.
     """
     if graph.n_edges and (graph.u == graph.v).any():
-        raise InputError("boruvka_step requires a simplified graph (no self edges)")
+        raise InputError("boruvka_step requires a graph without self edges")
     sel = min_incident_edges(graph)[0]
-    contracted = simplify(contract_graph(graph, sel))
-    return contracted, np.sort(graph.original_id[sel])
+    return contract_graph(graph, sel), np.sort(graph.original_id[sel])
 
 
 def dump_graph(graph: UndirectedGraph, stream: TextIO) -> None:

@@ -27,8 +27,10 @@ from .graph import (
     boruvka_step,
     connected_components,
     min_incident_edges,
-    simplify,
 )
+# perfbench/tracer.py wraps this name on this module, so it is imported
+# here although no engine simplifies: contraction drops its self edges
+from .graph import simplify  # noqa: F401
 from .unionfind import UnionFind
 
 # Graphs with at most this many edges skip the recursion for Kruskal's
@@ -118,7 +120,7 @@ def kruskal_msf(graph: UndirectedGraph) -> SpanningForest:
 
 def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
     """Minimum spanning forest by repeated minimum-edge contraction."""
-    g, ids = simplify(graph), [np.empty(0, dtype=np.int64)]
+    g, ids = _edges_where(graph, graph.u != graph.v), [np.empty(0, np.int64)]
     while g.n_edges:
         g, selected = boruvka_step(g)
         ids.append(selected)
@@ -157,7 +159,7 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
         sel, weight = min_incident_edges(forest)
         pmax[live] = np.maximum(pmax[live], np.maximum(weight[a], weight[b]))
         labels = connected_components(forest, sel)
-        forest = _contract(forest, sel, labels)
+        forest = _contract(forest, labels)
         a, b = labels[a], labels[b]
     pmax[live] = np.inf                     # ends in different trees
     heavy = np.zeros(graph.n_edges, dtype=bool)
@@ -180,7 +182,7 @@ def f_heavy_edges(graph: UndirectedGraph, forest: SpanningForest) -> set:
 
 
 def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> np.ndarray:
-    """Original ids of the forest edges of the simple graph g."""
+    """Original ids of the forest edges of g, which has no self edges."""
     if g.n_edges <= _BASE_EDGES:
         return g.original_id[_kruskal_positions(g)]
     gc, ids = boruvka_step(g)
@@ -221,4 +223,5 @@ def randomized_msf(graph: UndirectedGraph, rng: RandomSource) -> SpanningForest:
     """
     if graph.n_edges <= _BASE_EDGES:
         return kruskal_msf(graph)
-    return _forest_of(graph, _randomized_rec(simplify(graph), rng))
+    return _forest_of(graph, _randomized_rec(
+        _edges_where(graph, graph.u != graph.v), rng))

@@ -211,11 +211,13 @@ class TestModelFile:
         "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n16 0x1.0p+0\n",
         "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n-1 0x1.0p+0\n",
         "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n3 one\n",
+        "hash_bits 4\nmode bogus\ncombiner mean\nnnz 0\n",
+        "hash_bits 4\nmode directed\ncombiner bogus\nnnz 0\n",
     ])
     def test_reject_out_of_range_hash_bits_and_slots(self, tmp_path, body):
         path = tmp_path / "bad.model"
         path.write_text("umstparse-model 1\n" + body)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="bad.model"):
             load_model(path)
 
 

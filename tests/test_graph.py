@@ -101,13 +101,12 @@ class TestConnectedComponents:
 
 
 class TestContractGraph:
-    def test_full_contraction_leaves_self_edges(self):
+    def test_full_contraction_drops_self_edges(self):
+        # edge 2 is outside the subset but ends inside its one component
         g = make(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
         res = contract_graph(g, [0, 1])
         assert res.n_vertices == 1
-        assert res.n_edges == 1
-        assert res.u[0] == res.v[0] == 0
-        assert res.original_id[0] == 2
+        assert res.n_edges == 0
 
     def test_keeps_repetitive_edges(self):
         # two triangles sharing no vertices, joined by two parallel-after-merge edges
@@ -130,14 +129,21 @@ class TestContractGraph:
                 n, [(int(u[i]), int(v[i])) for i in subset]))
             assert res.n_vertices == expected
 
-    def test_surviving_ids_are_complement(self):
+    def test_survivors_are_the_edges_across_components(self):
         rng = np.random.default_rng(13)
-        u, v, w = random_graph(rng, 12, 30, connected=False)
-        g = UndirectedGraph(12, u, v, w, np.arange(len(u)))
-        subset = range(0, g.n_edges, 3)
-        res = contract_graph(g, subset)
-        survived = sorted(res.original_id.tolist())
-        assert survived == sorted(set(range(g.n_edges)) - set(subset))
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            u, v, w = random_graph(rng, n, int(rng.integers(1, 3 * n)),
+                                   connected=False)
+            g = UndirectedGraph(n, u, v, w, np.arange(len(u)))
+            subset = np.nonzero(rng.random(g.n_edges) < 0.4)[0]
+            comp = {x: k for k, c in enumerate(bfs_components(
+                n, zip(u[subset].tolist(), v[subset].tolist()))) for x in c}
+            outside = sorted(set(range(g.n_edges)) - set(subset.tolist()))
+            across = [i for i in outside if comp[int(u[i])] != comp[int(v[i])]]
+            res = contract_graph(g, subset)
+            assert sorted(res.original_id.tolist()) == across
+            assert not (res.u == res.v).any()
 
 
 class TestSimplify:
@@ -185,6 +191,16 @@ class TestBoruvkaStep:
         res, selected = boruvka_step(g)
         assert selected.tolist() == [0, 1]
         assert res.n_vertices == 1
+
+    def test_keeps_repetitive_edges_drops_self_edges(self):
+        # the graph of TestContractGraph.test_keeps_repetitive_edges: the
+        # two light edges are selected, the two heavy ones become parallel
+        g = make(4, [(0, 1, 1.0), (2, 3, 1.0), (0, 2, 5.0), (1, 3, 6.0)])
+        res, selected = boruvka_step(g)
+        assert selected.tolist() == [0, 1]
+        assert res.n_vertices == 2
+        assert sorted(res.original_id.tolist()) == [2, 3]
+        assert not (res.u == res.v).any()
 
     def test_rejects_self_edges(self):
         g = make(2, [(0, 0, 1.0), (0, 1, 1.0)])

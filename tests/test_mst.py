@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from umstparse import mst
+from umstparse.bench import random_connected_graph
 from umstparse.errors import InputError
 from umstparse.graph import UndirectedGraph
 from umstparse.mst import (
@@ -299,6 +300,25 @@ class TestRecursionWithoutBaseCase:
             comps = len(bfs_components(n, zip(u.tolist(), v.tolist())))
             assert want.n_edges == n - comps
             assert all(u[i] != v[i] for i in want.edge_ids)
+
+    @pytest.mark.parametrize("m", [60, 400, 3000])
+    def test_bench_graph_with_copies_and_self_loops(self, no_base_case, m):
+        # each edge twice more: once heavier, once tied with a larger id;
+        # plus self loops lighter than any edge, all in shuffled positions
+        rng = np.random.default_rng(m)
+        g = random_connected_graph(m // 6, m, rng)
+        loops = rng.integers(0, g.n_vertices, size=m // 10)
+        order = rng.permutation(3 * g.n_edges + len(loops))
+        dup = UndirectedGraph(
+            g.n_vertices,
+            np.concatenate([g.u, g.u, g.v, loops])[order],
+            np.concatenate([g.v, g.v, g.u, loops])[order],
+            np.concatenate([g.weight, g.weight + 0.5, g.weight,
+                            np.full(len(loops), -1.0)])[order],
+            np.arange(len(order))[order])
+        # the weight is summed in position order, so only the ids compare
+        want = assert_all_engines_agree(dup)
+        assert want.edge_ids == kruskal_msf(g).edge_ids
 
     def test_disconnected_graphs(self, no_base_case):
         rng = np.random.default_rng(233)
