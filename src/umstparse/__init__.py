@@ -5,17 +5,16 @@ from .errors import DataError, InputError, StructureError, UmstError
 from .evaluate import EvalReport, head_to_head, oracle_combine, score
 from .features import Model, load_model, save_model
 from .graph import UndirectedGraph, boruvka_step, connected_components, contract_graph, simplify
-from .inference import DirectedScoreTable, ParserConfig, Pruner, build_parse_graph, build_pruner, cle_directed_mst, combine, direct_tree, local_enhancement, parse, swap_gain
+from .inference import ParserConfig, Pruner, build_parse_graph, build_pruner, cle_directed_mst, combine, direct_tree, local_enhancement, parse, swap_gain
 from .mst import RandomSource, SpanningForest, boruvka_msf, f_heavy_edges, kruskal_msf, randomized_msf
 from .training import TrainConfig, train, train_full
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataError", "DependencyTree", "DirectedScoreTable", "EvalReport",
-    "InputError", "Model", "ParserConfig", "Pruner", "RandomSource",
-    "Sentence", "SpanningForest", "StructureError", "Token", "TrainConfig",
-    "UmstError", "UndirectedGraph",
+    "DataError", "DependencyTree", "EvalReport", "InputError", "Model",
+    "ParserConfig", "Pruner", "RandomSource", "Sentence", "SpanningForest",
+    "StructureError", "Token", "TrainConfig", "UmstError", "UndirectedGraph",
     "boruvka_msf", "boruvka_step", "build_parse_graph", "build_pruner",
     "cle_directed_mst", "combine", "connected_components", "contract_graph",
     "direct_tree", "f_heavy_edges", "head_to_head", "is_punctuation",

@@ -161,6 +161,9 @@ def cmd_train(args) -> int:
     merged = _merged(args)
     system = merged.get("system", "u-mst-uf")
     if system == "all":
+        if args.log_out is not None:
+            raise UsageError("--system all writes <model>.trainlog.csv per "
+                             "model and takes no --log-out")
         os.makedirs(args.model_out, exist_ok=True)
         trained = {}        # u-mst-uf-lep trains as u-mst-uf: train that once
         for name in SYSTEMS:
@@ -373,7 +376,7 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             pass
         return EXIT_OK
-    except (FileNotFoundError, IsADirectoryError, DataError, InputError) as exc:
+    except (OSError, DataError, InputError) as exc:  # OSError: an unusable path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except UnicodeDecodeError as exc:

@@ -113,8 +113,7 @@ def read_conll(lines: Iterable[str]) -> list[Sentence]:
             if t.index != i:
                 raise DataError(f"near line {lineno}: token ID {t.index} at "
                                 f"position {i}")
-        if any(not 0 <= h <= len(tokens) for h in heads) \
-                or not is_valid_tree(heads):
+        if not is_valid_tree(heads):
             log.warning("sentence ending near line %d: gold heads do not "
                         "form a tree", lineno)
         sentences.append(Sentence(tokens=tuple(tokens),

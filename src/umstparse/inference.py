@@ -144,34 +144,17 @@ def build_pruner(corpus: list[Sentence]) -> Pruner:
     return Pruner(max_len=max_len)
 
 
-class DirectedScoreTable:
-    """Dense (n+1)x(n+1) table of arc scores; absent arcs read as -inf."""
-
-    def __init__(self, n: int, matrix: np.ndarray):
-        self.n = n
-        self.matrix = matrix
-
-    @classmethod
-    def from_pairs(cls, n: int, heads: np.ndarray, mods: np.ndarray,
-                   scores: np.ndarray) -> "DirectedScoreTable":
-        matrix = np.full((n + 1, n + 1), -np.inf)
-        matrix[heads, mods] = scores
-        return cls(n, matrix)
-
-    def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
-        return self.matrix[heads, mods]
-
-
 class LazyArcScores:
     """Directed arc scores, computed when first asked for.
 
-    Reads like a DirectedScoreTable through ``scores``, but featurizes and
-    scores only the arcs requested: all of them not yet scored in one
-    ``hash_arcs`` call, in row-major order.  Each arc has the same slots as
-    in SentenceFeatures, so its score is bit-identical to
-    ``directed_score_table``'s.  Arcs the pruner drops (or that are no
-    candidate arcs) read as -inf.  ``allowed`` is the pruner's arc mask
-    (``Pruner.mask``); None allows every candidate arc.
+    Indexed like the score matrix of ``directed_score_table``:
+    ``lazy[heads, mods]`` reads the same values as ``matrix[heads, mods]``,
+    but featurizes and scores only the arcs requested: all of them not yet
+    scored in one ``hash_arcs`` call, in row-major order.  Each arc has the
+    same slots as in SentenceFeatures, so its score is bit-identical to the
+    matrix's.  Arcs the pruner drops (or that are no candidate arcs) read
+    as -inf.  ``allowed`` is the pruner's arc mask (``Pruner.mask``); None
+    allows every candidate arc.
     """
 
     def __init__(self, sentence: Sentence, model: Model,
@@ -186,7 +169,8 @@ class LazyArcScores:
         # allowed arcs whose score is not in _matrix yet
         self._pending = arc_matrix(n) if allowed is None else allowed.copy()
 
-    def scores(self, heads: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    def __getitem__(self, arcs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        heads, mods = arcs
         todo = np.zeros_like(self._pending)
         todo[heads, mods] = True
         a, b = np.nonzero(todo & self._pending)      # row-major, no repeats
@@ -199,16 +183,18 @@ class LazyArcScores:
 
 def directed_score_table(sentence: Sentence, model: Model,
                          allowed: np.ndarray | None = None,
-                         cache: SentenceFeatures | None = None) -> DirectedScoreTable:
-    """Score every directed arc of the sentence that ``allowed`` (a
-    ``Pruner.mask``; None for all) keeps, or that ``cache`` holds."""
+                         cache: SentenceFeatures | None = None) -> np.ndarray:
+    """The (n+1)x(n+1) matrix of arc scores, ``[head, mod]``, of every
+    directed arc of the sentence that ``allowed`` (a ``Pruner.mask``; None
+    for all) keeps, or that ``cache`` holds; every other entry is -inf."""
     if model.mode != "directed":
         raise InputError("directed score table needs a directed-mode model")
     if cache is None:
         cache = SentenceFeatures(sentence, "directed", model.hash_bits, allowed)
-    scores = cache.score_all(model.weights)
-    return DirectedScoreTable.from_pairs(len(sentence), cache.pair_a,
-                                         cache.pair_b, scores)
+    n = len(sentence)
+    matrix = np.full((n + 1, n + 1), -np.inf)
+    matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+    return matrix
 
 
 @dataclass
@@ -226,18 +212,20 @@ class ParseGraph:
 def build_parse_graph(sentence: Sentence, model: Model,
                       allowed: np.ndarray | None = None,
                       cache: SentenceFeatures | None = None,
-                      ) -> tuple[ParseGraph, DirectedScoreTable | None]:
+                      ) -> tuple[ParseGraph, np.ndarray | None]:
     """Encode one sentence as an undirected spanning-tree instance.
 
     Undirected-mode models score each unordered pair directly; directed-mode
     models combine the pair's two arc scores (or keep the single unpruned
-    one).  ``allowed`` is the pruner's arc mask (``Pruner.mask``; None keeps
-    every arc): a pair survives when either of its directions does, and
-    pairs touching the root always survive, keeping the graph connected.
-    An undirected ``cache`` already holds only the surviving pairs.
+    one), and return the directed score matrix they read beside the graph
+    (None for undirected models).  ``allowed`` is the pruner's arc mask
+    (``Pruner.mask``; None keeps every arc): a pair survives when either of
+    its directions does, and pairs touching the root always survive,
+    keeping the graph connected.  An undirected ``cache`` already holds
+    only the surviving pairs.
     """
     n = len(sentence)
-    table = None
+    matrix = None
     if model.mode == "undirected":
         if cache is None:
             cache = SentenceFeatures(sentence, "undirected", model.hash_bits,
@@ -245,22 +233,22 @@ def build_parse_graph(sentence: Sentence, model: Model,
         u, v = cache.pair_a, cache.pair_b
         weights = -cache.score_all(model.weights)
     else:
-        table = directed_score_table(sentence, model, allowed, cache)
+        matrix = directed_score_table(sentence, model, allowed, cache)
         # a direction survives when the cache covered it and the mask
         # (re-checked here: training uses unpruned directed caches so that
         # updates can featurize any predicted arc) allows it
-        alive = np.isfinite(table.matrix)
+        alive = np.isfinite(matrix)
         if allowed is not None:
             alive &= allowed
         u, v = np.nonzero(pair_mask(alive))
         fwd, rev = alive[u, v], alive[v, u]
-        s_uv, s_vu = table.matrix[u, v], table.matrix[v, u]
+        s_uv, s_vu = matrix[u, v], matrix[v, u]
         scores = np.where(fwd, s_uv, s_vu)
         both = fwd & rev
         scores[both] = combine(s_uv[both], s_vu[both], model.combiner)
         weights = -scores
     graph = UndirectedGraph(n + 1, u, v, weights, np.arange(len(u), dtype=np.int64))
-    return ParseGraph(graph=graph), table
+    return ParseGraph(graph=graph), matrix
 
 
 def direct_tree(graph: UndirectedGraph, mst: SpanningForest,
@@ -313,7 +301,7 @@ def swap_gain(s_tu: float, s_uv: float, s_tv: float, s_vu: float) -> float:
     return s_tu + s_uv - (s_tv + s_vu)
 
 
-def local_enhancement(tree: DependencyTree, s_d: DirectedScoreTable | LazyArcScores,
+def local_enhancement(tree: DependencyTree, s_d: np.ndarray | LazyArcScores,
                       rounds: int = 5) -> DependencyTree:
     """Greedy rewiring of a directed tree against directed arc scores.
 
@@ -322,7 +310,9 @@ def local_enhancement(tree: DependencyTree, s_d: DirectedScoreTable | LazyArcSco
     applied (ties to the smallest (u, v)).  Edges out of the root are
     skipped.  Swaps whose new arcs are absent (not finite) are never
     taken; absent current arcs make any legal swap infinitely attractive.
-    A round reads the four arcs of every edge with one ``scores`` call.
+    ``s_d`` is a score matrix (``directed_score_table``) or a
+    ``LazyArcScores``; a round reads the four arcs of every edge with one
+    ``s_d[heads, mods]`` lookup.
     """
     if not tree.is_valid():
         raise StructureError("local enhancement requires a valid tree")
@@ -331,8 +321,8 @@ def local_enhancement(tree: DependencyTree, s_d: DirectedScoreTable | LazyArcSco
         v = np.flatnonzero(heads)           # (u, v) with u != root
         u = heads[v]
         t = heads[u]
-        s = s_d.scores(np.concatenate([t, v, t, u]),
-                       np.concatenate([v, u, u, v])).reshape(4, len(v))
+        s = s_d[np.concatenate([t, v, t, u]),
+                np.concatenate([v, u, u, v])].reshape(4, len(v))
         s_tv, s_vu, s_tu, s_uv = s
         present = np.isfinite(s)
         with np.errstate(invalid="ignore"):
@@ -453,10 +443,12 @@ def _cle_heads(score: np.ndarray) -> list[int]:
     return heads[:k]
 
 
-def cle_directed_mst(s_d: DirectedScoreTable) -> DependencyTree:
+def cle_directed_mst(s_d: np.ndarray) -> DependencyTree:
     """Maximum-weight arborescence rooted at vertex 0 (iterative
-    cycle-contracting Chu-Liu-Edmonds over the dense score table)."""
-    return DependencyTree(heads=tuple(_cle_heads(s_d.matrix)[1:]))
+    cycle-contracting Chu-Liu-Edmonds) over the (n+1)x(n+1) score matrix
+    ``s_d[head, mod]`` of ``directed_score_table``; -inf marks an absent
+    arc."""
+    return DependencyTree(heads=tuple(_cle_heads(s_d)[1:]))
 
 
 def parse(sentence: Sentence, model: Model, config: ParserConfig,

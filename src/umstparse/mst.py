@@ -191,17 +191,9 @@ def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> np.ndarray:
         ids = np.concatenate([ids, more])
     if gc.n_edges == 0:
         return ids
-    sampled = np.nonzero(rng.coin_flips(gc.n_edges))[0]
-    su, sv = gc.u[sampled], gc.v[sampled]
-    verts = np.unique(np.concatenate([su, sv]))
-    sample = UndirectedGraph(
-        len(verts),
-        np.searchsorted(verts, su),
-        np.searchsorted(verts, sv),
-        gc.weight[sampled],
-        gc.original_id[sampled],
-        _validate=False,
-    )
+    # the sample, like the filtered rest, keeps gc's vertices (only
+    # contraction renumbers); a vertex with no sampled edge is a singleton
+    sample = _edges_where(gc, rng.coin_flips(gc.n_edges))
     forest_mask = np.isin(gc.original_id, _randomized_rec(sample, rng))
     keep = ~_f_heavy_mask(gc, forest_mask)
     return np.concatenate([ids, _randomized_rec(_edges_where(gc, keep), rng)])

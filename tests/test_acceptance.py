@@ -25,7 +25,6 @@ from umstparse.evaluate import head_to_head, oracle_combine, score
 from umstparse.features import Model
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
-    DirectedScoreTable,
     ParserConfig,
     build_parse_graph,
     build_pruner,
@@ -138,7 +137,7 @@ def test_04_cle_exhaustive():
         for _ in range(500):
             n = int(rng.integers(1, 8))
             mat = rng.normal(size=(n + 1, n + 1)) * 5.0
-            tree = cle_directed_mst(DirectedScoreTable(n, mat))
+            tree = cle_directed_mst(mat)
             assert is_valid_tree(tree.heads)
             got = sum(mat[h, m + 1] for m, h in enumerate(tree.heads))
             best, _ = exhaustive_best_arborescence(mat)
@@ -200,12 +199,11 @@ def test_06_local_enhancement():
             n = int(rng.integers(2, 11))
             heads = _random_tree_heads(rng, n)
             mat = rng.normal(size=(n + 1, n + 1)) * 3.0
-            table = DirectedScoreTable(n, mat)
             tree = DependencyTree(heads=tuple(heads))
-            assert local_enhancement(tree, table, rounds=0).heads == tree.heads
+            assert local_enhancement(tree, mat, rounds=0).heads == tree.heads
             prev = sum(mat[h, m + 1] for m, h in enumerate(tree.heads))
             for _round in range(5):
-                tree = local_enhancement(tree, table, rounds=1)
+                tree = local_enhancement(tree, mat, rounds=1)
                 assert is_valid_tree(tree.heads)
                 cur = sum(mat[h, m + 1] for m, h in enumerate(tree.heads))
                 assert cur >= prev - 1e-9

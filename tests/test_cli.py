@@ -536,6 +536,14 @@ BAD_INPUTS = {
         PARSE_CMD + ("--pruning", "length-dictionary", "--prune-train", f"{{{name}}}"),
         2, "train sentence 2")
        for name in ("head_past_end", "negative_head")},
+    # a path through a file is a data error, whether read or written
+    "eval --gold under a file": (("eval", "--gold", "{dev}/x", "--pred", "{dev}"),
+                                 2, "Not a directory"),
+    "eval --csv under a file": (("eval", "--gold", "{dev}", "--pred", "{dev}",
+                                 "--csv", "{dev}/x.csv"), 2, "Not a directory"),
+    # --system all writes one log per model, so one --log-out has no place
+    "train --system all --log-out": (
+        TRAIN_CMD + ("--system", "all", "--log-out", "{out}.csv"), 1, "--log-out"),
 }
 
 

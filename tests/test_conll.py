@@ -195,12 +195,15 @@ def test_non_integer_head_rejected():
 
 
 def test_non_tree_gold_is_kept_with_warning(caplog):
-    text = ("1\ta\t_\t_\t_\t_\t2\tdep\n"
-            "2\tb\t_\t_\t_\t_\t1\tdep\n")
-    with caplog.at_level("WARNING"):
-        sents = read_conll(io.StringIO(text))
-    assert len(sents) == 1
-    assert "do not form a tree" in caplog.text
+    """A cycle, or a HEAD past the sentence end, only warns."""
+    for heads in ((2, 1), (0, 3)):
+        text = (f"1\ta\t_\t_\t_\t_\t{heads[0]}\tdep\n"
+                f"2\tb\t_\t_\t_\t_\t{heads[1]}\tdep\n")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            sents = read_conll(io.StringIO(text))
+        assert [s.gold_heads for s in sents] == [heads]
+        assert "do not form a tree" in caplog.text
 
 
 class TestTreeValidation:

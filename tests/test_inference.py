@@ -10,7 +10,6 @@ from umstparse.errors import InputError, StructureError
 from umstparse.features import Model, SentenceFeatures
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
-    DirectedScoreTable,
     LazyArcScores,
     ParserConfig,
     Pruner,
@@ -181,8 +180,7 @@ class TestBuildParseGraph:
         for s in sentences[::10]:
             n = len(s)
             for cache in (None, SentenceFeatures(s, "directed", 12)):
-                pg, table = build_parse_graph(s, model, pruner.mask(s), cache)
-                matrix = table.matrix
+                pg, matrix = build_parse_graph(s, model, pruner.mask(s), cache)
                 pairs, weights = [], []
                 for u in range(n + 1):
                     for v in range(u + 1, n + 1):
@@ -276,8 +274,7 @@ class TestDirectTree:
 
 
 def table_from(matrix):
-    m = np.asarray(matrix, dtype=float)
-    return DirectedScoreTable(m.shape[0] - 1, m)
+    return np.asarray(matrix, dtype=float)
 
 
 class TestLocalEnhancement:
@@ -411,9 +408,9 @@ class TestVectorizedLocalEnhancement:
         assert out.heads == local_enhancement_oracle(heads, matrix, rounds)
 
     def test_lazy_scores_equal_full_table(self, bundled):
-        """Every arc the lazy scorer is asked about, in any order and with
-        repeats, scores the very float of the full table; LEP on either
-        gives the same tree."""
+        """A LazyArcScores indexes like the full score matrix: every arc it
+        is asked about, in any order and with repeats, scores the very float
+        of the matrix, and LEP given either gives the same tree."""
         pruner, sentences = bundled
         dev = sentences[:150]
         sentences = sentences + [join_sentences(dev[i:i + 7])
@@ -426,17 +423,17 @@ class TestVectorizedLocalEnhancement:
             n = len(s)
             heads = _random_heads(rng, n)
             for p in (None, pruner.mask(s)):
-                full = directed_score_table(s, model, p).matrix
+                full = directed_score_table(s, model, p)
                 lazy = LazyArcScores(s, model, p)
                 for _ in range(3):
                     h = rng.integers(0, n + 1, size=2 * n)
                     m = rng.integers(0, n + 1, size=2 * n)
-                    assert lazy.scores(h, m).tobytes() == full[h, m].tobytes()
+                    assert lazy[h, m].tobytes() == full[h, m].tobytes()
                 tree = DependencyTree(heads=tuple(heads))
-                assert local_enhancement(tree, LazyArcScores(s, model, p)) == \
-                    local_enhancement(tree, table_from(full))
+                assert local_enhancement(tree, full) == \
+                    local_enhancement(tree, LazyArcScores(s, model, p))
                 h, m = np.divmod(np.arange((n + 1) ** 2), n + 1)
-                assert lazy.scores(h, m).tobytes() == full.tobytes()
+                assert lazy[h, m].tobytes() == full.tobytes()
 
     def test_one_hashing_call_per_round(self, bundled, monkeypatch):
         import umstparse.inference as inference

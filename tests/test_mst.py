@@ -320,6 +320,36 @@ class TestRecursionWithoutBaseCase:
         want = assert_all_engines_agree(dup)
         assert want.edge_ids == kruskal_msf(g).edge_ids
 
+    def test_samples_with_isolated_vertices(self, no_base_case, monkeypatch):
+        # sparse components spread over a vertex range of which 1,000 ids
+        # carry no edge; every sample keeps its parent's vertices, so its
+        # vertices without a sampled edge stay as singletons
+        rng = np.random.default_rng(239)
+        parts = [random_connected_graph(k, int(1.5 * k), rng)
+                 for k in (40, 60, 90, 120, 150)]
+        used = sum(p.n_vertices for p in parts)
+        ids = rng.permutation(used + 1000)[:used]
+        offsets = np.cumsum([0] + [p.n_vertices for p in parts])
+        g = UndirectedGraph(
+            used + 1000,
+            np.concatenate([ids[p.u + at] for p, at in zip(parts, offsets)]),
+            np.concatenate([ids[p.v + at] for p, at in zip(parts, offsets)]),
+            np.concatenate([p.weight for p in parts]),
+            np.arange(sum(p.n_edges for p in parts)))
+        isolated = []
+        real = mst._randomized_rec
+
+        def recording(graph, rng):
+            ends = np.concatenate([graph.u, graph.v])
+            isolated.append(graph.n_vertices - len(np.unique(ends)))
+            return real(graph, rng)
+
+        monkeypatch.setattr(mst, "_randomized_rec", recording)
+        want = assert_all_engines_agree(g, seeds=(1, 2, 3, 4, 5))
+        assert want.n_edges == used - len(parts)
+        # the unused ids reach every subproblem, the samples included
+        assert len(isolated) > 5 and min(isolated) >= 1000
+
     def test_disconnected_graphs(self, no_base_case):
         rng = np.random.default_rng(233)
         for _ in range(40):
