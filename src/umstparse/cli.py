@@ -22,7 +22,7 @@ from .evaluate import format_report, head_to_head, oracle_combine, report_csv_ro
 from .features import COMBINERS, check_combiner, load_model, pair_mask, save_model
 from .graph import load_graph
 from .inference import (PRUNING_MODES, SETTINGS_READ, SYSTEMS, ParserConfig,
-                        build_pruner, parse)
+                        build_pruner, check_gold_heads, parse)
 from .training import TrainConfig, train_full
 
 EXIT_OK = 0
@@ -272,10 +272,10 @@ def cmd_eval(args) -> int:
                      f"tie,{tie:.6f}",
                      f"oracle_d_uas,{oracle.d_uas:.6f}",
                      f"oracle_u_uas,{oracle.u_uas:.6f}"]
-    print("\n".join(out))
-    if args.csv:
+    if args.csv:       # written first: an unusable path prints no report
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(csv_rows) + "\n")
+    print("\n".join(out))
     return EXIT_OK
 
 
@@ -323,9 +323,7 @@ def cmd_prune_stats(args) -> int:
     if not train_corpus or not dev_corpus:
         raise DataError("empty corpus")
     pruner = build_pruner(train_corpus)
-    for number, sent in enumerate(dev_corpus, 1):
-        if any(not 0 <= h <= len(sent) for h in sent.gold_heads):
-            raise DataError(f"dev sentence {number}: HEAD out of range")
+    check_gold_heads(dev_corpus, "dev")
     total_edges = kept_edges = total_gold = kept_gold = 0
     for sent in dev_corpus:
         n = len(sent)
@@ -343,13 +341,13 @@ def cmd_prune_stats(args) -> int:
              f"edges_kept {kept_edges}",
              f"gold_total {total_gold}",
              f"gold_kept {kept_gold}"]
-    print("\n".join(lines))
-    if args.csv:
+    if args.csv:       # written first: an unusable path prints no report
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("metric,value\n")
             for line in lines:
                 key, value = line.split(" ")
                 fh.write(f"{key},{value}\n")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -9,9 +9,10 @@ Two template families over word forms and POS tags:
 
 Each feature is the CRC32 of its template string, masked to a fixed
 2**hash_bits weight table, so extraction is deterministic across processes
-and runs.  ``hash_arcs`` composes these CRCs from per-position pieces
-without building the strings; the string templates themselves, the spec it
-is tested against, live in the test suite (``tests/oracles.py``).
+and runs.  ``hash_arcs`` composes these CRCs, without building the
+strings, by gathers from per-sentence tables of shifted per-position
+pieces; the string templates themselves, the spec it is tested against,
+live in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -156,10 +157,15 @@ def pair_mask(arcs: np.ndarray) -> np.ndarray:
 
 # CRC32 composition.  zlib's CRC32 is affine over GF(2):
 # crc(A + B) = Z_|B|(crc(A)) ^ crc(B), where Z_k runs k zero bytes through
-# the raw CRC register (the identity behind zlib's crc32_combine).  A linear
-# map on 32 bits is four 256-entry lookups, one per byte of its input.
-# _LOW holds the lookups of Z_k for k < 256 (flat, k-major), _POW those of
-# Z_{256 * 2**i}; any length composes from one of each kind per set bit.
+# the raw CRC register (the identity behind zlib's crc32_combine).  Z_k is
+# linear and Z_j(Z_k(x)) = Z_{j+k}(x), so three pieces compose as
+#     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C,
+# and a slot is the XOR of shifted pieces read from tables (see
+# position_table); _combine computes Z_k only to fill those tables.  A
+# linear map on 32 bits is four 256-entry lookups, one per byte of its
+# input.  _LOW holds the lookups of Z_k for k < 256 (flat, k-major), _POW
+# those of Z_{256 * 2**i}; any length composes from one of each kind per
+# set bit.
 
 def _crc_byte_table() -> np.ndarray:
     c = np.arange(256, dtype=np.int64)
@@ -213,127 +219,195 @@ def _combine(crc_a: np.ndarray, crc_b: np.ndarray, len_b: np.ndarray) -> np.ndar
     return out
 
 
-def _crcs(strings) -> tuple[int, ...]:
-    """CRC32 of each string, then the UTF-8 byte length of each."""
-    encoded = [s.encode("utf-8") for s in strings]
-    return tuple(zlib.crc32(e) for e in encoded) + tuple(len(e) for e in encoded)
+def _crcs(strings) -> np.ndarray:
+    return np.array([zlib.crc32(s.encode("utf-8")) for s in strings], dtype=np.int64)
 
 
-# Per-position pieces of the feature templates.  The a side contributes
-# whole unigram features and the prefix of each two-sided template, the b
-# side whole unigram features and the suffix (with its length) that
-# completes it; btw joins an (a, mid) prefix with b's |{bp}.
-# Memoized per word and per POS context, since text repeats; each memo
-# holds at most 8192 entries (about 1 kB each).
+def _utf8_len(s: str) -> int:
+    return len(s.encode("utf-8"))
 
-@functools.lru_cache(maxsize=8192)
-def _word_pieces(ra: str, rb: str, w: str, p: str) -> tuple[int, ...]:
-    whole = (f"{ra}w:{w}", f"{ra}p:{p}", f"{ra}wp:{w}|{p}",
-             f"{rb}w:{w}", f"{rb}p:{p}", f"{rb}wp:{w}|{p}",
-             f"bg1:{w}|{p}", f"bg2:{p}", f"bg3:{w}", f"bg4:{w}|{p}",
-             f"bg5:{w}|{p}", f"bg6:{w}", f"bg7:{p}", f"btw:{p}|")
-    return tuple(zlib.crc32(s.encode("utf-8")) for s in whole) + \
-        _crcs((f"|{w}|{p}", f"|{p}", f"|{w}", p))
-
-
-@functools.lru_cache(maxsize=8192)
-def _context_pieces(prev: str, p: str, nxt: str) -> tuple[int, ...]:
-    prefixes = (f"sr1:{p}|{nxt}", f"sr2:{prev}|{p}",
-                f"sr3:{p}|{nxt}", f"sr4:{prev}|{p}")
-    return tuple(zlib.crc32(s.encode("utf-8")) for s in prefixes) + \
-        _crcs((f"|{prev}|{p}", f"|{p}|{nxt}"))
-
-
-# columns of the per-position table: _word_pieces, then _context_pieces
-_A_UNIGRAMS, _B_UNIGRAMS = slice(0, 3), slice(3, 6)
-_BTW, _S_WP, _S_P, _S_W, _MID = 13, 14, 15, 16, 17
-_S_SR12, _S_SR34 = 26, 27
-_LEN = 4                         # a suffix's length sits _LEN columns on
-# bg1..bg7 and sr1..sr4: a-side prefix columns and their b-side suffixes
-_PREFIXES = np.r_[6:13, 22:26]
-_SUFFIXES = np.array([_S_WP, _S_WP, _S_WP, _S_P, _S_W, _S_W, _S_P,
-                      _S_SR12, _S_SR12, _S_SR34, _S_SR34])
-_SUFFIX_LENS = _SUFFIXES + np.where(_SUFFIXES < _S_SR12, _LEN, 2)
 
 _ROLES = {"directed": ("h", "m"), "undirected": ("l", "r")}
 
 
-def _conj_table(suffixes: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(_crcs(suffixes), dtype=np.int64)
-    return values[:len(suffixes)], values[len(suffixes):]
+def _conj_table(suffixes: list[str]) -> tuple[np.ndarray, ...]:
+    lengths, variant = np.unique([_utf8_len(s) for s in suffixes], return_inverse=True)
+    return _crcs(suffixes), variant + 1, np.r_[0, lengths]
 
 
-# the conjunction suffix "&..." of an arc, keyed by min(distance, 11), plus
-# 12 for a rightward directed arc
+# The conjunction suffix "&..." of an arc, keyed by min(distance, 11), plus
+# 12 for a rightward directed arc: its CRC and its variant.  A feature
+# comes in variants: v = 0 is the feature itself, v > 0 it conjoined with
+# a suffix of the v-th conjunction length (lengths[v]).
 _CONJ = {
     "directed": _conj_table([f"&{att}|{distance_bin(d)}"
                              for att in "LR" for d in range(12)]),
     "undirected": _conj_table([f"&{distance_bin(d)}" for d in range(12)]),
 }
 
+# Per-position pieces of the feature templates.  The a side contributes
+# whole unigram features and the prefix of each two-sided template, the b
+# side whole unigram features and the suffix that completes it; btw is a's
+# "btw:{ap}|", then the mid's POS, then b's |{bp}.  A position's memo row
+# holds Z_L of each of its prefixes for L < _SPAN, then its unigrams and
+# suffixes (its ends) shifted by each variant's conjunction length, then
+# the suffixes' lengths.  _SPAN covers a suffix plus a conjunction of up
+# to 31 bytes (a 20-byte form and a 4-byte tag, conjoined); a sentence
+# that needs more builds its own planes.  Rows are memoized per word and
+# per POS context, since text repeats; each memo holds at most 4096 rows
+# of about 2 kB.
+_SPAN = 32
 
-def position_table(sentence: Sentence, mode: str) -> np.ndarray:
-    """Row i holds the pieces of position i (0 is the root); built once per
-    sentence and passed to every ``hash_arcs`` call for it."""
+
+def _pieces(mode: str, prefixes: tuple[str, ...], ends: tuple[str, ...],
+            lengths: tuple[int, ...]) -> np.ndarray:
+    variants = _CONJ[mode][2]
+    crc = _crcs(prefixes + ends)
+    k = len(prefixes)
+    row = np.r_[_combine(np.r_[np.repeat(crc[:k], _SPAN), np.tile(crc[k:], len(variants))], 0,
+                         np.r_[np.tile(np.arange(_SPAN), k), np.repeat(variants, len(ends))]),
+                lengths]
+    row.setflags(write=False)
+    return row
+
+
+@functools.lru_cache(maxsize=4096)
+def _word_pieces(mode: str, w: str, p: str) -> np.ndarray:
+    """bg1..bg7's prefixes; a's and b's unigrams, then bg1..bg7's suffixes."""
     ra, rb = _ROLES[mode]
+    bar, wp, sw = f"|{p}", f"|{w}|{p}", f"|{w}"
+    suffixes = (wp, wp, wp, bar, sw, sw, bar)
+    return _pieces(mode, (f"bg1:{w}|{p}", f"bg2:{p}", f"bg3:{w}", f"bg4:{w}|{p}",
+                          f"bg5:{w}|{p}", f"bg6:{w}", f"bg7:{p}"),
+                   (f"{ra}w:{w}", f"{ra}p:{p}", f"{ra}wp:{w}|{p}",
+                    f"{rb}w:{w}", f"{rb}p:{p}", f"{rb}wp:{w}|{p}") + suffixes,
+                   tuple(map(_utf8_len, suffixes)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _context_pieces(mode: str, prev: str, p: str, nxt: str) -> np.ndarray:
+    """sr1..sr4's prefixes, btw's a| and mid POS; sr1..sr4's suffixes;
+    then |p| after the suffixes' lengths."""
+    before, after = f"|{prev}|{p}", f"|{p}|{nxt}"
+    suffixes = (before, before, after, after)
+    return _pieces(mode, (f"sr1:{p}|{nxt}", f"sr2:{prev}|{p}", f"sr3:{p}|{nxt}",
+                          f"sr4:{prev}|{p}", f"btw:{p}|", p), suffixes,
+                   tuple(map(_utf8_len, suffixes + (p,))))
+
+
+_BAR = 3                         # b's |{bp}: the suffix of bg4, and of btw
+
+
+@dataclass(frozen=True)
+class PositionTable:
+    """What ``hash_arcs`` gathers from, for one sentence in one mode.
+
+    Variant v of a feature is the feature itself (v = 0) or it conjoined
+    with a suffix of the v-th conjunction length; V variants in all.
+
+    ``planes`` row pos (13 * width entries) holds Z_L, for L = 0 ..
+    width - 1, of each of position pos's 13 shifted pieces: the prefixes of
+    bg1..bg7 and sr1..sr4, btw's a|, and pos's POS as a mid.  Row
+    V * pos + v of the others describes pos as b in variant v: ``ends``
+    holds its 17 ends (its unigrams in both roles, then the suffix of each
+    two-sided template) shifted by the conjunction; ``trail`` where, in a
+    row of planes, each two-sided prefix sits shifted past pos's suffix and
+    the conjunction; ``bar_len`` the shift of btw's mid POS, |{bp}| plus
+    the conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.
+    """
+    planes: np.ndarray
+    width: int
+    ends: np.ndarray
+    trail: np.ndarray
+    bar_len: np.ndarray
+    pos_len: np.ndarray
+
+
+def position_table(sentence: Sentence, mode: str) -> PositionTable:
+    """The tables of a sentence (position 0 is the root); built once per
+    sentence and passed to every ``hash_arcs`` call for it.
+
+    They are the positions' memo rows stacked: for n tokens, a fixed cost
+    of (n+1) * 13 * 32 planes and (n+1) * V * 17 ends copied.  A sentence
+    with a longer shift (a suffix, or btw's mid POS and |{bp}, plus a
+    conjunction, of 32 bytes or more) builds its planes up to that shift
+    with one ``_combine`` call."""
     forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
     tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
     around = [NIL] + tags + [NIL]
-    return np.array([_word_pieces(ra, rb, w, p) + _context_pieces(*around[i:i + 3])
-                     for i, (w, p) in enumerate(zip(forms, tags))], dtype=np.int64)
+    words = np.array([_word_pieces(mode, w, p) for w, p in zip(forms, tags)])
+    contexts = np.array([_context_pieces(mode, *around[i:i + 3])
+                         for i in range(len(tags))])
+    variants = _CONJ[mode][2]
+    nv = len(variants)
+    planes = np.hstack([words[:, :7 * _SPAN], contexts[:, :6 * _SPAN]])
+    ends = np.concatenate([words[:, 7 * _SPAN:-7].reshape(-1, nv, 13),
+                           contexts[:, 6 * _SPAN:-5].reshape(-1, nv, 4)], axis=2)
+    trail_len = np.hstack([words[:, -7:], contexts[:, -5:-1]])[:, None] + variants[:, None]
+    pos_len = contexts[:, -1]
+    width = int(max(trail_len.max(), pos_len.max() + trail_len[:, :, _BAR].max())) + 1
+    if width > _SPAN:
+        planes = _combine(planes[:, ::_SPAN, None], 0, np.arange(width))
+    else:
+        width = _SPAN
+    return PositionTable(planes=planes.ravel(), width=width, ends=ends.reshape(-1, 17),
+                         trail=(trail_len + width * np.arange(11)).reshape(-1, 11),
+                         bar_len=trail_len[:, :, _BAR].ravel(), pos_len=pos_len)
 
 
-def _plain_crcs(table: np.ndarray, a: np.ndarray, b: np.ndarray,
-                owner: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """CRCs of the arcs' features before conjunction: for each arc the 13
-    base and 4 sr templates, then one btw per (owner arc, mid)."""
-    count = len(a)
-    btw_prefix = _combine(table[:, _BTW, None], table[None, :, _MID],
-                          table[None, :, _MID + _LEN])
-    ta, tb = table[a], table[b]
-    two_sided = _combine(
-        np.concatenate([ta[:, _PREFIXES].ravel(), btw_prefix[a[owner], mid]]),
-        np.concatenate([tb[:, _SUFFIXES].ravel(), tb[owner, _S_P]]),
-        np.concatenate([tb[:, _SUFFIX_LENS].ravel(), tb[owner, _S_P + _LEN]]))
-    per_arc = np.hstack([ta[:, _A_UNIGRAMS], tb[:, _B_UNIGRAMS],
-                         two_sided[:11 * count].reshape(count, 11)])
-    return np.concatenate([per_arc.ravel(), two_sided[11 * count:]])
-
-
-def hash_arcs(table: np.ndarray, mode: str, a: np.ndarray, b: np.ndarray,
+def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the arcs (a[k], b[k]), concatenated in the emission order of
     the string templates, and the start offset of each arc.  ``table`` is the
     sentence's ``position_table`` in the same mode.  An arc's slots do not
-    depend on the other arcs of the call."""
+    depend on the other arcs of the call.
+
+    Every slot XORs gathers from ``table``, by
+    crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C:
+    a unigram is an end; a two-sided template a plane and an end; btw two
+    planes (a|, shifted past the mid POS and |{bp}; the mid POS, past
+    |{bp}) and an end.  A conjoined slot shifts each of them further by
+    the conjunction's length and XORs the conjunction's CRC."""
     count = len(a)
     dist = np.abs(b - a)
-    nb = dist - 1                     # btw features of each arc
-    plain = 17 + nb                   # features of each arc before conjunction
-    starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(2 * plain[:-1], out=starts[1:])
-    # one btw feature per (arc, mid), mids ascending
-    owner = np.repeat(np.arange(count), nb)
-    within = np.arange(len(owner)) - np.repeat(np.cumsum(nb) - nb, nb)
-    values = _plain_crcs(table, a, b, owner, np.minimum(a, b)[owner] + 1 + within)
-    # per arc: 13 base templates, btw by mid, 4 sr templates, then the
-    # same again conjoined
-    column = np.arange(17)
-    pos = np.concatenate([
-        (starts[:, None] + column + (column >= 13) * nb[:, None]).ravel(),
-        starts[owner] + 13 + within])
-    arc_of = np.concatenate([np.repeat(np.arange(count), 17), owner])
     key = np.minimum(dist, 11)
     if mode == "directed":
         key += 12 * (b > a)
-    key = key[arc_of]
-    conj_crc, conj_len = _CONJ[mode]
-    flat = np.empty(2 * int(plain.sum()), dtype=np.int64)
+    conj_crc, conj_variant, variants = _CONJ[mode]
+    nb = dist - 1                     # btw features of each arc
+    half = nb + 17                    # features of each arc before conjunction
+    starts = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(2 * half, out=starts[1:])
+    # halves: each arc's features, then each arc's conjoined ones; a half
+    # holds 13 base templates, then btw by mid, then 4 sr templates
+    variant = np.concatenate([np.zeros(count, dtype=np.int64), conj_variant[key]])
+    a2, b2, nb2 = (np.concatenate([x, x]) for x in (a, b, nb))
+    rows_b = len(variants) * b2 + variant
+    values = table.ends[rows_b]
+    values[:, :3] = table.ends[len(variants) * a2 + variant, :3]
+    values[count:] ^= conj_crc[key][:, None]
+    tail = values[:, 6 + _BAR].copy()
+    stride = 13 * table.width
+    row_a = stride * a2
+    values[:, 6:] ^= table.planes[table.trail[rows_b] + row_a[:, None]]
+    head = np.concatenate([starts[:-1], starts[:-1] + half])
+    pos = head[:, None] + np.arange(17)
+    pos[:, 13:] += nb2[:, None]
+    flat = np.empty(starts[-1], dtype=np.int64)
     flat[pos] = values
-    pos += plain[arc_of]
-    flat[pos] = _combine(values, conj_crc[key], conj_len[key])
+    if nb2.any():
+        # one btw per (half, mid), mids ascending
+        first = np.cumsum(nb2) - nb2
+        k = np.arange(first[-1] + nb2[-1])
+        mid = k - np.repeat(first - np.minimum(a2, b2) - 1, nb2)
+        bar = table.bar_len[rows_b]
+        btw = table.planes[np.repeat(row_a + 11 * table.width + bar, nb2)
+                           + table.pos_len[mid]]
+        btw ^= table.planes[np.repeat(12 * table.width + bar, nb2) + stride * mid]
+        btw ^= np.repeat(tail, nb2)
+        flat[k + np.repeat(head + 13 - first, nb2)] = btw
     flat &= (1 << hash_bits) - 1
-    return flat, starts
+    return flat, starts[:-1]
 
 
 class SentenceFeatures:

@@ -122,19 +122,25 @@ class Pruner:
         return allowed & arc_matrix(n)
 
 
+def check_gold_heads(corpus: list[Sentence], label: str) -> None:
+    """A DataError naming the first sentence of ``corpus`` with a gold
+    HEAD outside [0, n], as "<label> sentence <number>"."""
+    for number, sent in enumerate(corpus, 1):
+        if any(not 0 <= head <= len(sent) for head in sent.gold_heads):
+            raise DataError(f"{label} sentence {number}: HEAD out of range")
+
+
 def build_pruner(corpus: list[Sentence]) -> Pruner:
     """Collect maximum gold attachment lengths per directed POS pair.
 
     A gold HEAD outside [0, n] is a DataError naming the sentence.
     """
+    check_gold_heads(corpus, "train")
     max_len: dict = {}
-    for number, sent in enumerate(corpus, 1):
-        n = len(sent)
+    for sent in corpus:
         for mod, head in enumerate(sent.gold_heads, 1):
             if head == 0:
                 continue
-            if not 0 < head <= n:
-                raise DataError(f"train sentence {number}: HEAD out of range")
             key = (sent.tokens[head - 1].postag,
                    sent.tokens[mod - 1].postag,
                    1 if mod > head else -1)

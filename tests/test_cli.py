@@ -539,8 +539,12 @@ BAD_INPUTS = {
     # a path through a file is a data error, whether read or written
     "eval --gold under a file": (("eval", "--gold", "{dev}/x", "--pred", "{dev}"),
                                  2, "Not a directory"),
+    # ... and a CSV path is opened before any report line is printed
     "eval --csv under a file": (("eval", "--gold", "{dev}", "--pred", "{dev}",
                                  "--csv", "{dev}/x.csv"), 2, "Not a directory"),
+    "prune-stats --csv under a file": (
+        ("prune-stats", "--train", "{train}", "--dev", "{dev}", "--csv", "{dev}/x.csv"),
+        2, "Not a directory"),
     # --system all writes one log per model, so one --log-out has no place
     "train --system all --log-out": (
         TRAIN_CMD + ("--system", "all", "--log-out", "{out}.csv"), 1, "--log-out"),
@@ -552,11 +556,13 @@ BAD_INPUTS = {
 def test_bad_input_exits_with_one_line(bad_input_files, tmp_path, capsys,
                                        argv, code, named):
     """Malformed arguments and inputs end in one error line and the exit
-    code of their kind (1 usage, 2 data), not a traceback."""
+    code of their kind (1 usage, 2 data), not a traceback, and print
+    nothing on stdout."""
     capsys.readouterr()
     assert run(*[a.format(**bad_input_files, out=tmp_path / "out")
                  for a in argv]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("usage error:" if code == 1 else "data error:")
     assert named in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()

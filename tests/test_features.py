@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import DataError, InputError
-from umstparse.features import (COMBINERS, Model, SentenceFeatures, distance_bin,
-                                load_model, save_model)
+from umstparse.features import (COMBINERS, Model, SentenceFeatures, arc_matrix,
+                                distance_bin, hash_arcs, load_model, pair_mask,
+                                position_table, save_model)
 from umstparse.inference import build_pruner
 from umstparse.training import TrainConfig
 
@@ -298,3 +299,56 @@ def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
                     assert cache.indices(a, b).tolist() == (crcs[a, b] & mask).tolist()
                 assert cache.sum_indices(pairs).tolist() == \
                     np.concatenate([crcs[p] & mask for p in pairs]).tolist()
+
+
+def _all_arcs(sentence, mode):
+    arcs = arc_matrix(len(sentence))
+    return np.nonzero(arcs if mode == "directed" else pair_mask(arcs))
+
+
+def _slices(flat, starts):
+    return np.split(flat, starts[1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arc_slots_do_not_depend_on_the_call(bundled, data):
+    """An arc's slots are its slice of the sentence's full hash_arcs call,
+    whatever other arcs share its call (any subset, in any order, with
+    repeats) and alone, from the same table or a fresh one."""
+    _, dev = bundled
+    sentence = data.draw(st.sampled_from(
+        [FIXTURE, WIDE, join_sentences(dev[2:10])] + dev[:30]), label="sentence")
+    mode = data.draw(st.sampled_from(["directed", "undirected"]), label="mode")
+    table = position_table(sentence, mode)
+    a, b = _all_arcs(sentence, mode)
+    full = _slices(*hash_arcs(table, mode, a, b, 30))
+    pick = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60),
+                     label="arcs")
+    for k, got in zip(pick, _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))):
+        assert got.tolist() == full[k].tolist()
+    k = pick[0]
+    alone, = _slices(*hash_arcs(position_table(sentence, mode), mode,
+                                a[k:k + 1], b[k:k + 1], 30))
+    assert alone.tolist() == full[k].tolist()
+
+
+@pytest.mark.parametrize("mode, longest_conj", [("directed", 7), ("undirected", 5)])
+def test_memo_rows_and_built_planes_match_the_oracle(mode, longest_conj):
+    """The memo rows hold each prefix shifted by 0..31 bytes.  A sentence
+    whose longest suffix plus conjunction is 31 bytes gathers from them; at
+    32 bytes it builds its own planes.  Both give every arc the CRC32s of
+    its feature strings (WIDE checks shifts past 256 bytes)."""
+    strings = directed_feature_strings if mode == "directed" \
+        else undirected_feature_strings
+    enumerate_pairs = directed_arcs if mode == "directed" else undirected_pairs
+    for longest, width in ((31, 32), (32, 33)):
+        # "|{w}|NN" is len(w) + 4 bytes long
+        form = "w" * (longest - longest_conj - 4)
+        sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * 10)
+        assert position_table(sentence, mode).width == width
+        cache = SentenceFeatures(sentence, mode, 30)
+        for a, b in enumerate_pairs(sentence, None):
+            assert cache.indices(a, b).tolist() == \
+                [zlib.crc32(s.encode("utf-8")) & (1 << 30) - 1
+                 for s in strings(sentence, a, b)]

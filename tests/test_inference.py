@@ -453,6 +453,31 @@ class TestVectorizedLocalEnhancement:
         assert 1 <= len(calls) <= 5
         assert sum(calls) <= 4 * len(s) * 5 < len(s) ** 2
 
+    def test_tables_built_once_per_sentence(self, bundled, monkeypatch):
+        """A LazyArcScores builds its sentence's position table once; every
+        round of local_enhancement hashes its arcs from that table."""
+        import umstparse.inference as inference
+        built, hashed_from = [], []
+        real_table, real_hash = inference.position_table, inference.hash_arcs
+
+        def building(*args):
+            built.append(real_table(*args))
+            return built[-1]
+
+        def hashing(table, *args):
+            hashed_from.append(table)
+            return real_hash(table, *args)
+
+        monkeypatch.setattr(inference, "position_table", building)
+        monkeypatch.setattr(inference, "hash_arcs", hashing)
+        s = bundled[1][-1]
+        model = Model.new("directed", hash_bits=12)
+        model.weights = np.random.default_rng(137).normal(size=model.size())
+        tree = DependencyTree(heads=tuple(_random_heads(np.random.default_rng(139), len(s))))
+        local_enhancement(tree, LazyArcScores(s, model), rounds=5)
+        assert len(built) == 1 and len(hashed_from) >= 2
+        assert all(table is built[0] for table in hashed_from)
+
     @pytest.mark.parametrize("system", ["u-mst-uf", "u-mst-uf-lep", "u-mst-df"])
     def test_pruner_mask_once_per_parse(self, bundled, monkeypatch, system):
         """A pruned parse computes the pruner's mask once and hands it to
