@@ -344,15 +344,15 @@ def position_table(sentence: Sentence, mode: str) -> PositionTable:
     ends = np.concatenate([words[:, 7 * _SPAN:-7].reshape(-1, nv, 13),
                            contexts[:, 6 * _SPAN:-5].reshape(-1, nv, 4)], axis=2)
     trail_len = np.hstack([words[:, -7:], contexts[:, -5:-1]])[:, None] + variants[:, None]
-    pos_len = contexts[:, -1]
-    width = int(max(trail_len.max(), pos_len.max() + trail_len[:, :, _BAR].max())) + 1
+    bar_len, pos_len = trail_len[:, :, _BAR], contexts[:, -1]
+    width = int(max(trail_len.max(), pos_len.max() + bar_len.max())) + 1
     if width > _SPAN:
         planes = _combine(planes[:, ::_SPAN, None], 0, np.arange(width))
     else:
         width = _SPAN
     return PositionTable(planes=planes.ravel(), width=width, ends=ends.reshape(-1, 17),
                          trail=(trail_len + width * np.arange(11)).reshape(-1, 11),
-                         bar_len=trail_len[:, :, _BAR].ravel(), pos_len=pos_len)
+                         bar_len=bar_len.ravel(), pos_len=pos_len)
 
 
 def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
