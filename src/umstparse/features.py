@@ -161,7 +161,8 @@ def pair_mask(arcs: np.ndarray) -> np.ndarray:
 # linear and Z_j(Z_k(x)) = Z_{j+k}(x), so three pieces compose as
 #     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C,
 # and a slot is the XOR of shifted pieces read from tables (see
-# position_table); _combine computes Z_k only to fill those tables.  A
+# position_table); _combine computes Z_k only to fill those tables, or the
+# shifts a call reads of a sentence too wide for them.  A
 # linear map on 32 bits is four 256-entry lookups, one per byte of its
 # input.  _LOW holds the lookups of Z_k for k < 256 (flat, k-major), _POW
 # those of Z_{256 * 2**i}; any length composes from one of each kind per
@@ -249,30 +250,31 @@ _CONJ = {
 # whole unigram features and the prefix of each two-sided template, the b
 # side whole unigram features and the suffix that completes it; btw is a's
 # "btw:{ap}|", then the mid's POS, then b's |{bp}.  A position's memo row
-# holds Z_L of each of its prefixes for L < _SPAN, then its unigrams and
+# holds Z_L of each of its prefixes for L < span, then its unigrams and
 # suffixes (its ends) shifted by each variant's conjunction length, then
-# the suffixes' lengths.  _SPAN covers a suffix plus a conjunction of up
-# to 31 bytes (a 20-byte form and a 4-byte tag, conjoined); a sentence
-# that needs more builds its own planes.  Rows are memoized per word and
-# per POS context, since text repeats; each memo holds at most 4096 rows
-# of about 2 kB.
-_SPAN = 32
+# the suffixes' lengths.  Rows are memoized per word and per POS context,
+# since text repeats; each memo holds at most 4096 rows.  The spans:
+# 32 bytes hold a suffix plus a conjunction for a 20-byte form with a
+# 4-byte tag (rows of about 2 kB); 64 hold 15-byte positional tags, whose
+# btw shift (the mid POS, |{bp}| and a conjunction) reaches 38 bytes, with
+# forms up to about 40 bytes (rows of about 4 kB).
+_SPANS = (32, 64)
 
 
 def _pieces(mode: str, prefixes: tuple[str, ...], ends: tuple[str, ...],
-            lengths: tuple[int, ...]) -> np.ndarray:
+            lengths: tuple[int, ...], span: int) -> np.ndarray:
     variants = _CONJ[mode][2]
     crc = _crcs(prefixes + ends)
     k = len(prefixes)
-    row = np.r_[_combine(np.r_[np.repeat(crc[:k], _SPAN), np.tile(crc[k:], len(variants))], 0,
-                         np.r_[np.tile(np.arange(_SPAN), k), np.repeat(variants, len(ends))]),
+    row = np.r_[_combine(np.r_[np.repeat(crc[:k], span), np.tile(crc[k:], len(variants))], 0,
+                         np.r_[np.tile(np.arange(span), k), np.repeat(variants, len(ends))]),
                 lengths]
     row.setflags(write=False)
     return row
 
 
 @functools.lru_cache(maxsize=4096)
-def _word_pieces(mode: str, w: str, p: str) -> np.ndarray:
+def _word_pieces(mode: str, w: str, p: str, span: int) -> np.ndarray:
     """bg1..bg7's prefixes; a's and b's unigrams, then bg1..bg7's suffixes."""
     ra, rb = _ROLES[mode]
     bar, wp, sw = f"|{p}", f"|{w}|{p}", f"|{w}"
@@ -281,77 +283,107 @@ def _word_pieces(mode: str, w: str, p: str) -> np.ndarray:
                           f"bg5:{w}|{p}", f"bg6:{w}", f"bg7:{p}"),
                    (f"{ra}w:{w}", f"{ra}p:{p}", f"{ra}wp:{w}|{p}",
                     f"{rb}w:{w}", f"{rb}p:{p}", f"{rb}wp:{w}|{p}") + suffixes,
-                   tuple(map(_utf8_len, suffixes)))
+                   tuple(map(_utf8_len, suffixes)), span)
 
 
 @functools.lru_cache(maxsize=4096)
-def _context_pieces(mode: str, prev: str, p: str, nxt: str) -> np.ndarray:
+def _context_pieces(mode: str, prev: str, p: str, nxt: str, span: int) -> np.ndarray:
     """sr1..sr4's prefixes, btw's a| and mid POS; sr1..sr4's suffixes;
     then |p| after the suffixes' lengths."""
     before, after = f"|{prev}|{p}", f"|{p}|{nxt}"
     suffixes = (before, before, after, after)
     return _pieces(mode, (f"sr1:{p}|{nxt}", f"sr2:{prev}|{p}", f"sr3:{p}|{nxt}",
                           f"sr4:{prev}|{p}", f"btw:{p}|", p), suffixes,
-                   tuple(map(_utf8_len, suffixes + (p,))))
+                   tuple(map(_utf8_len, suffixes + (p,))), span)
 
 
 _BAR = 3                         # b's |{bp}: the suffix of bg4, and of btw
 
 
-@dataclass(frozen=True)
+@dataclass
 class PositionTable:
     """What ``hash_arcs`` gathers from, for one sentence in one mode.
 
     Variant v of a feature is the feature itself (v = 0) or it conjoined
     with a suffix of the v-th conjunction length; V variants in all.
 
-    ``planes`` row pos (13 * width entries) holds Z_L, for L = 0 ..
-    width - 1, of each of position pos's 13 shifted pieces: the prefixes of
-    bg1..bg7 and sr1..sr4, btw's a|, and pos's POS as a mid.  Row
-    V * pos + v of the others describes pos as b in variant v: ``ends``
+    ``planes`` row pos (13 * span entries) holds Z_L, for L = 0 ..
+    span - 1, of each of position pos's 13 shifted pieces: the prefixes of
+    bg1..bg7 and sr1..sr4, btw's a|, and pos's POS as a mid.  A sentence
+    too wide for the memo rows starts without planes, and ``base`` holds
+    its pieces unshifted, 13 a row (see ``reader``).
+
+    Row V * pos + v of the others describes pos as b in variant v: ``ends``
     holds its 17 ends (its unigrams in both roles, then the suffix of each
     two-sided template) shifted by the conjunction; ``trail`` where, in a
     row of planes, each two-sided prefix sits shifted past pos's suffix and
     the conjunction; ``bar_len`` the shift of btw's mid POS, |{bp}| plus
     the conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.
     """
-    planes: np.ndarray
-    width: int
+    planes: np.ndarray | None
+    base: np.ndarray | None
+    span: int
     ends: np.ndarray
     trail: np.ndarray
     bar_len: np.ndarray
     pos_len: np.ndarray
+
+    def reader(self, slots: int):
+        """What maps flat indices (13 * span * pos + span * piece + L) to
+        the planes there, for a call of ``slots`` slots.  Without planes, a
+        call with fewer slots than the planes would have composes each plane
+        it reads with ``_combine``; a larger one builds them all, once."""
+        if self.planes is None and self.base.size * self.span <= slots:
+            self.planes = _combine(self.base[:, None], 0, np.arange(self.span)).ravel()
+        if self.planes is not None:
+            return self.planes.__getitem__
+        return lambda at: _combine(self.base[at // self.span], 0, at % self.span)
+
+
+def _stack(mode: str, forms: list[str], tags: list[str], span: int):
+    around = [NIL] + tags + [NIL]
+    return (np.array([_word_pieces(mode, w, p, span) for w, p in zip(forms, tags)]),
+            np.array([_context_pieces(mode, *around[i:i + 3], span)
+                      for i in range(len(tags))]))
 
 
 def position_table(sentence: Sentence, mode: str) -> PositionTable:
     """The tables of a sentence (position 0 is the root); built once per
     sentence and passed to every ``hash_arcs`` call for it.
 
-    They are the positions' memo rows stacked: for n tokens, a fixed cost
-    of (n+1) * 13 * 32 planes and (n+1) * V * 17 ends copied.  A sentence
-    with a longer shift (a suffix, or btw's mid POS and |{bp}, plus a
-    conjunction, of 32 bytes or more) builds its planes up to that shift
-    with one ``_combine`` call."""
+    The span is the smallest of 32 and 64 that exceeds every shift the
+    sentence reads (a suffix, or btw's mid POS and |{bp}, plus a
+    conjunction), and the planes are the positions' memo rows stacked at
+    it: for n tokens, a fixed cost of (n+1) * 13 * span planes and
+    (n+1) * V * 17 ends copied.  A sentence with a shift of 64 bytes or
+    more gets span its longest shift plus one and no planes, since they
+    could outnumber its slots: a pruned 10-token sentence with 40-byte tags
+    has about 1,000 slots and would have 13,000 planes, and planes up to
+    the shift of a 100 kB form would take 6 MB a token.  A call on it then
+    composes the planes it reads, or, with at least as many slots as there
+    are planes, builds them all (``PositionTable.reader``)."""
     forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
     tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
-    around = [NIL] + tags + [NIL]
-    words = np.array([_word_pieces(mode, w, p) for w, p in zip(forms, tags)])
-    contexts = np.array([_context_pieces(mode, *around[i:i + 3])
-                         for i in range(len(tags))])
+    span = _SPANS[0]
+    words, contexts = _stack(mode, forms, tags, span)
     variants = _CONJ[mode][2]
     nv = len(variants)
-    planes = np.hstack([words[:, :7 * _SPAN], contexts[:, :6 * _SPAN]])
-    ends = np.concatenate([words[:, 7 * _SPAN:-7].reshape(-1, nv, 13),
-                           contexts[:, 6 * _SPAN:-5].reshape(-1, nv, 4)], axis=2)
+    ends = np.concatenate([words[:, 7 * span:-7].reshape(-1, nv, 13),
+                           contexts[:, 6 * span:-5].reshape(-1, nv, 4)], axis=2)
     trail_len = np.hstack([words[:, -7:], contexts[:, -5:-1]])[:, None] + variants[:, None]
     bar_len, pos_len = trail_len[:, :, _BAR], contexts[:, -1]
     width = int(max(trail_len.max(), pos_len.max() + bar_len.max())) + 1
-    if width > _SPAN:
-        planes = _combine(planes[:, ::_SPAN, None], 0, np.arange(width))
+    planes = base = None
+    if width > _SPANS[-1]:
+        base = np.hstack([words[:, :7 * span:span], contexts[:, :6 * span:span]]).ravel()
+        span = width
     else:
-        width = _SPAN
-    return PositionTable(planes=planes.ravel(), width=width, ends=ends.reshape(-1, 17),
-                         trail=(trail_len + width * np.arange(11)).reshape(-1, 11),
+        if width > span:
+            span = _SPANS[1]
+            words, contexts = _stack(mode, forms, tags, span)
+        planes = np.hstack([words[:, :7 * span], contexts[:, :6 * span]]).ravel()
+    return PositionTable(planes=planes, base=base, span=span, ends=ends.reshape(-1, 17),
+                         trail=(trail_len + span * np.arange(11)).reshape(-1, 11),
                          bar_len=bar_len.ravel(), pos_len=pos_len)
 
 
@@ -387,9 +419,10 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     values[:, :3] = table.ends[len(variants) * a2 + variant, :3]
     values[count:] ^= conj_crc[key][:, None]
     tail = values[:, 6 + _BAR].copy()
-    stride = 13 * table.width
+    stride = 13 * table.span
     row_a = stride * a2
-    values[:, 6:] ^= table.planes[table.trail[rows_b] + row_a[:, None]]
+    read = table.reader(starts[-1])
+    values[:, 6:] ^= read(table.trail[rows_b] + row_a[:, None])
     head = np.concatenate([starts[:-1], starts[:-1] + half])
     pos = head[:, None] + np.arange(17)
     pos[:, 13:] += nb2[:, None]
@@ -401,9 +434,8 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
         k = np.arange(first[-1] + nb2[-1])
         mid = k - np.repeat(first - np.minimum(a2, b2) - 1, nb2)
         bar = table.bar_len[rows_b]
-        btw = table.planes[np.repeat(row_a + 11 * table.width + bar, nb2)
-                           + table.pos_len[mid]]
-        btw ^= table.planes[np.repeat(12 * table.width + bar, nb2) + stride * mid]
+        btw = read(np.repeat(row_a + 11 * table.span + bar, nb2) + table.pos_len[mid])
+        btw ^= read(np.repeat(12 * table.span + bar, nb2) + stride * mid)
         btw ^= np.repeat(tail, nb2)
         flat[k + np.repeat(head + 13 - first, nb2)] = btw
     flat &= (1 << hash_bits) - 1

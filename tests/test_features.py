@@ -333,22 +333,61 @@ def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     assert alone.tolist() == full[k].tolist()
 
 
-@pytest.mark.parametrize("mode, longest_conj", [("directed", 7), ("undirected", 5)])
-def test_memo_rows_and_built_planes_match_the_oracle(mode, longest_conj):
-    """The memo rows hold each prefix shifted by 0..31 bytes.  A sentence
-    whose longest suffix plus conjunction is 31 bytes gathers from them; at
-    32 bytes it builds its own planes.  Both give every arc the CRC32s of
-    its feature strings (WIDE checks shifts past 256 bytes)."""
+def _oracle_slots(sentence, mode, a, b):
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
-    enumerate_pairs = directed_arcs if mode == "directed" else undirected_pairs
-    for longest, width in ((31, 32), (32, 33)):
-        # "|{w}|NN" is len(w) + 4 bytes long
-        form = "w" * (longest - longest_conj - 4)
-        sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * 10)
-        assert position_table(sentence, mode).width == width
-        cache = SentenceFeatures(sentence, mode, 30)
-        for a, b in enumerate_pairs(sentence, None):
-            assert cache.indices(a, b).tolist() == \
-                [zlib.crc32(s.encode("utf-8")) & (1 << 30) - 1
-                 for s in strings(sentence, a, b)]
+    return [zlib.crc32(s.encode("utf-8")) & (1 << 30) - 1 for s in strings(sentence, a, b)]
+
+
+@pytest.mark.parametrize("mode, longest_conj", [("directed", 7), ("undirected", 5)])
+@pytest.mark.parametrize("longest, tokens, span, built", [
+    (31, 12, 32, True), (32, 12, 64, True), (63, 12, 64, True),
+    (64, 12, 65, False), (64, 40, 65, True)])
+def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, tokens,
+                                               span, built):
+    """A sentence's longest suffix plus conjunction picks its table: memo
+    rows of span 32 up to 31 bytes, of span 64 up to 63; past that the
+    table starts without planes, and a call composes the planes it reads,
+    or builds them all when it has at least as many slots as they number.
+    Each side of each cut gives every arc the CRC32s of its feature
+    strings; a single arc composes its planes and gets its slice of the
+    full call."""
+    # "|{w}|NN" is len(w) + 4 bytes long
+    form = "w" * (longest - longest_conj - 4)
+    sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * (tokens - 2))
+    a, b = _all_arcs(sentence, mode)
+    table = position_table(sentence, mode)
+    assert table.span == span
+    full = _slices(*hash_arcs(table, mode, a, b, 30))
+    assert (table.planes is not None) == built
+    for k in range(len(a)):
+        assert full[k].tolist() == _oracle_slots(sentence, mode, a[k], b[k])
+    if not built:
+        return
+    for k in (0, len(a) // 2, len(a) - 1):
+        fresh = position_table(sentence, mode)
+        alone, = _slices(*hash_arcs(fresh, mode, a[k:k + 1], b[k:k + 1], 30))
+        assert alone.tolist() == full[k].tolist()
+        assert (fresh.planes is None) == (span > 64)
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_long_token_costs_no_planes(mode):
+    """A 100 kB form shifts pieces by 100 kB; the table holds no planes
+    for it, featurizing allocates well under what planes up to that shift
+    would take (5 positions x 13 pieces x 100k shifts x 8 bytes, 52 MB),
+    and every arc matches the oracle."""
+    import tracemalloc
+    sentence = sent([("a", "DT"), ("w" * 100_000, "NN"), ("b", "VB"), ("c", "JJ")])
+    a, b = _all_arcs(sentence, mode)
+    tracemalloc.start()
+    try:
+        table = position_table(sentence, mode)
+        flat, starts = hash_arcs(table, mode, a, b, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.planes is None and table.base.size == 5 * 13
+    assert peak < 4_000_000
+    for k, got in enumerate(_slices(flat, starts)):
+        assert got.tolist() == _oracle_slots(sentence, mode, a[k], b[k])
