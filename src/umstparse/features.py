@@ -359,7 +359,7 @@ def position_table(sentence: Sentence, mode: str) -> PositionTable:
     more gets span its longest shift plus one and no planes, since they
     could outnumber its slots: a pruned 10-token sentence with 40-byte tags
     has about 1,000 slots and would have 13,000 planes, and planes up to
-    the shift of a 100 kB form would take 6 MB a token.  A call on it then
+    the shift of a 100 kB form would take 10 MB a token.  A call on it then
     composes the planes it reads, or, with at least as many slots as there
     are planes, builds them all (``PositionTable.reader``)."""
     forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
