@@ -111,11 +111,11 @@ def load_model(path) -> Model:
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"{path}: not a model file")
     try:
-        header = dict(line.split(" ", 1) for line in lines[1:4])
+        header = dict(line.split(" ", 1) for line in lines[1:5])
         hash_bits = int(header["hash_bits"])
         mode = header["mode"]
         combiner = header["combiner"]
-        nnz = int(lines[4].split(" ", 1)[1])
+        nnz = int(header["nnz"])
     except (KeyError, ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed model header") from exc
     if len(lines) - 5 != nnz:
@@ -125,7 +125,7 @@ def load_model(path) -> Model:
         model = Model.new(mode=mode, combiner=combiner, hash_bits=hash_bits)
     except InputError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    size = model.size()
+    size, seen = model.size(), set()
     for line in lines[5:]:
         try:
             slot_s, value_s = line.split(" ")
@@ -137,6 +137,9 @@ def load_model(path) -> Model:
                             "weight table")
         if not math.isfinite(value):
             raise DataError(f"{path}: weight of slot {slot} is not finite")
+        if slot in seen:
+            raise DataError(f"{path}: slot {slot} has two weight lines")
+        seen.add(slot)
         model.weights[slot] = value
     return model
 
@@ -162,11 +165,10 @@ def pair_mask(arcs: np.ndarray) -> np.ndarray:
 #     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C,
 # and a slot is the XOR of shifted pieces read from tables (see
 # position_table); _combine computes Z_k only to fill those tables, or the
-# shifts a call reads of a sentence too wide for them.  A
-# linear map on 32 bits is four 256-entry lookups, one per byte of its
-# input.  _LOW holds the lookups of Z_k for k < 256 (flat, k-major), _POW
-# those of Z_{256 * 2**i}; any length composes from one of each kind per
-# set bit.
+# shifts past them that a call reads.  A linear map on 32 bits is four
+# 256-entry lookups, one per byte of its input.  _LOW holds the lookups of
+# Z_k for k < 256 (flat, k-major), _POW those of Z_{256 * 2**i}; any length
+# composes from one of each kind per set bit.
 
 def _crc_byte_table() -> np.ndarray:
     c = np.arange(256, dtype=np.int64)
@@ -250,31 +252,30 @@ _CONJ = {
 # whole unigram features and the prefix of each two-sided template, the b
 # side whole unigram features and the suffix that completes it; btw is a's
 # "btw:{ap}|", then the mid's POS, then b's |{bp}.  A position's memo row
-# holds Z_L of each of its prefixes for L < span, then its unigrams and
-# suffixes (its ends) shifted by each variant's conjunction length, then
-# the suffixes' lengths.  Rows are memoized per word and per POS context,
-# since text repeats; each memo holds at most 4096 rows.  The spans:
-# 32 bytes hold a suffix plus a conjunction for a 20-byte form with a
-# 4-byte tag (rows of about 2 kB); 64 hold 15-byte positional tags, whose
-# btw shift (the mid POS, |{bp}| and a conjunction) reaches 38 bytes, with
-# forms up to about 40 bytes (rows of about 4 kB).
-_SPANS = (32, 64)
+# holds Z_L of each of its prefixes for L < 64 (shift-major), then its
+# unigrams and suffixes (its ends) shifted by each variant's conjunction
+# length, then the suffixes' lengths.  Rows of about 4 kB are memoized per
+# word and per POS context, since text repeats, 4096 at most.  64 shifts
+# hold a suffix and conjunction of a form up to about 40 bytes, and btw's
+# shift (the mid POS, |{bp}| and a conjunction) of 15-byte positional tags.
+_SHIFTS = 64
 
 
 def _pieces(mode: str, prefixes: tuple[str, ...], ends: tuple[str, ...],
-            lengths: tuple[int, ...], span: int) -> np.ndarray:
+            lengths: tuple[int, ...]) -> np.ndarray:
     variants = _CONJ[mode][2]
     crc = _crcs(prefixes + ends)
     k = len(prefixes)
-    row = np.r_[_combine(np.r_[np.repeat(crc[:k], span), np.tile(crc[k:], len(variants))], 0,
-                         np.r_[np.tile(np.arange(span), k), np.repeat(variants, len(ends))]),
+    row = np.r_[_combine(np.r_[np.tile(crc[:k], _SHIFTS), np.tile(crc[k:], len(variants))], 0,
+                         np.r_[np.repeat(np.arange(_SHIFTS), k),
+                               np.repeat(variants, len(ends))]),
                 lengths]
     row.setflags(write=False)
     return row
 
 
 @functools.lru_cache(maxsize=4096)
-def _word_pieces(mode: str, w: str, p: str, span: int) -> np.ndarray:
+def _word_pieces(mode: str, w: str, p: str) -> np.ndarray:
     """bg1..bg7's prefixes; a's and b's unigrams, then bg1..bg7's suffixes."""
     ra, rb = _ROLES[mode]
     bar, wp, sw = f"|{p}", f"|{w}|{p}", f"|{w}"
@@ -283,18 +284,18 @@ def _word_pieces(mode: str, w: str, p: str, span: int) -> np.ndarray:
                           f"bg5:{w}|{p}", f"bg6:{w}", f"bg7:{p}"),
                    (f"{ra}w:{w}", f"{ra}p:{p}", f"{ra}wp:{w}|{p}",
                     f"{rb}w:{w}", f"{rb}p:{p}", f"{rb}wp:{w}|{p}") + suffixes,
-                   tuple(map(_utf8_len, suffixes)), span)
+                   tuple(map(_utf8_len, suffixes)))
 
 
 @functools.lru_cache(maxsize=4096)
-def _context_pieces(mode: str, prev: str, p: str, nxt: str, span: int) -> np.ndarray:
+def _context_pieces(mode: str, prev: str, p: str, nxt: str) -> np.ndarray:
     """sr1..sr4's prefixes, btw's a| and mid POS; sr1..sr4's suffixes;
     then |p| after the suffixes' lengths."""
     before, after = f"|{prev}|{p}", f"|{p}|{nxt}"
     suffixes = (before, before, after, after)
     return _pieces(mode, (f"sr1:{p}|{nxt}", f"sr2:{prev}|{p}", f"sr3:{p}|{nxt}",
                           f"sr4:{prev}|{p}", f"btw:{p}|", p), suffixes,
-                   tuple(map(_utf8_len, suffixes + (p,))), span)
+                   tuple(map(_utf8_len, suffixes + (p,))))
 
 
 _BAR = 3                         # b's |{bp}: the suffix of bg4, and of btw
@@ -307,84 +308,79 @@ class PositionTable:
     Variant v of a feature is the feature itself (v = 0) or it conjoined
     with a suffix of the v-th conjunction length; V variants in all.
 
-    ``planes`` row pos (13 * span entries) holds Z_L, for L = 0 ..
-    span - 1, of each of position pos's 13 shifted pieces: the prefixes of
-    bg1..bg7 and sr1..sr4, btw's a|, and pos's POS as a mid.  A sentence
-    too wide for the memo rows starts without planes, and ``base`` holds
-    its pieces unshifted, 13 a row (see ``reader``).
+    ``planes`` holds Z_L of each position's 13 shifted pieces (the
+    prefixes of bg1..bg7 and sr1..sr4, btw's a|, and its POS as a mid),
+    shift-major: piece k of position pos at L * stride + 13 * pos + k,
+    with stride = 13 (n + 1), so an index names its shift even past the
+    planes held.  ``width`` is the sentence's longest shift plus one; the
+    table starts with the shifts below min(width, 64) (see ``read``).
 
     Row V * pos + v of the others describes pos as b in variant v: ``ends``
     holds its 17 ends (its unigrams in both roles, then the suffix of each
-    two-sided template) shifted by the conjunction; ``trail`` where, in a
-    row of planes, each two-sided prefix sits shifted past pos's suffix and
-    the conjunction; ``bar_len`` the shift of btw's mid POS, |{bp}| plus
-    the conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.
+    two-sided template) shifted by the conjunction; ``trail`` the index of
+    each two-sided prefix of position 0 shifted past pos's suffix and the
+    conjunction; ``bar_len`` the shift of btw's mid POS, |{bp}| plus the
+    conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.  These
+    three hold stride times each shift.
     """
-    planes: np.ndarray | None
-    base: np.ndarray | None
-    span: int
+    planes: np.ndarray
+    width: int
     ends: np.ndarray
     trail: np.ndarray
     bar_len: np.ndarray
     pos_len: np.ndarray
 
-    def reader(self, slots: int):
-        """What maps flat indices (13 * span * pos + span * piece + L) to
-        the planes there, for a call of ``slots`` slots.  Without planes, a
-        call with fewer slots than the planes would have composes each plane
-        it reads with ``_combine``; a larger one builds them all, once."""
-        if self.planes is None and self.base.size * self.span <= slots:
-            self.planes = _combine(self.base[:, None], 0, np.arange(self.span)).ravel()
-        if self.planes is not None:
-            return self.planes.__getitem__
-        return lambda at: _combine(self.base[at // self.span], 0, at % self.span)
-
-
-def _stack(mode: str, forms: list[str], tags: list[str], span: int):
-    around = [NIL] + tags + [NIL]
-    return (np.array([_word_pieces(mode, w, p, span) for w, p in zip(forms, tags)]),
-            np.array([_context_pieces(mode, *around[i:i + 3], span)
-                      for i in range(len(tags))]))
+    def read(self, at: np.ndarray, slots: int) -> np.ndarray:
+        """The planes at flat indices ``at``, for a call of ``slots``
+        slots.  When the table lacks shifts below the width, a call with at
+        least as many slots as the missing planes builds them, once; a
+        smaller one composes each plane it reads with ``_combine``."""
+        stride = 13 * len(self.pos_len)
+        missing = self.width * stride - len(self.planes)
+        if 0 < missing <= slots:
+            shifts = np.arange(len(self.planes) // stride, self.width)[:, None]
+            self.planes = np.r_[self.planes, _combine(self.planes[:stride], 0, shifts).ravel()]
+        elif missing:
+            return _combine(self.planes[at % stride], 0, at // stride)
+        return self.planes[at]
 
 
 def position_table(sentence: Sentence, mode: str) -> PositionTable:
     """The tables of a sentence (position 0 is the root); built once per
     sentence and passed to every ``hash_arcs`` call for it.
 
-    The span is the smallest of 32 and 64 that exceeds every shift the
-    sentence reads (a suffix, or btw's mid POS and |{bp}, plus a
-    conjunction), and the planes are the positions' memo rows stacked at
-    it: for n tokens, a fixed cost of (n+1) * 13 * span planes and
-    (n+1) * V * 17 ends copied.  A sentence with a shift of 64 bytes or
-    more gets span its longest shift plus one and no planes, since they
-    could outnumber its slots: a pruned 10-token sentence with 40-byte tags
-    has about 1,000 slots and would have 13,000 planes, and planes up to
-    the shift of a 100 kB form would take 10 MB a token.  A call on it then
-    composes the planes it reads, or, with at least as many slots as there
-    are planes, builds them all (``PositionTable.reader``)."""
+    The planes copy the shifts below min(width, 64) from the positions'
+    memo rows, where the width is the longest shift the sentence reads (a
+    suffix, or btw's mid POS and |{bp}, plus a conjunction) plus one: for
+    n tokens, a fixed cost of (n+1) * 13 * min(width, 64) planes and
+    (n+1) * V * 17 ends copied.  The planes of longer shifts could
+    outnumber a call's slots: a pruned 10-token sentence with 40-byte tags
+    has about 1,000 slots and would need 3,700 more, and planes up to the
+    shift of a 100 kB form would take 10 MB a token.  ``PositionTable.read``
+    builds or composes them per call."""
     forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
     tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
-    span = _SPANS[0]
-    words, contexts = _stack(mode, forms, tags, span)
+    around = [NIL] + tags + [NIL]
+    words = np.array([_word_pieces(mode, w, p) for w, p in zip(forms, tags)])
+    contexts = np.array([_context_pieces(mode, *around[i:i + 3])
+                         for i in range(len(tags))])
     variants = _CONJ[mode][2]
     nv = len(variants)
-    ends = np.concatenate([words[:, 7 * span:-7].reshape(-1, nv, 13),
-                           contexts[:, 6 * span:-5].reshape(-1, nv, 4)], axis=2)
-    trail_len = np.hstack([words[:, -7:], contexts[:, -5:-1]])[:, None] + variants[:, None]
-    bar_len, pos_len = trail_len[:, :, _BAR], contexts[:, -1]
-    width = int(max(trail_len.max(), pos_len.max() + bar_len.max())) + 1
-    planes = base = None
-    if width > _SPANS[-1]:
-        base = np.hstack([words[:, :7 * span:span], contexts[:, :6 * span:span]]).ravel()
-        span = width
-    else:
-        if width > span:
-            span = _SPANS[1]
-            words, contexts = _stack(mode, forms, tags, span)
-        planes = np.hstack([words[:, :7 * span], contexts[:, :6 * span]]).ravel()
-    return PositionTable(planes=planes, base=base, span=span, ends=ends.reshape(-1, 17),
-                         trail=(trail_len + span * np.arange(11)).reshape(-1, 11),
-                         bar_len=bar_len.ravel(), pos_len=pos_len)
+    ends = np.concatenate([words[:, 7 * _SHIFTS:-7].reshape(-1, nv, 13),
+                           contexts[:, 6 * _SHIFTS:-5].reshape(-1, nv, 4)], axis=2)
+    suffix_len = np.concatenate([words[:, -7:], contexts[:, -5:-1]], axis=1)
+    pos_len = contexts[:, -1]
+    width = int(max(suffix_len.max(), pos_len.max() + suffix_len[:, _BAR].max())
+                + variants[-1]) + 1
+    held, n1 = min(width, _SHIFTS), len(forms)
+    planes = np.empty((held, n1, 13), dtype=np.int64)
+    planes[:, :, :7] = words[:, :7 * held].reshape(n1, held, 7).transpose(1, 0, 2)
+    planes[:, :, 7:] = contexts[:, :6 * held].reshape(n1, held, 6).transpose(1, 0, 2)
+    stride = 13 * n1
+    trail = stride * (suffix_len[:, None] + variants[:, None])
+    return PositionTable(planes=planes.ravel(), width=width, ends=ends.reshape(-1, 17),
+                         trail=(trail + np.arange(11)).reshape(-1, 11),
+                         bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len)
 
 
 def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
@@ -410,6 +406,7 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     half = nb + 17                    # features of each arc before conjunction
     starts = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(2 * half, out=starts[1:])
+    slots = starts[-1]
     # halves: each arc's features, then each arc's conjoined ones; a half
     # holds 13 base templates, then btw by mid, then 4 sr templates
     variant = np.concatenate([np.zeros(count, dtype=np.int64), conj_variant[key]])
@@ -419,14 +416,12 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     values[:, :3] = table.ends[len(variants) * a2 + variant, :3]
     values[count:] ^= conj_crc[key][:, None]
     tail = values[:, 6 + _BAR].copy()
-    stride = 13 * table.span
-    row_a = stride * a2
-    read = table.reader(starts[-1])
-    values[:, 6:] ^= read(table.trail[rows_b] + row_a[:, None])
+    row_a = 13 * a2
+    values[:, 6:] ^= table.read(table.trail[rows_b] + row_a[:, None], slots)
     head = np.concatenate([starts[:-1], starts[:-1] + half])
     pos = head[:, None] + np.arange(17)
     pos[:, 13:] += nb2[:, None]
-    flat = np.empty(starts[-1], dtype=np.int64)
+    flat = np.empty(slots, dtype=np.int64)
     flat[pos] = values
     if nb2.any():
         # one btw per (half, mid), mids ascending
@@ -434,8 +429,8 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
         k = np.arange(first[-1] + nb2[-1])
         mid = k - np.repeat(first - np.minimum(a2, b2) - 1, nb2)
         bar = table.bar_len[rows_b]
-        btw = read(np.repeat(row_a + 11 * table.span + bar, nb2) + table.pos_len[mid])
-        btw ^= read(np.repeat(12 * table.span + bar, nb2) + stride * mid)
+        btw = table.read(np.repeat(row_a + 11 + bar, nb2) + table.pos_len[mid], slots)
+        btw ^= table.read(np.repeat(12 + bar, nb2) + 13 * mid, slots)
         btw ^= np.repeat(tail, nb2)
         flat[k + np.repeat(head + 13 - first, nb2)] = btw
     flat &= (1 << hash_bits) - 1

@@ -75,6 +75,12 @@ def combine(s_uv: float, s_vu: float, combiner: str) -> float:
     return s_uv * s_vu
 
 
+def _pruning_key(sentence: Sentence, head: int, mod: int) -> tuple[str, str, int]:
+    """The length dictionary's key of head -> mod: (head POS, mod POS, ±1)."""
+    return (sentence.tokens[head - 1].postag, sentence.tokens[mod - 1].postag,
+            1 if mod > head else -1)
+
+
 @dataclass
 class Pruner:
     """Length dictionary: longest observed attachment per directed POS pair.
@@ -101,10 +107,7 @@ class Pruner:
     def allows(self, sentence: Sentence, head: int, mod: int) -> bool:
         if head == 0:
             return True
-        key = (sentence.tokens[head - 1].postag,
-               sentence.tokens[mod - 1].postag,
-               1 if mod > head else -1)
-        limit = self.max_len.get(key)
+        limit = self.max_len.get(_pruning_key(sentence, head, mod))
         return limit is not None and abs(mod - head) <= limit
 
     def mask(self, sentence: Sentence) -> np.ndarray:
@@ -141,9 +144,7 @@ def build_pruner(corpus: list[Sentence]) -> Pruner:
         for mod, head in enumerate(sent.gold_heads, 1):
             if head == 0:
                 continue
-            key = (sent.tokens[head - 1].postag,
-                   sent.tokens[mod - 1].postag,
-                   1 if mod > head else -1)
+            key = _pruning_key(sent, head, mod)
             length = abs(mod - head)
             if length > max_len.get(key, 0):
                 max_len[key] = length

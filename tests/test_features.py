@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import zlib
@@ -214,6 +215,8 @@ class TestModelFile:
         "hash_bits 4\nmode directed\ncombiner mean\nnnz 1\n3 one\n",
         "hash_bits 4\nmode bogus\ncombiner mean\nnnz 0\n",
         "hash_bits 4\nmode directed\ncombiner bogus\nnnz 0\n",
+        "hash_bits 4\nmode directed\ncombiner mean\nbogus 2\n3 0x1p+0\n3 0x1p+1\n",
+        "hash_bits 4\nmode directed\ncombiner mean\nnnz 2\n3 0x1p+0\n3 0x1p+1\n",
     ])
     def test_reject_out_of_range_hash_bits_and_slots(self, tmp_path, body):
         path = tmp_path / "bad.model"
@@ -272,19 +275,37 @@ def bundled():
     return build_pruner(train), dev
 
 
+def padded(sentence, width):
+    """The sentence with every POSTAG padded with "-" to ``width`` bytes."""
+    tokens = tuple(dataclasses.replace(t, postag=t.postag.ljust(width, "-"))
+                   for t in sentence.tokens)
+    return dataclasses.replace(sentence, tokens=tokens)
+
+
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
     """Every pair's slots are the CRC32s of its feature strings, in the
-    order *_feature_strings emits them; pairs come in row-major order."""
+    order *_feature_strings emits them; pairs come in row-major order.
+    Dev sentences with 15-byte tags read only planes copied from memo
+    rows; with 40-byte tags, the calls of the longest sentences build the
+    planes past the memo's 64 shifts, and the others compose those they
+    read."""
     pruner, dev = bundled
     long = join_sentences(dev[2:10])
     assert len(long) == 70
+    # the pruner learns the lengths of padded tags from the padded dev set
+    tagged = {width: ([padded(s, width) for s in dev[2:10]],
+                      build_pruner([padded(s, width) for s in dev]))
+              for width in (15, 40)}
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
     enumerate_pairs = directed_arcs if mode == "directed" else undirected_pairs
-    for sentence in (FIXTURE, long, WIDE):
+    cases = [(sentence, pruner) for sentence in (FIXTURE, long, WIDE)]
+    cases += [(sentence, rules) for sentences, rules in tagged.values()
+              for sentence in sentences]
+    for sentence, rules in cases:
         crcs = {}
-        for rule in (None, pruner):
+        for rule in (None, rules):
             pairs = enumerate_pairs(sentence, rule)
             allowed = None if rule is None else rule.mask(sentence)
             for a, b in pairs:
@@ -315,18 +336,24 @@ def _slices(flat, starts):
 def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     """An arc's slots are its slice of the sentence's full hash_arcs call,
     whatever other arcs share its call (any subset, in any order, with
-    repeats) and alone, from the same table or a fresh one."""
+    repeats) and alone, from the same table or a fresh one.  As in
+    LazyArcScores across LEP rounds, the subset's call comes first on the
+    table: with 40-byte tags it may compose planes that the full call then
+    builds."""
     _, dev = bundled
     sentence = data.draw(st.sampled_from(
-        [FIXTURE, WIDE, join_sentences(dev[2:10])] + dev[:30]), label="sentence")
+        [FIXTURE, WIDE, join_sentences(dev[2:10])] + dev[:30]
+        + [padded(s, 40) for s in dev[:10]]), label="sentence")
     mode = data.draw(st.sampled_from(["directed", "undirected"]), label="mode")
     table = position_table(sentence, mode)
     a, b = _all_arcs(sentence, mode)
-    full = _slices(*hash_arcs(table, mode, a, b, 30))
     pick = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60),
                      label="arcs")
-    for k, got in zip(pick, _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))):
-        assert got.tolist() == full[k].tolist()
+    before = _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))
+    full = _slices(*hash_arcs(table, mode, a, b, 30))
+    after = _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))
+    for k, first, again in zip(pick, before, after):
+        assert first.tolist() == full[k].tolist() == again.tolist()
     k = pick[0]
     alone, = _slices(*hash_arcs(position_table(sentence, mode), mode,
                                 a[k:k + 1], b[k:k + 1], 30))
@@ -339,44 +366,56 @@ def _oracle_slots(sentence, mode, a, b):
     return [zlib.crc32(s.encode("utf-8")) & (1 << 30) - 1 for s in strings(sentence, a, b)]
 
 
+def _arcs_of_slots(a, b, slots):
+    """Indices of arcs whose hash_arcs call has exactly ``slots`` slots;
+    an arc has 2 (16 + |b - a|) of them."""
+    ways = {0: []}
+    for k, size in enumerate((32 + 2 * np.abs(b - a)).tolist()):
+        for total, arcs in list(ways.items()):
+            if total + size <= slots:
+                ways.setdefault(total + size, arcs + [k])
+    return np.array(ways[slots])
+
+
 @pytest.mark.parametrize("mode, longest_conj", [("directed", 7), ("undirected", 5)])
-@pytest.mark.parametrize("longest, tokens, span, built", [
-    (31, 12, 32, True), (32, 12, 64, True), (63, 12, 64, True),
-    (64, 12, 65, False), (64, 40, 65, True)])
-def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, tokens,
-                                               span, built):
-    """A sentence's longest suffix plus conjunction picks its table: memo
-    rows of span 32 up to 31 bytes, of span 64 up to 63; past that the
-    table starts without planes, and a call composes the planes it reads,
-    or builds them all when it has at least as many slots as they number.
-    Each side of each cut gives every arc the CRC32s of its feature
-    strings; a single arc composes its planes and gets its slice of the
-    full call."""
+@pytest.mark.parametrize("longest, short", [(63, 0), (64, 2), (64, 0), (65, 2), (65, 0)])
+def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, short):
+    """The table holds the planes of the shifts below min(width, 64), the
+    width being the sentence's longest shift plus one.  When it lacks
+    some, a first call ``short`` slots short of the missing planes
+    composes those it reads, and one with as many builds them all; with
+    12 positions there are 156 missing planes a shift, and as every
+    call's slot count is even, 2 short is the closest.  Each call, and a
+    full call after it, gives every arc the CRC32s of its feature
+    strings, and so does a single arc from a fresh table."""
     # "|{w}|NN" is len(w) + 4 bytes long
     form = "w" * (longest - longest_conj - 4)
-    sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * (tokens - 2))
+    sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * 9)
     a, b = _all_arcs(sentence, mode)
+    oracle = [_oracle_slots(sentence, mode, a[k], b[k]) for k in range(len(a))]
+    stride = 13 * 12
+    missing = (longest + 1 - 64) * stride
     table = position_table(sentence, mode)
-    assert table.span == span
-    full = _slices(*hash_arcs(table, mode, a, b, 30))
-    assert (table.planes is not None) == built
-    for k in range(len(a)):
-        assert full[k].tolist() == _oracle_slots(sentence, mode, a[k], b[k])
-    if not built:
-        return
+    assert len(table.planes) == stride * min(longest + 1, 64)
+    pick = _arcs_of_slots(a, b, missing - short) if missing else np.arange(len(a))
+    first = _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))
+    assert len(table.planes) == stride * (64 if short else max(longest + 1, 64))
+    for k, got in zip(pick, first):
+        assert got.tolist() == oracle[k]
+    for k, got in enumerate(_slices(*hash_arcs(table, mode, a, b, 30))):
+        assert got.tolist() == oracle[k]
     for k in (0, len(a) // 2, len(a) - 1):
-        fresh = position_table(sentence, mode)
-        alone, = _slices(*hash_arcs(fresh, mode, a[k:k + 1], b[k:k + 1], 30))
-        assert alone.tolist() == full[k].tolist()
-        assert (fresh.planes is None) == (span > 64)
+        alone, = _slices(*hash_arcs(position_table(sentence, mode), mode,
+                                    a[k:k + 1], b[k:k + 1], 30))
+        assert alone.tolist() == oracle[k]
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_long_token_costs_no_planes(mode):
-    """A 100 kB form shifts pieces by 100 kB; the table holds no planes
-    for it, featurizing allocates well under what planes up to that shift
-    would take (5 positions x 13 pieces x 100k shifts x 8 bytes, 52 MB),
-    and every arc matches the oracle."""
+    """A 100 kB form shifts pieces by 100 kB; the table holds the planes
+    of 64 shifts only, featurizing allocates well under what planes up to
+    that shift would take (5 positions x 13 pieces x 100k shifts x 8
+    bytes, 52 MB), and every arc matches the oracle."""
     import tracemalloc
     sentence = sent([("a", "DT"), ("w" * 100_000, "NN"), ("b", "VB"), ("c", "JJ")])
     a, b = _all_arcs(sentence, mode)
@@ -387,7 +426,7 @@ def test_long_token_costs_no_planes(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.planes is None and table.base.size == 5 * 13
+    assert len(table.planes) == 64 * 5 * 13
     assert peak < 4_000_000
     for k, got in enumerate(_slices(flat, starts)):
         assert got.tolist() == _oracle_slots(sentence, mode, a[k], b[k])
