@@ -480,10 +480,6 @@ class SentenceFeatures:
             raise KeyError("pair not in the feature cache")
         return ids
 
-    def indices(self, a: int, b: int) -> np.ndarray:
-        k = self._ids(a, b)
-        return self._flat[self._starts[k]:self._ends[k]]
-
     def score_all(self, weights: np.ndarray) -> np.ndarray:
         """Score of every stored pair, aligned with self.pairs."""
         if not len(self.pair_a):

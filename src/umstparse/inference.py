@@ -178,9 +178,10 @@ class LazyArcScores:
 
     def __getitem__(self, arcs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         heads, mods = arcs
-        todo = np.zeros_like(self._pending)
-        todo[heads, mods] = True
-        a, b = np.nonzero(todo & self._pending)      # row-major, no repeats
+        size = len(self._pending)
+        keys = heads * size + mods
+        # the pending arcs asked for, once each; sorted keys are row-major
+        a, b = np.divmod(np.unique(keys[self._pending.ravel()[keys]]), size)
         if len(a):
             flat, starts = hash_arcs(self._table, "directed", a, b, self._hash_bits)
             self._matrix[a, b] = np.add.reduceat(self._weights[flat], starts)
@@ -258,9 +259,8 @@ def build_parse_graph(sentence: Sentence, model: Model,
     return ParseGraph(graph=graph), matrix
 
 
-def direct_tree(graph: UndirectedGraph, mst: SpanningForest,
-                root: int = 0) -> DependencyTree:
-    """Orient a spanning tree away from the root.
+def direct_tree(graph: UndirectedGraph, mst: SpanningForest) -> DependencyTree:
+    """Orient a spanning tree away from the root, vertex 0.
 
     Breadth-first from the root, every tree edge is marked outgoing from
     the side reached first; with the root constrained to have no incoming
@@ -283,8 +283,8 @@ def direct_tree(graph: UndirectedGraph, mst: SpanningForest,
         adj[a].append(b)
         adj[b].append(a)
     heads = [-1] * n
-    heads[root] = root
-    queue = [root]
+    heads[0] = 0
+    queue = [0]
     qi = 0
     while qi < len(queue):
         x = queue[qi]

@@ -34,12 +34,14 @@ from .graph import simplify  # noqa: F401
 from .unionfind import UnionFind
 
 # Graphs with at most this many edges skip the recursion for Kruskal's
-# algorithm (see randomized_msf).  This is a cap, not a speed crossover:
-# tools/msf_crossover.py finds Kruskal faster at every size it sweeps (16
-# edges to 1M).  44 edges covers nine in ten pruned parse graphs of the
-# bundled dev sentences, while the unpruned parse graph of any sentence of
-# 9 or more tokens (45+ edges) still runs the sampling recursion, as the
-# benchmark's tracer self-test expects.
+# algorithm (see randomized_msf).  This is a cap, not the speed crossover:
+# tools/msf_crossover.py (BENCH_crossover.json) finds Kruskal faster up to
+# 2,048 edges on bench graphs and the recursion faster from 4,096, and on
+# parse graphs the recursion first wins in the bin of 2,048-4,095 edges.
+# 44 edges covers nine in ten pruned parse graphs of the bundled dev
+# sentences, while the unpruned parse graph of any sentence of 9 or more
+# tokens (45+ edges) still runs the sampling recursion, as the benchmark's
+# tracer self-test expects.
 _BASE_EDGES = 44
 
 
@@ -139,32 +141,29 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
     Forest edges themselves are never marked; edges across distinct forest
     components are treated as having an infinite path maximum.
 
-    The path maxima come from the forest's Borůvka tree (King, Algorithmica
-    1997): contract the forest by minimum-edge rounds, weighing each
-    super-vertex by its lightest remaining forest edge (+inf once it is a
-    whole tree).  A pair's path maximum is the largest weight of the
-    super-vertices holding either end, over the rounds in which the ends
-    are apart.
+    The path maxima are read from a table of the forest's Borůvka tree
+    (King, Algorithmica 1997).  The forest is contracted by minimum-edge
+    rounds, each super-vertex weighing its lightest remaining forest edge
+    (+inf once it is a whole tree).  Row r of ``tops`` holds, per vertex,
+    the largest weight of the super-vertices that held it in rounds 1..r,
+    after a row of -inf and before a row of +inf (ends in different trees).
+    Labels nest, so an edge's ends meet after the R rounds in which they
+    are held apart; its path maximum is the larger of their row-R entries.
     """
-    query = np.nonzero(~forest_mask)[0]
-    pmax = np.full(len(query), -np.inf)     # a self edge's empty path
-    live = np.arange(len(query))            # pairs whose ends are apart
-    a, b = graph.u[query], graph.v[query]
     forest = _edges_where(graph, forest_mask)
-    while True:
-        apart = a != b
-        live, a, b = live[apart], a[apart], b[apart]
-        if not (live.size and forest.n_edges):
-            break
+    helds = [np.arange(graph.n_vertices)]   # per round, each vertex's holder
+    tops = [np.full(graph.n_vertices, -np.inf)]
+    while forest.n_edges:
         sel, weight = min_incident_edges(forest)
-        pmax[live] = np.maximum(pmax[live], np.maximum(weight[a], weight[b]))
+        tops.append(np.maximum(tops[-1], weight[helds[-1]]))
         labels = connected_components(forest, sel)
         forest = _contract(forest, labels)
-        a, b = labels[a], labels[b]
-    pmax[live] = np.inf                     # ends in different trees
-    heavy = np.zeros(graph.n_edges, dtype=bool)
-    heavy[query] = graph.weight[query] > pmax
-    return heavy
+        helds.append(labels[helds[-1]])
+    tops = np.stack([*tops, np.full(graph.n_vertices, np.inf)])
+    u, v = graph.u, graph.v
+    meet = sum(held[u] != held[v] for held in helds)
+    pmax = np.maximum(tops[meet, u], tops[meet, v])
+    return ~forest_mask & (graph.weight > pmax)
 
 
 def f_heavy_edges(graph: UndirectedGraph, forest: SpanningForest) -> set:

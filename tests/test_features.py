@@ -259,7 +259,7 @@ class TestSentenceFeatures:
     def test_cached_indices_match_extraction(self):
         cache = SentenceFeatures(FIXTURE, "undirected", hash_bits=12)
         fv = extract_undirected(FIXTURE, 1, 4, hash_bits=12)
-        assert sorted(cache.indices(1, 4).tolist()) == fv.indices.tolist()
+        assert sorted(cache.sum_indices([(1, 4)]).tolist()) == fv.indices.tolist()
 
 
 # non-ASCII forms and tags; one form and one tag are longer than 256 UTF-8
@@ -317,9 +317,31 @@ def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
                 cache = SentenceFeatures(sentence, mode, hash_bits, allowed)
                 assert cache.pairs == pairs
                 for a, b in pairs:
-                    assert cache.indices(a, b).tolist() == (crcs[a, b] & mask).tolist()
+                    assert cache.sum_indices([(a, b)]).tolist() == \
+                        (crcs[a, b] & mask).tolist()
                 assert cache.sum_indices(pairs).tolist() == \
                     np.concatenate([crcs[p] & mask for p in pairs]).tolist()
+
+
+def test_pairs_outside_the_cache_raise(bundled):
+    """A pair the pruner drops, or an arc into the root, has no slots: asking
+    for it raises KeyError, also beside pairs that the cache holds."""
+    pruner, dev = bundled
+    sentence = join_sentences(dev[2:10])
+    allowed = pruner.mask(sentence)
+    pruned = SentenceFeatures(sentence, "undirected", 12, allowed)
+    dropped = np.argwhere(~pair_mask(allowed)
+                          & np.triu(arc_matrix(len(sentence)), 1))
+    assert len(dropped)
+    a, b = dropped[0].tolist()
+    kept = pruned.pairs[0]
+    for arcs in ([(a, b)], [kept, (a, b)]):
+        with pytest.raises(KeyError, match="pair not in the feature cache"):
+            pruned.sum_indices(arcs)
+    directed = SentenceFeatures(FIXTURE, "directed", 12)
+    assert len(directed.sum_indices([(0, 1)]))
+    with pytest.raises(KeyError, match="pair not in the feature cache"):
+        directed.sum_indices([(1, 0)])
 
 
 def _all_arcs(sentence, mode):

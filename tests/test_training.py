@@ -123,7 +123,7 @@ def test_lep_uses_directed_model_scores():
     doctored.weights = models["d-mst"].weights.copy()
     cache = SentenceFeatures(target, "directed", 16)
     for h, m in ((0, 1), (1, 2), (1, 3)):
-        doctored.weights[cache.indices(h, m)] += 100.0
+        doctored.weights[cache.sum_indices([(h, m)])] += 100.0
     swayed = parse(target, models["u-mst-uf-lep"], pconf,
                    directed_model=doctored)
     assert swayed.heads != base.heads
