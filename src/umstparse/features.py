@@ -443,9 +443,11 @@ class SentenceFeatures:
     Built once per sentence and reused across epochs; scoring all arcs is
     then a single gather + segmented sum over the weight vector.  Arcs that
     ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps every
-    candidate arc) drops are simply absent.  Pairs are (head, mod) in
-    directed mode and (left, right) in undirected mode, row-major; each
-    pair's slots follow the emission order of the string templates.
+    candidate arc) drops are simply absent: a cache holds what a parse with
+    that mask scores.  Pairs are (head, mod) in directed mode and (left,
+    right) in undirected mode, row-major; each pair's slots follow the
+    emission order of the string templates.  ``table``, the sentence's
+    ``position_table``, hashes any candidate arc for ``sum_indices``.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -453,20 +455,16 @@ class SentenceFeatures:
                  allowed: np.ndarray | None = None):
         if mode not in _ROLES:
             raise InputError(f"unknown feature mode {mode!r}")
-        check_hash_bits(hash_bits)
         self.mode = mode
-        n = len(sentence)
-        arcs = arc_matrix(n) if allowed is None else allowed
+        self.hash_bits = check_hash_bits(hash_bits)
+        arcs = arc_matrix(len(sentence)) if allowed is None else allowed
         if mode == "undirected":
             arcs = pair_mask(arcs)
         a, b = np.nonzero(arcs)
         self.pair_a, self.pair_b = a, b
-        self._flat, self._starts = hash_arcs(position_table(sentence, mode),
-                                             mode, a, b, hash_bits)
-        self._ends = np.append(self._starts[1:], len(self._flat))
-        self._pair_id = np.full((n + 1, n + 1), -1, dtype=np.int64)
-        self._pair_id[a, b] = np.arange(len(a))
-        for array in (a, b, self._flat, self._starts, self._ends):
+        self.table = position_table(sentence, mode)
+        self._flat, self._starts = hash_arcs(self.table, mode, a, b, hash_bits)
+        for array in (a, b, self._flat, self._starts):
             array.setflags(write=False)
 
     @property
@@ -474,25 +472,20 @@ class SentenceFeatures:
         """The stored pairs as (a, b) tuples, in storage order."""
         return list(zip(self.pair_a.tolist(), self.pair_b.tolist()))
 
-    def _ids(self, a, b) -> np.ndarray:
-        ids = self._pair_id[a, b]
-        if np.any(ids < 0):
-            raise KeyError("pair not in the feature cache")
-        return ids
-
     def score_all(self, weights: np.ndarray) -> np.ndarray:
         """Score of every stored pair, aligned with self.pairs."""
         if not len(self.pair_a):
             return np.empty(0)
         return np.add.reduceat(weights[self._flat], self._starts)
 
-    def sum_indices(self, arcs) -> np.ndarray:
-        """Concatenated slot indices of several arcs (for gold/pred updates)."""
-        if not len(arcs):
-            return np.empty(0, dtype=np.int64)
-        a, b = np.asarray(arcs, dtype=np.int64).T
-        ids = self._ids(a, b)
-        starts = self._starts[ids]
-        lens = self._ends[ids] - starts
-        first = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        return self._flat[first + np.arange(len(first))]
+    def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray]:
+        """The slots of the arcs ``gained`` then ``lost``, hashed from
+        ``table`` in one call whether the cache holds them or not, and a
+        sign per slot (+1.0 gained, -1.0 lost) for a perceptron update."""
+        arcs = np.asarray([*gained, *lost], dtype=np.int64).reshape(-1, 2)
+        flat, starts = hash_arcs(self.table, self.mode, arcs[:, 0], arcs[:, 1],
+                                 self.hash_bits)
+        sign = np.ones(len(flat))
+        if len(lost):
+            sign[starts[len(gained)]:] = -1.0
+        return flat, sign

@@ -229,8 +229,8 @@ def build_parse_graph(sentence: Sentence, model: Model,
     (None for undirected models).  ``allowed`` is the pruner's arc mask
     (``Pruner.mask``; None keeps every arc): a pair survives when either of
     its directions does, and pairs touching the root always survive,
-    keeping the graph connected.  An undirected ``cache`` already holds
-    only the surviving pairs.
+    keeping the graph connected.  A given ``cache`` holds only what
+    ``allowed`` keeps (``SentenceFeatures`` built with that mask).
     """
     n = len(sentence)
     matrix = None
@@ -242,12 +242,7 @@ def build_parse_graph(sentence: Sentence, model: Model,
         weights = -cache.score_all(model.weights)
     else:
         matrix = directed_score_table(sentence, model, allowed, cache)
-        # a direction survives when the cache covered it and the mask
-        # (re-checked here: training uses unpruned directed caches so that
-        # updates can featurize any predicted arc) allows it
         alive = np.isfinite(matrix)
-        if allowed is not None:
-            alive &= allowed
         u, v = np.nonzero(pair_mask(alive))
         fwd, rev = alive[u, v], alive[v, u]
         s_uv, s_vu = matrix[u, v], matrix[v, u]
@@ -471,7 +466,8 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     u-mst-uf-lep additionally needs the separately trained directed model
     for its rewiring pass, which scores only the arcs it reads.
     ``features`` is the sentence's featurization in the model's mode, when
-    the caller already has it (training featurizes each sentence once).
+    the caller already has it, pruned by the pruner's mask (training
+    featurizes each sentence once).
     """
     config.validate()
     system = config.system
@@ -483,11 +479,10 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     if config.pruned != (pruner is not None):
         raise InputError("pruning 'length-dictionary' needs a pruner" if config.pruned
                          else "a pruner needs pruning 'length-dictionary'")
-    # one mask for every stage that reads it: the graph (unless an
-    # undirected cache already holds the pruned pairs) and the rewiring
+    # one mask for every stage that reads it: the graph (unless the cache
+    # already holds the pruned arcs) and the rewiring
     allowed = None
-    if pruner is not None and (features is None or model.mode == "directed"
-                               or system == "u-mst-uf-lep"):
+    if pruner is not None and (features is None or system == "u-mst-uf-lep"):
         allowed = pruner.mask(sentence)
     pg, _ = build_parse_graph(sentence, model, allowed, features)
     forest = randomized_msf(pg.graph, RandomSource(config.seed, sentence_index))

@@ -35,9 +35,11 @@ from .unionfind import UnionFind
 
 # Graphs with at most this many edges skip the recursion for Kruskal's
 # algorithm (see randomized_msf).  This is a cap, not the speed crossover:
-# tools/msf_crossover.py (BENCH_crossover.json) finds Kruskal faster up to
-# 2,048 edges on bench graphs and the recursion faster from 4,096, and on
-# parse graphs the recursion first wins in the bin of 2,048-4,095 edges.
+# tools/msf_crossover.py (BENCH_crossover.json, three seeded graphs per
+# cell) finds Kruskal faster up to 1,024 edges on bench graphs and the
+# recursion faster from 4,096 (at 2,048, at density 2 only); on parse
+# graphs Kruskal wins every bin below 1,024 edges, and the bins above are
+# unresolved.
 # 44 edges covers nine in ten pruned parse graphs of the bundled dev
 # sentences, while the unpruned parse graph of any sentence of 9 or more
 # tokens (45+ edges) still runs the sampling recursion, as the benchmark's

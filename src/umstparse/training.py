@@ -5,7 +5,11 @@ using the current weights, and on a mistake the weights move toward the
 gold structure's features and away from the prediction's.  Undirected
 systems compare undirected edge sets; directed systems compare head
 vectors.  Each prediction is one call of the test-time ``parse``, given
-the sentence's features, which are computed once before the first epoch.
+the sentence's features, which are computed once before the first epoch,
+pruned as parse would prune them.  An update hashes, from the position
+table each cache keeps, only the arcs where gold and prediction differ:
+a new model's weights and their running sum receive whole numbers, so
+the shared arcs' additions would cancel exactly.
 """
 
 from __future__ import annotations
@@ -97,12 +101,9 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
         model = init_model
     weights = model.weights
     usum = np.zeros_like(weights)
-    # undirected caches hold the pairs the pruner keeps (every gold pair, as
-    # the pruner comes from this corpus); directed caches stay unpruned, as a
-    # predicted pair's arc may be a direction the pruner drops
-    cache_pruner = pruner if mode == "undirected" else None
+    # each cache holds what parse would featurize, in either mode
     caches = [SentenceFeatures(s, mode, config.hash_bits,
-                               None if cache_pruner is None else cache_pruner.mask(s))
+                               None if pruner is None else pruner.mask(s))
               for s in corpus]
     t = 1
     epoch_uas = []
@@ -121,13 +122,13 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
                            if p == g)
             gold_arcs = _arcs(sentence.gold_heads, mode)
             pred_arcs = _arcs(pred.heads, mode)
-            if set(gold_arcs) != set(pred_arcs):
-                gold_idx = caches[idx].sum_indices(gold_arcs)
-                pred_idx = caches[idx].sum_indices(pred_arcs)
-                np.add.at(weights, gold_idx, 1.0)
-                np.add.at(weights, pred_idx, -1.0)
-                np.add.at(usum, gold_idx, float(t - 1))
-                np.add.at(usum, pred_idx, -float(t - 1))
+            gold_set, pred_set = set(gold_arcs), set(pred_arcs)
+            if gold_set != pred_set:
+                slots, sign = caches[idx].sum_indices(
+                    [arc for arc in gold_arcs if arc not in pred_set],
+                    [arc for arc in pred_arcs if arc not in gold_set])
+                np.add.at(weights, slots, sign)
+                np.add.at(usum, slots, sign * (t - 1))
             t += 1
         epoch_uas.append(100.0 * correct / total if total else 0.0)
     usum /= t - 1

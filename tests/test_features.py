@@ -259,7 +259,7 @@ class TestSentenceFeatures:
     def test_cached_indices_match_extraction(self):
         cache = SentenceFeatures(FIXTURE, "undirected", hash_bits=12)
         fv = extract_undirected(FIXTURE, 1, 4, hash_bits=12)
-        assert sorted(cache.sum_indices([(1, 4)]).tolist()) == fv.indices.tolist()
+        assert sorted(cache.sum_indices([(1, 4)])[0].tolist()) == fv.indices.tolist()
 
 
 # non-ASCII forms and tags; one form and one tag are longer than 256 UTF-8
@@ -285,8 +285,9 @@ def padded(sentence, width):
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
     """Every pair's slots are the CRC32s of its feature strings, in the
-    order *_feature_strings emits them; pairs come in row-major order.
-    Dev sentences with 15-byte tags read only planes copied from memo
+    order *_feature_strings emits them; pairs come in row-major order, and
+    each stored pair scores the sum of its oracle slots' weights.  Dev
+    sentences with 15-byte tags read only planes copied from memo
     rows; with 40-byte tags, the calls of the longest sentences build the
     planes past the memo's 64 shifts, and the others compose those they
     read."""
@@ -317,31 +318,44 @@ def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
                 cache = SentenceFeatures(sentence, mode, hash_bits, allowed)
                 assert cache.pairs == pairs
                 for a, b in pairs:
-                    assert cache.sum_indices([(a, b)]).tolist() == \
+                    assert cache.sum_indices([(a, b)])[0].tolist() == \
                         (crcs[a, b] & mask).tolist()
-                assert cache.sum_indices(pairs).tolist() == \
+                assert cache.sum_indices(pairs)[0].tolist() == \
                     np.concatenate([crcs[p] & mask for p in pairs]).tolist()
+                if hash_bits <= 22:
+                    # whole-number weights sum exactly in any order
+                    weights = np.arange(1 << hash_bits, dtype=np.float64) % 1009
+                    assert cache.score_all(weights).tolist() == \
+                        [weights[crcs[p] & mask].sum() for p in pairs]
 
 
-def test_pairs_outside_the_cache_raise(bundled):
-    """A pair the pruner drops, or an arc into the root, has no slots: asking
-    for it raises KeyError, also beside pairs that the cache holds."""
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
+    """A pruned cache keeps its sentence's position table, so the arcs (or
+    pairs) its mask dropped still get their oracle slots, alone and beside
+    arcs the cache holds; the signs mark the gained arcs' slots +1 and the
+    lost arcs' -1."""
     pruner, dev = bundled
     sentence = join_sentences(dev[2:10])
     allowed = pruner.mask(sentence)
-    pruned = SentenceFeatures(sentence, "undirected", 12, allowed)
-    dropped = np.argwhere(~pair_mask(allowed)
-                          & np.triu(arc_matrix(len(sentence)), 1))
-    assert len(dropped)
-    a, b = dropped[0].tolist()
-    kept = pruned.pairs[0]
-    for arcs in ([(a, b)], [kept, (a, b)]):
-        with pytest.raises(KeyError, match="pair not in the feature cache"):
-            pruned.sum_indices(arcs)
-    directed = SentenceFeatures(FIXTURE, "directed", 12)
-    assert len(directed.sum_indices([(0, 1)]))
-    with pytest.raises(KeyError, match="pair not in the feature cache"):
-        directed.sum_indices([(1, 0)])
+    pruned = SentenceFeatures(sentence, mode, 12, allowed)
+    kept, candidates = allowed, arc_matrix(len(sentence))
+    strings = directed_feature_strings
+    if mode == "undirected":
+        kept, candidates = pair_mask(allowed), np.triu(candidates, 1)
+        strings = undirected_feature_strings
+    dropped = [tuple(arc) for arc in np.argwhere(candidates & ~kept).tolist()]
+    assert len(dropped) and not set(dropped) & set(pruned.pairs)
+
+    def oracle(arcs):
+        return [hash_feature(f, 12) for a, b in arcs for f in strings(sentence, a, b)]
+
+    for a, b in dropped[::7]:
+        assert pruned.sum_indices([(a, b)])[0].tolist() == oracle([(a, b)])
+    gained, lost = dropped[:3], [pruned.pairs[0], dropped[-1]]
+    slots, sign = pruned.sum_indices(gained, lost)
+    assert slots.tolist() == oracle(gained + lost)
+    assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
 
 
 def _all_arcs(sentence, mode):

@@ -173,13 +173,13 @@ class TestBuildParseGraph:
     @pytest.mark.parametrize("combiner", ["mean", "product"])
     def test_directed_mode_matches_scalar_rule(self, bundled, combiner):
         """Directed-mode graphs equal a per-pair loop over the score table,
-        with pruned caches and with the unpruned caches training uses."""
+        built from the mask alone and from a cache pruned by the mask."""
         pruner, sentences = bundled
         model = Model.new("directed", combiner=combiner, hash_bits=12)
         model.weights = np.random.default_rng(71).normal(size=model.size())
         for s in sentences[::10]:
             n = len(s)
-            for cache in (None, SentenceFeatures(s, "directed", 12)):
+            for cache in (None, SentenceFeatures(s, "directed", 12, pruner.mask(s))):
                 pg, matrix = build_parse_graph(s, model, pruner.mask(s), cache)
                 pairs, weights = [], []
                 for u in range(n + 1):
@@ -481,9 +481,9 @@ class TestVectorizedLocalEnhancement:
     @pytest.mark.parametrize("system", ["u-mst-uf", "u-mst-uf-lep", "u-mst-df"])
     def test_pruner_mask_once_per_parse(self, bundled, monkeypatch, system):
         """A pruned parse computes the pruner's mask once and hands it to
-        every stage that needs it, and not at all when a pruned undirected
-        cache already holds the graph's pairs; the tree is the one each
-        stage's own mask gives."""
+        every stage that needs it, and not at all when a pruned cache
+        already holds the graph's pairs or arcs and no rewiring reads it;
+        the tree is the one each stage's own mask gives."""
         pruner, sentences = bundled
         rng = np.random.default_rng(149)
         dmodel = Model.new("directed", hash_bits=12)
@@ -504,8 +504,7 @@ class TestVectorizedLocalEnhancement:
             want = direct_tree(pg.graph, kruskal_msf(pg.graph))
             if system == "u-mst-uf-lep":
                 want = local_enhancement(want, LazyArcScores(s, dmodel, pruner.mask(s)))
-            cache = SentenceFeatures(s, model.mode, 12,
-                                     pruner.mask(s) if model is umodel else None)
+            cache = SentenceFeatures(s, model.mode, 12, pruner.mask(s))
             monkeypatch.setattr(Pruner, "mask", counting)
             calls.clear()
             assert parse(s, model, config, directed_model=dmodel,
@@ -514,7 +513,7 @@ class TestVectorizedLocalEnhancement:
             calls.clear()
             assert parse(s, model, config, directed_model=dmodel,
                          pruner=pruner, features=cache) == want
-            assert len(calls) == (0 if system == "u-mst-uf" else 1)
+            assert len(calls) == (1 if system == "u-mst-uf-lep" else 0)
             monkeypatch.setattr(Pruner, "mask", real)
 
     def test_lazy_scorer_needs_directed_model(self):

@@ -11,7 +11,7 @@ from umstparse.features import Model, SentenceFeatures
 from umstparse.inference import ParserConfig, build_pruner, parse
 from umstparse.training import TrainConfig, feature_mode, train, train_full
 
-from oracles import directed_feature_strings, hash_feature
+from oracles import directed_feature_strings, hash_feature, undirected_feature_strings
 
 FIXTURE_TRAIN = pathlib.Path(__file__).parent.parent / "data" / "fixture_train.conll"
 
@@ -123,7 +123,7 @@ def test_lep_uses_directed_model_scores():
     doctored.weights = models["d-mst"].weights.copy()
     cache = SentenceFeatures(target, "directed", 16)
     for h, m in ((0, 1), (1, 2), (1, 3)):
-        doctored.weights[cache.sum_indices([(h, m)])] += 100.0
+        doctored.weights[cache.sum_indices([(h, m)])[0]] += 100.0
     swayed = parse(target, models["u-mst-uf-lep"], pconf,
                    directed_model=doctored)
     assert swayed.heads != base.heads
@@ -174,3 +174,76 @@ def test_pruned_undirected_training_parses_only_kept_pairs(monkeypatch):
     assert len(graphs) == len(corpus)
     assert all(only_kept for only_kept, _ in graphs)
     assert any(pruned for _, pruned in graphs)
+
+
+@pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-uf-lep", "u-mst-df"])
+def test_pruner_mask_once_per_training_sentence(monkeypatch, system):
+    """Training builds each sentence's cache with the mask parse would use,
+    once, and its predictions read the cache instead of masking again;
+    d-mst reads no pruning."""
+    corpus = load_conll(FIXTURE_TRAIN)[:30]
+    calls = []
+    real = inference.Pruner.mask
+
+    def counting(self, sentence):
+        calls.append(sentence)
+        return real(self, sentence)
+
+    monkeypatch.setattr(inference.Pruner, "mask", counting)
+    train_full(corpus, TrainConfig(epochs=3, system=system, hash_bits=14,
+                                   pruning="length-dictionary"))
+    assert calls == ([] if system == "d-mst" else corpus)
+
+
+def _reference_train(corpus, config):
+    """The averaged perceptron updating on every gold and every predicted
+    arc, with slots from the feature strings; predictions from parse with
+    no cache."""
+    parser_config = config.parser_config()
+    mode = feature_mode(parser_config.system)
+    strings = directed_feature_strings if mode == "directed" \
+        else undirected_feature_strings
+    pruner = build_pruner(corpus) if parser_config.pruned else None
+    model = Model.new(mode, config.combiner, config.hash_bits)
+    usum = np.zeros_like(model.weights)
+
+    def arcs(heads):
+        pairs = list(enumerate(heads, 1))
+        if mode == "directed":
+            return [(h, m) for m, h in pairs]
+        return [(min(h, m), max(h, m)) for m, h in pairs]
+
+    t = 1
+    for epoch in range(config.epochs):
+        order = np.arange(len(corpus))
+        if config.shuffle:
+            order = np.random.default_rng([config.seed, epoch]).permutation(len(corpus))
+        for idx in order.tolist():
+            s = corpus[idx]
+            pred = parse(s, model, parser_config, pruner=pruner, sentence_index=idx)
+            gold_arcs, pred_arcs = arcs(s.gold_heads), arcs(pred.heads)
+            if set(gold_arcs) != set(pred_arcs):
+                for arc_list, sign in ((gold_arcs, 1.0), (pred_arcs, -1.0)):
+                    for a, b in arc_list:
+                        for f in strings(s, a, b):
+                            slot = hash_feature(f, config.hash_bits)
+                            model.weights[slot] += sign
+                            usum[slot] += sign * (t - 1)
+            t += 1
+    usum /= t - 1
+    model.weights -= usum
+    return model
+
+
+@pytest.mark.parametrize("pruning", ["none", "length-dictionary"])
+@pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-df"])
+def test_update_on_the_difference_trains_the_full_update_bytes(system, pruning):
+    """Updating only on the arcs where gold and prediction differ trains
+    bit-identical weights to updating on all of both: every addition is a
+    whole number, so the shared arcs' additions cancel exactly."""
+    corpus = load_conll(FIXTURE_TRAIN)[:40]
+    config = TrainConfig(epochs=3, system=system, hash_bits=16, seed=3,
+                         shuffle=True, pruning=pruning)
+    model, _ = train_full(corpus, config)
+    assert model.weights.any()
+    assert np.array_equal(model.weights, _reference_train(corpus, config).weights)

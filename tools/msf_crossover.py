@@ -5,20 +5,24 @@ switched off (``mst._BASE_EDGES = 0``) on the same graphs:
 
 * bench graphs: ``bench.random_connected_graph`` at 16 edges to 1M (the
   sizes ``umstparse bench`` runs), doubling, at edge/vertex densities 2
-  and 4;
+  and 4, ``--graphs`` seeded graphs (at least 3) per size and density;
 * short parse graphs: the 150 bundled dev sentences, pruned with the
   length dictionary, under a u-mst-uf model trained on the first 300
   training sentences (the ``short`` benchmark workload's setting);
 * long parse graphs: the ``long`` workload's 60 joined dev sentences at
   seed 1 (perfbench's ``long_sentences``; 20-70 tokens), unpruned.
 
-Each graph is timed as the best of ``--repeats`` batches of calls.  Parse
-graphs are grouped by edge count into power-of-two bins.  The result's
-``largest_size_kruskal_faster`` is the largest sweep size at and below
-which Kruskal wins on every bench graph and parse-graph bin, and
-``crossover_found`` says whether the recursion wins anywhere in the sweep;
-without a crossover, ``mst._BASE_EDGES`` is a cap chosen on other grounds
-(see its comment).  Prints one JSON object.
+Each graph is timed per call as the median of ``--repeats`` batches, the
+two engines' batches alternating.  A cell (a size and density, or a
+power-of-two bin of parse-graph edge counts) reports each engine's
+median and quartiles over its graphs, and is ``unresolved`` when the two
+engines' interquartile ranges overlap or it holds fewer than 3 graphs;
+``kruskal_faster`` is null there.
+The result's ``largest_size_kruskal_faster`` is the largest sweep size at
+and below which Kruskal wins every resolved cell, and ``crossover_found``
+says whether the recursion wins a resolved cell in the sweep; unresolved
+cells decide neither.  Without a crossover, ``mst._BASE_EDGES`` is a cap
+chosen on other grounds (see its comment).  Prints one JSON object.
 
     PYTHONPATH=src python tools/msf_crossover.py > /tmp/crossover.json
 """
@@ -48,68 +52,84 @@ SIZES = tuple(16 << k for k in range(16)) + (1_000_000,)   # 16 .. 1M
 DENSITIES = (2, 4)
 
 
-def best_us(fn, graph, calls: int, repeats: int) -> float:
-    """Best per-call time in microseconds over ``repeats`` batches."""
-    best = float("inf")
+def median_us(fns, graph, calls: int, repeats: int) -> list[float]:
+    """Per engine, the median per-call time in microseconds over
+    ``repeats`` batches; the engines' batches alternate."""
+    times = [[] for _ in fns]
     for _ in range(repeats):
-        start = time.perf_counter_ns()
-        for _ in range(calls):
-            fn(graph)
-        best = min(best, (time.perf_counter_ns() - start) / calls / 1e3)
-    return best
+        for fn, out in zip(fns, times):
+            start = time.perf_counter_ns()
+            for _ in range(calls):
+                fn(graph)
+            out.append((time.perf_counter_ns() - start) / calls / 1e3)
+    return [statistics.median(out) for out in times]
 
 
 def recursion(graph):
     return mst.randomized_msf(graph, mst.RandomSource(1))
 
 
-def time_pair(graph, repeats: int) -> tuple[float, float]:
-    """(Kruskal us, recursion us) on one graph; both must agree."""
+def time_pair(graph, repeats: int) -> list[float]:
+    """[Kruskal us, recursion us] on one graph; both must agree."""
     base = mst._BASE_EDGES
     mst._BASE_EDGES = 0
     try:
         if recursion(graph).edge_ids != mst.kruskal_msf(graph).edge_ids:
             raise AssertionError("engines disagree")
         calls = max(1, 20000 // max(graph.n_edges, 1))
-        return (best_us(mst.kruskal_msf, graph, calls, repeats),
-                best_us(recursion, graph, calls, repeats))
+        return median_us((mst.kruskal_msf, recursion), graph, calls, repeats)
     finally:
         mst._BASE_EDGES = base
 
 
+def cell(times: list[list[float]], **key) -> dict:
+    """One cell's row from its graphs' [Kruskal, recursion] times."""
+    row = dict(key, graphs=len(times))
+    spread = {}
+    for i, engine in enumerate(("kruskal", "recursion")):
+        values = sorted(t[i] for t in times)
+        q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                       if len(values) > 1 else values * 3)
+        row[f"{engine}_us"] = {"median": round(med, 1), "q1": round(q1, 1),
+                               "q3": round(q3, 1)}
+        spread[engine] = (q1, q3)
+    (k1, k3), (r1, r3) = spread["kruskal"], spread["recursion"]
+    row["unresolved"] = len(times) < 3 or (k1 <= r3 and r1 <= k3)
+    row["kruskal_faster"] = None if row["unresolved"] else k3 < r1
+    return row
+
+
 def parse_bins(graphs, repeats: int) -> list[dict]:
-    by_bin: dict[int, list[tuple[float, float]]] = {}
+    by_bin: dict[int, list[list[float]]] = {}
     for graph in graphs:
         low = 1 << (max(graph.n_edges, 1).bit_length() - 1)
         by_bin.setdefault(low, []).append(time_pair(graph, repeats))
-    rows = []
-    for low in sorted(by_bin):
-        pairs = by_bin[low]
-        k = statistics.median(p[0] for p in pairs)
-        r = statistics.median(p[1] for p in pairs)
-        rows.append({"edges": f"{low}-{2 * low - 1}", "graphs": len(pairs),
-                     "kruskal_us": round(k, 1), "recursion_us": round(r, 1),
-                     "kruskal_faster": k < r})
-    return rows
+    return [cell(by_bin[low], edges=f"{low}-{2 * low - 1}") for low in sorted(by_bin)]
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=3,
+                   help="timed batches per graph and engine")
+    p.add_argument("--graphs", type=int, default=3,
+                   help="seeded bench graphs per size and density (>= 3)")
     args = p.parse_args(argv)
+    if args.repeats < 1 or args.graphs < 3:
+        p.error("--repeats must be >= 1 and --graphs >= 3")
 
     bench = []
     for m in SIZES:
         for density in DENSITIES:
             n = max(2, m // density)
-            graph = random_connected_graph(
-                n, m, np.random.default_rng([m, density]))
-            if graph.n_edges != m:          # too few vertices for m edges
-                continue
-            k, r = time_pair(graph, args.repeats)
-            bench.append({"edges": m, "density": density,
-                          "kruskal_us": round(k, 1), "recursion_us": round(r, 1),
-                          "kruskal_faster": k < r})
+            times = []
+            for seed in range(1, args.graphs + 1):
+                graph = random_connected_graph(
+                    n, m, np.random.default_rng([m, density, seed]))
+                if graph.n_edges != m:      # too few vertices for m edges
+                    break
+                times.append(time_pair(graph, args.repeats))
+            if times:
+                bench.append(cell(times, edges=m, density=density))
 
     train = load_conll(ROOT / "data" / "fixture_train.conll")[:SHORT_TRAIN]
     dev = load_conll(ROOT / "data" / "fixture_dev.conll")
@@ -127,9 +147,10 @@ def main(argv=None) -> int:
         return edges if isinstance(edges, int) else int(edges.split("-")[0])
 
     rows = [*bench, *parse_bins_short, *parse_bins_long]
+    decided = [r for r in rows if not r["unresolved"]]
     largest = None
     for size in SIZES:                    # stop at the first size Kruskal loses
-        if not all(r["kruskal_faster"] for r in rows if low(r) <= size):
+        if not all(r["kruskal_faster"] for r in decided if low(r) <= size):
             break
         largest = size
 
@@ -141,6 +162,7 @@ def main(argv=None) -> int:
                         "max": max(g.n_edges for g in short)},
         "long_edges": {"mean": round(statistics.mean(g.n_edges for g in long), 1),
                        "max": max(g.n_edges for g in long)},
+        "unresolved_cells": len(rows) - len(decided),
         "largest_size_kruskal_faster": largest,
         "crossover_found": largest != SIZES[-1],
     }
