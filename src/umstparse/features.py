@@ -447,7 +447,8 @@ class SentenceFeatures:
     that mask scores.  Pairs are (head, mod) in directed mode and (left,
     right) in undirected mode, row-major; each pair's slots follow the
     emission order of the string templates.  ``table``, the sentence's
-    ``position_table``, hashes any candidate arc for ``sum_indices``.
+    ``position_table`` cut to its unshifted planes, hashes any candidate
+    arc for ``sum_indices``.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -464,6 +465,9 @@ class SentenceFeatures:
         self.pair_a, self.pair_b = a, b
         self.table = position_table(sentence, mode)
         self._flat, self._starts = hash_arcs(self.table, mode, a, b, hash_bits)
+        # a training run keeps every cache, so its table keeps only the
+        # unshifted planes: read composes the few that sum_indices reads
+        self.table.planes = self.table.planes[:13 * (len(sentence) + 1)].copy()
         for array in (a, b, self._flat, self._starts):
             array.setflags(write=False)
 

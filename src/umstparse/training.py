@@ -82,7 +82,9 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
 
     The per-epoch figure is the online training accuracy: the directed
     attachment accuracy of the predictions made (before each update)
-    during that epoch.
+    during that epoch.  A given ``init_model`` is trained in place; with
+    fractional weights (an averaged model) it can end in the last bits
+    apart from updating on all gold and predicted arcs.
     """
     config.validate()
     if not corpus:

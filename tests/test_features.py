@@ -285,8 +285,8 @@ def padded(sentence, width):
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
     """Every pair's slots are the CRC32s of its feature strings, in the
-    order *_feature_strings emits them; pairs come in row-major order, and
-    each stored pair scores the sum of its oracle slots' weights.  Dev
+    order *_feature_strings emits them, both as stored and as
+    ``sum_indices`` hashes them; pairs come in row-major order.  Dev
     sentences with 15-byte tags read only planes copied from memo
     rows; with 40-byte tags, the calls of the longest sentences build the
     planes past the memo's 64 shifts, and the others compose those they
@@ -320,25 +320,26 @@ def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
                 for a, b in pairs:
                     assert cache.sum_indices([(a, b)])[0].tolist() == \
                         (crcs[a, b] & mask).tolist()
+                expected = [crcs[p] & mask for p in pairs]
                 assert cache.sum_indices(pairs)[0].tolist() == \
-                    np.concatenate([crcs[p] & mask for p in pairs]).tolist()
-                if hash_bits <= 22:
-                    # whole-number weights sum exactly in any order
-                    weights = np.arange(1 << hash_bits, dtype=np.float64) % 1009
-                    assert cache.score_all(weights).tolist() == \
-                        [weights[crcs[p] & mask].sum() for p in pairs]
+                    np.concatenate(expected).tolist()
+                # the stored slots, which parse and training predictions read
+                assert cache._flat.tolist() == np.concatenate(expected).tolist()
+                assert cache._starts.tolist() == \
+                    np.cumsum([0] + [len(e) for e in expected[:-1]]).tolist()
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
-    """A pruned cache keeps its sentence's position table, so the arcs (or
-    pairs) its mask dropped still get their oracle slots, alone and beside
-    arcs the cache holds; the signs mark the gained arcs' slots +1 and the
-    lost arcs' -1."""
+    """A pruned cache keeps its sentence's position table, cut to the
+    unshifted planes, so the arcs (or pairs) its mask dropped still get
+    their oracle slots, alone and beside arcs the cache holds; the signs
+    mark the gained arcs' slots +1 and the lost arcs' -1."""
     pruner, dev = bundled
     sentence = join_sentences(dev[2:10])
     allowed = pruner.mask(sentence)
     pruned = SentenceFeatures(sentence, mode, 12, allowed)
+    assert len(pruned.table.planes) == 13 * (len(sentence) + 1)
     kept, candidates = allowed, arc_matrix(len(sentence))
     strings = directed_feature_strings
     if mode == "undirected":

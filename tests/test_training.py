@@ -195,16 +195,19 @@ def test_pruner_mask_once_per_training_sentence(monkeypatch, system):
     assert calls == ([] if system == "d-mst" else corpus)
 
 
-def _reference_train(corpus, config):
+def _reference_train(corpus, config, init=None, difference=False):
     """The averaged perceptron updating on every gold and every predicted
-    arc, with slots from the feature strings; predictions from parse with
-    no cache."""
+    arc, or with ``difference`` on those in one and not the other, with
+    slots from the feature strings; predictions from parse with no cache.
+    It starts from a copy of ``init``'s weights when given."""
     parser_config = config.parser_config()
     mode = feature_mode(parser_config.system)
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
     pruner = build_pruner(corpus) if parser_config.pruned else None
     model = Model.new(mode, config.combiner, config.hash_bits)
+    if init is not None:
+        model.weights[:] = init.weights
     usum = np.zeros_like(model.weights)
 
     def arcs(heads):
@@ -223,6 +226,10 @@ def _reference_train(corpus, config):
             pred = parse(s, model, parser_config, pruner=pruner, sentence_index=idx)
             gold_arcs, pred_arcs = arcs(s.gold_heads), arcs(pred.heads)
             if set(gold_arcs) != set(pred_arcs):
+                if difference:
+                    gold_arcs, pred_arcs = ([arc for arc in x if arc not in y]
+                                            for x, y in ((gold_arcs, set(pred_arcs)),
+                                                         (pred_arcs, set(gold_arcs))))
                 for arc_list, sign in ((gold_arcs, 1.0), (pred_arcs, -1.0)):
                     for a, b in arc_list:
                         for f in strings(s, a, b):
@@ -247,3 +254,22 @@ def test_update_on_the_difference_trains_the_full_update_bytes(system, pruning):
     model, _ = train_full(corpus, config)
     assert model.weights.any()
     assert np.array_equal(model.weights, _reference_train(corpus, config).weights)
+
+
+def test_continued_training_from_fractional_weights_updates_on_the_difference():
+    """``init_model`` is trained in place and updated on the difference
+    only.  An averaged model's weights are fractional, and there a +1 and
+    a -1 on a shared arc's slot need not cancel exactly, so continued
+    training can differ in the last bits from updating on all of both."""
+    corpus = load_conll(FIXTURE_TRAIN)[:40]
+    config = TrainConfig(epochs=2, system="u-mst-uf", hash_bits=16, seed=3,
+                         shuffle=True)
+    first = train(corpus[:10], config)
+    assert (first.weights % 1).any()
+    start = replace(first, weights=first.weights.copy())
+    model, log = train_full(corpus, config, init_model=first)
+    assert model is first and min(log) < 100
+    assert np.array_equal(model.weights, _reference_train(
+        corpus, config, init=start, difference=True).weights)
+    full = _reference_train(corpus, config, init=start).weights
+    assert np.allclose(model.weights, full, rtol=0, atol=1e-12)

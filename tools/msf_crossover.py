@@ -5,7 +5,7 @@ switched off (``mst._BASE_EDGES = 0``) on the same graphs:
 
 * bench graphs: ``bench.random_connected_graph`` at 16 edges to 1M (the
   sizes ``umstparse bench`` runs), doubling, at edge/vertex densities 2
-  and 4, ``--graphs`` seeded graphs (at least 3) per size and density;
+  and 4, ``GRAPHS`` seeded graphs per size and density;
 * short parse graphs: the 150 bundled dev sentences, pruned with the
   length dictionary, under a u-mst-uf model trained on the first 300
   training sentences (the ``short`` benchmark workload's setting);
@@ -50,6 +50,7 @@ from workloads import LONG_DEV, SHORT_TRAIN, long_sentences  # noqa: E402
 
 SIZES = tuple(16 << k for k in range(16)) + (1_000_000,)   # 16 .. 1M
 DENSITIES = (2, 4)
+GRAPHS = 3                      # seeded bench graphs per size and density
 
 
 def median_us(fns, graph, calls: int, repeats: int) -> list[float]:
@@ -111,18 +112,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=3,
                    help="timed batches per graph and engine")
-    p.add_argument("--graphs", type=int, default=3,
-                   help="seeded bench graphs per size and density (>= 3)")
     args = p.parse_args(argv)
-    if args.repeats < 1 or args.graphs < 3:
-        p.error("--repeats must be >= 1 and --graphs >= 3")
+    if args.repeats < 1:
+        p.error("--repeats must be >= 1")
 
     bench = []
     for m in SIZES:
         for density in DENSITIES:
             n = max(2, m // density)
             times = []
-            for seed in range(1, args.graphs + 1):
+            for seed in range(1, GRAPHS + 1):
                 graph = random_connected_graph(
                     n, m, np.random.default_rng([m, density, seed]))
                 if graph.n_edges != m:      # too few vertices for m edges
