@@ -87,9 +87,10 @@ class Pruner:
 
     An arc head->mod is allowed when its (head POS, mod POS, direction)
     was seen in training with at least this length; unseen pairs are
-    pruned.  Arcs out of the dummy root are always allowed.  ``allows`` is
-    the rule for one arc, ``mask`` the same rule for every arc of a
-    sentence; max_len is read once, at construction.
+    pruned.  Arcs out of the dummy root are always allowed, and arcs that
+    are no candidate arcs (into the root, or self arcs) never are.
+    ``allows`` is the rule for one arc, ``mask`` the same rule for every
+    arc of a sentence; max_len is read once, at construction.
     """
     max_len: dict = field(default_factory=dict)
 
@@ -105,6 +106,8 @@ class Pruner:
                          int(direction > 0)] = length
 
     def allows(self, sentence: Sentence, head: int, mod: int) -> bool:
+        if mod == 0 or head == mod:
+            return False
         if head == 0:
             return True
         limit = self.max_len.get(_pruning_key(sentence, head, mod))
@@ -160,32 +163,38 @@ class LazyArcScores:
     scored in one ``hash_arcs`` call, in row-major order.  Each arc has the
     same slots as in SentenceFeatures, so its score is bit-identical to the
     matrix's.  Arcs the pruner drops (or that are no candidate arcs) read
-    as -inf.  ``allowed`` is the pruner's arc mask (``Pruner.mask``); None
-    allows every candidate arc.
+    as -inf without being hashed.  ``allowed`` is the pruner's arc mask
+    (``Pruner.mask``), kept unchanged; None allows every candidate arc
+    (``arc_matrix``).  The sentence's directed position table is built on
+    the first hash, so a scorer asked only for arcs outside the mask, or
+    for none, never featurizes.
     """
 
     def __init__(self, sentence: Sentence, model: Model,
                  allowed: np.ndarray | None = None):
         if model.mode != "directed":
             raise InputError("directed arc scores need a directed-mode model")
-        n = len(sentence)
+        self._sentence = sentence
         self._weights = model.weights
         self._hash_bits = model.hash_bits
-        self._table = position_table(sentence, "directed")
-        self._matrix = np.full((n + 1, n + 1), -np.inf)
-        # allowed arcs whose score is not in _matrix yet
-        self._pending = arc_matrix(n) if allowed is None else allowed.copy()
+        self._table = None
+        self.allowed = arc_matrix(len(sentence)) if allowed is None else allowed
+        # NaN marks an allowed arc whose score is not computed yet
+        self._matrix = np.where(self.allowed, np.nan, -np.inf)
 
     def __getitem__(self, arcs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         heads, mods = arcs
-        size = len(self._pending)
-        keys = heads * size + mods
+        scores = self._matrix[heads, mods]
+        todo = np.isnan(scores)
+        if not todo.any():
+            return scores
+        size = len(self._matrix)
         # the pending arcs asked for, once each; sorted keys are row-major
-        a, b = np.divmod(np.unique(keys[self._pending.ravel()[keys]]), size)
-        if len(a):
-            flat, starts = hash_arcs(self._table, "directed", a, b, self._hash_bits)
-            self._matrix[a, b] = np.add.reduceat(self._weights[flat], starts)
-            self._pending[a, b] = False
+        a, b = np.divmod(np.unique((heads * size + mods)[todo]), size)
+        if self._table is None:
+            self._table = position_table(self._sentence, "directed")
+        flat, starts = hash_arcs(self._table, "directed", a, b, self._hash_bits)
+        self._matrix[a, b] = np.add.reduceat(self._weights[flat], starts)
         return self._matrix[heads, mods]
 
 
@@ -313,30 +322,46 @@ def local_enhancement(tree: DependencyTree, s_d: np.ndarray | LazyArcScores,
     skipped.  Swaps whose new arcs are absent (not finite) are never
     taken; absent current arcs make any legal swap infinitely attractive.
     ``s_d`` is a score matrix (``directed_score_table``) or a
-    ``LazyArcScores``; a round reads the four arcs of every edge with one
-    ``s_d[heads, mods]`` lookup.
+    ``LazyArcScores``.  A round first keeps the candidate edges, those
+    whose two new arcs (t, v) and (v, u) are present by the mask (the
+    scorer's ``allowed``, or where the matrix is finite), without reading
+    a score; it stops when there are none, and otherwise reads the four
+    arcs of the candidate edges with one ``s_d[heads, mods]`` lookup.
     """
     if not tree.is_valid():
         raise StructureError("local enhancement requires a valid tree")
+    allowed = s_d.allowed if isinstance(s_d, LazyArcScores) else np.isfinite(s_d)
     heads = np.array([0, *tree.heads], dtype=np.int64)    # heads[v], v in 0..n
-    for _ in range(rounds):
-        v = np.flatnonzero(heads)           # (u, v) with u != root
-        u = heads[v]
-        t = heads[u]
-        s = s_d[np.concatenate([t, v, t, u]),
-                np.concatenate([v, u, u, v])].reshape(4, len(v))
-        s_tv, s_vu, s_tu, s_uv = s
-        present = np.isfinite(s)
-        with np.errstate(invalid="ignore"):
+    # swap_gain reads inf - inf where a current arc is absent; np.where
+    # then discards that NaN
+    with np.errstate(invalid="ignore"):
+        for _ in range(rounds):
+            v = np.flatnonzero(heads)           # (u, v) with u != root
+            u = heads[v]
+            t = heads[u]
+            k = len(v)
+            # per edge, the arcs (t, v), (v, u), (t, u), (u, v): new ones first
+            rows, cols = np.concatenate([t, v, t, u]), np.concatenate([v, u, u, v])
+            new = allowed[rows[:2 * k], cols[:2 * k]]
+            if np.count_nonzero(new) < 2 * k:
+                candidate = new[:k] & new[k:]
+                if not candidate.any():
+                    break
+                v, u, t = v[candidate], u[candidate], t[candidate]
+                rows, cols = np.concatenate([t, v, t, u]), np.concatenate([v, u, u, v])
+            s = s_d[rows, cols].reshape(4, len(v))
+            s_tv, s_vu, s_tu, s_uv = s
+            present = np.isfinite(s)
             gain = np.where(present[2] & present[3],
                             swap_gain(-s_tu, -s_uv, -s_tv, -s_vu), np.inf)
-        legal = np.flatnonzero(present[0] & present[1] & (gain > 0.0))
-        if not len(legal):
-            break
-        top = legal[gain[legal] == gain[legal].max()]
-        best = top[np.argmin(u[top] * len(heads) + v[top])]
-        heads[u[best]] = v[best]
-        heads[v[best]] = t[best]
+            legal = np.flatnonzero(present[0] & present[1] & (gain > 0.0))
+            if not len(legal):
+                break
+            gains = gain[legal]
+            top = legal[gains == gains.max()]
+            best = top[np.argmin(u[top] * len(heads) + v[top])]
+            heads[u[best]] = v[best]
+            heads[v[best]] = t[best]
     return DependencyTree(heads=tuple(heads[1:].tolist()))
 
 
@@ -464,10 +489,13 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     others need one exactly when ``config.pruning`` is "length-dictionary",
     and take the randomized spanning forest, seeded per sentence.
     u-mst-uf-lep additionally needs the separately trained directed model
-    for its rewiring pass, which scores only the arcs it reads.
-    ``features`` is the sentence's featurization in the model's mode, when
-    the caller already has it, pruned by the pruner's mask (training
-    featurizes each sentence once).
+    for its rewiring pass.  That pass scores only the four arcs of each
+    candidate swap, one whose two new arcs the pruner's mask allows, so a
+    pruned sentence with no candidate swap is never featurized in
+    directed mode; unpruned, every swap is a candidate.  ``features`` is
+    the sentence's featurization in the model's mode, when the caller
+    already has it, pruned by the pruner's mask (training featurizes each
+    sentence once).
     """
     config.validate()
     system = config.system

@@ -96,13 +96,15 @@ class TestPruner:
                 assert p.allows(s, h, m0 + 1)
 
     def test_mask_agrees_with_allows(self, bundled):
+        """Over the whole [0, n] square: arcs into the root and self arcs
+        (the root's included) are allowed by neither."""
         pruner, sentences = bundled
         for s in sentences:
             n = len(s)
             expected = np.zeros((n + 1, n + 1), dtype=bool)
             for h in range(n + 1):
-                for m in range(1, n + 1):
-                    expected[h, m] = h != m and pruner.allows(s, h, m)
+                for m in range(n + 1):
+                    expected[h, m] = pruner.allows(s, h, m)
             assert np.array_equal(pruner.mask(s), expected)
 
     def test_unseen_pair_pruned(self):
@@ -453,9 +455,10 @@ class TestVectorizedLocalEnhancement:
         assert 1 <= len(calls) <= 5
         assert sum(calls) <= 4 * len(s) * 5 < len(s) ** 2
 
-    def test_tables_built_once_per_sentence(self, bundled, monkeypatch):
-        """A LazyArcScores builds its sentence's position table once; every
-        round of local_enhancement hashes its arcs from that table."""
+    def test_tables_built_at_most_once_on_first_use(self, bundled, monkeypatch):
+        """A LazyArcScores builds its sentence's position table at most
+        once, on its first hash; every round of local_enhancement hashes
+        its arcs from that table."""
         import umstparse.inference as inference
         built, hashed_from = [], []
         real_table, real_hash = inference.position_table, inference.hash_arcs
@@ -477,6 +480,106 @@ class TestVectorizedLocalEnhancement:
         local_enhancement(tree, LazyArcScores(s, model), rounds=5)
         assert len(built) == 1 and len(hashed_from) >= 2
         assert all(table is built[0] for table in hashed_from)
+
+    @staticmethod
+    def _candidates(heads, allowed):
+        """The (t, u, v) of the tree edges (u, v) below a non-root u whose
+        two new arcs (t, v) and (v, u) the mask allows."""
+        heads = np.array([0, *heads])
+        v = np.flatnonzero(heads)
+        u = heads[v]
+        t = heads[u]
+        keep = allowed[t, v] & allowed[v, u]
+        return t[keep], u[keep], v[keep]
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record the arcs of every hash_arcs call and the sentences of
+        every position_table call made by LazyArcScores."""
+        import umstparse.inference as inference
+        hashed, built = [], []
+        real_table, real_hash = inference.position_table, inference.hash_arcs
+
+        def building(*args):
+            built.append(args[0])
+            return real_table(*args)
+
+        def hashing(table, mode, a, b, *args):
+            hashed.append((a.copy(), b.copy()))
+            return real_hash(table, mode, a, b, *args)
+
+        monkeypatch.setattr(inference, "position_table", building)
+        monkeypatch.setattr(inference, "hash_arcs", hashing)
+        return hashed, built
+
+    def test_no_candidate_edge_never_featurizes(self, bundled, monkeypatch):
+        """A pruned tree none of whose edges has both new arcs allowed comes
+        back unchanged, without building a position table or hashing."""
+        pruner, sentences = bundled
+        rng = np.random.default_rng(151)
+        model = Model.new("directed", hash_bits=12)
+        model.weights = rng.normal(size=model.size())
+        hashed, built = self._counting(monkeypatch)
+        seen = 0
+        for s in sentences:
+            allowed = pruner.mask(s)
+            if len(self._candidates(s.gold_heads, allowed)[0]):
+                continue
+            seen += 1
+            tree = DependencyTree(heads=s.gold_heads)
+            assert local_enhancement(tree, LazyArcScores(s, model, allowed)) == tree
+        assert seen >= 10
+        assert hashed == [] and built == []
+
+    def test_hashes_the_allowed_arcs_of_candidate_edges(self, bundled, monkeypatch):
+        """One round hashes exactly the allowed arcs among the four arcs of
+        the candidate edges, once each, in row-major order; asking again
+        for arcs already scored hashes nothing."""
+        pruner, sentences = bundled
+        rng = np.random.default_rng(157)
+        model = Model.new("directed", hash_bits=12)
+        model.weights = rng.normal(size=model.size())
+        hashed, _ = self._counting(monkeypatch)
+        seen = 0
+        for s in sentences:
+            allowed = pruner.mask(s)
+            for heads in (s.gold_heads, tuple(_random_heads(rng, len(s)))):
+                t, u, v = self._candidates(heads, allowed)
+                if not len(t):
+                    continue
+                seen += 1
+                ha, ma = np.concatenate([t, v, t, u]), np.concatenate([v, u, u, v])
+                keys = np.unique((ha * (len(s) + 1) + ma)[allowed[ha, ma]])
+                want = np.divmod(keys, len(s) + 1)
+                lazy = LazyArcScores(s, model, allowed)
+                hashed.clear()
+                local_enhancement(DependencyTree(heads=heads), lazy, rounds=1)
+                assert len(hashed) == 1
+                assert np.array_equal(hashed[0][0], want[0])
+                assert np.array_equal(hashed[0][1], want[1])
+                lazy[ha, ma]
+                assert len(hashed) == 1
+        assert seen >= 10
+
+    def test_pruned_msf_trees_match_the_full_table(self, bundled):
+        """LEP over the MSF trees of the bundled dev set, scored lazily with
+        the pruner's mask, gives the trees of LEP over the matrix of
+        directed_score_table with the same mask."""
+        pruner, sentences = bundled
+        rng = np.random.default_rng(163)
+        dmodel = Model.new("directed", hash_bits=12)
+        dmodel.weights = rng.normal(size=dmodel.size())
+        umodel = Model.new("undirected", hash_bits=12)
+        umodel.weights = rng.normal(size=umodel.size())
+        changed = 0
+        for s in sentences[:150]:
+            allowed = pruner.mask(s)
+            pg, _ = build_parse_graph(s, umodel, allowed)
+            tree = direct_tree(pg.graph, kruskal_msf(pg.graph))
+            full = local_enhancement(tree, directed_score_table(s, dmodel, allowed))
+            assert local_enhancement(tree, LazyArcScores(s, dmodel, allowed)) == full
+            changed += full != tree
+        assert changed >= 10
 
     @pytest.mark.parametrize("system", ["u-mst-uf", "u-mst-uf-lep", "u-mst-df"])
     def test_pruner_mask_once_per_parse(self, bundled, monkeypatch, system):
