@@ -101,8 +101,8 @@ def save_model(model: Model, path) -> None:
         fh.write(f"mode {model.mode}\n")
         fh.write(f"combiner {model.combiner}\n")
         fh.write(f"nnz {len(nz)}\n")
-        for slot in nz:
-            fh.write(f"{slot} {float(model.weights[slot]).hex()}\n")
+        fh.write("".join(f"{slot} {value.hex()}\n" for slot, value in
+                         zip(nz.tolist(), model.weights[nz].tolist())))
 
 
 def load_model(path) -> Model:
@@ -446,9 +446,10 @@ class SentenceFeatures:
     candidate arc) drops are simply absent: a cache holds what a parse with
     that mask scores.  Pairs are (head, mod) in directed mode and (left,
     right) in undirected mode, row-major; each pair's slots follow the
-    emission order of the string templates.  ``table``, the sentence's
+    emission order of the string templates.  ``sum_indices`` gathers the
+    slots of held arcs from these runs; ``table``, the sentence's
     ``position_table`` cut to its unshifted planes, hashes any candidate
-    arc for ``sum_indices``.
+    arc the cache does not hold.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -483,12 +484,27 @@ class SentenceFeatures:
         return np.add.reduceat(weights[self._flat], self._starts)
 
     def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray]:
-        """The slots of the arcs ``gained`` then ``lost``, hashed from
-        ``table`` in one call whether the cache holds them or not, and a
-        sign per slot (+1.0 gained, -1.0 lost) for a perceptron update."""
+        """The slots of the arcs ``gained`` then ``lost``, in that order
+        and each in emission order, and a sign per slot (+1.0 gained, -1.0
+        lost) for a perceptron update.  When the cache holds every arc,
+        each arc's run is gathered from the stored slots; when it lacks
+        one (an arc its mask dropped, as a pruned u-mst-df prediction
+        can direct a pair), all of them are hashed from ``table`` in one
+        call.  Both give the same slots in the same order."""
         arcs = np.asarray([*gained, *lost], dtype=np.int64).reshape(-1, 2)
-        flat, starts = hash_arcs(self.table, self.mode, arcs[:, 0], arcs[:, 1],
-                                 self.hash_bits)
+        n1 = len(self.table.pos_len)
+        # np.nonzero stores the pairs row-major, so their keys are sorted
+        keys = self.pair_a * n1 + self.pair_b
+        wanted = arcs[:, 0] * n1 + arcs[:, 1]
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        if len(keys) and (keys[at] == wanted).all():
+            first = self._starts[at]
+            lengths = np.append(self._starts, len(self._flat))[at + 1] - first
+            starts = np.cumsum(lengths) - lengths
+            flat = self._flat[np.arange(lengths.sum()) + np.repeat(first - starts, lengths)]
+        else:
+            flat, starts = hash_arcs(self.table, self.mode, arcs[:, 0], arcs[:, 1],
+                                     self.hash_bits)
         sign = np.ones(len(flat))
         if len(lost):
             sign[starts[len(gained)]:] = -1.0

@@ -6,10 +6,13 @@ gold structure's features and away from the prediction's.  Undirected
 systems compare undirected edge sets; directed systems compare head
 vectors.  Each prediction is one call of the test-time ``parse``, given
 the sentence's features, which are computed once before the first epoch,
-pruned as parse would prune them.  An update hashes, from the position
-table each cache keeps, only the arcs where gold and prediction differ:
-a new model's weights and their running sum receive whole numbers, so
-the shared arcs' additions would cancel exactly.
+pruned as parse would prune them.  An update touches only the arcs where
+gold and prediction differ (a new model's weights and their running sum
+receive whole numbers, so the shared arcs' additions would cancel
+exactly), and gathers their slots from the sentence's cache; only an arc
+the cache lacks, in a pruned u-mst-df update, makes it hash them from the
+cache's position table.  Averaging subtracts the running sum at the
+slots that updates touched, the only ones where it is not zero.
 """
 
 from __future__ import annotations
@@ -94,19 +97,26 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
             raise DataError(f"training sentence {number}: gold heads do not form a tree")
     parser_config = config.parser_config()
     mode = feature_mode(parser_config.system)
-    pruner = build_pruner(corpus) if parser_config.pruned else None
     if init_model is None:
         model = Model.new(mode, config.combiner, config.hash_bits)
     else:
-        if init_model.mode != mode:
-            raise InputError(f"{config.system} needs a {mode}-mode model")
+        for name, have, want in (("mode", init_model.mode, mode),
+                                 ("combiner", init_model.combiner, config.combiner),
+                                 ("hash_bits", init_model.hash_bits, config.hash_bits)):
+            if have != want:
+                raise InputError(f"{config.system} trains with {name} {want!r}, "
+                                 f"but the initial model has {name} {have!r}")
         model = init_model
+    pruner = build_pruner(corpus) if parser_config.pruned else None
     weights = model.weights
-    usum = np.zeros_like(weights)
+    # numpy allocates the zeros lazily; averaging reads only updated slots
+    usum = np.zeros(weights.shape, weights.dtype)
+    updated = []
     # each cache holds what parse would featurize, in either mode
     caches = [SentenceFeatures(s, mode, config.hash_bits,
                                None if pruner is None else pruner.mask(s))
               for s in corpus]
+    golds = [(arcs, set(arcs)) for arcs in (_arcs(s.gold_heads, mode) for s in corpus)]
     t = 1
     epoch_uas = []
     for epoch in range(config.epochs):
@@ -122,19 +132,22 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
             total += len(sentence)
             correct += sum(1 for p, g in zip(pred.heads, sentence.gold_heads)
                            if p == g)
-            gold_arcs = _arcs(sentence.gold_heads, mode)
+            gold_arcs, gold_set = golds[idx]
             pred_arcs = _arcs(pred.heads, mode)
-            gold_set, pred_set = set(gold_arcs), set(pred_arcs)
+            pred_set = set(pred_arcs)
             if gold_set != pred_set:
                 slots, sign = caches[idx].sum_indices(
                     [arc for arc in gold_arcs if arc not in pred_set],
                     [arc for arc in pred_arcs if arc not in gold_set])
                 np.add.at(weights, slots, sign)
                 np.add.at(usum, slots, sign * (t - 1))
+                updated.append(slots)
             t += 1
         epoch_uas.append(100.0 * correct / total if total else 0.0)
-    usum /= t - 1
-    weights -= usum
+    # an untouched slot's average is w - 0.0 / (t - 1), which is w
+    if updated:
+        at = np.unique(np.concatenate(updated))
+        weights[at] -= usum[at] / (t - 1)
     return model, epoch_uas
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from umstparse import features
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import DataError, InputError
 from umstparse.features import (COMBINERS, Model, SentenceFeatures, arc_matrix,
@@ -201,6 +202,23 @@ class TestModelFile:
         save_model(model, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
+    def test_save_writes_the_lines_of_the_per_slot_format(self, tmp_path):
+        """The nonzero weights go out in one write, as the lines a write
+        per slot would make: slot, then the float in hex; -0.0 is zero
+        and gets no line."""
+        model = Model.new("undirected", combiner="product", hash_bits=6)
+        for slot, value in ((1, 5e-324), (7, 1e308), (8, -1e308), (20, -0.5),
+                            (33, -0.0), (63, 2.0 ** -30)):
+            model.weights[slot] = value
+        save_model(model, tmp_path / "m")
+        nz = np.nonzero(model.weights)[0]
+        expected = ("umstparse-model 1\nhash_bits 6\nmode undirected\n"
+                    f"combiner product\nnnz {len(nz)}\n")
+        for slot in nz:
+            expected += f"{slot} {float(model.weights[slot]).hex()}\n"
+        assert len(nz) == 5
+        assert (tmp_path / "m").read_bytes() == expected.encode("utf-8")
+
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text("not a model\n")
@@ -357,6 +375,34 @@ def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
     slots, sign = pruned.sum_indices(gained, lost)
     assert slots.tolist() == oracle(gained + lost)
     assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_held_arcs_are_gathered_from_the_stored_slots(bundled, monkeypatch, mode, pruned):
+    """``sum_indices`` on arcs the cache holds (as every gold arc and
+    every prediction of d-mst and u-mst-uf is) hashes nothing: it gathers
+    each arc's stored run, in the order the arcs are given, with the
+    string oracle's slots and +1/-1 signs for gained and lost arcs."""
+    pruner, dev = bundled
+    strings = directed_feature_strings if mode == "directed" \
+        else undirected_feature_strings
+    sentences = [s for s in dev[:12] if len(s) > 2]
+    caches = [SentenceFeatures(s, mode, 12, pruner.mask(s) if pruned else None)
+              for s in sentences]
+    calls = []
+    monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
+    for sentence, cache in zip(sentences, caches):
+
+        def oracle(arcs):
+            return [hash_feature(f, 12) for a, b in arcs for f in strings(sentence, a, b)]
+
+        held = cache.pairs[::-3]
+        for gained, lost in ((held[:3], []), ([], held[-2:]), (held[1:4], held[:1] + held[-1:])):
+            slots, sign = cache.sum_indices(gained, lost)
+            assert slots.tolist() == oracle(gained + lost)
+            assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
+    assert calls == []
 
 
 def _all_arcs(sentence, mode):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from umstparse import inference
+from umstparse import features, inference, training
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import InputError
 from umstparse.features import Model, SentenceFeatures
@@ -253,7 +253,7 @@ def test_update_on_the_difference_trains_the_full_update_bytes(system, pruning):
                          shuffle=True, pruning=pruning)
     model, _ = train_full(corpus, config)
     assert model.weights.any()
-    assert np.array_equal(model.weights, _reference_train(corpus, config).weights)
+    assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
 
 
 def test_continued_training_from_fractional_weights_updates_on_the_difference():
@@ -269,7 +269,65 @@ def test_continued_training_from_fractional_weights_updates_on_the_difference():
     start = replace(first, weights=first.weights.copy())
     model, log = train_full(corpus, config, init_model=first)
     assert model is first and min(log) < 100
-    assert np.array_equal(model.weights, _reference_train(
-        corpus, config, init=start, difference=True).weights)
+    assert model.weights.tobytes() == _reference_train(
+        corpus, config, init=start, difference=True).weights.tobytes()
     full = _reference_train(corpus, config, init=start).weights
     assert np.allclose(model.weights, full, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-df"])
+def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
+    """An update gathers its slots from the sentence's cache when it holds
+    every arc.  d-mst and u-mst-uf always do: the pruner keeps every gold
+    arc of its own corpus, and predictions come from the cache's pairs.
+    A pruned u-mst-df cache lacks the directions its mask dropped, so an
+    update that loses one hashes all its arcs; the weights still equal
+    the reference's bytes."""
+    corpus = load_conll(FIXTURE_TRAIN)[:40]
+    config = TrainConfig(epochs=3, system=system, hash_bits=16, seed=3,
+                         shuffle=True, pruning="length-dictionary")
+    hashed, updates = [], []
+    real_hash, real_sum = features.hash_arcs, SentenceFeatures.sum_indices
+
+    def counting_hash(*args):
+        hashed.append(args)
+        return real_hash(*args)
+
+    def counting_sum(self, gained, lost=()):
+        before = len(hashed)
+        result = real_sum(self, gained, lost)
+        updates.append(len(hashed) - before)
+        return result
+
+    monkeypatch.setattr(features, "hash_arcs", counting_hash)
+    monkeypatch.setattr(SentenceFeatures, "sum_indices", counting_sum)
+    model, _ = train_full(corpus, config)
+    monkeypatch.undo()
+    assert updates and set(updates) <= {0, 1}
+    if system == "u-mst-df":
+        assert 0 < sum(updates) < len(updates)
+    else:
+        assert sum(updates) == 0
+    assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
+
+
+@pytest.mark.parametrize("init, wanted, message", [
+    ({"hash_bits": 12}, {"hash_bits": 16}, "hash_bits 16, .* hash_bits 12"),
+    ({"hash_bits": 16}, {"hash_bits": 12}, "hash_bits 12, .* hash_bits 16"),
+    ({"combiner": "product"}, {}, "combiner 'mean', .* combiner 'product'"),
+    ({}, {"system": "u-mst-uf"}, "mode 'undirected', .* mode 'directed'"),
+])
+def test_init_model_must_match_the_config(monkeypatch, init, wanted, message):
+    """A model to continue training from must have the config's mode,
+    combiner and hash_bits; a mismatch is an InputError naming both
+    values, raised before any sentence is featurized."""
+    start = Model.new("directed", **init)
+    config = TrainConfig(epochs=1, **{"system": "u-mst-df", **wanted})
+
+    def featurize(*args, **kwargs):
+        raise AssertionError("featurized before checking the initial model")
+
+    monkeypatch.setattr(training, "SentenceFeatures", featurize)
+    with pytest.raises(InputError, match=message):
+        train_full(toy_corpus(), config, init_model=start)
+    assert not start.weights.any()
