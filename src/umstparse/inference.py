@@ -17,8 +17,8 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import DataError, InputError, StructureError
-from .features import (Model, SentenceFeatures, arc_matrix, check_combiner,
-                       hash_arcs, pair_mask, position_table)
+from .features import (Model, PositionTable, SentenceFeatures, arc_matrix,
+                       check_combiner, hash_arcs, pair_mask, position_table)
 from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, randomized_msf
 
@@ -154,20 +154,58 @@ def build_pruner(corpus: list[Sentence]) -> Pruner:
     return Pruner(max_len=max_len)
 
 
+# The most slots one parse-time ``hash_arcs`` call hashes.  A block bounds
+# the call's slot-sized arrays, so a score matrix costs O(n²) memory plus
+# one block rather than every slot of every arc (O(n³)).  Timed on d-mst
+# parses of 30-70-token sentences, 2**16 slots (512 kB a slot-sized array)
+# was faster than 2**13, 2**15, 2**18 and one call per sentence.
+_BLOCK_SLOTS = 1 << 16
+
+
+def _score_arcs(table: PositionTable, model: Model, a: np.ndarray, b: np.ndarray,
+                matrix: np.ndarray) -> None:
+    """Score the directed arcs (a[k], b[k]), row-major, into ``matrix[a, b]``.
+
+    Arcs are hashed from ``table`` (the sentence's directed
+    ``position_table``) in blocks of at most _BLOCK_SLOTS slots; an arc
+    a -> b has 2 (|b - a| + 16) slots, and one longer than a block is a
+    block of its own.  An arc's slots do not depend on the other arcs of
+    its call, so every score is bit-identical to one hashing call's."""
+    ends = None                       # one call when every arc fits a block
+    if len(a) * 2 * (len(matrix) + 15) > _BLOCK_SLOTS:
+        ends = np.cumsum(2 * (np.abs(b - a) + 16))
+        # a table missing planes past 64 shifts builds them for a call of
+        # as many slots (PositionTable.read), where a block would compose
+        # each plane it reads: build them here unless they outnumber the
+        # arcs' slots or 13 (n+1)² (n+1 missing shifts), so memory stays O(n²)
+        table.read(ends[:0], min(int(ends[-1]), 13 * matrix.size))
+    start = 0
+    while start < len(a):
+        stop = len(a)
+        if ends is not None:
+            base = ends[start - 1] if start else 0
+            stop = max(int(np.searchsorted(ends, base + _BLOCK_SLOTS, "right")), start + 1)
+        ha, hb = a[start:stop], b[start:stop]
+        flat, starts = hash_arcs(table, "directed", ha, hb, model.hash_bits)
+        matrix[ha, hb] = np.add.reduceat(model.weights[flat], starts)
+        start = stop
+
+
 class LazyArcScores:
     """Directed arc scores, computed when first asked for.
 
     Indexed like the score matrix of ``directed_score_table``:
     ``lazy[heads, mods]`` reads the same values as ``matrix[heads, mods]``,
     but featurizes and scores only the arcs requested: all of them not yet
-    scored in one ``hash_arcs`` call, in row-major order.  Each arc has the
-    same slots as in SentenceFeatures, so its score is bit-identical to the
-    matrix's.  Arcs the pruner drops (or that are no candidate arcs) read
-    as -inf without being hashed.  ``allowed`` is the pruner's arc mask
-    (``Pruner.mask``), kept unchanged; None allows every candidate arc
-    (``arc_matrix``).  The sentence's directed position table is built on
-    the first hash, so a scorer asked only for arcs outside the mask, or
-    for none, never featurizes.
+    scored, once each and in row-major order, by the scorer
+    ``directed_score_table`` uses (in blocks of at most _BLOCK_SLOTS
+    slots), so each score is bit-identical to the matrix's.  Arcs the
+    pruner drops (or that are no candidate arcs) read as -inf without being
+    hashed.  ``allowed`` is the pruner's arc mask (``Pruner.mask``), kept
+    unchanged; None allows every candidate arc (``arc_matrix``).  The
+    sentence's directed position table is built on the first hash, so a
+    scorer asked only for arcs outside the mask, or for none, never
+    featurizes.
     """
 
     def __init__(self, sentence: Sentence, model: Model,
@@ -175,8 +213,7 @@ class LazyArcScores:
         if model.mode != "directed":
             raise InputError("directed arc scores need a directed-mode model")
         self._sentence = sentence
-        self._weights = model.weights
-        self._hash_bits = model.hash_bits
+        self._model = model
         self._table = None
         self.allowed = arc_matrix(len(sentence)) if allowed is None else allowed
         # NaN marks an allowed arc whose score is not computed yet
@@ -193,8 +230,7 @@ class LazyArcScores:
         a, b = np.divmod(np.unique((heads * size + mods)[todo]), size)
         if self._table is None:
             self._table = position_table(self._sentence, "directed")
-        flat, starts = hash_arcs(self._table, "directed", a, b, self._hash_bits)
-        self._matrix[a, b] = np.add.reduceat(self._weights[flat], starts)
+        _score_arcs(self._table, self._model, a, b, self._matrix)
         return self._matrix[heads, mods]
 
 
@@ -203,14 +239,21 @@ def directed_score_table(sentence: Sentence, model: Model,
                          cache: SentenceFeatures | None = None) -> np.ndarray:
     """The (n+1)x(n+1) matrix of arc scores, ``[head, mod]``, of every
     directed arc of the sentence that ``allowed`` (a ``Pruner.mask``; None
-    for all) keeps, or that ``cache`` holds; every other entry is -inf."""
+    for all) keeps, or that ``cache`` holds; every other entry is -inf.
+
+    ``cache`` is a training cache, whose stored slots are gathered.  Without
+    one, the allowed arcs are hashed in blocks of at most _BLOCK_SLOTS
+    slots and no slots are kept, so the call holds O(n²) memory plus one
+    block; the scores are bit-identical to the cache's."""
     if model.mode != "directed":
         raise InputError("directed score table needs a directed-mode model")
-    if cache is None:
-        cache = SentenceFeatures(sentence, "directed", model.hash_bits, allowed)
     n = len(sentence)
     matrix = np.full((n + 1, n + 1), -np.inf)
-    matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+    if cache is None:
+        a, b = np.nonzero(arc_matrix(n) if allowed is None else allowed)
+        _score_arcs(position_table(sentence, "directed"), model, a, b, matrix)
+    else:
+        matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
     return matrix
 
 

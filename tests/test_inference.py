@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree, load_conll
 from umstparse.errors import InputError, StructureError
-from umstparse.features import Model, SentenceFeatures
+from umstparse.features import Model, SentenceFeatures, arc_matrix
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
     LazyArcScores,
@@ -622,6 +622,150 @@ class TestVectorizedLocalEnhancement:
     def test_lazy_scorer_needs_directed_model(self):
         with pytest.raises(InputError):
             LazyArcScores(FIXTURE, Model.new("undirected", hash_bits=10))
+
+
+
+def _wide_tags(sentence, width=40):
+    """The sentence with every POS padded to ``width`` bytes, so that its
+    shifts reach past the 64 a position table holds."""
+    tokens = tuple(replace(t, postag=t.postag.ljust(width, "-")) for t in sentence.tokens)
+    return replace(sentence, tokens=tokens)
+
+
+class TestOneDirectedScorer:
+    """Every parse-time directed score comes from one blocked scorer:
+    ``directed_score_table`` without a cache and ``LazyArcScores`` hash
+    their arcs in blocks of at most ``inference._BLOCK_SLOTS`` slots, and
+    read the very floats the cache gather of a training cache reads."""
+
+    @staticmethod
+    def _hashing(monkeypatch):
+        """Record the arcs and slots of every hash_arcs call of inference."""
+        import umstparse.inference as inference
+        calls, real = [], inference.hash_arcs
+
+        def hashing(*args):
+            flat, starts = real(*args)
+            calls.append((len(starts), len(flat)))
+            return flat, starts
+
+        monkeypatch.setattr(inference, "hash_arcs", hashing)
+        return calls
+
+    def test_blocked_scores_equal_the_cache_gather(self, bundled, monkeypatch):
+        import umstparse.inference as inference
+        pruner, sentences = bundled
+        dev = sentences[:150]
+        joined = join_sentences(dev[:11])
+        assert 100 <= len(joined) <= 110
+        monkeypatch.setattr(inference, "_BLOCK_SLOTS", 256)
+        calls = self._hashing(monkeypatch)
+        rng = np.random.default_rng(167)
+        model = Model.new("directed", hash_bits=16)
+        model.weights = rng.normal(size=model.size())
+        for s in dev + [joined, _wide_tags(joined), _wide_tags(dev[0])]:
+            n = len(s)
+            for p in (None, pruner.mask(s)):
+                calls.clear()
+                blocked = directed_score_table(s, model, p)
+                assert len(calls) >= (2 if p is None else 1)
+                assert all(slots <= 256 or arcs == 1 for arcs, slots in calls)
+                cache = SentenceFeatures(s, "directed", 16, p)
+                assert blocked.tobytes() == directed_score_table(s, model, p, cache).tobytes()
+                lazy = LazyArcScores(s, model, p)
+                for _ in range(3):
+                    h = rng.integers(0, n + 1, size=4 * n)
+                    m = rng.integers(0, n + 1, size=4 * n)
+                    assert lazy[h, m].tobytes() == blocked[h, m].tobytes()
+                h, m = np.divmod(rng.permutation((n + 1) ** 2), n + 1)
+                assert lazy[h, m].tobytes() == blocked[h, m].tobytes()
+
+    def test_one_call_when_the_arcs_fit_a_block(self, bundled, monkeypatch):
+        """A matrix whose arcs fit one block is one hashing call, and an
+        empty arc list none."""
+        calls = self._hashing(monkeypatch)
+        model = Model.new("directed", hash_bits=12)
+        model.weights = np.random.default_rng(173).normal(size=model.size())
+        s = bundled[1][0]
+        directed_score_table(s, model)
+        assert len(calls) == 1
+        calls.clear()
+        none = np.zeros((len(s) + 1,) * 2, dtype=bool)
+        assert np.all(directed_score_table(s, model, none) == -np.inf)
+        assert np.all(LazyArcScores(s, model, none)[np.arange(3), np.arange(1, 4)] == -np.inf)
+        empty = Sentence(tokens=(), gold_heads=(), gold_labels=())
+        assert directed_score_table(empty, model).shape == (1, 1)
+        assert calls == []
+
+    def test_parses_build_no_directed_cache(self, tmp_path, monkeypatch):
+        """d-mst, u-mst-df and u-mst-uf-lep parses, pruned and unpruned,
+        construct no directed SentenceFeatures and still write the trees
+        pinned in test_pinned_outputs."""
+        import hashlib
+
+        import umstparse.inference as inference
+        from umstparse.cli import main
+        from umstparse.conll import save_conll
+        from test_pinned_outputs import PINNED, TRAIN_FLAGS
+
+        train, dev = tmp_path / "train.conll", tmp_path / "dev.conll"
+        save_conll(train, load_conll(BUNDLED / "fixture_train.conll")[:60])
+        save_conll(dev, load_conll(BUNDLED / "fixture_dev.conll")[:30])
+        real = inference.SentenceFeatures
+
+        def undirected_only(sentence, mode, *args):
+            assert mode != "directed", "a parse built a directed cache"
+            return real(sentence, mode, *args)
+
+        for setting, prune in (("unpruned", []),
+                               ("pruned", ["--pruning", "length-dictionary"])):
+            models = tmp_path / setting
+            assert main(["train", "--train", str(train), "--model-out", str(models),
+                         "--system", "all", *TRAIN_FLAGS, *prune]) == 0
+            monkeypatch.setattr(inference, "SentenceFeatures", undirected_only)
+            for system in ("d-mst", "u-mst-df", "u-mst-uf-lep"):
+                out = models / f"{system}.pred.conll"
+                argv = ["parse", "--model", str(models / f"{system}.model"),
+                        "--input", str(dev), "--output", str(out),
+                        "--system", system, "--seed", "3"]
+                if system != "d-mst" and prune:
+                    argv += [*prune, "--prune-train", str(train)]
+                if system == "u-mst-uf-lep":
+                    argv += ["--directed-model", str(models / "d-mst.model")]
+                assert main(argv) == 0, argv
+                digest = hashlib.sha256(out.read_bytes()).hexdigest()
+                assert digest == PINNED[f"{setting}/{system}.pred.conll"], (setting, system)
+            monkeypatch.setattr(inference, "SentenceFeatures", real)
+
+
+class TestBoundedParseMemory:
+    """A d-mst or unpruned u-mst-df parse holds O(n²) memory plus one hashing
+    block, not every slot of every directed arc."""
+
+    def test_400_token_parses_stay_under_64_mb(self):
+        import tracemalloc
+
+        from umstparse.training import TrainConfig, train
+        dev = load_conll(BUNDLED / "fixture_dev.conll")
+        s = join_sentences(dev[:40])
+        n = len(s)
+        assert 390 <= n <= 400
+        # the int64 slots a directed cache of this sentence stores take
+        # over five times the bound, and hashing them needs over 1 GB
+        heads, mods = np.nonzero(arc_matrix(n))
+        assert 8 * np.sum(2 * (np.abs(heads - mods) + 16)) > 5 * 64e6
+        model = train(load_conll(BUNDLED / "fixture_train.conll")[:100],
+                      TrainConfig(system="d-mst", epochs=1, hash_bits=18))
+        tracemalloc.start()
+        try:
+            for system in ("d-mst", "u-mst-df"):
+                tracemalloc.reset_peak()
+                tree = parse(s, model, ParserConfig(system=system))
+                peak = tracemalloc.get_traced_memory()[1]
+                assert is_valid_tree(tree.heads) and len(tree.heads) == n
+                assert peak < 64e6, (system, peak)
+        finally:
+            tracemalloc.stop()
 
 
 def ladder_scores(n):
