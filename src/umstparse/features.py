@@ -36,6 +36,10 @@ DEFAULT_HASH_BITS = 22
 # entries (8 GiB at the maximum)
 MAX_HASH_BITS = 30
 
+# Slots per hash_arcs call of hash_blocks, bounding its temporaries: 2**16 timed
+# faster than 2**13, 2**15, 2**18 and unblocked on d-mst parses of 30-70 tokens.
+_BLOCK_SLOTS = 1 << 16
+
 MODEL_MAGIC = "umstparse-model 1"
 
 # how a directed-mode model merges a pair's two arc scores into one weight
@@ -383,12 +387,17 @@ def position_table(sentence: Sentence, mode: str) -> PositionTable:
                          bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len)
 
 
+def arc_slots(a, b):
+    """Slots of each arc (a[k], b[k]): 17 templates and a btw per mid, twice."""
+    return 2 * (abs(b - a) + 16)
+
+
 def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slots of the arcs (a[k], b[k]), concatenated in the emission order of
-    the string templates, and the start offset of each arc.  ``table`` is the
-    sentence's ``position_table`` in the same mode.  An arc's slots do not
-    depend on the other arcs of the call.
+    """Slots of the arcs (a[k], b[k]), ``arc_slots`` each in the emission
+    order of the string templates, and each arc's start offset.  ``table``
+    is the sentence's ``position_table`` in the same mode.  An arc's slots
+    do not depend on the other arcs of the call (``hash_blocks`` cuts lists).
 
     Every slot XORs gathers from ``table``, by
     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C:
@@ -403,7 +412,7 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
         key += 12 * (b > a)
     conj_crc, conj_variant, variants = _CONJ[mode]
     nb = dist - 1                     # btw features of each arc
-    half = nb + 17                    # features of each arc before conjunction
+    half = arc_slots(a, b) // 2       # features of each arc before conjunction
     starts = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(2 * half, out=starts[1:])
     slots = starts[-1]
@@ -437,19 +446,48 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     return flat, starts[:-1]
 
 
+def hash_blocks(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
+                hash_bits: int):
+    """Yield (lo, hi, flat, starts): ``hash_arcs`` of the arcs a[lo:hi], for
+    consecutive blocks of at most _BLOCK_SLOTS slots (an arc longer than a
+    block is its own).  A list whose arcs all fit is one call; so a cache
+    costs its stored slots plus one block, and scoring O(n²) plus one."""
+    n1, lo, ends = len(table.pos_len), 0, None
+    if len(a) * arc_slots(0, n1 - 1) > _BLOCK_SLOTS:   # n1 - 1: the longest arc
+        ends = np.cumsum(np.r_[0, arc_slots(a, b)])
+        # a block would compose each plane past 64 shifts it reads: build them
+        # as one call would, unless they outnumber 13 (n+1)², to stay O(n²)
+        table.read(ends[:0], min(int(ends[-1]), 13 * n1 * n1))
+    while lo < len(a):
+        hi = len(a)
+        if ends is not None:
+            hi = max(lo + 1, np.searchsorted(ends, ends[lo] + _BLOCK_SLOTS, "right") - 1)
+        yield (lo, hi, *hash_arcs(table, mode, a[lo:hi], b[lo:hi], hash_bits))
+        lo = hi
+
+
+def score_arcs(table: PositionTable, model: Model, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each arc's score, hashed by ``hash_blocks`` from ``table`` (in the
+    model's mode) and kept no longer; bit-identical to a cache's gather."""
+    scores = np.empty(len(a))
+    for lo, hi, flat, starts in hash_blocks(table, model.mode, a, b, model.hash_bits):
+        scores[lo:hi] = np.add.reduceat(model.weights[flat], starts)
+    return scores
+
+
 class SentenceFeatures:
     """Hashed feature indices for every candidate arc of one sentence.
 
-    Built once per sentence and reused across epochs; scoring all arcs is
-    then a single gather + segmented sum over the weight vector.  Arcs that
-    ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps every
-    candidate arc) drops are simply absent: a cache holds what a parse with
-    that mask scores.  Pairs are (head, mod) in directed mode and (left,
-    right) in undirected mode, row-major; each pair's slots follow the
-    emission order of the string templates.  ``sum_indices`` gathers the
-    slots of held arcs from these runs; ``table``, the sentence's
-    ``position_table`` cut to its unshifted planes, hashes any candidate
-    arc the cache does not hold.
+    Built once per sentence, block by block (``hash_blocks``), and reused
+    across epochs; scoring all arcs is then a single gather + segmented sum
+    over the weight vector.  Arcs that ``allowed`` (a pruner's arc mask,
+    ``Pruner.mask``; None keeps every candidate arc) drops are simply
+    absent: a cache holds what a parse with that mask scores.  Pairs are
+    (head, mod) in directed mode and (left, right) in undirected mode,
+    row-major; each pair's slots follow the emission order of the string
+    templates.  ``sum_indices`` gathers the slots of held arcs from these
+    runs; ``table``, the sentence's ``position_table`` cut to its unshifted
+    planes, hashes any candidate arc the cache does not hold.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -465,7 +503,15 @@ class SentenceFeatures:
         a, b = np.nonzero(arcs)
         self.pair_a, self.pair_b = a, b
         self.table = position_table(sentence, mode)
-        self._flat, self._starts = hash_arcs(self.table, mode, a, b, hash_bits)
+        self._flat = self._starts = np.empty(0, dtype=np.int64)
+        for lo, hi, flat, starts in hash_blocks(self.table, mode, a, b, hash_bits):
+            if hi - lo == len(a):             # the only block, kept as it is
+                self._flat, self._starts = flat, starts
+                break
+            if not lo:
+                ends = np.cumsum(np.r_[0, arc_slots(a, b)])
+                self._flat, self._starts = np.empty(ends[-1], dtype=np.int64), ends[:-1]
+            self._flat[self._starts[lo]:self._starts[lo] + len(flat)] = flat
         # a training run keeps every cache, so its table keeps only the
         # unshifted planes: read composes the few that sum_indices reads
         self.table.planes = self.table.planes[:13 * (len(sentence) + 1)].copy()

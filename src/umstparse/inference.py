@@ -17,8 +17,8 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import DataError, InputError, StructureError
-from .features import (Model, PositionTable, SentenceFeatures, arc_matrix,
-                       check_combiner, hash_arcs, pair_mask, position_table)
+from .features import (Model, SentenceFeatures, arc_matrix, check_combiner,
+                       pair_mask, position_table, score_arcs)
 from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, randomized_msf
 
@@ -154,52 +154,13 @@ def build_pruner(corpus: list[Sentence]) -> Pruner:
     return Pruner(max_len=max_len)
 
 
-# The most slots one parse-time ``hash_arcs`` call hashes.  A block bounds
-# the call's slot-sized arrays, so a score matrix costs O(n²) memory plus
-# one block rather than every slot of every arc (O(n³)).  Timed on d-mst
-# parses of 30-70-token sentences, 2**16 slots (512 kB a slot-sized array)
-# was faster than 2**13, 2**15, 2**18 and one call per sentence.
-_BLOCK_SLOTS = 1 << 16
-
-
-def _score_arcs(table: PositionTable, model: Model, a: np.ndarray, b: np.ndarray,
-                matrix: np.ndarray) -> None:
-    """Score the directed arcs (a[k], b[k]), row-major, into ``matrix[a, b]``.
-
-    Arcs are hashed from ``table`` (the sentence's directed
-    ``position_table``) in blocks of at most _BLOCK_SLOTS slots; an arc
-    a -> b has 2 (|b - a| + 16) slots, and one longer than a block is a
-    block of its own.  An arc's slots do not depend on the other arcs of
-    its call, so every score is bit-identical to one hashing call's."""
-    ends = None                       # one call when every arc fits a block
-    if len(a) * 2 * (len(matrix) + 15) > _BLOCK_SLOTS:
-        ends = np.cumsum(2 * (np.abs(b - a) + 16))
-        # a table missing planes past 64 shifts builds them for a call of
-        # as many slots (PositionTable.read), where a block would compose
-        # each plane it reads: build them here unless they outnumber the
-        # arcs' slots or 13 (n+1)² (n+1 missing shifts), so memory stays O(n²)
-        table.read(ends[:0], min(int(ends[-1]), 13 * matrix.size))
-    start = 0
-    while start < len(a):
-        stop = len(a)
-        if ends is not None:
-            base = ends[start - 1] if start else 0
-            stop = max(int(np.searchsorted(ends, base + _BLOCK_SLOTS, "right")), start + 1)
-        ha, hb = a[start:stop], b[start:stop]
-        flat, starts = hash_arcs(table, "directed", ha, hb, model.hash_bits)
-        matrix[ha, hb] = np.add.reduceat(model.weights[flat], starts)
-        start = stop
-
-
 class LazyArcScores:
     """Directed arc scores, computed when first asked for.
 
     Indexed like the score matrix of ``directed_score_table``:
     ``lazy[heads, mods]`` reads the same values as ``matrix[heads, mods]``,
-    but featurizes and scores only the arcs requested: all of them not yet
-    scored, once each and in row-major order, by the scorer
-    ``directed_score_table`` uses (in blocks of at most _BLOCK_SLOTS
-    slots), so each score is bit-identical to the matrix's.  Arcs the
+    but scores only the arcs requested and not yet scored, once each and
+    row-major, by the matrix's scorer (``features.score_arcs``).  Arcs the
     pruner drops (or that are no candidate arcs) read as -inf without being
     hashed.  ``allowed`` is the pruner's arc mask (``Pruner.mask``), kept
     unchanged; None allows every candidate arc (``arc_matrix``).  The
@@ -230,7 +191,7 @@ class LazyArcScores:
         a, b = np.divmod(np.unique((heads * size + mods)[todo]), size)
         if self._table is None:
             self._table = position_table(self._sentence, "directed")
-        _score_arcs(self._table, self._model, a, b, self._matrix)
+        self._matrix[a, b] = score_arcs(self._table, self._model, a, b)
         return self._matrix[heads, mods]
 
 
@@ -241,17 +202,16 @@ def directed_score_table(sentence: Sentence, model: Model,
     directed arc of the sentence that ``allowed`` (a ``Pruner.mask``; None
     for all) keeps, or that ``cache`` holds; every other entry is -inf.
 
-    ``cache`` is a training cache, whose stored slots are gathered.  Without
-    one, the allowed arcs are hashed in blocks of at most _BLOCK_SLOTS
-    slots and no slots are kept, so the call holds O(n²) memory plus one
-    block; the scores are bit-identical to the cache's."""
+    ``cache`` is a training cache, whose stored slots are gathered; without
+    one, ``features.score_arcs`` hashes the allowed arcs in blocks, bit for
+    bit the same scores in O(n²) memory plus one block."""
     if model.mode != "directed":
         raise InputError("directed score table needs a directed-mode model")
     n = len(sentence)
     matrix = np.full((n + 1, n + 1), -np.inf)
     if cache is None:
         a, b = np.nonzero(arc_matrix(n) if allowed is None else allowed)
-        _score_arcs(position_table(sentence, "directed"), model, a, b, matrix)
+        matrix[a, b] = score_arcs(position_table(sentence, "directed"), model, a, b)
     else:
         matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
     return matrix

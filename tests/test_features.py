@@ -377,6 +377,23 @@ def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
     assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
 
 
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_a_cache_costs_its_stored_slots_plus_one_block(mode):
+    """A cache hashes its arcs in blocks and writes each into its stored
+    slots, so building one peaks at what it stores plus one block's
+    temporaries; one call over every arc peaked at over twice the bound."""
+    import tracemalloc
+    s = join_sentences(load_conll(BUNDLED / "fixture_dev.conll")[:15])
+    assert len(s) == 149
+    tracemalloc.start()
+    try:
+        cache = SentenceFeatures(s, mode, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cache._flat.nbytes + cache._starts.nbytes + 16e6, peak
+
+
 @pytest.mark.parametrize("pruned", [False, True])
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_held_arcs_are_gathered_from_the_stored_slots(bundled, monkeypatch, mode, pruned):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umstparse import features
 from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree, load_conll
 from umstparse.errors import InputError, StructureError
-from umstparse.features import Model, SentenceFeatures, arc_matrix
+from umstparse.features import (Model, SentenceFeatures, arc_matrix, pair_mask,
+                                position_table)
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
     LazyArcScores,
@@ -438,15 +440,14 @@ class TestVectorizedLocalEnhancement:
                 assert lazy[h, m].tobytes() == full.tobytes()
 
     def test_one_hashing_call_per_round(self, bundled, monkeypatch):
-        import umstparse.inference as inference
         calls = []
-        real = inference.hash_arcs
+        real = features.hash_arcs
 
         def counting(*args):
             calls.append(len(args[2]))
             return real(*args)
 
-        monkeypatch.setattr(inference, "hash_arcs", counting)
+        monkeypatch.setattr(features, "hash_arcs", counting)
         s = bundled[1][-1]
         model = Model.new("directed", hash_bits=12)
         model.weights = np.random.default_rng(137).normal(size=model.size())
@@ -461,7 +462,7 @@ class TestVectorizedLocalEnhancement:
         its arcs from that table."""
         import umstparse.inference as inference
         built, hashed_from = [], []
-        real_table, real_hash = inference.position_table, inference.hash_arcs
+        real_table, real_hash = inference.position_table, features.hash_arcs
 
         def building(*args):
             built.append(real_table(*args))
@@ -472,7 +473,7 @@ class TestVectorizedLocalEnhancement:
             return real_hash(table, *args)
 
         monkeypatch.setattr(inference, "position_table", building)
-        monkeypatch.setattr(inference, "hash_arcs", hashing)
+        monkeypatch.setattr(features, "hash_arcs", hashing)
         s = bundled[1][-1]
         model = Model.new("directed", hash_bits=12)
         model.weights = np.random.default_rng(137).normal(size=model.size())
@@ -498,7 +499,7 @@ class TestVectorizedLocalEnhancement:
         every position_table call made by LazyArcScores."""
         import umstparse.inference as inference
         hashed, built = [], []
-        real_table, real_hash = inference.position_table, inference.hash_arcs
+        real_table, real_hash = inference.position_table, features.hash_arcs
 
         def building(*args):
             built.append(args[0])
@@ -509,7 +510,7 @@ class TestVectorizedLocalEnhancement:
             return real_hash(table, mode, a, b, *args)
 
         monkeypatch.setattr(inference, "position_table", building)
-        monkeypatch.setattr(inference, "hash_arcs", hashing)
+        monkeypatch.setattr(features, "hash_arcs", hashing)
         return hashed, built
 
     def test_no_candidate_edge_never_featurizes(self, bundled, monkeypatch):
@@ -633,68 +634,110 @@ def _wide_tags(sentence, width=40):
 
 
 class TestOneDirectedScorer:
-    """Every parse-time directed score comes from one blocked scorer:
-    ``directed_score_table`` without a cache and ``LazyArcScores`` hash
-    their arcs in blocks of at most ``inference._BLOCK_SLOTS`` slots, and
-    read the very floats the cache gather of a training cache reads."""
+    """Every parse-time directed score comes from one blocked scorer,
+    ``features.score_arcs``: ``directed_score_table`` without a cache and
+    ``LazyArcScores`` hash their arcs in blocks of at most
+    ``features._BLOCK_SLOTS`` slots, and read the very floats of one
+    unblocked ``hash_arcs`` call; so do blocked training caches."""
 
     @staticmethod
     def _hashing(monkeypatch):
-        """Record the arcs and slots of every hash_arcs call of inference."""
-        import umstparse.inference as inference
-        calls, real = [], inference.hash_arcs
+        """Record the arcs, slots and slot array of every hash_arcs call."""
+        calls, real = [], features.hash_arcs
 
         def hashing(*args):
             flat, starts = real(*args)
-            calls.append((len(starts), len(flat)))
+            calls.append((len(starts), len(flat), flat))
             return flat, starts
 
-        monkeypatch.setattr(inference, "hash_arcs", hashing)
+        monkeypatch.setattr(features, "hash_arcs", hashing)
         return calls
 
-    def test_blocked_scores_equal_the_cache_gather(self, bundled, monkeypatch):
-        import umstparse.inference as inference
-        pruner, sentences = bundled
-        dev = sentences[:150]
+    @staticmethod
+    def _sentences(bundled):
+        """The dev set, a joined 106-token sentence and two sentences with
+        40-byte tags: the joined one, whose blocked lists build their
+        planes past 64 shifts, and a short one, whose blocks compose them."""
+        dev = bundled[1][:150]
         joined = join_sentences(dev[:11])
         assert 100 <= len(joined) <= 110
-        monkeypatch.setattr(inference, "_BLOCK_SLOTS", 256)
+        return dev + [joined, _wide_tags(joined), _wide_tags(dev[0])]
+
+    def test_blocked_scores_equal_one_unblocked_call(self, bundled, monkeypatch):
+        pruner = bundled[0]
+        real = features.hash_arcs
+        monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
         calls = self._hashing(monkeypatch)
         rng = np.random.default_rng(167)
         model = Model.new("directed", hash_bits=16)
         model.weights = rng.normal(size=model.size())
-        for s in dev + [joined, _wide_tags(joined), _wide_tags(dev[0])]:
+        for s in self._sentences(bundled):
             n = len(s)
             for p in (None, pruner.mask(s)):
+                a, b = np.nonzero(arc_matrix(n) if p is None else p)
+                flat, starts = real(position_table(s, "directed"), "directed", a, b, 16)
+                reference = np.full((n + 1, n + 1), -np.inf)
+                reference[a, b] = np.add.reduceat(model.weights[flat], starts)
                 calls.clear()
                 blocked = directed_score_table(s, model, p)
                 assert len(calls) >= (2 if p is None else 1)
-                assert all(slots <= 256 or arcs == 1 for arcs, slots in calls)
+                assert all(slots <= 256 or arcs == 1 for arcs, slots, _ in calls)
+                assert blocked.tobytes() == reference.tobytes()
                 cache = SentenceFeatures(s, "directed", 16, p)
-                assert blocked.tobytes() == directed_score_table(s, model, p, cache).tobytes()
+                assert directed_score_table(s, model, p, cache).tobytes() == reference.tobytes()
                 lazy = LazyArcScores(s, model, p)
                 for _ in range(3):
                     h = rng.integers(0, n + 1, size=4 * n)
                     m = rng.integers(0, n + 1, size=4 * n)
-                    assert lazy[h, m].tobytes() == blocked[h, m].tobytes()
+                    assert lazy[h, m].tobytes() == reference[h, m].tobytes()
                 h, m = np.divmod(rng.permutation((n + 1) ** 2), n + 1)
-                assert lazy[h, m].tobytes() == blocked[h, m].tobytes()
+                assert lazy[h, m].tobytes() == reference[h, m].tobytes()
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_blocked_caches_store_one_call_slots(self, bundled, monkeypatch, mode):
+        """A cache hashed in blocks of 256 slots stores the bytes of one
+        unblocked hash_arcs call over its pairs, pruned and unpruned."""
+        pruner = bundled[0]
+        real = features.hash_arcs
+        monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
+        calls = self._hashing(monkeypatch)
+        blocked = 0
+        for s in self._sentences(bundled):
+            for p in (None, pruner.mask(s)):
+                calls.clear()
+                cache = SentenceFeatures(s, mode, 16, p)
+                arcs = arc_matrix(len(s)) if p is None else p
+                a, b = np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
+                flat, starts = real(position_table(s, mode), mode, a, b, 16)
+                assert cache._flat.tobytes() == flat.tobytes()
+                assert cache._starts.tobytes() == starts.tobytes()
+                assert all(slots <= 256 or arcs == 1 for arcs, slots, _ in calls)
+                blocked += len(calls) > 1
+        assert blocked >= 150
 
     def test_one_call_when_the_arcs_fit_a_block(self, bundled, monkeypatch):
-        """A matrix whose arcs fit one block is one hashing call, and an
-        empty arc list none."""
+        """A matrix or a cache whose arcs fit one block is one hashing call
+        (the cache keeps that call's slot array), and an empty arc list
+        none."""
         calls = self._hashing(monkeypatch)
         model = Model.new("directed", hash_bits=12)
         model.weights = np.random.default_rng(173).normal(size=model.size())
         s = bundled[1][0]
         directed_score_table(s, model)
         assert len(calls) == 1
+        for mode in ("directed", "undirected"):
+            calls.clear()
+            cache = SentenceFeatures(s, mode, 12)
+            assert len(calls) == 1 and cache._flat is calls[0][2]
         calls.clear()
         none = np.zeros((len(s) + 1,) * 2, dtype=bool)
         assert np.all(directed_score_table(s, model, none) == -np.inf)
         assert np.all(LazyArcScores(s, model, none)[np.arange(3), np.arange(1, 4)] == -np.inf)
         empty = Sentence(tokens=(), gold_heads=(), gold_labels=())
         assert directed_score_table(empty, model).shape == (1, 1)
+        for mode in ("directed", "undirected"):
+            assert len(SentenceFeatures(s, mode, 12, none)._flat) == 0
+            assert len(SentenceFeatures(empty, mode, 12)._starts) == 0
         assert calls == []
 
     def test_parses_build_no_directed_cache(self, tmp_path, monkeypatch):

@@ -7,11 +7,12 @@ import pytest
 from umstparse import features, inference, training
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import InputError
-from umstparse.features import Model, SentenceFeatures
+from umstparse.features import Model, SentenceFeatures, save_model
 from umstparse.inference import ParserConfig, build_pruner, parse
 from umstparse.training import TrainConfig, feature_mode, train, train_full
 
-from oracles import directed_feature_strings, hash_feature, undirected_feature_strings
+from oracles import (directed_feature_strings, hash_feature, join_sentences,
+                     undirected_feature_strings)
 
 FIXTURE_TRAIN = pathlib.Path(__file__).parent.parent / "data" / "fixture_train.conll"
 
@@ -309,6 +310,24 @@ def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
     else:
         assert sum(updates) == 0
     assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
+
+
+@pytest.mark.parametrize("pruning", ["none", "length-dictionary"])
+@pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-df"])
+def test_caches_hashed_in_blocks_train_the_same_model(tmp_path, monkeypatch, system,
+                                                      pruning):
+    """Training caches of 64-76-token sentences, hashed in blocks of 256
+    slots, write the model file of caches hashed in one call each."""
+    dev = load_conll(FIXTURE_TRAIN.with_name("fixture_dev.conll"))
+    corpus = [join_sentences(dev[i:i + 8]) for i in (0, 15, 30)]
+    assert [len(s) for s in corpus] == [64, 76, 73]
+    config = TrainConfig(epochs=2, system=system, hash_bits=16, pruning=pruning)
+    written = []
+    for block in (256, 1 << 62):
+        monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
+        save_model(train(corpus, config), tmp_path / "model")
+        written.append((tmp_path / "model").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("init, wanted, message", [
