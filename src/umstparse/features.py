@@ -317,7 +317,7 @@ class PositionTable:
     shift-major: piece k of position pos at L * stride + 13 * pos + k,
     with stride = 13 (n + 1), so an index names its shift even past the
     planes held.  ``width`` is the sentence's longest shift plus one; the
-    table starts with the shifts below min(width, 64) (see ``read``).
+    table starts with shifts below min(width, 64); ``hash_blocks`` adds more.
 
     Row V * pos + v of the others describes pos as b in variant v: ``ends``
     holds its 17 ends (its unigrams in both roles, then the suffix of each
@@ -334,17 +334,12 @@ class PositionTable:
     bar_len: np.ndarray
     pos_len: np.ndarray
 
-    def read(self, at: np.ndarray, slots: int) -> np.ndarray:
-        """The planes at flat indices ``at``, for a call of ``slots``
-        slots.  When the table lacks shifts below the width, a call with at
-        least as many slots as the missing planes builds them, once; a
-        smaller one composes each plane it reads with ``_combine``."""
+    def read(self, at: np.ndarray) -> np.ndarray:
+        """The planes at flat indices ``at``: a gather when the table holds
+        every shift below the width, else ``_combine`` of each plane read
+        from its unshifted one.  A read never changes the table."""
         stride = 13 * len(self.pos_len)
-        missing = self.width * stride - len(self.planes)
-        if 0 < missing <= slots:
-            shifts = np.arange(len(self.planes) // stride, self.width)[:, None]
-            self.planes = np.r_[self.planes, _combine(self.planes[:stride], 0, shifts).ravel()]
-        elif missing:
+        if len(self.planes) < self.width * stride:
             return _combine(self.planes[at % stride], 0, at // stride)
         return self.planes[at]
 
@@ -358,10 +353,10 @@ def position_table(sentence: Sentence, mode: str) -> PositionTable:
     suffix, or btw's mid POS and |{bp}, plus a conjunction) plus one: for
     n tokens, a fixed cost of (n+1) * 13 * min(width, 64) planes and
     (n+1) * V * 17 ends copied.  The planes of longer shifts could
-    outnumber a call's slots: a pruned 10-token sentence with 40-byte tags
-    has about 1,000 slots and would need 3,700 more, and planes up to the
-    shift of a 100 kB form would take 10 MB a token.  ``PositionTable.read``
-    builds or composes them per call."""
+    outnumber the slots that read them: a pruned 10-token sentence with
+    40-byte tags has about 1,000 slots and would need 3,700 more, and
+    planes up to the shift of a 100 kB form would take 10 MB a token.
+    ``hash_blocks`` builds them only for a list with slots enough."""
     forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
     tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
     around = [NIL] + tags + [NIL]
@@ -396,8 +391,9 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the arcs (a[k], b[k]), ``arc_slots`` each in the emission
     order of the string templates, and each arc's start offset.  ``table``
-    is the sentence's ``position_table`` in the same mode.  An arc's slots
-    do not depend on the other arcs of the call (``hash_blocks`` cuts lists).
+    is the sentence's ``position_table`` in the same mode; the call reads
+    it and never changes it.  An arc's slots do not depend on the other
+    arcs of the call (``hash_blocks`` cuts lists, and builds planes).
 
     Every slot XORs gathers from ``table``, by
     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C:
@@ -426,7 +422,7 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     values[count:] ^= conj_crc[key][:, None]
     tail = values[:, 6 + _BAR].copy()
     row_a = 13 * a2
-    values[:, 6:] ^= table.read(table.trail[rows_b] + row_a[:, None], slots)
+    values[:, 6:] ^= table.read(table.trail[rows_b] + row_a[:, None])
     head = np.concatenate([starts[:-1], starts[:-1] + half])
     pos = head[:, None] + np.arange(17)
     pos[:, 13:] += nb2[:, None]
@@ -438,8 +434,8 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
         k = np.arange(first[-1] + nb2[-1])
         mid = k - np.repeat(first - np.minimum(a2, b2) - 1, nb2)
         bar = table.bar_len[rows_b]
-        btw = table.read(np.repeat(row_a + 11 + bar, nb2) + table.pos_len[mid], slots)
-        btw ^= table.read(np.repeat(12 + bar, nb2) + 13 * mid, slots)
+        btw = table.read(np.repeat(row_a + 11 + bar, nb2) + table.pos_len[mid])
+        btw ^= table.read(np.repeat(12 + bar, nb2) + 13 * mid)
         btw ^= np.repeat(tail, nb2)
         flat[k + np.repeat(head + 13 - first, nb2)] = btw
     flat &= (1 << hash_bits) - 1
@@ -451,13 +447,17 @@ def hash_blocks(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     """Yield (lo, hi, flat, starts): ``hash_arcs`` of the arcs a[lo:hi], for
     consecutive blocks of at most _BLOCK_SLOTS slots (an arc longer than a
     block is its own).  A list whose arcs all fit is one call; so a cache
-    costs its stored slots plus one block, and scoring O(n²) plus one."""
+    costs its stored slots plus one block, and scoring O(n²) plus one.
+    The only code that builds planes: before the first block, all those
+    the table lacks, if they number at most the list's slots and at most
+    max(one block, 13 (n+1)²), to stay O(n²); else every read composes."""
     n1, lo, ends = len(table.pos_len), 0, None
+    missing = table.width * 13 * n1 - len(table.planes)
+    if 0 < missing <= min(int(arc_slots(a, b).sum()), max(_BLOCK_SLOTS, 13 * n1 * n1)):
+        shifts = np.arange(len(table.planes) // (13 * n1), table.width)[:, None]
+        table.planes = np.r_[table.planes, _combine(table.planes[:13 * n1], 0, shifts).ravel()]
     if len(a) * arc_slots(0, n1 - 1) > _BLOCK_SLOTS:   # n1 - 1: the longest arc
         ends = np.cumsum(np.r_[0, arc_slots(a, b)])
-        # a block would compose each plane past 64 shifts it reads: build them
-        # as one call would, unless they outnumber 13 (n+1)², to stay O(n²)
-        table.read(ends[:0], min(int(ends[-1]), 13 * n1 * n1))
     while lo < len(a):
         hi = len(a)
         if ends is not None:
@@ -486,8 +486,8 @@ class SentenceFeatures:
     (head, mod) in directed mode and (left, right) in undirected mode,
     row-major; each pair's slots follow the emission order of the string
     templates.  ``sum_indices`` gathers the slots of held arcs from these
-    runs; ``table``, the sentence's ``position_table`` cut to its unshifted
-    planes, hashes any candidate arc the cache does not hold.
+    runs.  A cache keeps no position table (a training run keeps every
+    cache): it hashes an arc it does not hold from one built for the call.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -495,6 +495,7 @@ class SentenceFeatures:
                  allowed: np.ndarray | None = None):
         if mode not in _ROLES:
             raise InputError(f"unknown feature mode {mode!r}")
+        self.sentence = sentence
         self.mode = mode
         self.hash_bits = check_hash_bits(hash_bits)
         arcs = arc_matrix(len(sentence)) if allowed is None else allowed
@@ -502,9 +503,9 @@ class SentenceFeatures:
             arcs = pair_mask(arcs)
         a, b = np.nonzero(arcs)
         self.pair_a, self.pair_b = a, b
-        self.table = position_table(sentence, mode)
         self._flat = self._starts = np.empty(0, dtype=np.int64)
-        for lo, hi, flat, starts in hash_blocks(self.table, mode, a, b, hash_bits):
+        for lo, hi, flat, starts in hash_blocks(position_table(sentence, mode), mode,
+                                                a, b, hash_bits):
             if hi - lo == len(a):             # the only block, kept as it is
                 self._flat, self._starts = flat, starts
                 break
@@ -512,9 +513,6 @@ class SentenceFeatures:
                 ends = np.cumsum(np.r_[0, arc_slots(a, b)])
                 self._flat, self._starts = np.empty(ends[-1], dtype=np.int64), ends[:-1]
             self._flat[self._starts[lo]:self._starts[lo] + len(flat)] = flat
-        # a training run keeps every cache, so its table keeps only the
-        # unshifted planes: read composes the few that sum_indices reads
-        self.table.planes = self.table.planes[:13 * (len(sentence) + 1)].copy()
         for array in (a, b, self._flat, self._starts):
             array.setflags(write=False)
 
@@ -535,10 +533,10 @@ class SentenceFeatures:
         lost) for a perceptron update.  When the cache holds every arc,
         each arc's run is gathered from the stored slots; when it lacks
         one (an arc its mask dropped, as a pruned u-mst-df prediction
-        can direct a pair), all of them are hashed from ``table`` in one
-        call.  Both give the same slots in the same order."""
+        can direct a pair), all are hashed in one call from a fresh
+        ``position_table``.  Both give the same slots in the same order."""
         arcs = np.asarray([*gained, *lost], dtype=np.int64).reshape(-1, 2)
-        n1 = len(self.table.pos_len)
+        n1 = len(self.sentence) + 1
         # np.nonzero stores the pairs row-major, so their keys are sorted
         keys = self.pair_a * n1 + self.pair_b
         wanted = arcs[:, 0] * n1 + arcs[:, 1]
@@ -549,8 +547,8 @@ class SentenceFeatures:
             starts = np.cumsum(lengths) - lengths
             flat = self._flat[np.arange(lengths.sum()) + np.repeat(first - starts, lengths)]
         else:
-            flat, starts = hash_arcs(self.table, self.mode, arcs[:, 0], arcs[:, 1],
-                                     self.hash_bits)
+            flat, starts = hash_arcs(position_table(self.sentence, self.mode), self.mode,
+                                     arcs[:, 0], arcs[:, 1], self.hash_bits)
         sign = np.ones(len(flat))
         if len(lost):
             sign[starts[len(gained)]:] = -1.0

@@ -349,15 +349,15 @@ def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
-    """A pruned cache keeps its sentence's position table, cut to the
-    unshifted planes, so the arcs (or pairs) its mask dropped still get
-    their oracle slots, alone and beside arcs the cache holds; the signs
-    mark the gained arcs' slots +1 and the lost arcs' -1."""
+    """A pruned cache keeps no position table, yet the arcs (or pairs) its
+    mask dropped still get their oracle slots, hashed from a table built
+    for the call, alone and beside arcs the cache holds; the signs mark
+    the gained arcs' slots +1 and the lost arcs' -1."""
     pruner, dev = bundled
     sentence = join_sentences(dev[2:10])
     allowed = pruner.mask(sentence)
     pruned = SentenceFeatures(sentence, mode, 12, allowed)
-    assert len(pruned.table.planes) == 13 * (len(sentence) + 1)
+    assert not hasattr(pruned, "table")
     kept, candidates = allowed, arc_matrix(len(sentence))
     strings = directed_feature_strings
     if mode == "undirected":
@@ -436,10 +436,10 @@ def _slices(flat, starts):
 def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     """An arc's slots are its slice of the sentence's full hash_arcs call,
     whatever other arcs share its call (any subset, in any order, with
-    repeats) and alone, from the same table or a fresh one.  As in
-    LazyArcScores across LEP rounds, the subset's call comes first on the
-    table: with 40-byte tags it may compose planes that the full call then
-    builds."""
+    repeats) and alone, from the same table or a fresh one.  A direct
+    hash_arcs call never changes its table (only hash_blocks builds
+    planes), so with 40-byte tags every call here composes the planes
+    past 64 shifts that it reads."""
     _, dev = bundled
     sentence = data.draw(st.sampled_from(
         [FIXTURE, WIDE, join_sentences(dev[2:10])] + dev[:30]
@@ -482,12 +482,12 @@ def _arcs_of_slots(a, b, slots):
 def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, short):
     """The table holds the planes of the shifts below min(width, 64), the
     width being the sentence's longest shift plus one.  When it lacks
-    some, a first call ``short`` slots short of the missing planes
-    composes those it reads, and one with as many builds them all; with
-    12 positions there are 156 missing planes a shift, and as every
-    call's slot count is even, 2 short is the closest.  Each call, and a
-    full call after it, gives every arc the CRC32s of its feature
-    strings, and so does a single arc from a fresh table."""
+    some, a first ``hash_blocks`` list ``short`` slots short of the
+    missing planes composes those it reads, and one with as many builds
+    them all; with 12 positions there are 156 missing planes a shift, and
+    as every list's slot count is even, 2 short is the closest.  That
+    list, and a full call after it, gives every arc the CRC32s of its
+    feature strings, and so does a single arc from a fresh table."""
     # "|{w}|NN" is len(w) + 4 bytes long
     form = "w" * (longest - longest_conj - 4)
     sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * 9)
@@ -498,7 +498,10 @@ def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, shor
     table = position_table(sentence, mode)
     assert len(table.planes) == stride * min(longest + 1, 64)
     pick = _arcs_of_slots(a, b, missing - short) if missing else np.arange(len(a))
-    first = _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))
+    first = [got for *_, flat, starts in features.hash_blocks(table, mode, a[pick],
+                                                               b[pick], 30)
+             for got in _slices(flat, starts)]
+    assert len(first) == len(pick)
     assert len(table.planes) == stride * (64 if short else max(longest + 1, 64))
     for k, got in zip(pick, first):
         assert got.tolist() == oracle[k]
@@ -530,3 +533,70 @@ def test_long_token_costs_no_planes(mode):
     assert peak < 4_000_000
     for k, got in enumerate(_slices(flat, starts)):
         assert got.tolist() == _oracle_slots(sentence, mode, a[k], b[k])
+
+
+def test_a_read_never_changes_the_table():
+    """Reading every index of a table that lacks planes past 64 shifts
+    composes them and leaves the table as it was, and so does a direct
+    hash_arcs call over every arc: only hash_blocks builds planes."""
+    sentence = sent([(f"w{i}", "NN".ljust(40, "-")) for i in range(12)])
+    table = position_table(sentence, "directed")
+    planes, stride = table.planes, 13 * 13
+    assert len(planes) == 64 * stride < table.width * stride
+    read = table.read(np.arange(table.width * stride))
+    assert table.planes is planes and len(table.planes) == 64 * stride
+    assert read[:len(planes)].tolist() == planes.tolist()
+    hash_arcs(table, "directed", *_all_arcs(sentence, "directed"), 30)
+    assert table.planes is planes and len(table.planes) == 64 * stride
+
+
+@pytest.mark.parametrize("mode, width, block, built", [
+    ("directed", 30, 256, True), ("directed", 40, 256, False),
+    ("undirected", 30, 256, True), ("undirected", 40, 256, False),
+    ("directed", 40, 4394, True), ("directed", 40, 4392, False)])
+def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, block, built):
+    """A list longer than one block builds every plane its table lacks,
+    before its first block, when they number at most min(its slots,
+    max(one block, 13 (n+1)²)); else each block composes them.  12 tokens
+    with 30-byte tags lack 1,014 (directed) or 676 planes, with 40-byte
+    ones 4,394 or 4,056, against 13 (n+1)² = 2,197 and, for every arc,
+    5,908 or 3,224 slots.  Either way the blocks hold the slots of one
+    unblocked call."""
+    monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
+    sentence = sent([(f"w{i}", "NN".ljust(width, "-")) for i in range(12)])
+    a, b = _all_arcs(sentence, mode)
+    table = position_table(sentence, mode)
+    stride = 13 * 13
+    assert len(table.planes) == 64 * stride
+    blocks = features.hash_blocks(table, mode, a, b, 30)
+    _, hi, first, _ = next(blocks)
+    assert hi < len(a)
+    assert len(table.planes) == (table.width if built else 64) * stride
+    got = [first] + [flat for *_, flat, _ in blocks]
+    assert len(table.planes) == (table.width if built else 64) * stride
+    assert np.concatenate(got).tolist() == \
+        hash_arcs(position_table(sentence, mode), mode, a, b, 30)[0].tolist()
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_training_caches_keep_only_their_arrays(mode):
+    """Pruned training caches of the first 300 bundled training sentences
+    (perfbench's ``short`` corpus) retain their stored slots, starts and
+    pairs and little else: no position table, with which they retained
+    4.0 MB more in either mode."""
+    import tracemalloc
+    train = load_conll(BUNDLED / "fixture_train.conll")[:300]
+    pruner = build_pruner(train)
+    masks = [pruner.mask(s) for s in train]
+    for s in train:                   # fill the memo rows before tracing
+        position_table(s, mode)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        caches = [SentenceFeatures(s, mode, 22, m) for s, m in zip(train, masks)]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stored = sum(c._flat.nbytes + c._starts.nbytes + c.pair_a.nbytes + c.pair_b.nbytes
+                 for c in caches)
+    assert kept <= stored + 1e6, (kept, stored)
