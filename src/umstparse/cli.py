@@ -44,10 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# config-file keys and the JSON type each value must have (a bool is no int)
-CONFIG_TYPES = {"system": str, "combiner": str, "enhancement_rounds": int,
-                "seed": int, "pruning": str, "epochs": int, "shuffle": bool,
-                "hash_bits": int, "threads": int}
+# config-file keys, each with its default's JSON type (a bool is no int)
+CONFIG_TYPES = {**{f.name: type(f.default) for cls in (TrainConfig, ParserConfig)
+                   for f in fields(cls)}, "threads": int}
 
 
 def _load_config(path) -> dict:

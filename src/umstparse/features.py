@@ -307,7 +307,7 @@ _BAR = 3                         # b's |{bp}: the suffix of bg4, and of btw
 
 @dataclass
 class PositionTable:
-    """What ``hash_arcs`` gathers from, for one sentence in one mode.
+    """What ``hash_arcs`` gathers from, for one sentence in feature family ``mode``.
 
     Variant v of a feature is the feature itself (v = 0) or it conjoined
     with a suffix of the v-th conjunction length; V variants in all.
@@ -327,6 +327,7 @@ class PositionTable:
     conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.  These
     three hold stride times each shift.
     """
+    mode: str
     planes: np.ndarray
     width: int
     ends: np.ndarray
@@ -377,8 +378,8 @@ def position_table(sentence: Sentence, mode: str) -> PositionTable:
     planes[:, :, 7:] = contexts[:, :6 * held].reshape(n1, held, 6).transpose(1, 0, 2)
     stride = 13 * n1
     trail = stride * (suffix_len[:, None] + variants[:, None])
-    return PositionTable(planes=planes.ravel(), width=width, ends=ends.reshape(-1, 17),
-                         trail=(trail + np.arange(11)).reshape(-1, 11),
+    return PositionTable(mode=mode, planes=planes.ravel(), width=width,
+                         ends=ends.reshape(-1, 17), trail=(trail + np.arange(11)).reshape(-1, 11),
                          bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len)
 
 
@@ -387,11 +388,11 @@ def arc_slots(a, b):
     return 2 * (abs(b - a) + 16)
 
 
-def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
+def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the arcs (a[k], b[k]), ``arc_slots`` each in the emission
-    order of the string templates, and each arc's start offset.  ``table``
-    is the sentence's ``position_table`` in the same mode; the call reads
+    order of the string templates of ``table.mode``, and each arc's start
+    offset.  ``table`` is the sentence's ``position_table``; the call reads
     it and never changes it.  An arc's slots do not depend on the other
     arcs of the call (``hash_blocks`` cuts lists, and builds planes).
 
@@ -401,7 +402,7 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     planes (a|, shifted past the mid POS and |{bp}; the mid POS, past
     |{bp}) and an end.  A conjoined slot shifts each of them further by
     the conjunction's length and XORs the conjunction's CRC."""
-    count = len(a)
+    count, mode = len(a), table.mode
     dist = np.abs(b - a)
     key = np.minimum(dist, 11)
     if mode == "directed":
@@ -442,8 +443,7 @@ def hash_arcs(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
     return flat, starts[:-1]
 
 
-def hash_blocks(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
-                hash_bits: int):
+def hash_blocks(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int):
     """Yield (lo, hi, flat, starts): ``hash_arcs`` of the arcs a[lo:hi], for
     consecutive blocks of at most _BLOCK_SLOTS slots (an arc longer than a
     block is its own).  A list whose arcs all fit is one call; so a cache
@@ -462,17 +462,59 @@ def hash_blocks(table: PositionTable, mode: str, a: np.ndarray, b: np.ndarray,
         hi = len(a)
         if ends is not None:
             hi = max(lo + 1, np.searchsorted(ends, ends[lo] + _BLOCK_SLOTS, "right") - 1)
-        yield (lo, hi, *hash_arcs(table, mode, a[lo:hi], b[lo:hi], hash_bits))
+        yield (lo, hi, *hash_arcs(table, a[lo:hi], b[lo:hi], hash_bits))
         lo = hi
 
 
-def score_arcs(table: PositionTable, model: Model, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each arc's score, hashed by ``hash_blocks`` from ``table`` (in the
-    model's mode) and kept no longer; bit-identical to a cache's gather."""
-    scores = np.empty(len(a))
-    for lo, hi, flat, starts in hash_blocks(table, model.mode, a, b, model.hash_bits):
-        scores[lo:hi] = np.add.reduceat(model.weights[flat], starts)
-    return scores
+class LazyArcScores:
+    """Directed arc scores without a cache, computed when first asked for.
+
+    ``lazy[heads, mods]`` reads what ``table()[heads, mods]`` would, but
+    scores only the arcs requested and not yet scored, once each and
+    row-major; ``table()`` scores every allowed arc still pending.  Each
+    ``hash_blocks`` block is reduced to scores: bit-identical to a cache's
+    gather, in O(n²) memory plus one block.  Arcs the pruner drops (or that
+    are no candidate arcs) read as -inf without being hashed.  ``allowed``
+    is the pruner's arc mask (``Pruner.mask``), kept unchanged; None allows
+    every candidate arc (``arc_matrix``).  The directed position table is
+    built on the first hash, so a scorer asked only for arcs outside the
+    mask, or for none, never featurizes.
+    """
+
+    def __init__(self, sentence: Sentence, model: Model,
+                 allowed: np.ndarray | None = None):
+        if model.mode != "directed":
+            raise InputError("directed arc scores need a directed-mode model")
+        self._sentence = sentence
+        self._model = model
+        self._table = None
+        self.allowed = arc_matrix(len(sentence)) if allowed is None else allowed
+        # NaN marks an allowed arc whose score is not computed yet
+        self._matrix = np.where(self.allowed, np.nan, -np.inf)
+
+    def __getitem__(self, arcs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        heads, mods = arcs
+        scores = self._matrix[heads, mods]
+        todo = np.isnan(scores)
+        if not todo.any():
+            return scores
+        size = len(self._matrix)
+        # the pending arcs asked for, once each; sorted keys are row-major
+        self._score(*np.divmod(np.unique((heads * size + mods)[todo]), size))
+        return self._matrix[heads, mods]
+
+    def table(self) -> np.ndarray:
+        """The (n+1)x(n+1) matrix, after scoring the allowed arcs still pending."""
+        self._score(*np.nonzero(np.isnan(self._matrix)))
+        return self._matrix
+
+    def _score(self, a: np.ndarray, b: np.ndarray) -> None:
+        if not len(a):
+            return
+        if self._table is None:
+            self._table = position_table(self._sentence, "directed")
+        for lo, hi, flat, starts in hash_blocks(self._table, a, b, self._model.hash_bits):
+            self._matrix[a[lo:hi], b[lo:hi]] = np.add.reduceat(self._model.weights[flat], starts)
 
 
 class SentenceFeatures:
@@ -504,8 +546,7 @@ class SentenceFeatures:
         a, b = np.nonzero(arcs)
         self.pair_a, self.pair_b = a, b
         self._flat = self._starts = np.empty(0, dtype=np.int64)
-        for lo, hi, flat, starts in hash_blocks(position_table(sentence, mode), mode,
-                                                a, b, hash_bits):
+        for lo, hi, flat, starts in hash_blocks(position_table(sentence, mode), a, b, hash_bits):
             if hi - lo == len(a):             # the only block, kept as it is
                 self._flat, self._starts = flat, starts
                 break
@@ -547,7 +588,7 @@ class SentenceFeatures:
             starts = np.cumsum(lengths) - lengths
             flat = self._flat[np.arange(lengths.sum()) + np.repeat(first - starts, lengths)]
         else:
-            flat, starts = hash_arcs(position_table(self.sentence, self.mode), self.mode,
+            flat, starts = hash_arcs(position_table(self.sentence, self.mode),
                                      arcs[:, 0], arcs[:, 1], self.hash_bits)
         sign = np.ones(len(flat))
         if len(lost):

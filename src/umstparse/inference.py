@@ -17,8 +17,8 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence
 from .errors import DataError, InputError, StructureError
-from .features import (Model, SentenceFeatures, arc_matrix, check_combiner,
-                       pair_mask, position_table, score_arcs)
+from .features import (LazyArcScores, Model, SentenceFeatures, arc_matrix,
+                       check_combiner, pair_mask)
 from .graph import UndirectedGraph
 from .mst import RandomSource, SpanningForest, randomized_msf
 
@@ -154,47 +154,6 @@ def build_pruner(corpus: list[Sentence]) -> Pruner:
     return Pruner(max_len=max_len)
 
 
-class LazyArcScores:
-    """Directed arc scores, computed when first asked for.
-
-    Indexed like the score matrix of ``directed_score_table``:
-    ``lazy[heads, mods]`` reads the same values as ``matrix[heads, mods]``,
-    but scores only the arcs requested and not yet scored, once each and
-    row-major, by the matrix's scorer (``features.score_arcs``).  Arcs the
-    pruner drops (or that are no candidate arcs) read as -inf without being
-    hashed.  ``allowed`` is the pruner's arc mask (``Pruner.mask``), kept
-    unchanged; None allows every candidate arc (``arc_matrix``).  The
-    sentence's directed position table is built on the first hash, so a
-    scorer asked only for arcs outside the mask, or for none, never
-    featurizes.
-    """
-
-    def __init__(self, sentence: Sentence, model: Model,
-                 allowed: np.ndarray | None = None):
-        if model.mode != "directed":
-            raise InputError("directed arc scores need a directed-mode model")
-        self._sentence = sentence
-        self._model = model
-        self._table = None
-        self.allowed = arc_matrix(len(sentence)) if allowed is None else allowed
-        # NaN marks an allowed arc whose score is not computed yet
-        self._matrix = np.where(self.allowed, np.nan, -np.inf)
-
-    def __getitem__(self, arcs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        heads, mods = arcs
-        scores = self._matrix[heads, mods]
-        todo = np.isnan(scores)
-        if not todo.any():
-            return scores
-        size = len(self._matrix)
-        # the pending arcs asked for, once each; sorted keys are row-major
-        a, b = np.divmod(np.unique((heads * size + mods)[todo]), size)
-        if self._table is None:
-            self._table = position_table(self._sentence, "directed")
-        self._matrix[a, b] = score_arcs(self._table, self._model, a, b)
-        return self._matrix[heads, mods]
-
-
 def directed_score_table(sentence: Sentence, model: Model,
                          allowed: np.ndarray | None = None,
                          cache: SentenceFeatures | None = None) -> np.ndarray:
@@ -203,17 +162,14 @@ def directed_score_table(sentence: Sentence, model: Model,
     for all) keeps, or that ``cache`` holds; every other entry is -inf.
 
     ``cache`` is a training cache, whose stored slots are gathered; without
-    one, ``features.score_arcs`` hashes the allowed arcs in blocks, bit for
-    bit the same scores in O(n²) memory plus one block."""
+    one, the matrix is ``LazyArcScores(sentence, model, allowed).table()``,
+    bit for bit the same scores in O(n²) memory plus one hashing block."""
     if model.mode != "directed":
         raise InputError("directed score table needs a directed-mode model")
-    n = len(sentence)
-    matrix = np.full((n + 1, n + 1), -np.inf)
     if cache is None:
-        a, b = np.nonzero(arc_matrix(n) if allowed is None else allowed)
-        matrix[a, b] = score_arcs(position_table(sentence, "directed"), model, a, b)
-    else:
-        matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+        return LazyArcScores(sentence, model, allowed).table()
+    matrix = np.full((len(sentence) + 1,) * 2, -np.inf)
+    matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
     return matrix
 
 
@@ -492,13 +448,13 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     others need one exactly when ``config.pruning`` is "length-dictionary",
     and take the randomized spanning forest, seeded per sentence.
     u-mst-uf-lep additionally needs the separately trained directed model
-    for its rewiring pass.  That pass scores only the four arcs of each
-    candidate swap, one whose two new arcs the pruner's mask allows, so a
-    pruned sentence with no candidate swap is never featurized in
-    directed mode; unpruned, every swap is a candidate.  ``features`` is
-    the sentence's featurization in the model's mode, when the caller
-    already has it, pruned by the pruner's mask (training featurizes each
-    sentence once).
+    for its rewiring pass, whose ``LazyArcScores`` scores only the four
+    arcs of each candidate swap, one whose two new arcs the pruner's mask
+    allows, so a pruned sentence with no candidate swap is never
+    featurized in directed mode; d-mst and u-mst-df read its ``table()``.
+    ``features`` is the sentence's featurization in the model's mode,
+    when the caller already has it, pruned by the pruner's mask
+    (training featurizes each sentence once).
     """
     config.validate()
     system = config.system

@@ -10,9 +10,9 @@ pruned as parse would prune them.  An update touches only the arcs where
 gold and prediction differ (a new model's weights and their running sum
 receive whole numbers, so the shared arcs' additions would cancel
 exactly), and gathers their slots from the sentence's cache; only an arc
-the cache lacks, in a pruned u-mst-df update, makes it hash them from the
-cache's position table.  Averaging subtracts the running sum at the
-slots that updates touched, the only ones where it is not zero.
+the cache lacks, in a pruned u-mst-df update, makes it hash them all from
+a position table built for the update.  Averaging subtracts the running
+sum at the slots that updates touched, the only ones where it is not zero.
 """
 
 from __future__ import annotations

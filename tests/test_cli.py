@@ -190,6 +190,22 @@ def test_config_value_of_wrong_type_exits_2(mini_corpus, tmp_path, capsys,
     assert named in capsys.readouterr().err
 
 
+def test_config_keys_are_the_settings_fields():
+    """A config file accepts exactly the fields of TrainConfig and
+    ParserConfig, each as the type of its default, and threads: the keys
+    and types it accepted when they were listed by hand."""
+    from dataclasses import fields
+
+    from umstparse.inference import ParserConfig
+    from umstparse.training import TrainConfig
+    settings = {f.name: type(f.default) for cls in (TrainConfig, ParserConfig)
+                for f in fields(cls)}
+    assert cli.CONFIG_TYPES == {**settings, "threads": int}
+    assert cli.CONFIG_TYPES == {"system": str, "combiner": str, "enhancement_rounds": int,
+                                "seed": int, "pruning": str, "epochs": int,
+                                "shuffle": bool, "hash_bits": int, "threads": int}
+
+
 def test_misspelled_pruning_exits_2(mini_corpus, tmp_path, capsys):
     train_path, _ = mini_corpus
     config = tmp_path / "config.json"
@@ -476,6 +492,9 @@ def bad_input_files(removed_surface_files, tmp_path_factory):
         "repeated_id_graph": "0 1 0.5 0\n1 2 0.25 1\n0 2 0.75 0\n",
         "comment_inside": GOOD_SENTENCE + "\n# ok\n" + GOOD_SENTENCE.replace(
             "2\tdog", "# misplaced\n2\tdog"),
+        "blank_lines": "\n\n\n",
+        "not_json": '{"epochs": ',
+        "empty": "",
     }
     files = dict(removed_surface_files)
     for name, body in bodies.items():
@@ -536,6 +555,22 @@ BAD_INPUTS = {
         PARSE_CMD + ("--pruning", "length-dictionary", "--prune-train", f"{{{name}}}"),
         2, "train sentence 2")
        for name in ("head_past_end", "negative_head")},
+    # each command's own checks of its settings and inputs
+    "parse --system all": (PARSE_CMD + ("--system", "all"), 1, "single --system"),
+    "parse u-mst-uf-lep --directed-model undirected": (
+        PARSE_CMD + ("--system", "u-mst-uf-lep", "--directed-model", "{model}"), 2,
+        "not a directed model"),
+    "parse --pruning without --prune-train": (
+        PARSE_CMD + ("--pruning", "length-dictionary"), 1, "needs --prune-train"),
+    "train blank lines": (TRAIN_CMD[:2] + ("{blank_lines}",) + TRAIN_CMD[3:], 2,
+                          "no sentences"),
+    "train --config not JSON": (TRAIN_CMD + ("--config", "{not_json}"), 2,
+                                "invalid config JSON"),
+    "bench --sizes 10,x": (("bench", "--sizes", "10,x"), 1, "--sizes"),
+    "bench --algorithms nope": (("bench", "--sizes", "100", "--algorithms", "nope"), 1,
+                                "'nope'"),
+    "prune-stats empty dev": (("prune-stats", "--train", "{train}", "--dev", "{empty}"),
+                              2, "empty corpus"),
     # a path through a file is a data error, whether read or written
     "eval --gold under a file": (("eval", "--gold", "{dev}/x", "--pred", "{dev}"),
                                  2, "Not a directory"),

@@ -449,14 +449,13 @@ def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     a, b = _all_arcs(sentence, mode)
     pick = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60),
                      label="arcs")
-    before = _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))
-    full = _slices(*hash_arcs(table, mode, a, b, 30))
-    after = _slices(*hash_arcs(table, mode, a[pick], b[pick], 30))
+    before = _slices(*hash_arcs(table, a[pick], b[pick], 30))
+    full = _slices(*hash_arcs(table, a, b, 30))
+    after = _slices(*hash_arcs(table, a[pick], b[pick], 30))
     for k, first, again in zip(pick, before, after):
         assert first.tolist() == full[k].tolist() == again.tolist()
     k = pick[0]
-    alone, = _slices(*hash_arcs(position_table(sentence, mode), mode,
-                                a[k:k + 1], b[k:k + 1], 30))
+    alone, = _slices(*hash_arcs(position_table(sentence, mode), a[k:k + 1], b[k:k + 1], 30))
     assert alone.tolist() == full[k].tolist()
 
 
@@ -498,18 +497,16 @@ def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, shor
     table = position_table(sentence, mode)
     assert len(table.planes) == stride * min(longest + 1, 64)
     pick = _arcs_of_slots(a, b, missing - short) if missing else np.arange(len(a))
-    first = [got for *_, flat, starts in features.hash_blocks(table, mode, a[pick],
-                                                               b[pick], 30)
+    first = [got for *_, flat, starts in features.hash_blocks(table, a[pick], b[pick], 30)
              for got in _slices(flat, starts)]
     assert len(first) == len(pick)
     assert len(table.planes) == stride * (64 if short else max(longest + 1, 64))
     for k, got in zip(pick, first):
         assert got.tolist() == oracle[k]
-    for k, got in enumerate(_slices(*hash_arcs(table, mode, a, b, 30))):
+    for k, got in enumerate(_slices(*hash_arcs(table, a, b, 30))):
         assert got.tolist() == oracle[k]
     for k in (0, len(a) // 2, len(a) - 1):
-        alone, = _slices(*hash_arcs(position_table(sentence, mode), mode,
-                                    a[k:k + 1], b[k:k + 1], 30))
+        alone, = _slices(*hash_arcs(position_table(sentence, mode), a[k:k + 1], b[k:k + 1], 30))
         assert alone.tolist() == oracle[k]
 
 
@@ -525,7 +522,7 @@ def test_long_token_costs_no_planes(mode):
     tracemalloc.start()
     try:
         table = position_table(sentence, mode)
-        flat, starts = hash_arcs(table, mode, a, b, 30)
+        flat, starts = hash_arcs(table, a, b, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -546,7 +543,7 @@ def test_a_read_never_changes_the_table():
     read = table.read(np.arange(table.width * stride))
     assert table.planes is planes and len(table.planes) == 64 * stride
     assert read[:len(planes)].tolist() == planes.tolist()
-    hash_arcs(table, "directed", *_all_arcs(sentence, "directed"), 30)
+    hash_arcs(table, *_all_arcs(sentence, "directed"), 30)
     assert table.planes is planes and len(table.planes) == 64 * stride
 
 
@@ -568,14 +565,14 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     table = position_table(sentence, mode)
     stride = 13 * 13
     assert len(table.planes) == 64 * stride
-    blocks = features.hash_blocks(table, mode, a, b, 30)
+    blocks = features.hash_blocks(table, a, b, 30)
     _, hi, first, _ = next(blocks)
     assert hi < len(a)
     assert len(table.planes) == (table.width if built else 64) * stride
     got = [first] + [flat for *_, flat, _ in blocks]
     assert len(table.planes) == (table.width if built else 64) * stride
     assert np.concatenate(got).tolist() == \
-        hash_arcs(position_table(sentence, mode), mode, a, b, 30)[0].tolist()
+        hash_arcs(position_table(sentence, mode), a, b, 30)[0].tolist()
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])

@@ -444,7 +444,7 @@ class TestVectorizedLocalEnhancement:
         real = features.hash_arcs
 
         def counting(*args):
-            calls.append(len(args[2]))
+            calls.append(len(args[1]))
             return real(*args)
 
         monkeypatch.setattr(features, "hash_arcs", counting)
@@ -460,9 +460,8 @@ class TestVectorizedLocalEnhancement:
         """A LazyArcScores builds its sentence's position table at most
         once, on its first hash; every round of local_enhancement hashes
         its arcs from that table."""
-        import umstparse.inference as inference
         built, hashed_from = [], []
-        real_table, real_hash = inference.position_table, features.hash_arcs
+        real_table, real_hash = features.position_table, features.hash_arcs
 
         def building(*args):
             built.append(real_table(*args))
@@ -472,7 +471,7 @@ class TestVectorizedLocalEnhancement:
             hashed_from.append(table)
             return real_hash(table, *args)
 
-        monkeypatch.setattr(inference, "position_table", building)
+        monkeypatch.setattr(features, "position_table", building)
         monkeypatch.setattr(features, "hash_arcs", hashing)
         s = bundled[1][-1]
         model = Model.new("directed", hash_bits=12)
@@ -497,19 +496,18 @@ class TestVectorizedLocalEnhancement:
     def _counting(monkeypatch):
         """Record the arcs of every hash_arcs call and the sentences of
         every position_table call made by LazyArcScores."""
-        import umstparse.inference as inference
         hashed, built = [], []
-        real_table, real_hash = inference.position_table, features.hash_arcs
+        real_table, real_hash = features.position_table, features.hash_arcs
 
         def building(*args):
             built.append(args[0])
             return real_table(*args)
 
-        def hashing(table, mode, a, b, *args):
+        def hashing(table, a, b, *args):
             hashed.append((a.copy(), b.copy()))
-            return real_hash(table, mode, a, b, *args)
+            return real_hash(table, a, b, *args)
 
-        monkeypatch.setattr(inference, "position_table", building)
+        monkeypatch.setattr(features, "position_table", building)
         monkeypatch.setattr(features, "hash_arcs", hashing)
         return hashed, built
 
@@ -635,10 +633,10 @@ def _wide_tags(sentence, width=40):
 
 class TestOneDirectedScorer:
     """Every parse-time directed score comes from one blocked scorer,
-    ``features.score_arcs``: ``directed_score_table`` without a cache and
-    ``LazyArcScores`` hash their arcs in blocks of at most
-    ``features._BLOCK_SLOTS`` slots, and read the very floats of one
-    unblocked ``hash_arcs`` call; so do blocked training caches."""
+    ``features.LazyArcScores``: ``directed_score_table`` without a cache is
+    its ``table()``, and LEP reads it lazily.  It hashes its arcs in blocks
+    of at most ``features._BLOCK_SLOTS`` slots, and reads the very floats
+    of one unblocked ``hash_arcs`` call; so do blocked training caches."""
 
     @staticmethod
     def _hashing(monkeypatch):
@@ -675,7 +673,7 @@ class TestOneDirectedScorer:
             n = len(s)
             for p in (None, pruner.mask(s)):
                 a, b = np.nonzero(arc_matrix(n) if p is None else p)
-                flat, starts = real(position_table(s, "directed"), "directed", a, b, 16)
+                flat, starts = real(position_table(s, "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
                 reference[a, b] = np.add.reduceat(model.weights[flat], starts)
                 calls.clear()
@@ -693,6 +691,57 @@ class TestOneDirectedScorer:
                 h, m = np.divmod(rng.permutation((n + 1) ** 2), n + 1)
                 assert lazy[h, m].tobytes() == reference[h, m].tobytes()
 
+    def test_table_hashes_each_pending_arc_once(self, bundled, monkeypatch):
+        """After some ``lazy[h, m]`` reads, ``table()`` hashes exactly the
+        allowed arcs still pending, once each and row-major, and returns
+        the bytes of one unblocked hash_arcs reference; a second
+        ``table()`` hashes nothing.  ``directed_score_table`` without a
+        cache is one ``table()`` call, with the same bytes, pruned and
+        unpruned.  The scorer inference uses is the one features defines."""
+        assert LazyArcScores is features.LazyArcScores
+        pruner = bundled[0]
+        real, real_table = features.hash_arcs, LazyArcScores.table
+        hashed, tables = [], []
+
+        def hashing(table, a, b, hash_bits):
+            hashed.append(a * len(table.pos_len) + b)
+            return real(table, a, b, hash_bits)
+
+        def counting(lazy):
+            tables.append(lazy)
+            return real_table(lazy)
+
+        monkeypatch.setattr(features, "hash_arcs", hashing)
+        monkeypatch.setattr(LazyArcScores, "table", counting)
+        rng = np.random.default_rng(179)
+        model = Model.new("directed", hash_bits=16)
+        model.weights = rng.normal(size=model.size())
+        for s in self._sentences(bundled):
+            n = len(s)
+            for p in (None, pruner.mask(s)):
+                allowed = arc_matrix(n) if p is None else p
+                a, b = np.nonzero(allowed)
+                flat, starts = real(position_table(s, "directed"), a, b, 16)
+                reference = np.full((n + 1, n + 1), -np.inf)
+                reference[a, b] = np.add.reduceat(model.weights[flat], starts)
+                tables.clear()
+                assert directed_score_table(s, model, p).tobytes() == reference.tobytes()
+                assert len(tables) == 1
+                lazy = LazyArcScores(s, model, p)
+                read = np.zeros_like(allowed)
+                for _ in range(2):
+                    h = rng.integers(0, n + 1, size=2 * n)
+                    m = rng.integers(0, n + 1, size=2 * n)
+                    lazy[h, m]
+                    read[h, m] = True
+                hashed.clear()
+                assert lazy.table().tobytes() == reference.tobytes()
+                got = np.concatenate(hashed) if hashed else np.empty(0, dtype=np.int64)
+                assert np.array_equal(got, np.flatnonzero(allowed & ~read))
+                hashed.clear()
+                assert lazy.table().tobytes() == reference.tobytes()
+                assert hashed == []
+
     @pytest.mark.parametrize("mode", ["directed", "undirected"])
     def test_blocked_caches_store_one_call_slots(self, bundled, monkeypatch, mode):
         """A cache hashed in blocks of 256 slots stores the bytes of one
@@ -708,7 +757,7 @@ class TestOneDirectedScorer:
                 cache = SentenceFeatures(s, mode, 16, p)
                 arcs = arc_matrix(len(s)) if p is None else p
                 a, b = np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
-                flat, starts = real(position_table(s, mode), mode, a, b, 16)
+                flat, starts = real(position_table(s, mode), a, b, 16)
                 assert cache._flat.tobytes() == flat.tobytes()
                 assert cache._starts.tobytes() == starts.tobytes()
                 assert all(slots <= 256 or arcs == 1 for arcs, slots, _ in calls)
