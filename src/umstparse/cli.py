@@ -164,32 +164,29 @@ def cmd_train(args) -> int:
             raise UsageError("--system all writes <model>.trainlog.csv per "
                              "model and takes no --log-out")
         os.makedirs(args.model_out, exist_ok=True)
-        trained = {}        # u-mst-uf-lep trains as u-mst-uf: train that once
-        for name in SYSTEMS:
-            config = _config(TrainConfig, merged, system=name)
-            trains_as = config.parser_config().system
-            if trains_as not in trained:
-                trained[trains_as] = train_full(corpus, config)
-            model, log = trained[trains_as]
-            path = os.path.join(args.model_out, f"{name}.model")
-            save_model(model, path)
-            _write_train_log(f"{path}.trainlog.csv", log)
-            print(f"trained {name} -> {path}")
-        return EXIT_OK
-    config = _config(TrainConfig, merged, system=system)
-    model, log = train_full(corpus, config)
-    save_model(model, args.model_out)
-    _write_train_log(args.log_out or f"{args.model_out}.trainlog.csv", log)
-    print(f"trained {config.system} -> {args.model_out} "
-          f"(final training UAS {log[-1]:.2f})")
+        paths = {name: os.path.join(args.model_out, f"{name}.model") for name in SYSTEMS}
+    else:
+        paths = {system: args.model_out}
+    trained = {}            # u-mst-uf-lep trains as u-mst-uf: train that once
+    for name, path in paths.items():
+        config = _config(TrainConfig, merged, system=name)
+        trains_as = config.parser_config().system
+        if trains_as not in trained:
+            trained[trains_as] = train_full(corpus, config)
+        model, log = trained[trains_as]
+        save_model(model, path)
+        _write_lines(args.log_out or f"{path}.trainlog.csv",
+                     ["epoch,train_uas",
+                      *(f"{i},{uas:.6f}" for i, uas in enumerate(log, start=1))])
+        final = "" if system == "all" else f" (final training UAS {log[-1]:.2f})"
+        print(f"trained {name} -> {path}{final}")
     return EXIT_OK
 
 
-def _write_train_log(path, log) -> None:
+def _write_lines(path, lines) -> None:
+    """Write a CSV report: each of ``lines`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_uas\n")
-        for i, uas in enumerate(log, start=1):
-            fh.write(f"{i},{uas:.6f}\n")
+        fh.write("".join(f"{line}\n" for line in lines))
 
 
 def _unread_parse_flags(args, config: ParserConfig) -> list[str]:
@@ -272,8 +269,7 @@ def cmd_eval(args) -> int:
                      f"oracle_d_uas,{oracle.d_uas:.6f}",
                      f"oracle_u_uas,{oracle.u_uas:.6f}"]
     if args.csv:       # written first: an unusable path prints no report
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_rows) + "\n")
+        _write_lines(args.csv, csv_rows)
     print("\n".join(out))
     return EXIT_OK
 
@@ -341,11 +337,8 @@ def cmd_prune_stats(args) -> int:
              f"gold_total {total_gold}",
              f"gold_kept {kept_gold}"]
     if args.csv:       # written first: an unusable path prints no report
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("metric,value\n")
-            for line in lines:
-                key, value = line.split(" ")
-                fh.write(f"{key},{value}\n")
+        _write_lines(args.csv,
+                     ["metric,value", *(line.replace(" ", ",") for line in lines)])
     print("\n".join(lines))
     return EXIT_OK
 

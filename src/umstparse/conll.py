@@ -53,21 +53,43 @@ class DependencyTree:
         return is_valid_tree(self.heads)
 
 
-def is_valid_tree(heads) -> bool:
-    """True iff every token has one head in range and reaches the root."""
-    n = len(heads)
-    for h in heads:
-        if not 0 <= h <= n:
-            return False
-    for start in range(1, n + 1):
-        seen = set()
+def _find_cycle(heads: list, nodes: Iterable[int], rooted: list) -> list | None:
+    """The cycle met first by walking up ``heads`` (``heads[v]`` is the
+    head of node v, node 0 the root) from each of ``nodes`` in turn, as a
+    sorted list; None when every walk reaches the root.
+
+    ``rooted[v]`` is set for each node found to reach the root, and walks
+    stop at such nodes, so the walks of one call visit each node once.
+    Such a node never lies in a cycle: Chu-Liu-Edmonds (``inference``)
+    keeps ``rooted`` across its contraction levels, since the head of a
+    rooted node never changes on contraction and it still reaches the root
+    at every later level.
+    """
+    for start in nodes:
+        if rooted[start]:
+            continue
+        path, on_path = [], set()
         node = start
-        while node != 0:
-            if node in seen:
-                return False
-            seen.add(node)
-            node = heads[node - 1]
-    return True
+        while node and not rooted[node]:
+            if node in on_path:
+                return sorted(path[path.index(node):])
+            on_path.add(node)
+            path.append(node)
+            node = heads[node]
+        for v in path:
+            rooted[v] = True
+    return None
+
+
+def is_valid_tree(heads) -> bool:
+    """True iff every token has one head in range and reaches the root.
+
+    The walks of :func:`_find_cycle` visit each token once: O(n), on a
+    chain too."""
+    n = len(heads)
+    if not all(0 <= h <= n for h in heads):
+        return False
+    return _find_cycle([0, *heads], range(1, n + 1), [False] * (n + 1)) is None
 
 
 def _parse_token_line(line: str, lineno: int) -> tuple[Token, int, str]:

@@ -564,33 +564,34 @@ class SentenceFeatures:
 
     def score_all(self, weights: np.ndarray) -> np.ndarray:
         """Score of every stored pair, aligned with self.pairs."""
-        if not len(self.pair_a):
-            return np.empty(0)
         return np.add.reduceat(weights[self._flat], self._starts)
 
     def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray]:
         """The slots of the arcs ``gained`` then ``lost``, in that order
         and each in emission order, and a sign per slot (+1.0 gained, -1.0
-        lost) for a perceptron update.  When the cache holds every arc,
-        each arc's run is gathered from the stored slots; when it lacks
-        one (an arc its mask dropped, as a pruned u-mst-df prediction
-        can direct a pair), all are hashed in one call from a fresh
-        ``position_table``.  Both give the same slots in the same order."""
+        lost) for a perceptron update.  Each arc's run length is its
+        ``arc_slots``.  When the cache holds every arc, each run is
+        gathered from the stored slots at its ``_starts``; when it lacks
+        one (an arc its mask dropped, as a pruned u-mst-df prediction can
+        direct a pair), all are hashed by ``hash_blocks`` from a fresh
+        ``position_table``.  Both give the same slots in the same order;
+        no arcs give two empty arrays."""
         arcs = np.asarray([*gained, *lost], dtype=np.int64).reshape(-1, 2)
+        a, b = arcs[:, 0], arcs[:, 1]
+        lengths = arc_slots(a, b)
+        starts = np.cumsum(lengths) - lengths
         n1 = len(self.sentence) + 1
         # np.nonzero stores the pairs row-major, so their keys are sorted
         keys = self.pair_a * n1 + self.pair_b
-        wanted = arcs[:, 0] * n1 + arcs[:, 1]
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        if len(keys) and (keys[at] == wanted).all():
+        wanted = a * n1 + b
+        at = np.searchsorted(keys, wanted)
+        if (at < len(keys)).all() and (keys[at] == wanted).all():
             first = self._starts[at]
-            lengths = np.append(self._starts, len(self._flat))[at + 1] - first
-            starts = np.cumsum(lengths) - lengths
             flat = self._flat[np.arange(lengths.sum()) + np.repeat(first - starts, lengths)]
         else:
-            flat, starts = hash_arcs(position_table(self.sentence, self.mode),
-                                     arcs[:, 0], arcs[:, 1], self.hash_bits)
+            table = position_table(self.sentence, self.mode)
+            flat = np.concatenate([block[2] for block in
+                                   hash_blocks(table, a, b, self.hash_bits)])
         sign = np.ones(len(flat))
-        if len(lost):
-            sign[starts[len(gained)]:] = -1.0
+        sign[lengths[:len(gained)].sum():] = -1.0
         return flat, sign

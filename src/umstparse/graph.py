@@ -130,6 +130,14 @@ def _contract(graph: UndirectedGraph, labels: np.ndarray) -> UndirectedGraph:
     )
 
 
+def _edges_where(g: UndirectedGraph, keep: np.ndarray) -> UndirectedGraph:
+    """The edges that ``keep`` selects (a mask or positions), over the
+    same vertices.  The one edge-subset constructor: ``_contract``, which
+    renumbers the vertices, builds its own."""
+    return UndirectedGraph(g.n_vertices, g.u[keep], g.v[keep], g.weight[keep],
+                           g.original_id[keep], _validate=False)
+
+
 _NO_ID = np.iinfo(np.int64).max     # above every original_id
 
 
@@ -155,13 +163,15 @@ def simplify(graph: UndirectedGraph) -> UndirectedGraph:
     """Drop self edges and keep only the minimum edge per vertex pair.
 
     Ties between parallel edges of equal weight go to the smallest
-    original_id.  Idempotent.
+    original_id.  Idempotent.  An edgeless graph comes back as it is; any
+    other result is an ``_edges_where`` subset on the same vertices (with
+    no edge when every edge is a self edge).
     """
     if graph.n_edges == 0:
         return graph
     loopless = np.nonzero(graph.u != graph.v)[0]
     if loopless.size == 0:
-        return UndirectedGraph(graph.n_vertices, [], [], [], [], _validate=False)
+        return _edges_where(graph, loopless)
     lo = np.minimum(graph.u[loopless], graph.v[loopless])
     hi = np.maximum(graph.u[loopless], graph.v[loopless])
     # group parallel edges by pair key, then scatter-minimize (weight,
@@ -170,14 +180,7 @@ def simplify(graph: UndirectedGraph) -> UndirectedGraph:
     survivors = loopless[_lightest(int(gid.max()) + 1, [gid],
                                    graph.weight[loopless],
                                    graph.original_id[loopless])[1]]
-    return UndirectedGraph(
-        graph.n_vertices,
-        graph.u[survivors],
-        graph.v[survivors],
-        graph.weight[survivors],
-        graph.original_id[survivors],
-        _validate=False,
-    )
+    return _edges_where(graph, survivors)
 
 
 def min_incident_edges(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conll import DependencyTree, Sentence
+from .conll import DependencyTree, Sentence, _find_cycle
 from .errors import DataError, InputError, StructureError
 from .features import (LazyArcScores, Model, SentenceFeatures, arc_matrix,
                        check_combiner, pair_mask)
@@ -286,6 +286,8 @@ def local_enhancement(tree: DependencyTree, s_d: np.ndarray | LazyArcScores,
     scorer's ``allowed``, or where the matrix is finite), without reading
     a score; it stops when there are none, and otherwise reads the four
     arcs of the candidate edges with one ``s_d[heads, mods]`` lookup.
+    The tree check is ``is_valid_tree``'s O(n) walk, so all but the
+    scoring costs O(n) per round.
     """
     if not tree.is_valid():
         raise StructureError("local enhancement requires a valid tree")
@@ -298,17 +300,13 @@ def local_enhancement(tree: DependencyTree, s_d: np.ndarray | LazyArcScores,
             v = np.flatnonzero(heads)           # (u, v) with u != root
             u = heads[v]
             t = heads[u]
-            k = len(v)
+            candidate = allowed[t, v] & allowed[v, u]
+            if not candidate.any():
+                break
+            v, u, t = v[candidate], u[candidate], t[candidate]
             # per edge, the arcs (t, v), (v, u), (t, u), (u, v): new ones first
-            rows, cols = np.concatenate([t, v, t, u]), np.concatenate([v, u, u, v])
-            new = allowed[rows[:2 * k], cols[:2 * k]]
-            if np.count_nonzero(new) < 2 * k:
-                candidate = new[:k] & new[k:]
-                if not candidate.any():
-                    break
-                v, u, t = v[candidate], u[candidate], t[candidate]
-                rows, cols = np.concatenate([t, v, t, u]), np.concatenate([v, u, u, v])
-            s = s_d[rows, cols].reshape(4, len(v))
+            s = s_d[np.concatenate([t, v, t, u]),
+                    np.concatenate([v, u, u, v])].reshape(4, len(v))
             s_tv, s_vu, s_tu, s_uv = s
             present = np.isfinite(s)
             gain = np.where(present[2] & present[3],
@@ -322,31 +320,6 @@ def local_enhancement(tree: DependencyTree, s_d: np.ndarray | LazyArcScores,
             heads[u[best]] = v[best]
             heads[v[best]] = t[best]
     return DependencyTree(heads=tuple(heads[1:].tolist()))
-
-
-def _find_cycle(heads: list, nodes: list, rooted: list) -> list | None:
-    """The cycle met first by walking up ``heads`` from each of ``nodes`` in
-    turn, as a sorted list; None when every walk reaches the root (node 0).
-
-    ``rooted[v]`` is set for each node found to reach the root.  Such a
-    node never lies in a cycle, so its head never changes on contraction
-    and it still reaches the root at every later level: callers keep
-    ``rooted`` across levels, and walks stop at such nodes.
-    """
-    for start in nodes:
-        if rooted[start]:
-            continue
-        path, on_path = [], set()
-        node = start
-        while node and not rooted[node]:
-            if node in on_path:
-                return sorted(path[path.index(node):])
-            on_path.add(node)
-            path.append(node)
-            node = heads[node]
-        for v in path:
-            rooted[v] = True
-    return None
 
 
 def _cle_heads(score: np.ndarray) -> list[int]:
@@ -447,11 +420,12 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     d-mst ignores the pruner (it runs on the complete directed graph); the
     others need one exactly when ``config.pruning`` is "length-dictionary",
     and take the randomized spanning forest, seeded per sentence.
-    u-mst-uf-lep additionally needs the separately trained directed model
-    for its rewiring pass, whose ``LazyArcScores`` scores only the four
-    arcs of each candidate swap, one whose two new arcs the pruner's mask
-    allows, so a pruned sentence with no candidate swap is never
-    featurized in directed mode; d-mst and u-mst-df read its ``table()``.
+    u-mst-uf-lep additionally needs the separately trained directed-mode
+    model (checked before any scoring) for its rewiring pass, whose
+    ``LazyArcScores`` scores only the four arcs of each candidate swap,
+    one whose two new arcs the pruner's mask allows, so a pruned sentence
+    with no candidate swap is never featurized in directed mode; d-mst
+    and u-mst-df read its ``table()``.
     ``features`` is the sentence's featurization in the model's mode,
     when the caller already has it, pruned by the pruner's mask
     (training featurizes each sentence once).
@@ -461,6 +435,10 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     mode = feature_mode(system)
     if model.mode != mode:
         raise InputError(f"{system} needs a {mode}-mode model")
+    if system == "u-mst-uf-lep" and (directed_model is None
+                                     or directed_model.mode != "directed"):
+        raise InputError("u-mst-uf-lep needs the directed (d-mst) model "
+                         "for its enhancement scores")
     if system == "d-mst":
         return cle_directed_mst(directed_score_table(sentence, model, None, features))
     if config.pruned != (pruner is not None):
@@ -475,9 +453,6 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     forest = randomized_msf(pg.graph, RandomSource(config.seed, sentence_index))
     tree = direct_tree(pg.graph, forest)
     if system == "u-mst-uf-lep":
-        if directed_model is None:
-            raise InputError("u-mst-uf-lep needs the directed (d-mst) model "
-                             "for its enhancement scores")
         scores = LazyArcScores(sentence, directed_model, allowed)
         tree = local_enhancement(tree, scores, config.enhancement_rounds)
     return tree

@@ -24,6 +24,7 @@ from .errors import InputError
 from .graph import (
     UndirectedGraph,
     _contract,
+    _edges_where,
     boruvka_step,
     connected_components,
     min_incident_edges,
@@ -129,12 +130,6 @@ def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
         g, selected = boruvka_step(g)
         ids.append(selected)
     return _forest_of(graph, np.concatenate(ids))
-
-
-def _edges_where(g: UndirectedGraph, keep: np.ndarray) -> UndirectedGraph:
-    """The edges that ``keep`` marks, over the same vertices."""
-    return UndirectedGraph(g.n_vertices, g.u[keep], g.v[keep], g.weight[keep],
-                           g.original_id[keep], _validate=False)
 
 
 def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray:

@@ -1,13 +1,19 @@
 import io
 
+import numpy as np
 import pytest
 
-from umstparse.bench import run_bench, run_bench_graph
+from umstparse.bench import random_connected_graph, run_bench, run_bench_graph
 from umstparse.errors import InputError
 from umstparse.graph import UndirectedGraph
 from umstparse.mst import _BASE_EDGES, SpanningForest
 
 TRIANGLE = UndirectedGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 0.25), (0, 2, 0.75)])
+
+
+def test_random_graph_needs_two_vertices():
+    with pytest.raises(InputError, match="at least 2 vertices"):
+        random_connected_graph(1, 5, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("bench", [

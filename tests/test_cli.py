@@ -480,7 +480,7 @@ def _second_sentence_with_heads(heads):
 
 
 @pytest.fixture(scope="module")
-def bad_input_files(removed_surface_files, tmp_path_factory):
+def bad_input_files(removed_surface_files, two_models, tmp_path_factory):
     base = tmp_path_factory.mktemp("bad")
     bodies = {
         "self_loop": _second_sentence_with_heads((2, 2, 0)),
@@ -490,13 +490,17 @@ def bad_input_files(removed_surface_files, tmp_path_factory):
         "weight_graph": "0 1 0.5 0\n1 2 heavy 1\n",
         "vertex_graph": "zero 1 0.5 0\n",
         "repeated_id_graph": "0 1 0.5 0\n1 2 0.25 1\n0 2 0.75 0\n",
+        "nan_graph": "0 1 nan 0\n1 2 0.5 1\n",
+        "inf_graph": "0 1 0.5 0\n1 2 inf 1\n",
+        "negative_vertex_graph": "0 1 0.5 0\n-1 2 0.25 1\n",
+        "skipped_id": "1\ta\t_\tD\tD\t_\t0\troot\n3\tb\t_\tN\tN\t_\t1\tdep\n\n",
         "comment_inside": GOOD_SENTENCE + "\n# ok\n" + GOOD_SENTENCE.replace(
             "2\tdog", "# misplaced\n2\tdog"),
         "blank_lines": "\n\n\n",
         "not_json": '{"epochs": ',
         "empty": "",
     }
-    files = dict(removed_surface_files)
+    files = {**removed_surface_files, "d_model": two_models["d"]}
     for name, body in bodies.items():
         files[name] = base / name
         files[name].write_text(body)
@@ -580,6 +584,18 @@ BAD_INPUTS = {
     "prune-stats --csv under a file": (
         ("prune-stats", "--train", "{train}", "--dev", "{dev}", "--csv", "{dev}/x.csv"),
         2, "Not a directory"),
+    # settings out of range, token IDs out of order and edges no graph has
+    # are data errors
+    "train --epochs 0": (TRAIN_CMD[:5] + ("--epochs", "0"), 2, "epochs must be >= 1"),
+    "parse u-mst-uf-lep --enhancement-rounds -1": (
+        PARSE_CMD + ("--system", "u-mst-uf-lep", "--directed-model", "{d_model}",
+                     "--enhancement-rounds", "-1"), 2, "enhancement_rounds must be >= 0"),
+    "parse token IDs 1, 3": (PARSE_CMD[:4] + ("{skipped_id}",) + PARSE_CMD[5:], 2,
+                             "near line 3: token ID 3 at position 2"),
+    **{f"bench {name}": (("bench", "--graph-file", f"{{{name}}}"), 2, named)
+       for name, named in (("nan_graph", "edge weights must be finite"),
+                           ("inf_graph", "edge weights must be finite"),
+                           ("negative_vertex_graph", "edge endpoint out of range"))},
     # --system all writes one log per model, so one --log-out has no place
     "train --system all --log-out": (
         TRAIN_CMD + ("--system", "all", "--log-out", "{out}.csv"), 1, "--log-out"),
@@ -613,6 +629,22 @@ def test_unexpected_exception_is_one_internal_error_line(monkeypatch, capsys):
     assert run("bench", "--sizes", "100") == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: invariant broken\n"
+
+
+def test_structure_error_is_one_internal_error_line(monkeypatch, capsys):
+    """A broken invariant below a command (a StructureError) ends in exit 3
+    and one line that names it."""
+    from umstparse.errors import StructureError
+
+    def broken(*args, **kwargs):
+        raise StructureError("spanning tree does not cover all vertices")
+
+    monkeypatch.setattr(cli, "run_bench", broken)
+    capsys.readouterr()
+    assert run("bench", "--sizes", "100") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: spanning tree does not cover all vertices\n"
 
 
 def test_parse_keeps_non_tree_gold_with_a_warning(bad_input_files, tmp_path, caplog):

@@ -87,6 +87,15 @@ def test_length_mismatch_rejected():
         write_conll(sents, [DependencyTree(heads=(0,))], io.StringIO())
 
 
+def test_head_count_mismatch_rejected():
+    """One prediction per sentence, but one head for 15 tokens."""
+    rows = "".join(f"{i}\tw{i}\t_\tN\tNN\t_\t{i - 1}\tdep\n" for i in range(1, 16))
+    sents = read_conll(io.StringIO(rows))
+    assert len(sents[0]) == 15
+    with pytest.raises(InputError, match="15 tokens but 1 predicted heads"):
+        write_conll(sents, [DependencyTree(heads=(0,))], io.StringIO())
+
+
 COMMENTED = """\
 # sent_id = 1
 # text = The cat sleeps .
@@ -222,8 +231,6 @@ class TestTreeValidation:
         for _ in range(200):
             n = int(rng.integers(1, 8))
             heads = tuple(int(rng.integers(0, n + 1)) for _ in range(n))
-            if any(h == i + 1 for i, h in enumerate(heads)):
-                continue
             # oracle: repeatedly remove tokens whose head chain is resolved
             resolved = {0}
             changed = True
@@ -234,6 +241,20 @@ class TestTreeValidation:
                         resolved.add(i + 1)
                         changed = True
             assert is_valid_tree(heads) == (len(resolved) == n + 1)
+
+    def test_no_tokens(self):
+        assert is_valid_tree(())
+
+    def test_long_chain(self):
+        """A 6,000-token chain, each token headed by the next, is one
+        walk from its foot; a 2-cycle at the foot, or at the top, makes it
+        invalid."""
+        n = 6000
+        chain = tuple(range(2, n + 1)) + (0,)
+        assert is_valid_tree(chain)
+        assert DependencyTree(heads=chain).is_valid()
+        assert not is_valid_tree((2, 1) + chain[2:])
+        assert not is_valid_tree(chain[:-1] + (n - 1,))
 
 
 @pytest.mark.parametrize("form,expected", [

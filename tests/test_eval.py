@@ -110,6 +110,9 @@ class TestHeadToHead:
         bad = trees([3, 1, 2, 1], [1, 1])
         assert head_to_head(GOLD, gold_pred, bad) == (100.0, 0.0, 0.0)
 
+    def test_no_sentences_is_all_zero(self):
+        assert head_to_head([], [], []) == (0.0, 0.0, 0.0)
+
     def test_percentages_sum_to_100(self):
         a = trees([2, 3, 0, 3], [1, 0])
         b = trees([3, 3, 0, 1], [2, 0])

@@ -279,6 +279,27 @@ class TestSentenceFeatures:
         fv = extract_undirected(FIXTURE, 1, 4, hash_bits=12)
         assert sorted(cache.sum_indices([(1, 4)])[0].tolist()) == fv.indices.tolist()
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InputError, match="unknown feature mode"):
+            SentenceFeatures(FIXTURE, "sideways")
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    def test_update_of_no_arcs_is_empty(self, monkeypatch, mode):
+        """No arcs give two empty arrays and hash nothing, also from a
+        cache that holds no pairs (a mask that drops every arc), whose
+        scores are an empty array too."""
+        none = np.zeros((len(FIXTURE) + 1,) * 2, dtype=bool)
+        empty = SentenceFeatures(FIXTURE, mode, 12, none)
+        full = SentenceFeatures(FIXTURE, mode, 12)
+        assert empty.pairs == [] and len(empty.score_all(np.zeros(1 << 12))) == 0
+        calls = []
+        monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
+        for cache in (empty, full):
+            slots, sign = cache.sum_indices([], [])
+            assert slots.dtype == np.int64 and len(slots) == 0
+            assert sign.dtype == np.float64 and len(sign) == 0
+        assert calls == []
+
 
 # non-ASCII forms and tags; one form and one tag are longer than 256 UTF-8
 # bytes, so composing them needs more than one zero-byte table
@@ -375,6 +396,38 @@ def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
     slots, sign = pruned.sum_indices(gained, lost)
     assert slots.tolist() == oracle(gained + lost)
     assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
+
+
+def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
+    """An update with arcs a pruned u-mst-df (directed) cache dropped is
+    hashed by ``hash_blocks``, in blocks of at most ``_BLOCK_SLOTS`` slots
+    (256 here), and gives the slots of one unblocked hash_arcs call over
+    the gained then the lost arcs, signed +1 then -1."""
+    pruner, dev = bundled
+    sentence = join_sentences(dev[:11])
+    assert 100 <= len(sentence) <= 110
+    allowed = pruner.mask(sentence)
+    cache = SentenceFeatures(sentence, "directed", 16, allowed)
+    dropped = np.argwhere(arc_matrix(len(sentence)) & ~allowed)[::40].tolist()
+    gained, lost = dropped[:20], cache.pairs[::20][:10] + dropped[20:25]
+    assert len(gained) == 20 and len(lost) >= 15
+    arcs = np.array(gained + lost)
+    want, starts = hash_arcs(position_table(sentence, "directed"),
+                             arcs[:, 0], arcs[:, 1], 16)
+    monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
+    calls, real = [], features.hash_arcs
+
+    def hashing(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(features, "hash_arcs", hashing)
+    slots, sign = cache.sum_indices(gained, lost)
+    assert len(calls) > 1
+    assert all(len(flat) <= 256 or len(at) == 1 for flat, at in calls)
+    assert slots.tobytes() == want.tobytes()
+    assert sign.tolist() == [1.0] * starts[len(gained)] + \
+        [-1.0] * (len(want) - starts[len(gained)])
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])

@@ -39,6 +39,16 @@ def dense_labels(components, n):
     return lab
 
 
+class TestValidation:
+    def test_inconsistent_lengths_rejected(self):
+        with pytest.raises(InputError, match="inconsistent lengths"):
+            UndirectedGraph(3, [0, 1], [1], [1.0], [0])
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(InputError, match="negative vertex count"):
+            UndirectedGraph(-1, [], [], [], [])
+
+
 class TestConnectedComponents:
     def test_empty_subset_gives_singletons(self):
         g = make(3, [(0, 1, 1.0), (1, 2, 2.0)])
@@ -163,6 +173,18 @@ class TestSimplify:
         g = make(2, [(0, 1, 3.0, 9), (1, 0, 3.0, 4)])
         s = simplify(g)
         assert s.original_id[0] == 4
+
+    def test_edgeless_graph_is_returned_itself(self):
+        g = make(4, [])
+        assert simplify(g) is g
+
+    def test_self_loops_only_leave_no_edge_on_the_same_vertices(self):
+        g = make(3, [(1, 1, 2.0), (2, 2, -1.0)])
+        s = simplify(g)
+        assert s.n_vertices == 3 and s.n_edges == 0
+        for array in (s.u, s.v, s.original_id):
+            assert array.dtype == np.int64 and len(array) == 0
+        assert s.weight.dtype == np.float64 and len(s.weight) == 0
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)

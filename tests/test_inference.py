@@ -336,6 +336,18 @@ class TestLocalEnhancement:
             local_enhancement(DependencyTree(heads=(2, 1)),
                               table_from(np.zeros((3, 3))), rounds=1)
 
+    def test_flat_tree_returns_without_hashing(self, bundled, monkeypatch):
+        """A tree whose every head is the root has no edge (u, v) with u
+        below the root: it comes back as it is, and its scorer hashes
+        nothing."""
+        calls = []
+        monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
+        s = bundled[1][-1]
+        model = Model.new("directed", hash_bits=12)
+        tree = DependencyTree(heads=(0,) * len(s))
+        assert local_enhancement(tree, LazyArcScores(s, model), rounds=5) == tree
+        assert calls == []
+
     def test_random_monotone_score_and_validity(self):
         rng = np.random.default_rng(79)
         for _ in range(150):
@@ -621,6 +633,14 @@ class TestVectorizedLocalEnhancement:
     def test_lazy_scorer_needs_directed_model(self):
         with pytest.raises(InputError):
             LazyArcScores(FIXTURE, Model.new("undirected", hash_bits=10))
+
+    def test_score_table_needs_directed_model(self):
+        """An undirected model is refused with or without a cache, before
+        the cache is read."""
+        umodel = Model.new("undirected", hash_bits=10)
+        for cache in (None, SentenceFeatures(FIXTURE, "undirected", 10)):
+            with pytest.raises(InputError, match="directed-mode model"):
+                directed_score_table(FIXTURE, umodel, None, cache)
 
 
 
@@ -998,10 +1018,19 @@ class TestParseDispatch:
                          ParserConfig(system="d-mst", pruning=pruning), pruner=given)
             assert is_valid_tree(tree.heads)
 
-    def test_lep_requires_directed_model(self):
+    def test_lep_requires_directed_model(self, monkeypatch):
+        """u-mst-uf-lep without a directed model, or with an undirected
+        one, fails before any parse graph is built."""
+        import umstparse.inference as inference
+        built = []
+        monkeypatch.setattr(inference, "build_parse_graph",
+                            lambda *args, **kwargs: built.append(args))
         umodel = _model_preferring(FIXTURE, self.gold_arcs(False), "undirected")
-        with pytest.raises(InputError):
-            parse(FIXTURE, umodel, ParserConfig(system="u-mst-uf-lep"))
+        for directed_model in (None, umodel):
+            with pytest.raises(InputError, match="needs the directed"):
+                parse(FIXTURE, umodel, ParserConfig(system="u-mst-uf-lep"),
+                      directed_model=directed_model)
+        assert built == []
 
     def test_mode_mismatch_rejected(self):
         umodel = Model.new("undirected", hash_bits=10)
