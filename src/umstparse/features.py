@@ -40,6 +40,11 @@ MAX_HASH_BITS = 30
 # faster than 2**13, 2**15, 2**18 and unblocked on d-mst parses of 30-70 tokens.
 _BLOCK_SLOTS = 1 << 16
 
+# Positions per stacked table of featurize_corpus.  A chunk holds its memo
+# rows' copies and planes, about 15 kB a position, while it hashes, so
+# 2**9 positions stay under 8 MB; a longer sentence is a chunk of its own.
+_CHUNK_POSITIONS = 1 << 9
+
 MODEL_MAGIC = "umstparse-model 1"
 
 # how a directed-mode model merges a pair's two arc scores into one weight
@@ -307,7 +312,8 @@ _BAR = 3                         # b's |{bp}: the suffix of bg4, and of btw
 
 @dataclass
 class PositionTable:
-    """What ``hash_arcs`` gathers from, for one sentence in feature family ``mode``.
+    """What ``hash_arcs`` gathers from, for the positions of one or more
+    sentences (``position_table``) in feature family ``mode``.
 
     Variant v of a feature is the feature itself (v = 0) or it conjoined
     with a suffix of the v-th conjunction length; V variants in all.
@@ -315,9 +321,10 @@ class PositionTable:
     ``planes`` holds Z_L of each position's 13 shifted pieces (the
     prefixes of bg1..bg7 and sr1..sr4, btw's a|, and its POS as a mid),
     shift-major: piece k of position pos at L * stride + 13 * pos + k,
-    with stride = 13 (n + 1), so an index names its shift even past the
-    planes held.  ``width`` is the sentence's longest shift plus one; the
-    table starts with shifts below min(width, 64); ``hash_blocks`` adds more.
+    with stride = 13 N for N positions (n + 1 for one sentence), so an
+    index names its shift even past the planes held.  ``width`` is the
+    longest shift of any sentence plus one; the table starts with shifts
+    below min(width, 64); ``hash_blocks`` adds more.
 
     Row V * pos + v of the others describes pos as b in variant v: ``ends``
     holds its 17 ends (its unigrams in both roles, then the suffix of each
@@ -345,25 +352,32 @@ class PositionTable:
         return self.planes[at]
 
 
-def position_table(sentence: Sentence, mode: str) -> PositionTable:
-    """The tables of a sentence (position 0 is the root); built once per
-    sentence and passed to every ``hash_arcs`` call for it.
+def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
+    """The tables of ``sentences``, stacked: each sentence's positions
+    (its root first) follow those of the sentence before it, and each
+    keeps its own root and ``*nil*`` borders, so an arc of a sentence
+    whose ends are offset by its first position reads what it reads in
+    the sentence's own table.  Built once and passed to every
+    ``hash_arcs`` call for those arcs; a table of one sentence is
+    ``position_table([sentence], mode)``.
 
     The planes copy the shifts below min(width, 64) from the positions'
-    memo rows, where the width is the longest shift the sentence reads (a
+    memo rows, where the width is the longest shift any sentence reads (a
     suffix, or btw's mid POS and |{bp}, plus a conjunction) plus one: for
-    n tokens, a fixed cost of (n+1) * 13 * min(width, 64) planes and
-    (n+1) * V * 17 ends copied.  The planes of longer shifts could
+    N positions, a fixed cost of N * 13 * min(width, 64) planes and
+    N * V * 17 ends copied.  The planes of longer shifts could
     outnumber the slots that read them: a pruned 10-token sentence with
     40-byte tags has about 1,000 slots and would need 3,700 more, and
     planes up to the shift of a 100 kB form would take 10 MB a token.
     ``hash_blocks`` builds them only for a list with slots enough."""
-    forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
-    tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
-    around = [NIL] + tags + [NIL]
-    words = np.array([_word_pieces(mode, w, p) for w, p in zip(forms, tags)])
-    contexts = np.array([_context_pieces(mode, *around[i:i + 3])
-                         for i in range(len(tags))])
+    words, contexts = [], []
+    for sentence in sentences:
+        forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
+        tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
+        around = [NIL] + tags + [NIL]
+        words += [_word_pieces(mode, w, p) for w, p in zip(forms, tags)]
+        contexts += [_context_pieces(mode, *around[i:i + 3]) for i in range(len(tags))]
+    words, contexts = np.array(words), np.array(contexts)
     variants = _CONJ[mode][2]
     nv = len(variants)
     ends = np.concatenate([words[:, 7 * _SHIFTS:-7].reshape(-1, nv, 13),
@@ -372,7 +386,7 @@ def position_table(sentence: Sentence, mode: str) -> PositionTable:
     pos_len = contexts[:, -1]
     width = int(max(suffix_len.max(), pos_len.max() + suffix_len[:, _BAR].max())
                 + variants[-1]) + 1
-    held, n1 = min(width, _SHIFTS), len(forms)
+    held, n1 = min(width, _SHIFTS), len(words)
     planes = np.empty((held, n1, 13), dtype=np.int64)
     planes[:, :, :7] = words[:, :7 * held].reshape(n1, held, 7).transpose(1, 0, 2)
     planes[:, :, 7:] = contexts[:, :6 * held].reshape(n1, held, 6).transpose(1, 0, 2)
@@ -392,8 +406,9 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
               hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the arcs (a[k], b[k]), ``arc_slots`` each in the emission
     order of the string templates of ``table.mode``, and each arc's start
-    offset.  ``table`` is the sentence's ``position_table``; the call reads
-    it and never changes it.  An arc's slots do not depend on the other
+    offset.  ``table`` is the ``position_table`` of the arcs' sentence, or
+    of a stack of sentences with each arc's ends at its sentence's
+    positions there; the call reads it and never changes it.  An arc's slots do not depend on the other
     arcs of the call (``hash_blocks`` cuts lists, and builds planes).
 
     Every slot XORs gathers from ``table``, by
@@ -450,13 +465,14 @@ def hash_blocks(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: i
     costs its stored slots plus one block, and scoring O(n²) plus one.
     The only code that builds planes: before the first block, all those
     the table lacks, if they number at most the list's slots and at most
-    max(one block, 13 (n+1)²), to stay O(n²); else every read composes."""
+    max(one block, 13 N²) for N positions (n+1 for one sentence), to stay
+    O(n²); else every read composes."""
     n1, lo, ends = len(table.pos_len), 0, None
     missing = table.width * 13 * n1 - len(table.planes)
     if 0 < missing <= min(int(arc_slots(a, b).sum()), max(_BLOCK_SLOTS, 13 * n1 * n1)):
         shifts = np.arange(len(table.planes) // (13 * n1), table.width)[:, None]
         table.planes = np.r_[table.planes, _combine(table.planes[:13 * n1], 0, shifts).ravel()]
-    if len(a) * arc_slots(0, n1 - 1) > _BLOCK_SLOTS:   # n1 - 1: the longest arc
+    if len(a) * arc_slots(0, n1 - 1) > _BLOCK_SLOTS:   # n1 - 1: no arc is longer
         ends = np.cumsum(np.r_[0, arc_slots(a, b)])
     while lo < len(a):
         hi = len(a)
@@ -512,7 +528,7 @@ class LazyArcScores:
         if not len(a):
             return
         if self._table is None:
-            self._table = position_table(self._sentence, "directed")
+            self._table = position_table([self._sentence], "directed")
         for lo, hi, flat, starts in hash_blocks(self._table, a, b, self._model.hash_bits):
             self._matrix[a[lo:hi], b[lo:hi]] = np.add.reduceat(self._model.weights[flat], starts)
 
@@ -520,42 +536,53 @@ class LazyArcScores:
 class SentenceFeatures:
     """Hashed feature indices for every candidate arc of one sentence.
 
-    Built once per sentence, block by block (``hash_blocks``), and reused
-    across epochs; scoring all arcs is then a single gather + segmented sum
-    over the weight vector.  Arcs that ``allowed`` (a pruner's arc mask,
-    ``Pruner.mask``; None keeps every candidate arc) drops are simply
-    absent: a cache holds what a parse with that mask scores.  Pairs are
-    (head, mod) in directed mode and (left, right) in undirected mode,
-    row-major; each pair's slots follow the emission order of the string
-    templates.  ``sum_indices`` gathers the slots of held arcs from these
-    runs.  A cache keeps no position table (a training run keeps every
-    cache): it hashes an arc it does not hold from one built for the call.
+    Built once per sentence and reused across epochs; scoring all arcs is
+    then a single gather + segmented sum over the weight vector.  Arcs
+    that ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps
+    every candidate arc) drops are simply absent: a cache holds what a
+    parse with that mask scores.  Pairs are (head, mod) in directed mode
+    and (left, right) in undirected mode, row-major; each pair's slots
+    follow the emission order of the string templates.  ``sum_indices``
+    gathers the slots of held arcs from these runs.  A cache is the
+    one-sentence case of ``featurize_corpus``, which training builds its
+    caches with.  A cache keeps no position table (a training run keeps
+    every cache): it hashes an arc it does not hold from one built for
+    the call.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
                  hash_bits: int = DEFAULT_HASH_BITS,
                  allowed: np.ndarray | None = None):
-        if mode not in _ROLES:
-            raise InputError(f"unknown feature mode {mode!r}")
+        check_hash_bits(hash_bits)
+        a, b = _held_arcs(sentence, mode, allowed)
+        self._hold(sentence, mode, hash_bits, a, b,
+                   *_hash_list(position_table([sentence], mode), a, b, hash_bits))
+
+    def _hold(self, sentence, mode, hash_bits, a, b, flat, starts) -> None:
         self.sentence = sentence
         self.mode = mode
-        self.hash_bits = check_hash_bits(hash_bits)
-        arcs = arc_matrix(len(sentence)) if allowed is None else allowed
-        if mode == "undirected":
-            arcs = pair_mask(arcs)
-        a, b = np.nonzero(arcs)
-        self.pair_a, self.pair_b = a, b
-        self._flat = self._starts = np.empty(0, dtype=np.int64)
-        for lo, hi, flat, starts in hash_blocks(position_table(sentence, mode), a, b, hash_bits):
-            if hi - lo == len(a):             # the only block, kept as it is
-                self._flat, self._starts = flat, starts
-                break
-            if not lo:
-                ends = np.cumsum(np.r_[0, arc_slots(a, b)])
-                self._flat, self._starts = np.empty(ends[-1], dtype=np.int64), ends[:-1]
-            self._flat[self._starts[lo]:self._starts[lo] + len(flat)] = flat
-        for array in (a, b, self._flat, self._starts):
+        self.hash_bits = hash_bits
+        self.pair_a, self.pair_b, self._flat, self._starts = a, b, flat, starts
+        self._layout = None
+        for array in (a, b, flat, starts):
             array.setflags(write=False)
+
+    def pair_layout(self) -> tuple[np.ndarray, ...]:
+        """The undirected view of a directed cache, which u-mst-df reads:
+        the pairs (u, v), u < v, that survive (``pair_mask`` of the held
+        arcs), row-major, and the index among the held arcs (as
+        ``score_all`` orders them) of each pair's arcs (u, v) and (v, u),
+        len(self.pair_a) for an arc the cache lacks.  Built on the first
+        call and kept: it depends on the arcs, not on the weights."""
+        if self._layout is None:
+            held = len(self.pair_a)
+            at = np.full((len(self.sentence) + 1,) * 2, held)
+            at[self.pair_a, self.pair_b] = np.arange(held)
+            u, v = np.nonzero(pair_mask(at < held))
+            self._layout = (u, v, at[u, v], at[v, u])
+            for array in self._layout:
+                array.setflags(write=False)
+        return self._layout
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -589,9 +616,66 @@ class SentenceFeatures:
             first = self._starts[at]
             flat = self._flat[np.arange(lengths.sum()) + np.repeat(first - starts, lengths)]
         else:
-            table = position_table(self.sentence, self.mode)
-            flat = np.concatenate([block[2] for block in
-                                   hash_blocks(table, a, b, self.hash_bits)])
+            flat = _hash_list(position_table([self.sentence], self.mode), a, b,
+                              self.hash_bits)[0]
         sign = np.ones(len(flat))
         sign[lengths[:len(gained)].sum():] = -1.0
         return flat, sign
+
+
+def _held_arcs(sentence: Sentence, mode: str, allowed: np.ndarray | None):
+    """The arcs (or pairs) a cache holds, row-major."""
+    if mode not in _ROLES:
+        raise InputError(f"unknown feature mode {mode!r}")
+    arcs = arc_matrix(len(sentence)) if allowed is None else allowed
+    return np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
+
+
+def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int):
+    """``hash_arcs`` of a whole arc list, block by block (``hash_blocks``),
+    each block written into the list's slots; a list that fits one block
+    keeps that block's arrays as they are."""
+    flat = starts = np.empty(0, dtype=np.int64)
+    for lo, hi, block, at in hash_blocks(table, a, b, hash_bits):
+        if hi - lo == len(a):
+            return block, at
+        if not lo:
+            ends = np.cumsum(np.r_[0, arc_slots(a, b)])
+            flat, starts = np.empty(ends[-1], dtype=np.int64), ends[:-1]
+        flat[starts[lo]:starts[lo] + len(block)] = block
+    return flat, starts
+
+
+def featurize_corpus(sentences: list[Sentence], mode: str,
+                     hash_bits: int = DEFAULT_HASH_BITS, mask=None) -> list[SentenceFeatures]:
+    """``SentenceFeatures(s, mode, hash_bits, mask(s))`` of each sentence
+    s, array for array (``mask`` is ``Pruner.mask``, or None to keep
+    every candidate arc), built chunk by chunk: consecutive sentences of
+    at most _CHUNK_POSITIONS positions in all share one stacked position
+    table and one ``hash_blocks`` pass, and each cache's slots are a
+    slice of its chunk's."""
+    check_hash_bits(hash_bits)
+    caches, lo = [], 0
+    while lo < len(sentences):
+        hi, size = lo + 1, len(sentences[lo]) + 1
+        while hi < len(sentences) and size + len(sentences[hi]) + 1 <= _CHUNK_POSITIONS:
+            size += len(sentences[hi]) + 1
+            hi += 1
+        chunk = sentences[lo:hi]
+        pairs = [_held_arcs(s, mode, None if mask is None else mask(s)) for s in chunk]
+        counts = [len(a) for a, _ in pairs]
+        # in the stacked table, a sentence's positions follow the previous one's
+        shift = np.repeat(np.cumsum([0] + [len(s) + 1 for s in chunk[:-1]]), counts)
+        a = np.concatenate([a for a, _ in pairs]) + shift
+        b = np.concatenate([b for _, b in pairs]) + shift
+        flat, starts = _hash_list(position_table(chunk, mode), a, b, hash_bits)
+        bounds = np.append(starts, len(flat))[np.cumsum([0] + counts)].tolist()
+        first = 0
+        for sentence, (pair_a, pair_b), begin, end in zip(chunk, pairs, bounds, bounds[1:]):
+            cache = SentenceFeatures.__new__(SentenceFeatures)
+            cache._hold(sentence, mode, hash_bits, pair_a, pair_b, flat[begin:end],
+                        starts[first:first + len(pair_a)] - begin)
+            caches.append(cache)
+            first += len(pair_a)
+        lo = hi
+    return caches

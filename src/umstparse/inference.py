@@ -168,8 +168,13 @@ def directed_score_table(sentence: Sentence, model: Model,
         raise InputError("directed score table needs a directed-mode model")
     if cache is None:
         return LazyArcScores(sentence, model, allowed).table()
-    matrix = np.full((len(sentence) + 1,) * 2, -np.inf)
-    matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+    return _held_matrix(cache, cache.score_all(model.weights))
+
+
+def _held_matrix(cache: SentenceFeatures, scores: np.ndarray) -> np.ndarray:
+    """The (n+1)x(n+1) matrix with the scores of the cache's arcs, -inf elsewhere."""
+    matrix = np.full((len(cache.sentence) + 1,) * 2, -np.inf)
+    matrix[cache.pair_a, cache.pair_b] = scores
     return matrix
 
 
@@ -198,7 +203,10 @@ def build_parse_graph(sentence: Sentence, model: Model,
     (``Pruner.mask``; None keeps every arc): a pair survives when either of
     its directions does, and pairs touching the root always survive,
     keeping the graph connected.  A given ``cache`` holds only what
-    ``allowed`` keeps (``SentenceFeatures`` built with that mask).
+    ``allowed`` keeps (``SentenceFeatures`` built with that mask); a
+    directed one gives its pairs and their arcs' places among its scores
+    (``pair_layout``, built once per cache), so that only the scores are
+    gathered anew.
     """
     n = len(sentence)
     matrix = None
@@ -209,11 +217,17 @@ def build_parse_graph(sentence: Sentence, model: Model,
         u, v = cache.pair_a, cache.pair_b
         weights = -cache.score_all(model.weights)
     else:
-        matrix = directed_score_table(sentence, model, allowed, cache)
-        alive = np.isfinite(matrix)
-        u, v = np.nonzero(pair_mask(alive))
-        fwd, rev = alive[u, v], alive[v, u]
-        s_uv, s_vu = matrix[u, v], matrix[v, u]
+        if cache is None:
+            matrix = directed_score_table(sentence, model, allowed)
+            u, v = np.nonzero(pair_mask(np.isfinite(matrix)))
+            s_uv, s_vu = matrix[u, v], matrix[v, u]
+        else:
+            u, v, uv, vu = cache.pair_layout()
+            scores = cache.score_all(model.weights)
+            matrix = _held_matrix(cache, scores)
+            scores = np.append(scores, -np.inf)   # what a lacking arc reads
+            s_uv, s_vu = scores[uv], scores[vu]
+        fwd, rev = np.isfinite(s_uv), np.isfinite(s_vu)
         scores = np.where(fwd, s_uv, s_vu)
         both = fwd & rev
         scores[both] = combine(s_uv[both], s_vu[both], model.combiner)

@@ -6,7 +6,12 @@ gold structure's features and away from the prediction's.  Undirected
 systems compare undirected edge sets; directed systems compare head
 vectors.  Each prediction is one call of the test-time ``parse``, given
 the sentence's features, which are computed once before the first epoch,
-pruned as parse would prune them.  An update touches only the arcs where
+pruned as parse would prune them, by one corpus pass
+(``features.featurize_corpus``): chunks of consecutive sentences, each
+hashed from one stacked position table, with each sentence's cache a
+slice of its chunk's slots.  u-mst-df caches also keep the layout of
+their undirected pairs, built at the first prediction, so each later
+one gathers only scores.  An update touches only the arcs where
 gold and prediction differ (a new model's weights and their running sum
 receive whole numbers, so the shared arcs' additions would cancel
 exactly), and gathers their slots from the sentence's cache; only an arc
@@ -23,11 +28,13 @@ import numpy as np
 
 from .conll import DependencyTree, Sentence, is_valid_tree
 from .errors import DataError, InputError
-from .features import DEFAULT_HASH_BITS, Model, check_combiner, check_hash_bits
+from .features import (DEFAULT_HASH_BITS, Model, check_combiner, check_hash_bits,
+                       featurize_corpus)
 from .inference import ParserConfig, Pruner, build_pruner, parse
 # perfbench/tracer.py looks these names up on this module (it wraps the
 # featurizer and the inference stages, and reads feature_mode), so they
-# are imported here although training runs the stages through parse
+# are imported here although training runs the stages through parse and
+# builds its caches with featurize_corpus, not SentenceFeatures
 from .inference import (  # noqa: F401
     SentenceFeatures,
     build_parse_graph,
@@ -113,9 +120,8 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     usum = np.zeros(weights.shape, weights.dtype)
     updated = []
     # each cache holds what parse would featurize, in either mode
-    caches = [SentenceFeatures(s, mode, config.hash_bits,
-                               None if pruner is None else pruner.mask(s))
-              for s in corpus]
+    caches = featurize_corpus(corpus, mode, config.hash_bits,
+                              None if pruner is None else pruner.mask)
     golds = [(arcs, set(arcs)) for arcs in (_arcs(s.gold_heads, mode) for s in corpus)]
     t = 1
     epoch_uas = []

@@ -11,8 +11,8 @@ from umstparse import features
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import DataError, InputError
 from umstparse.features import (COMBINERS, Model, SentenceFeatures, arc_matrix,
-                                distance_bin, hash_arcs, load_model, pair_mask,
-                                position_table, save_model)
+                                distance_bin, featurize_corpus, hash_arcs, load_model,
+                                pair_mask, position_table, save_model)
 from umstparse.inference import build_pruner
 from umstparse.training import TrainConfig
 
@@ -412,7 +412,7 @@ def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
     gained, lost = dropped[:20], cache.pairs[::20][:10] + dropped[20:25]
     assert len(gained) == 20 and len(lost) >= 15
     arcs = np.array(gained + lost)
-    want, starts = hash_arcs(position_table(sentence, "directed"),
+    want, starts = hash_arcs(position_table([sentence], "directed"),
                              arcs[:, 0], arcs[:, 1], 16)
     monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
     calls, real = [], features.hash_arcs
@@ -498,7 +498,7 @@ def test_arc_slots_do_not_depend_on_the_call(bundled, data):
         [FIXTURE, WIDE, join_sentences(dev[2:10])] + dev[:30]
         + [padded(s, 40) for s in dev[:10]]), label="sentence")
     mode = data.draw(st.sampled_from(["directed", "undirected"]), label="mode")
-    table = position_table(sentence, mode)
+    table = position_table([sentence], mode)
     a, b = _all_arcs(sentence, mode)
     pick = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60),
                      label="arcs")
@@ -508,7 +508,7 @@ def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     for k, first, again in zip(pick, before, after):
         assert first.tolist() == full[k].tolist() == again.tolist()
     k = pick[0]
-    alone, = _slices(*hash_arcs(position_table(sentence, mode), a[k:k + 1], b[k:k + 1], 30))
+    alone, = _slices(*hash_arcs(position_table([sentence], mode), a[k:k + 1], b[k:k + 1], 30))
     assert alone.tolist() == full[k].tolist()
 
 
@@ -547,7 +547,7 @@ def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, shor
     oracle = [_oracle_slots(sentence, mode, a[k], b[k]) for k in range(len(a))]
     stride = 13 * 12
     missing = (longest + 1 - 64) * stride
-    table = position_table(sentence, mode)
+    table = position_table([sentence], mode)
     assert len(table.planes) == stride * min(longest + 1, 64)
     pick = _arcs_of_slots(a, b, missing - short) if missing else np.arange(len(a))
     first = [got for *_, flat, starts in features.hash_blocks(table, a[pick], b[pick], 30)
@@ -559,7 +559,7 @@ def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, shor
     for k, got in enumerate(_slices(*hash_arcs(table, a, b, 30))):
         assert got.tolist() == oracle[k]
     for k in (0, len(a) // 2, len(a) - 1):
-        alone, = _slices(*hash_arcs(position_table(sentence, mode), a[k:k + 1], b[k:k + 1], 30))
+        alone, = _slices(*hash_arcs(position_table([sentence], mode), a[k:k + 1], b[k:k + 1], 30))
         assert alone.tolist() == oracle[k]
 
 
@@ -574,7 +574,7 @@ def test_long_token_costs_no_planes(mode):
     a, b = _all_arcs(sentence, mode)
     tracemalloc.start()
     try:
-        table = position_table(sentence, mode)
+        table = position_table([sentence], mode)
         flat, starts = hash_arcs(table, a, b, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -590,7 +590,7 @@ def test_a_read_never_changes_the_table():
     composes them and leaves the table as it was, and so does a direct
     hash_arcs call over every arc: only hash_blocks builds planes."""
     sentence = sent([(f"w{i}", "NN".ljust(40, "-")) for i in range(12)])
-    table = position_table(sentence, "directed")
+    table = position_table([sentence], "directed")
     planes, stride = table.planes, 13 * 13
     assert len(planes) == 64 * stride < table.width * stride
     read = table.read(np.arange(table.width * stride))
@@ -615,7 +615,7 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
     sentence = sent([(f"w{i}", "NN".ljust(width, "-")) for i in range(12)])
     a, b = _all_arcs(sentence, mode)
-    table = position_table(sentence, mode)
+    table = position_table([sentence], mode)
     stride = 13 * 13
     assert len(table.planes) == 64 * stride
     blocks = features.hash_blocks(table, a, b, 30)
@@ -625,28 +625,91 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     got = [first] + [flat for *_, flat, _ in blocks]
     assert len(table.planes) == (table.width if built else 64) * stride
     assert np.concatenate(got).tolist() == \
-        hash_arcs(position_table(sentence, mode), a, b, 30)[0].tolist()
+        hash_arcs(position_table([sentence], mode), a, b, 30)[0].tolist()
 
 
+@pytest.mark.parametrize("corpus_pass", [False, True])
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
-def test_training_caches_keep_only_their_arrays(mode):
+def test_training_caches_keep_only_their_arrays(mode, corpus_pass):
     """Pruned training caches of the first 300 bundled training sentences
     (perfbench's ``short`` corpus) retain their stored slots, starts and
-    pairs and little else: no position table, with which they retained
-    4.0 MB more in either mode."""
+    pairs and little else, built one by one or by the corpus pass (whose
+    caches' slots are slices of their chunk's): no position table, with
+    which they retained 4.0 MB more in either mode."""
     import tracemalloc
     train = load_conll(BUNDLED / "fixture_train.conll")[:300]
     pruner = build_pruner(train)
-    masks = [pruner.mask(s) for s in train]
+    masks = {id(s): pruner.mask(s) for s in train}
     for s in train:                   # fill the memo rows before tracing
-        position_table(s, mode)
+        position_table([s], mode)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        caches = [SentenceFeatures(s, mode, 22, m) for s, m in zip(train, masks)]
+        if corpus_pass:
+            caches = featurize_corpus(train, mode, 22, lambda s: masks[id(s)])
+        else:
+            caches = [SentenceFeatures(s, mode, 22, masks[id(s)]) for s in train]
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     stored = sum(c._flat.nbytes + c._starts.nbytes + c.pair_a.nbytes + c.pair_b.nbytes
                  for c in caches)
     assert kept <= stored + 1e6, (kept, stored)
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_corpus_pass_equals_one_cache_a_sentence(bundled, monkeypatch, mode, pruned):
+    """``featurize_corpus`` gives every sentence the arrays of
+    ``SentenceFeatures(sentence, mode, hash_bits, mask)``, byte for byte
+    and read-only alike, over chunks of at most _CHUNK_POSITIONS
+    positions: 1-token sentences, forms and tags past 256 bytes, a
+    70-token sentence whose arcs take several hashing blocks, and
+    sentences with 40-byte tags, whose shifts go past 64, stacked with
+    15-byte ones."""
+    pruner, dev = bundled
+    one = sent([("x", "NN")])
+    long = join_sentences(dev[2:10])
+    wide = [padded(s, 40) for s in dev[10:14]]
+    corpus = [one, FIXTURE, WIDE] + dev[:40] + [long] + wide + [one] + dev[40:60]
+    rules = build_pruner(dev + wide + [WIDE])
+    mask = rules.mask if pruned else None
+    chunks, real = [], features.position_table
+
+    def table(sentences, table_mode):
+        chunks.append(len(sentences))
+        return real(sentences, table_mode)
+
+    monkeypatch.setattr(features, "position_table", table)
+    caches = featurize_corpus(corpus, mode, 22, mask)
+    monkeypatch.undo()
+    assert len(chunks) >= 2 and sum(chunks) == len(corpus)
+    assert len(caches) == len(corpus)
+    full = SentenceFeatures(long, mode, 22)
+    assert len(full._flat) > 2 * features._BLOCK_SLOTS
+    for sentence, cache in zip(corpus, caches):
+        alone = SentenceFeatures(sentence, mode, 22, None if mask is None else mask(sentence))
+        assert cache.sentence is sentence
+        assert (cache.mode, cache.hash_bits) == (mode, 22)
+        for name in ("pair_a", "pair_b", "_flat", "_starts"):
+            got, want = getattr(cache, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable and not want.flags.writeable, name
+
+
+def test_corpus_pass_holds_one_chunk_at_a_time():
+    """The corpus pass over the 600 bundled training sentences, about
+    6,600 positions, peaks at its caches plus one chunk's table and
+    hashing temporaries; one table stacking every sentence holds about
+    15 kB a position, over 90 MB."""
+    import tracemalloc
+    train = load_conll(BUNDLED / "fixture_train.conll")
+    tracemalloc.start()
+    try:
+        caches = featurize_corpus(train, "directed", 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(c._flat.nbytes + c._starts.nbytes + c.pair_a.nbytes + c.pair_b.nbytes
+                 for c in caches)
+    assert peak <= stored + 16e6, (peak, stored)

@@ -174,23 +174,33 @@ class TestBuildParseGraph:
             assert pg.graph.weight[eid] == pytest.approx(-expected)
         assert table is not None
 
+    @pytest.mark.parametrize("fractional", [False, True])
     @pytest.mark.parametrize("combiner", ["mean", "product"])
-    def test_directed_mode_matches_scalar_rule(self, bundled, combiner):
+    def test_directed_mode_matches_scalar_rule(self, bundled, combiner, fractional):
         """Directed-mode graphs equal a per-pair loop over the score table,
-        built from the mask alone and from a cache pruned by the mask."""
+        unpruned and pruned by the mask, with integer weights (whose sums
+        tie) and fractional ones.  Built without a cache, from a cache
+        (whose pair layout the call builds) and from it again (reading
+        the layout kept), they have the same pairs, bit-identical weights
+        and the same matrix."""
         pruner, sentences = bundled
         model = Model.new("directed", combiner=combiner, hash_bits=12)
-        model.weights = np.random.default_rng(71).normal(size=model.size())
+        rng = np.random.default_rng(71)
+        model.weights = rng.normal(size=model.size()) if fractional \
+            else rng.integers(-2, 3, size=model.size()).astype(float)
         for s in sentences[::10]:
             n = len(s)
-            for cache in (None, SentenceFeatures(s, "directed", 12, pruner.mask(s))):
-                pg, matrix = build_parse_graph(s, model, pruner.mask(s), cache)
+            for allowed in (None, pruner.mask(s)):
+                cache = SentenceFeatures(s, "directed", 12, allowed)
+                built = [build_parse_graph(s, model, allowed, c) for c in (None, cache, cache)]
+                matrix = built[0][1]
                 pairs, weights = [], []
                 for u in range(n + 1):
                     for v in range(u + 1, n + 1):
-                        fwd = np.isfinite(matrix[u, v]) and pruner.allows(s, u, v)
+                        fwd = np.isfinite(matrix[u, v]) and (
+                            allowed is None or pruner.allows(s, u, v))
                         rev = (u != 0 and np.isfinite(matrix[v, u])
-                               and pruner.allows(s, v, u))
+                               and (allowed is None or pruner.allows(s, v, u)))
                         if fwd and rev:
                             w = combine(matrix[u, v], matrix[v, u], combiner)
                         elif fwd or rev:
@@ -199,8 +209,10 @@ class TestBuildParseGraph:
                             continue
                         pairs.append((u, v))
                         weights.append(-w)
-                assert pg.pairs == pairs
-                assert pg.graph.weight.tolist() == weights
+                for pg, table in built:
+                    assert pg.pairs == pairs
+                    assert pg.graph.weight.tobytes() == np.array(weights).tobytes()
+                    assert table.tobytes() == matrix.tobytes()
 
     def test_pruning_rule_matches_brute_force(self):
         rng = np.random.default_rng(67)
@@ -693,7 +705,7 @@ class TestOneDirectedScorer:
             n = len(s)
             for p in (None, pruner.mask(s)):
                 a, b = np.nonzero(arc_matrix(n) if p is None else p)
-                flat, starts = real(position_table(s, "directed"), a, b, 16)
+                flat, starts = real(position_table([s], "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
                 reference[a, b] = np.add.reduceat(model.weights[flat], starts)
                 calls.clear()
@@ -741,7 +753,7 @@ class TestOneDirectedScorer:
             for p in (None, pruner.mask(s)):
                 allowed = arc_matrix(n) if p is None else p
                 a, b = np.nonzero(allowed)
-                flat, starts = real(position_table(s, "directed"), a, b, 16)
+                flat, starts = real(position_table([s], "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
                 reference[a, b] = np.add.reduceat(model.weights[flat], starts)
                 tables.clear()
@@ -777,7 +789,7 @@ class TestOneDirectedScorer:
                 cache = SentenceFeatures(s, mode, 16, p)
                 arcs = arc_matrix(len(s)) if p is None else p
                 a, b = np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
-                flat, starts = real(position_table(s, mode), a, b, 16)
+                flat, starts = real(position_table([s], mode), a, b, 16)
                 assert cache._flat.tobytes() == flat.tobytes()
                 assert cache._starts.tobytes() == starts.tobytes()
                 assert all(slots <= 256 or arcs == 1 for arcs, slots, _ in calls)

@@ -346,7 +346,7 @@ def test_init_model_must_match_the_config(monkeypatch, init, wanted, message):
     def featurize(*args, **kwargs):
         raise AssertionError("featurized before checking the initial model")
 
-    monkeypatch.setattr(training, "SentenceFeatures", featurize)
+    monkeypatch.setattr(training, "featurize_corpus", featurize)
     with pytest.raises(InputError, match=message):
         train_full(toy_corpus(), config, init_model=start)
     assert not start.weights.any()
