@@ -567,19 +567,15 @@ class SentenceFeatures:
         for array in (a, b, flat, starts):
             array.setflags(write=False)
 
-    def pair_layout(self) -> tuple[np.ndarray, ...]:
+    def pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The undirected view of a directed cache, which u-mst-df reads:
         the pairs (u, v), u < v, that survive (``pair_mask`` of the held
-        arcs), row-major, and the index among the held arcs (as
-        ``score_all`` orders them) of each pair's arcs (u, v) and (v, u),
-        len(self.pair_a) for an arc the cache lacks.  Built on the first
-        call and kept: it depends on the arcs, not on the weights."""
+        arcs), row-major.  Built on the first call and kept, read-only: it
+        depends on the arcs, not on the weights."""
         if self._layout is None:
-            held = len(self.pair_a)
-            at = np.full((len(self.sentence) + 1,) * 2, held)
-            at[self.pair_a, self.pair_b] = np.arange(held)
-            u, v = np.nonzero(pair_mask(at < held))
-            self._layout = (u, v, at[u, v], at[v, u])
+            held = np.zeros((len(self.sentence) + 1,) * 2, dtype=bool)
+            held[self.pair_a, self.pair_b] = True
+            self._layout = np.nonzero(pair_mask(held))
             for array in self._layout:
                 array.setflags(write=False)
         return self._layout

@@ -160,6 +160,8 @@ def directed_score_table(sentence: Sentence, model: Model,
     """The (n+1)x(n+1) matrix of arc scores, ``[head, mod]``, of every
     directed arc of the sentence that ``allowed`` (a ``Pruner.mask``; None
     for all) keeps, or that ``cache`` holds; every other entry is -inf.
+    It is the one route to a sentence's directed scores: CLE reads it, and
+    so do u-mst-df's pairs, with or without a cache.
 
     ``cache`` is a training cache, whose stored slots are gathered; without
     one, the matrix is ``LazyArcScores(sentence, model, allowed).table()``,
@@ -168,13 +170,8 @@ def directed_score_table(sentence: Sentence, model: Model,
         raise InputError("directed score table needs a directed-mode model")
     if cache is None:
         return LazyArcScores(sentence, model, allowed).table()
-    return _held_matrix(cache, cache.score_all(model.weights))
-
-
-def _held_matrix(cache: SentenceFeatures, scores: np.ndarray) -> np.ndarray:
-    """The (n+1)x(n+1) matrix with the scores of the cache's arcs, -inf elsewhere."""
-    matrix = np.full((len(cache.sentence) + 1,) * 2, -np.inf)
-    matrix[cache.pair_a, cache.pair_b] = scores
+    matrix = np.full((len(sentence) + 1,) * 2, -np.inf)
+    matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
     return matrix
 
 
@@ -197,16 +194,16 @@ def build_parse_graph(sentence: Sentence, model: Model,
     """Encode one sentence as an undirected spanning-tree instance.
 
     Undirected-mode models score each unordered pair directly; directed-mode
-    models combine the pair's two arc scores (or keep the single unpruned
-    one), and return the directed score matrix they read beside the graph
-    (None for undirected models).  ``allowed`` is the pruner's arc mask
-    (``Pruner.mask``; None keeps every arc): a pair survives when either of
-    its directions does, and pairs touching the root always survive,
-    keeping the graph connected.  A given ``cache`` holds only what
-    ``allowed`` keeps (``SentenceFeatures`` built with that mask); a
-    directed one gives its pairs and their arcs' places among its scores
-    (``pair_layout``, built once per cache), so that only the scores are
-    gathered anew.
+    models read the directed score matrix (one ``directed_score_table``
+    call), combine each pair's two arc scores (or keep the single unpruned
+    one), and return that matrix beside the graph (None for undirected
+    models).  ``allowed`` is the pruner's arc mask (``Pruner.mask``; None
+    keeps every arc): a pair survives when either of its directions does,
+    and pairs touching the root always survive, keeping the graph
+    connected.  A given ``cache`` holds only what ``allowed`` keeps
+    (``SentenceFeatures`` built with that mask); a directed one also keeps
+    its surviving pairs (``pair_layout``, built once per cache), which do
+    not depend on the weights.
     """
     n = len(sentence)
     matrix = None
@@ -217,16 +214,12 @@ def build_parse_graph(sentence: Sentence, model: Model,
         u, v = cache.pair_a, cache.pair_b
         weights = -cache.score_all(model.weights)
     else:
+        matrix = directed_score_table(sentence, model, allowed, cache)
         if cache is None:
-            matrix = directed_score_table(sentence, model, allowed)
             u, v = np.nonzero(pair_mask(np.isfinite(matrix)))
-            s_uv, s_vu = matrix[u, v], matrix[v, u]
         else:
-            u, v, uv, vu = cache.pair_layout()
-            scores = cache.score_all(model.weights)
-            matrix = _held_matrix(cache, scores)
-            scores = np.append(scores, -np.inf)   # what a lacking arc reads
-            s_uv, s_vu = scores[uv], scores[vu]
+            u, v = cache.pair_layout()
+        s_uv, s_vu = matrix[u, v], matrix[v, u]
         fwd, rev = np.isfinite(s_uv), np.isfinite(s_vu)
         scores = np.where(fwd, s_uv, s_vu)
         both = fwd & rev
@@ -439,7 +432,8 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     ``LazyArcScores`` scores only the four arcs of each candidate swap,
     one whose two new arcs the pruner's mask allows, so a pruned sentence
     with no candidate swap is never featurized in directed mode; d-mst
-    and u-mst-df read its ``table()``.
+    and u-mst-df read one ``directed_score_table`` call (its ``table()``
+    without ``features``).
     ``features`` is the sentence's featurization in the model's mode,
     when the caller already has it, pruned by the pruner's mask
     (training featurizes each sentence once).

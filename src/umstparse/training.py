@@ -9,9 +9,10 @@ the sentence's features, which are computed once before the first epoch,
 pruned as parse would prune them, by one corpus pass
 (``features.featurize_corpus``): chunks of consecutive sentences, each
 hashed from one stacked position table, with each sentence's cache a
-slice of its chunk's slots.  u-mst-df caches also keep the layout of
-their undirected pairs, built at the first prediction, so each later
-one gathers only scores.  An update touches only the arcs where
+slice of its chunk's slots.  d-mst and u-mst-df predictions read the
+directed scores from one ``directed_score_table`` call on the cache;
+u-mst-df caches also keep their surviving undirected pairs, built at
+the first prediction.  An update touches only the arcs where
 gold and prediction differ (a new model's weights and their running sum
 receive whole numbers, so the shared arcs' additions would cancel
 exactly), and gathers their slots from the sentence's cache; only an arc

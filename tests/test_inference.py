@@ -862,6 +862,81 @@ class TestOneDirectedScorer:
             monkeypatch.setattr(inference, "SentenceFeatures", real)
 
 
+class TestOneDirectedScoreRoute:
+    """d-mst and u-mst-df read a sentence's directed scores through one
+    ``directed_score_table`` call per prediction, with a training cache or
+    without one, and u-mst-df's graph returns the matrix that call built."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Wrap directed_score_table and build_parse_graph; the lists get
+        every matrix each returns."""
+        import umstparse.inference as inference
+
+        tables, graphs = [], []
+        real_table, real_graph = inference.directed_score_table, inference.build_parse_graph
+
+        def table(*args, **kwargs):
+            tables.append(real_table(*args, **kwargs))
+            return tables[-1]
+
+        def graph(*args, **kwargs):
+            built = real_graph(*args, **kwargs)
+            graphs.append(built[1])
+            return built
+
+        monkeypatch.setattr(inference, "directed_score_table", table)
+        monkeypatch.setattr(inference, "build_parse_graph", graph)
+        return tables, graphs
+
+    @staticmethod
+    def _check_prediction(system, tables, graphs):
+        assert len(tables) == 1
+        if system == "u-mst-df":
+            assert len(graphs) == 1 and graphs[0] is tables[0]
+        else:
+            assert graphs == []
+        tables.clear()
+        graphs.clear()
+
+    @pytest.mark.parametrize("pruning", ["none", "length-dictionary"])
+    @pytest.mark.parametrize("system", ["d-mst", "u-mst-df"])
+    def test_one_call_per_training_prediction(self, monkeypatch, system, pruning):
+        from umstparse import training
+        from umstparse.training import TrainConfig, train_full
+
+        corpus = load_conll(BUNDLED / "fixture_train.conll")[:6]
+        tables, graphs = self._counting(monkeypatch)
+        predictions = []
+        real_parse = training.parse
+
+        def parse_once(*args, **kwargs):
+            assert kwargs["features"] is not None
+            tree = real_parse(*args, **kwargs)
+            self._check_prediction(system, tables, graphs)
+            predictions.append(tree)
+            return tree
+
+        monkeypatch.setattr(training, "parse", parse_once)
+        train_full(corpus, TrainConfig(epochs=1, system=system, pruning=pruning,
+                                       hash_bits=12))
+        assert len(predictions) == len(corpus)
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    @pytest.mark.parametrize("system", ["d-mst", "u-mst-df"])
+    def test_one_call_per_parse_without_features(self, bundled, monkeypatch,
+                                                 system, pruned):
+        pruner, sentences = bundled
+        model = Model.new("directed", hash_bits=12)
+        model.weights = np.random.default_rng(151).normal(size=model.size())
+        config = ParserConfig(system=system,
+                              pruning="length-dictionary" if pruned else "none")
+        tables, graphs = self._counting(monkeypatch)
+        for s in sentences[::10]:
+            parse(s, model, config, pruner=pruner if config.pruned else None)
+            self._check_prediction(system, tables, graphs)
+
+
 class TestBoundedParseMemory:
     """A d-mst or unpruned u-mst-df parse holds O(n²) memory plus one hashing
     block, not every slot of every directed arc."""

@@ -25,7 +25,9 @@ unresolved (the parent's interquartile range, relative to its median, is
 wider than the bound, and not every change run reads better than every
 parent run), and whether a gain could be
 claimed (wins in at least nine tenths of the pairs and medians apart by
-more than the parent's interquartile range).  It also records failed
+more than the parent's interquartile range, on a workload where the
+change failed no larger share of its attempted operations than the
+parent; a gain bought with failures does not count).  It also records failed
 operations and whether every pair wrote identical model and prediction
 bytes (the report's sha256 values).  ``--trace-seeds`` adds traced pairs
 (``--seconds 0 --trace 1``) with their per-layer metrics.
@@ -123,8 +125,10 @@ def quartiles(values: list[float]) -> dict:
             "runs": [round(v, 4) for v in values]}
 
 
-def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """One end-to-end metric over the pairs (parent[i], change[i])."""
+def compare(spec: dict, parent: list[float], change: list[float],
+            more_failures: bool = False) -> dict:
+    """One end-to-end metric over the pairs (parent[i], change[i]);
+    ``more_failures`` (``fails_more``) rules out a gain."""
     higher = spec["better"] == "higher"
     p, c = quartiles(parent), quartiles(change)
     wins = sum((b > a) if higher else (b < a) for a, b in zip(parent, change))
@@ -142,7 +146,8 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
             "wins": wins, "pairs": len(parent),
             "worse_than_bound": worse,
             "unresolved": spread > bound and not dominates,
-            "gain_claimable": wins >= 0.9 * len(parent) and gap > p["q3"] - p["q1"]}
+            "gain_claimable": (not more_failures and wins >= 0.9 * len(parent)
+                               and gap > p["q3"] - p["q1"])}
 
 
 def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
@@ -169,6 +174,15 @@ def summary(runs: dict, seeds: list[int]) -> dict:
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+
+
+def fails_more(res: dict) -> bool:
+    """Whether the change failed a larger share of its attempted
+    operations than the parent did (a ``summary``)."""
+    failed, attempted = res["failed"], res["attempted"]
+    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0
+             for side in ("parent", "change")}
+    return share["change"] > share["parent"]
 
 
 def main(argv=None) -> int:
@@ -207,10 +221,12 @@ def main(argv=None) -> int:
             runs = run_pairs(trees, workload, args.seeds, bench["run_seconds"],
                              False)
             res = summary(runs, args.seeds)
+            more_failures = fails_more(res)
             res["metrics"] = {
                 spec["name"]: compare(
                     spec, *([r["metrics"][spec["name"]]["value"] for r in runs[side]]
-                            for side in ("parent", "change")))
+                            for side in ("parent", "change")),
+                    more_failures=more_failures)
                 for spec in bench["end_to_end"]}
             out["end_to_end"][workload] = res
             ok &= res["outputs_identical"] and res["correct"]["parent"] \
