@@ -195,15 +195,16 @@ def build_parse_graph(sentence: Sentence, model: Model,
 
     Undirected-mode models score each unordered pair directly; directed-mode
     models read the directed score matrix (one ``directed_score_table``
-    call), combine each pair's two arc scores (or keep the single unpruned
-    one), and return that matrix beside the graph (None for undirected
-    models).  ``allowed`` is the pruner's arc mask (``Pruner.mask``; None
-    keeps every arc): a pair survives when either of its directions does,
-    and pairs touching the root always survive, keeping the graph
-    connected.  A given ``cache`` holds only what ``allowed`` keeps
-    (``SentenceFeatures`` built with that mask); a directed one also keeps
-    its surviving pairs (``pair_layout``, built once per cache), which do
-    not depend on the weights.
+    call), where an absent arc reads -inf, and return that matrix beside
+    the graph (None for undirected models).  Such a pair scores the
+    ``combine`` of its two arc scores when both are present, and otherwise
+    the larger one, its only present arc.  ``allowed`` is the pruner's arc
+    mask (``Pruner.mask``; None keeps every arc): a pair survives when
+    either of its directions does, and pairs touching the root always
+    survive, keeping the graph connected.  A given ``cache`` holds only
+    what ``allowed`` keeps (``SentenceFeatures`` built with that mask); a
+    directed one also keeps its surviving pairs (``pair_layout``, built
+    once per cache), which do not depend on the weights.
     """
     n = len(sentence)
     matrix = None
@@ -220,9 +221,8 @@ def build_parse_graph(sentence: Sentence, model: Model,
         else:
             u, v = cache.pair_layout()
         s_uv, s_vu = matrix[u, v], matrix[v, u]
-        fwd, rev = np.isfinite(s_uv), np.isfinite(s_vu)
-        scores = np.where(fwd, s_uv, s_vu)
-        both = fwd & rev
+        scores = np.maximum(s_uv, s_vu)
+        both = np.minimum(s_uv, s_vu) > -np.inf
         scores[both] = combine(s_uv[both], s_vu[both], model.combiner)
         weights = -scores
     graph = UndirectedGraph(n + 1, u, v, weights, np.arange(len(u), dtype=np.int64))
@@ -255,10 +255,7 @@ def direct_tree(graph: UndirectedGraph, mst: SpanningForest) -> DependencyTree:
     heads = [-1] * n
     heads[0] = 0
     queue = [0]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
+    for x in queue:             # grows while it is walked
         for y in adj[x]:
             if heads[y] == -1:
                 heads[y] = x
@@ -285,47 +282,42 @@ def local_enhancement(tree: DependencyTree, s_d: np.ndarray | LazyArcScores,
     Per round, every edge (u, v) whose upper endpoint u has a parent t is
     scored with :func:`swap_gain`; the single best positive-gain swap is
     applied (ties to the smallest (u, v)).  Edges out of the root are
-    skipped.  Swaps whose new arcs are absent (not finite) are never
-    taken; absent current arcs make any legal swap infinitely attractive.
-    ``s_d`` is a score matrix (``directed_score_table``) or a
-    ``LazyArcScores``.  A round first keeps the candidate edges, those
-    whose two new arcs (t, v) and (v, u) are present by the mask (the
-    scorer's ``allowed``, or where the matrix is finite), without reading
-    a score; it stops when there are none, and otherwise reads the four
-    arcs of the candidate edges with one ``s_d[heads, mods]`` lookup.
-    The tree check is ``is_valid_tree``'s O(n) walk, so all but the
-    scoring costs O(n) per round.
+    skipped.  ``s_d`` is a score matrix (``directed_score_table``) or a
+    ``LazyArcScores``; both read -inf for an absent arc.  A round first
+    keeps the candidate edges, those whose two new arcs (t, v) and (v, u)
+    are present by the mask (the scorer's ``allowed``, or where the matrix
+    is finite), without reading a score; it stops when there are none,
+    and otherwise reads the four arcs of the candidate edges with one
+    ``s_d[heads, mods]`` lookup.  A candidate's new arcs score finite, so
+    its gain is finite, or +inf when a current arc is absent (such a swap
+    wins), and never NaN.  The tree check is ``is_valid_tree``'s O(n)
+    walk, so all but the scoring costs O(n) per round.
     """
     if not tree.is_valid():
         raise StructureError("local enhancement requires a valid tree")
     allowed = s_d.allowed if isinstance(s_d, LazyArcScores) else np.isfinite(s_d)
     heads = np.array([0, *tree.heads], dtype=np.int64)    # heads[v], v in 0..n
-    # swap_gain reads inf - inf where a current arc is absent; np.where
-    # then discards that NaN
-    with np.errstate(invalid="ignore"):
-        for _ in range(rounds):
-            v = np.flatnonzero(heads)           # (u, v) with u != root
-            u = heads[v]
-            t = heads[u]
-            candidate = allowed[t, v] & allowed[v, u]
-            if not candidate.any():
-                break
-            v, u, t = v[candidate], u[candidate], t[candidate]
-            # per edge, the arcs (t, v), (v, u), (t, u), (u, v): new ones first
-            s = s_d[np.concatenate([t, v, t, u]),
-                    np.concatenate([v, u, u, v])].reshape(4, len(v))
-            s_tv, s_vu, s_tu, s_uv = s
-            present = np.isfinite(s)
-            gain = np.where(present[2] & present[3],
-                            swap_gain(-s_tu, -s_uv, -s_tv, -s_vu), np.inf)
-            legal = np.flatnonzero(present[0] & present[1] & (gain > 0.0))
-            if not len(legal):
-                break
-            gains = gain[legal]
-            top = legal[gains == gains.max()]
-            best = top[np.argmin(u[top] * len(heads) + v[top])]
-            heads[u[best]] = v[best]
-            heads[v[best]] = t[best]
+    for _ in range(rounds):
+        v = np.flatnonzero(heads)               # (u, v) with u != root
+        u = heads[v]
+        t = heads[u]
+        candidate = allowed[t, v] & allowed[v, u]
+        if not candidate.any():
+            break
+        v, u, t = v[candidate], u[candidate], t[candidate]
+        # per edge, the arcs (t, v), (v, u), (t, u), (u, v)
+        s = s_d[np.concatenate([t, v, t, u]),
+                np.concatenate([v, u, u, v])].reshape(4, len(v))
+        s_tv, s_vu, s_tu, s_uv = s
+        gain = swap_gain(-s_tu, -s_uv, -s_tv, -s_vu)
+        legal = np.flatnonzero(gain > 0.0)
+        if not len(legal):
+            break
+        gains = gain[legal]
+        top = legal[gains == gains.max()]
+        best = top[np.argmin(u[top] * len(heads) + v[top])]
+        heads[u[best]] = v[best]
+        heads[v[best]] = t[best]
     return DependencyTree(heads=tuple(heads[1:].tolist()))
 
 
@@ -442,7 +434,8 @@ def parse(sentence: Sentence, model: Model, config: ParserConfig,
     system = config.system
     mode = feature_mode(system)
     if model.mode != mode:
-        raise InputError(f"{system} needs a {mode}-mode model")
+        article = "an" if mode == "undirected" else "a"
+        raise InputError(f"{system} needs {article} {mode}-mode model")
     if system == "u-mst-uf-lep" and (directed_model is None
                                      or directed_model.mode != "directed"):
         raise InputError("u-mst-uf-lep needs the directed (d-mst) model "

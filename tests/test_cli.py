@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,7 @@ from umstparse.cli import main
 from umstparse.conll import load_conll
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 FIXTURE_TRAIN = pathlib.Path(__file__).parent.parent / "data" / "fixture_train.conll"
 FIXTURE_DEV = pathlib.Path(__file__).parent.parent / "data" / "fixture_dev.conll"
 
@@ -305,6 +309,24 @@ def test_bench_from_graph_dump(tmp_path):
     assert {r[0] for r in rows} == {"kruskal", "boruvka", "randomized"}
     assert all(r[1] == "30" and r[2] == "80" for r in rows)
     assert len({r[5] for r in rows}) == 1
+
+
+def test_reader_closing_the_pipe_is_no_error():
+    """``bench ... | head -1``: the reader closes stdout after the first
+    line while rows are still coming, and the run exits 0 quietly."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    seeds = ",".join(str(seed) for seed in range(21))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "umstparse.cli", "bench", "--sizes", "2000",
+         "--densities", "2", "--seeds", seeds],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 0
+    assert first == b"algorithm,n,m,seed,wall_time_ns,total_weight\n"
+    assert err == b""
 
 
 def test_bench_requires_sizes_or_graph_file(capsys):

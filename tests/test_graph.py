@@ -270,3 +270,15 @@ class TestDumpFormat:
     def test_bad_line_rejected(self):
         with pytest.raises(InputError):
             load_graph(["0 1 0.5"])
+
+    def test_blank_and_comment_lines_skipped(self):
+        """Blank and ``#`` lines hold no edge, and error line numbers still
+        count them."""
+        g = load_graph(["# u v weight original_id", "", "0 1 0.5 7",
+                        "   ", "  # note", "1 2 0.25 3\n"])
+        assert g.n_vertices == 3
+        assert g.u.tolist() == [0, 1] and g.v.tolist() == [1, 2]
+        assert g.weight.tolist() == [0.5, 0.25]
+        assert g.original_id.tolist() == [7, 3]
+        with pytest.raises(InputError, match="line 3:"):
+            load_graph(["# header", "", "0 1 0.5"])

@@ -1120,9 +1120,19 @@ class TestParseDispatch:
         assert built == []
 
     def test_mode_mismatch_rejected(self):
+        """Each system names the model mode it needs, with its article."""
         umodel = Model.new("undirected", hash_bits=10)
-        with pytest.raises(InputError):
-            parse(FIXTURE, umodel, ParserConfig(system="d-mst"))
+        dmodel = Model.new("directed", hash_bits=10)
+        for system, model, message in (
+                ("d-mst", umodel, "d-mst needs a directed-mode model"),
+                ("u-mst-df", umodel, "u-mst-df needs a directed-mode model"),
+                ("u-mst-uf", dmodel, "u-mst-uf needs an undirected-mode model"),
+                ("u-mst-uf-lep", dmodel,
+                 "u-mst-uf-lep needs an undirected-mode model")):
+            with pytest.raises(InputError) as info:
+                parse(FIXTURE, model, ParserConfig(system=system),
+                      directed_model=dmodel)
+            assert str(info.value) == message
 
     def test_golden_trees_per_system(self):
         """Frozen parses of one dev sentence under a pinned tiny model."""

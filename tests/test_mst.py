@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -386,6 +388,110 @@ class TestBaseCase:
         in_forest = np.isin(g.original_id, sorted(forest.edge_ids))
         assert forest.total_weight == float(g.weight[in_forest].sum())
         assert randomized_msf(g, RandomSource(3)).total_weight == forest.total_weight
+
+
+# Each tail event below has probability at most _DELTA / k² for its count
+# k; summed over every k they stay under 1.65 * _DELTA.
+_DELTA = 1e-9
+
+
+def _heads_excess(k):
+    """a(k): the heads of k fair flips exceed k/2 + a(k) with probability
+    at most _DELTA / k² (Hoeffding: exp(-2 a² / k))."""
+    return math.sqrt(k * math.log(k * k / _DELTA) / 2)
+
+
+def _flips_excess(k):
+    """b(k): the k-th head of fair flips comes after flip 2k + b(k) with
+    probability at most _DELTA / k², since that means fewer than k heads
+    in 2k + b flips (Hoeffding: exp(-b² / (2 (2k + b)))); b solves
+    b² = 2 L (2k + b) for L = ln(k² / _DELTA)."""
+    lg = math.log(k * k / _DELTA)
+    return lg + math.sqrt(lg * lg + 4 * lg * k)
+
+
+def _edge_bound(m, n):
+    """T*/m, T* the fixed point of T = 2 (m + n + a(T) + b(n/2)): every T
+    with T <= m + T/2 + a(T) + n + b(n/2) is at most T* (TestLinearWork)."""
+    t = 2.0 * (m + n)
+    for _ in range(50):
+        t = 2.0 * (m + n + _heads_excess(t) + _flips_excess(n / 2))
+    return t / m
+
+
+class TestLinearWork:
+    """The recursion's work is linear in m, counted in edges, not timed.
+
+    Karger, Klein and Tarjan (JACM 1995) bound the edges over all the
+    subproblems of the sampling recursion by O(m), with probability
+    exponentially close to 1.  Their argument, for ``_randomized_rec`` on
+    a graph of m edges with distinct weights and n vertices:
+
+    * Every call but the first is the sample or the filtered rest of a
+      call that flipped coins, so the edges over all calls are
+      T = m + S + X: S the sampled edges, X the edges the filter keeps.
+    * S counts the heads of C <= T fair, independent flips, one per edge
+      of each contracted graph: S <= C/2 + a(C) (``_heads_excess``).
+    * KKT's F-light lemma.  Read a contracted graph's edges by weight:
+      an edge is kept exactly when its ends are apart in the forest of
+      the lighter sampled edges, and then, if its coin shows heads, it
+      joins that forest.  So the heads among the kept edges' coins number
+      less than N_c, the vertices that carry an edge, and the kept edges
+      X_c end before the N_c-th head of their coins: a negative binomial
+      of mean 2 N_c.  Whether an edge is kept depends only on the coins
+      of lighter edges, so the kept edges' coins, call after call and
+      seed after seed, form one fair sequence, and over N = sum N_c,
+      X <= 2N + b(N) (``_flips_excess``).
+    * A minimum-edge step joins every vertex that carries an edge to
+      another one, so the two steps of a call leave at most a quarter of
+      them, and both children hold only edges of the contracted graph.
+      So the contracted graphs of the 2^d calls at depth d hold at most
+      n / 4^(d+1) such vertices each: N <= n/2.
+    * Hence T <= m + T/2 + a(T) + n + b(n/2), so T/m <= ``_edge_bound``:
+      2 + 2n/m plus tail terms, 3.29, 2.46, 3.09 and 2.32 for the four
+      graphs below.
+
+    The bounds fail with probability under 4 * _DELTA per seed; they
+    come from the argument, not from measured counts.
+    """
+
+    @pytest.mark.parametrize("m, density", [(10_000, 2), (10_000, 8),
+                                            (100_000, 2), (100_000, 8)])
+    def test_edges_over_all_calls(self, monkeypatch, m, density):
+        g = random_connected_graph(m // density, m,
+                                   np.random.default_rng(m + density))
+        n = g.n_vertices
+        assert g.n_edges == m and len(np.unique(g.weight)) == m
+        real_rec, real_heavy = mst._randomized_rec, mst._f_heavy_mask
+        edges, filtered = [], []        # per call of the current seed
+
+        def counting_rec(graph, rng):
+            edges.append(graph.n_edges)
+            return real_rec(graph, rng)
+
+        def counting_heavy(graph, forest_mask):
+            heavy = real_heavy(graph, forest_mask)
+            carry = len(np.unique(np.concatenate([graph.u, graph.v])))
+            filtered.append((graph.n_edges - int(heavy.sum()), carry))
+            return heavy
+
+        # the recursion calls the module globals, so every call is counted
+        monkeypatch.setattr(mst, "_randomized_rec", counting_rec)
+        monkeypatch.setattr(mst, "_f_heavy_mask", counting_heavy)
+        bound = _edge_bound(m, n)
+        kept = vertices = 0
+        for seed in range(40):
+            edges.clear()
+            filtered.clear()
+            randomized_msf(g, RandomSource(seed))
+            seed_kept, seed_vertices = map(sum, zip(*filtered))
+            assert seed_vertices <= n / 2
+            assert sum(edges) / m <= bound, seed
+            kept += seed_kept
+            vertices += seed_vertices
+        # the lemma is nearly tight here (kept reads 0.96-1.0 of 2N), so
+        # the check is the tail bound over the 40 seeds, not 2N itself
+        assert kept <= 2 * vertices + _flips_excess(vertices)
 
 
 class TestLazyCoinStream:
