@@ -36,7 +36,7 @@ DEFAULT_HASH_BITS = 22
 # entries (8 GiB at the maximum)
 MAX_HASH_BITS = 30
 
-# Slots per hash_arcs call of hash_blocks, bounding its temporaries: 2**16 timed
+# Slots per block of hash_blocks, bounding hash_arcs' temporaries: 2**16 timed
 # faster than 2**13, 2**15, 2**18 and unblocked on d-mst parses of 30-70 tokens.
 _BLOCK_SLOTS = 1 << 16
 
@@ -402,14 +402,27 @@ def arc_slots(a, b):
     return 2 * (abs(b - a) + 16)
 
 
+def _offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each arc's start offset in the slots of its list, then the list's
+    slot count: the layout ``hash_arcs`` writes and ``hash_blocks`` cuts."""
+    offsets = np.zeros(len(a) + 1, dtype=np.int64)
+    np.cumsum(arc_slots(a, b), out=offsets[1:])
+    return offsets
+
+
 def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
-              hash_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slots of the arcs (a[k], b[k]), ``arc_slots`` each in the emission
-    order of the string templates of ``table.mode``, and each arc's start
-    offset.  ``table`` is the ``position_table`` of the arcs' sentence, or
-    of a stack of sentences with each arc's ends at its sentence's
-    positions there; the call reads it and never changes it.  An arc's slots do not depend on the other
-    arcs of the call (``hash_blocks`` cuts lists, and builds planes).
+              hash_bits: int, flat: np.ndarray, starts: np.ndarray) -> None:
+    """Write the slots of the arcs (a[k], b[k]), ``arc_slots`` each in the
+    emission order of the string templates of ``table.mode``, into
+    ``flat``, arc k's at ``starts[k]``.  The caller owns both: ``flat`` is
+    an int64 array of exactly ``arc_slots(a, b).sum()`` entries (a slice
+    of a list's slots, or a scorer's buffer), and ``starts`` each arc's
+    start offset in it (``_offsets`` without the total), which the caller
+    computed to size it; the call allocates no slot array.  ``table`` is the ``position_table`` of the
+    arcs' sentence, or of a stack of sentences with each arc's ends at its
+    sentence's positions there; the call reads it and never changes it.
+    An arc's slots do not depend on the other arcs of the call
+    (``hash_blocks`` cuts lists, and builds planes).
 
     Every slot XORs gathers from ``table``, by
     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C:
@@ -424,10 +437,6 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
         key += 12 * (b > a)
     conj_crc, conj_variant, variants = _CONJ[mode]
     nb = dist - 1                     # btw features of each arc
-    half = arc_slots(a, b) // 2       # features of each arc before conjunction
-    starts = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(2 * half, out=starts[1:])
-    slots = starts[-1]
     # halves: each arc's features, then each arc's conjoined ones; a half
     # holds 13 base templates, then btw by mid, then 4 sr templates
     variant = np.concatenate([np.zeros(count, dtype=np.int64), conj_variant[key]])
@@ -439,10 +448,10 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
     tail = values[:, 6 + _BAR].copy()
     row_a = 13 * a2
     values[:, 6:] ^= table.read(table.trail[rows_b] + row_a[:, None])
-    head = np.concatenate([starts[:-1], starts[:-1] + half])
+    # an arc's conjoined half follows its 16 + dist plain features
+    head = np.concatenate([starts, starts + dist + 16])
     pos = head[:, None] + np.arange(17)
     pos[:, 13:] += nb2[:, None]
-    flat = np.empty(slots, dtype=np.int64)
     flat[pos] = values
     if nb2.any():
         # one btw per (half, mid), mids ascending
@@ -455,30 +464,29 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
         btw ^= np.repeat(tail, nb2)
         flat[k + np.repeat(head + 13 - first, nb2)] = btw
     flat &= (1 << hash_bits) - 1
-    return flat, starts[:-1]
 
 
-def hash_blocks(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int):
-    """Yield (lo, hi, flat, starts): ``hash_arcs`` of the arcs a[lo:hi], for
-    consecutive blocks of at most _BLOCK_SLOTS slots (an arc longer than a
-    block is its own).  A list whose arcs all fit is one call; so a cache
-    costs its stored slots plus one block, and scoring O(n²) plus one.
+def hash_blocks(table: PositionTable, offsets: np.ndarray):
+    """Yield (lo, hi) for consecutive blocks of an arc list, the arcs
+    lo..hi-1 whose slots lie at offsets[lo]:offsets[hi] (``offsets`` is
+    ``_offsets`` of the list), at most _BLOCK_SLOTS slots each (an arc
+    longer than a block is its own).  The caller hashes each block
+    (``hash_arcs``) into memory it owns; so a cache costs its stored slots
+    plus one block's temporaries, and scoring O(n²) plus one block.
     The only code that builds planes: before the first block, all those
     the table lacks, if they number at most the list's slots and at most
     max(one block, 13 N²) for N positions (n+1 for one sentence), to stay
     O(n²); else every read composes."""
-    n1, lo, ends = len(table.pos_len), 0, None
+    n1, lo, count = len(table.pos_len), 0, len(offsets) - 1
     missing = table.width * 13 * n1 - len(table.planes)
-    if 0 < missing <= min(int(arc_slots(a, b).sum()), max(_BLOCK_SLOTS, 13 * n1 * n1)):
+    if 0 < missing <= min(int(offsets[-1]), max(_BLOCK_SLOTS, 13 * n1 * n1)):
         shifts = np.arange(len(table.planes) // (13 * n1), table.width)[:, None]
         table.planes = np.r_[table.planes, _combine(table.planes[:13 * n1], 0, shifts).ravel()]
-    if len(a) * arc_slots(0, n1 - 1) > _BLOCK_SLOTS:   # n1 - 1: no arc is longer
-        ends = np.cumsum(np.r_[0, arc_slots(a, b)])
-    while lo < len(a):
-        hi = len(a)
-        if ends is not None:
-            hi = max(lo + 1, np.searchsorted(ends, ends[lo] + _BLOCK_SLOTS, "right") - 1)
-        yield (lo, hi, *hash_arcs(table, a[lo:hi], b[lo:hi], hash_bits))
+    while lo < count:
+        hi = count
+        if offsets[-1] - offsets[lo] > _BLOCK_SLOTS:
+            hi = max(lo + 1, int(np.searchsorted(offsets, offsets[lo] + _BLOCK_SLOTS, "right")) - 1)
+        yield lo, hi
         lo = hi
 
 
@@ -487,10 +495,12 @@ class LazyArcScores:
 
     ``lazy[heads, mods]`` reads what ``table()[heads, mods]`` would, but
     scores only the arcs requested and not yet scored, once each and
-    row-major; ``table()`` scores every allowed arc still pending.  Each
-    ``hash_blocks`` block is reduced to scores: bit-identical to a cache's
-    gather, in O(n²) memory plus one block.  Arcs the pruner drops (or that
-    are no candidate arcs) read as -inf without being hashed.  ``allowed``
+    row-major; ``table()`` scores every allowed arc still pending.  One
+    call hashes each ``hash_blocks`` block of its arcs into one slot
+    buffer, sized to the call's largest block, and reduces it to scores:
+    bit-identical to a cache's gather, in O(n²) memory plus one block.
+    Arcs the pruner drops (or that are no candidate arcs) read as -inf
+    without being hashed.  ``allowed``
     is the pruner's arc mask (``Pruner.mask``), kept unchanged; None allows
     every candidate arc (``arc_matrix``).  The directed position table is
     built on the first hash, so a scorer asked only for arcs outside the
@@ -529,7 +539,13 @@ class LazyArcScores:
             return
         if self._table is None:
             self._table = position_table([self._sentence], "directed")
-        for lo, hi, flat, starts in hash_blocks(self._table, a, b, self._model.hash_bits):
+        offsets = _offsets(a, b)
+        # a block holds at most _BLOCK_SLOTS slots, or one arc
+        longest = max(_BLOCK_SLOTS, arc_slots(0, len(self._sentence)))
+        buffer = np.empty(min(int(offsets[-1]), longest), dtype=np.int64)
+        for lo, hi in hash_blocks(self._table, offsets):
+            flat, starts = buffer[:offsets[hi] - offsets[lo]], offsets[lo:hi] - offsets[lo]
+            hash_arcs(self._table, a[lo:hi], b[lo:hi], self._model.hash_bits, flat, starts)
             self._matrix[a[lo:hi], b[lo:hi]] = np.add.reduceat(self._model.weights[flat], starts)
 
 
@@ -628,18 +644,15 @@ def _held_arcs(sentence: Sentence, mode: str, allowed: np.ndarray | None):
 
 
 def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int):
-    """``hash_arcs`` of a whole arc list, block by block (``hash_blocks``),
-    each block written into the list's slots; a list that fits one block
-    keeps that block's arrays as they are."""
-    flat = starts = np.empty(0, dtype=np.int64)
-    for lo, hi, block, at in hash_blocks(table, a, b, hash_bits):
-        if hi - lo == len(a):
-            return block, at
-        if not lo:
-            ends = np.cumsum(np.r_[0, arc_slots(a, b)])
-            flat, starts = np.empty(ends[-1], dtype=np.int64), ends[:-1]
-        flat[starts[lo]:starts[lo] + len(block)] = block
-    return flat, starts
+    """The slots of a whole arc list and each arc's start offset: the
+    list's slots are allocated once, and ``hash_arcs`` writes each
+    ``hash_blocks`` block into its slice of them."""
+    offsets = _offsets(a, b)
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    for lo, hi in hash_blocks(table, offsets):
+        hash_arcs(table, a[lo:hi], b[lo:hi], hash_bits, flat[offsets[lo]:offsets[hi]],
+                  offsets[lo:hi] - offsets[lo])
+    return flat, offsets[:-1]
 
 
 def featurize_corpus(sentences: list[Sentence], mode: str,
@@ -664,14 +677,19 @@ def featurize_corpus(sentences: list[Sentence], mode: str,
         shift = np.repeat(np.cumsum([0] + [len(s) + 1 for s in chunk[:-1]]), counts)
         a = np.concatenate([a for a, _ in pairs]) + shift
         b = np.concatenate([b for _, b in pairs]) + shift
-        flat, starts = _hash_list(position_table(chunk, mode), a, b, hash_bits)
-        bounds = np.append(starts, len(flat))[np.cumsum([0] + counts)].tolist()
-        first = 0
-        for sentence, (pair_a, pair_b), begin, end in zip(chunk, pairs, bounds, bounds[1:]):
+        offsets = _offsets(a, b)
+        firsts = np.cumsum([0] + counts).tolist()      # each sentence's first arc
+        spans = list(zip(firsts, firsts[1:]))
+        # Every cache's starts are made before the chunk's slots, and the
+        # list's own starts (_) live until the next chunk is hashed.  In
+        # this form perfbench long's peak RSS read 173 MB, as at the parent,
+        # against 182 in others; how much heap glibc keeps after training
+        # moves in 9 MB steps with small changes, a local's name included.
+        starts = [offsets[i:j] - offsets[i] for i, j in spans]
+        flat, _ = _hash_list(position_table(chunk, mode), a, b, hash_bits)
+        for sentence, (pair_a, pair_b), (i, j), at in zip(chunk, pairs, spans, starts):
             cache = SentenceFeatures.__new__(SentenceFeatures)
-            cache._hold(sentence, mode, hash_bits, pair_a, pair_b, flat[begin:end],
-                        starts[first:first + len(pair_a)] - begin)
+            cache._hold(sentence, mode, hash_bits, pair_a, pair_b, flat[offsets[i]:offsets[j]], at)
             caches.append(cache)
-            first += len(pair_a)
         lo = hi
     return caches

@@ -1,12 +1,16 @@
 """Weighted undirected multigraph, connected components, contraction.
 
 Edges carry an ``original_id`` that survives contraction, so any edge of a
-derived graph can be traced back to the outermost input graph.  All weight
-comparisons across the package break ties by smallest original_id, which
-makes the minimum spanning forest unique and every algorithm deterministic.
-That order picks each minimum exactly among parallel edges too, so the
-spanning-forest engines need no clean-up but contraction's own: it drops
-the self edges it creates and keeps parallel edges.
+derived graph can be traced back to the outermost input graph.  Every
+choice of a minimum or of a forest edge breaks weight ties by smallest
+original_id, which makes the minimum spanning forest unique and every
+algorithm deterministic.  That order picks each minimum exactly among
+parallel edges too, so the spanning-forest engines need no clean-up but
+contraction's own: it drops the self edges it creates and keeps parallel
+edges.  One comparison compares weights alone: the randomized engine's
+F-heavy filter (``mst._f_heavy_mask``) keeps an edge that ties its forest
+path maximum, which only leaves the recursion more edges to settle by
+(weight, original_id).
 
 The edge store is a set of parallel numpy arrays; this keeps the per-step
 cost of the spanning-forest algorithms dominated by vectorised array passes

@@ -146,6 +146,14 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
     after a row of -inf and before a row of +inf (ends in different trees).
     Labels nest, so an edge's ends meet after the R rounds in which they
     are held apart; its path maximum is the larger of their row-R entries.
+
+    Weights are compared alone, not in (weight, original_id) order, so an
+    edge that ties its path maximum is kept.  That is safe: an edge
+    heavier by weight is heavier in that order too, and the recursion
+    settles the kept ties by (weight, id).  But KKT's bound on the kept
+    edges assumes distinct weights, and parse graphs tie often (their
+    weights are sums over one hashed weight table), so on them the
+    filter may keep more than the bound counts.
     """
     forest = _edges_where(graph, forest_mask)
     helds = [np.arange(graph.n_vertices)]   # per round, each vertex's holder

@@ -17,7 +17,7 @@ import numpy as np
 from umstparse.conll import Sentence, Token
 from umstparse.errors import InputError
 from umstparse.features import (DEFAULT_HASH_BITS, NIL, ROOT_FORM, ROOT_POS,
-                                Model, distance_bin)
+                                Model, _offsets, distance_bin, hash_arcs)
 
 
 def bfs_components(n: int, edges) -> list[set]:
@@ -218,6 +218,17 @@ def join_sentences(sentences):
         offset += len(s)
     return Sentence(tokens=tuple(tokens), gold_heads=tuple(heads),
                     gold_labels=tuple(["dep"] * len(tokens)))
+
+
+def one_call_slots(table, a, b, hash_bits):
+    """The slots of the arcs (a[k], b[k]) from one unblocked ``hash_arcs``
+    call into an array of their own, and each arc's start offset: the
+    reference that blocked lists, caches and scorers must equal.  It calls
+    the function bound at import, so a test's wrapper does not see it."""
+    offsets = _offsets(a, b)
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    hash_arcs(table, a, b, hash_bits, flat, offsets[:-1])
+    return flat, offsets[:-1]
 
 
 def directed_arcs(sentence, pruner=None):

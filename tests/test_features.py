@@ -24,6 +24,7 @@ from oracles import (
     extract_undirected,
     hash_feature,
     join_sentences,
+    one_call_slots,
     score,
     undirected_feature_strings,
     undirected_pairs,
@@ -412,14 +413,14 @@ def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
     gained, lost = dropped[:20], cache.pairs[::20][:10] + dropped[20:25]
     assert len(gained) == 20 and len(lost) >= 15
     arcs = np.array(gained + lost)
-    want, starts = hash_arcs(position_table([sentence], "directed"),
-                             arcs[:, 0], arcs[:, 1], 16)
+    want, starts = one_call_slots(position_table([sentence], "directed"),
+                                  arcs[:, 0], arcs[:, 1], 16)
     monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
     calls, real = [], features.hash_arcs
 
     def hashing(*args):
-        calls.append(real(*args))
-        return calls[-1]
+        calls.append(args[4:])
+        return real(*args)
 
     monkeypatch.setattr(features, "hash_arcs", hashing)
     slots, sign = cache.sum_indices(gained, lost)
@@ -502,13 +503,14 @@ def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     a, b = _all_arcs(sentence, mode)
     pick = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60),
                      label="arcs")
-    before = _slices(*hash_arcs(table, a[pick], b[pick], 30))
-    full = _slices(*hash_arcs(table, a, b, 30))
-    after = _slices(*hash_arcs(table, a[pick], b[pick], 30))
+    before = _slices(*one_call_slots(table, a[pick], b[pick], 30))
+    full = _slices(*one_call_slots(table, a, b, 30))
+    after = _slices(*one_call_slots(table, a[pick], b[pick], 30))
     for k, first, again in zip(pick, before, after):
         assert first.tolist() == full[k].tolist() == again.tolist()
     k = pick[0]
-    alone, = _slices(*hash_arcs(position_table([sentence], mode), a[k:k + 1], b[k:k + 1], 30))
+    alone, = _slices(*one_call_slots(position_table([sentence], mode),
+                                     a[k:k + 1], b[k:k + 1], 30))
     assert alone.tolist() == full[k].tolist()
 
 
@@ -550,16 +552,16 @@ def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, shor
     table = position_table([sentence], mode)
     assert len(table.planes) == stride * min(longest + 1, 64)
     pick = _arcs_of_slots(a, b, missing - short) if missing else np.arange(len(a))
-    first = [got for *_, flat, starts in features.hash_blocks(table, a[pick], b[pick], 30)
-             for got in _slices(flat, starts)]
+    first = _slices(*features._hash_list(table, a[pick], b[pick], 30))
     assert len(first) == len(pick)
     assert len(table.planes) == stride * (64 if short else max(longest + 1, 64))
     for k, got in zip(pick, first):
         assert got.tolist() == oracle[k]
-    for k, got in enumerate(_slices(*hash_arcs(table, a, b, 30))):
+    for k, got in enumerate(_slices(*one_call_slots(table, a, b, 30))):
         assert got.tolist() == oracle[k]
     for k in (0, len(a) // 2, len(a) - 1):
-        alone, = _slices(*hash_arcs(position_table([sentence], mode), a[k:k + 1], b[k:k + 1], 30))
+        alone, = _slices(*one_call_slots(position_table([sentence], mode),
+                                         a[k:k + 1], b[k:k + 1], 30))
         assert alone.tolist() == oracle[k]
 
 
@@ -575,7 +577,7 @@ def test_long_token_costs_no_planes(mode):
     tracemalloc.start()
     try:
         table = position_table([sentence], mode)
-        flat, starts = hash_arcs(table, a, b, 30)
+        flat, starts = one_call_slots(table, a, b, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -596,7 +598,7 @@ def test_a_read_never_changes_the_table():
     read = table.read(np.arange(table.width * stride))
     assert table.planes is planes and len(table.planes) == 64 * stride
     assert read[:len(planes)].tolist() == planes.tolist()
-    hash_arcs(table, *_all_arcs(sentence, "directed"), 30)
+    one_call_slots(table, *_all_arcs(sentence, "directed"), 30)
     assert table.planes is planes and len(table.planes) == 64 * stride
 
 
@@ -611,21 +613,96 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     with 30-byte tags lack 1,014 (directed) or 676 planes, with 40-byte
     ones 4,394 or 4,056, against 13 (n+1)² = 2,197 and, for every arc,
     5,908 or 3,224 slots.  Either way the blocks hold the slots of one
-    unblocked call."""
+    unblocked call.  The blocks cut the list in order, none longer than
+    a block."""
     monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
     sentence = sent([(f"w{i}", "NN".ljust(width, "-")) for i in range(12)])
     a, b = _all_arcs(sentence, mode)
     table = position_table([sentence], mode)
     stride = 13 * 13
     assert len(table.planes) == 64 * stride
-    blocks = features.hash_blocks(table, a, b, 30)
-    _, hi, first, _ = next(blocks)
-    assert hi < len(a)
+    offsets = features._offsets(a, b)
+    blocks = features.hash_blocks(table, offsets)
+    bounds = [next(blocks)]
+    assert bounds[0][0] == 0 and bounds[0][1] < len(a)
     assert len(table.planes) == (table.width if built else 64) * stride
-    got = [first] + [flat for *_, flat, _ in blocks]
+    bounds += list(blocks)
     assert len(table.planes) == (table.width if built else 64) * stride
-    assert np.concatenate(got).tolist() == \
-        hash_arcs(position_table([sentence], mode), a, b, 30)[0].tolist()
+    assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == len(a)
+    assert all(offsets[hi] - offsets[lo] <= block for lo, hi in bounds)
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    for lo, hi in bounds:
+        hash_arcs(table, a[lo:hi], b[lo:hi], 30, flat[offsets[lo]:offsets[hi]],
+                  offsets[lo:hi] - offsets[lo])
+    assert flat.tolist() == one_call_slots(position_table([sentence], mode), a, b, 30)[0].tolist()
+
+
+def _recording(monkeypatch):
+    """The slot array every hash_arcs call receives, in call order."""
+    received, real = [], features.hash_arcs
+
+    def hashing(table, a, b, hash_bits, flat, starts):
+        received.append(flat)
+        return real(table, a, b, hash_bits, flat, starts)
+
+    monkeypatch.setattr(features, "hash_arcs", hashing)
+    return received
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("corpus_pass", [False, True])
+def test_blocks_are_hashed_in_place_into_the_cache(bundled, monkeypatch, corpus_pass):
+    """A directed cache of several blocks, built alone or by the corpus
+    pass, is written where it is stored: every slot array hash_arcs
+    receives is a view of the cache's ``_flat``, and the blocks tile it
+    in order, so no block is copied.  The slots are those of one
+    unblocked call."""
+    _, dev = bundled
+    sentence = join_sentences(dev[2:10])
+    monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
+    received = _recording(monkeypatch)
+    if corpus_pass:
+        cache, = featurize_corpus([sentence], "directed", 16)
+    else:
+        cache = SentenceFeatures(sentence, "directed", 16)
+    assert len(received) > 2
+    at = _address(cache._flat)
+    for flat in received:
+        assert np.shares_memory(flat, cache._flat) and _address(flat) == at
+        at += flat.nbytes
+    assert at == _address(cache._flat) + cache._flat.nbytes
+    want, starts = one_call_slots(position_table([sentence], "directed"),
+                                  cache.pair_a, cache.pair_b, 16)
+    assert cache._flat.tobytes() == want.tobytes()
+    assert cache._starts.tobytes() == starts.tobytes()
+
+
+def test_a_scorer_hashes_every_block_into_one_buffer(bundled, monkeypatch):
+    """One multi-block ``LazyArcScores.table()`` call hands every block
+    the same slot buffer (each block a view of it from its start), and
+    its scores are the bytes of a cache's gather."""
+    pruner, dev = bundled
+    sentence = join_sentences(dev[2:10])
+    model = Model.new("directed", hash_bits=16)
+    model.weights = np.random.default_rng(191).normal(size=model.size())
+    monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
+    received = _recording(monkeypatch)
+    for allowed in (None, pruner.mask(sentence)):
+        cache = SentenceFeatures(sentence, "directed", 16, allowed)
+        want = np.full((len(sentence) + 1,) * 2, -np.inf)
+        want[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+        received.clear()
+        got = features.LazyArcScores(sentence, model, allowed).table()
+        assert len(received) > 2
+        base = received[0].base
+        assert base is not None and len(base) <= 256
+        assert all(flat.base is base and _address(flat) == _address(base)
+                   for flat in received)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("corpus_pass", [False, True])

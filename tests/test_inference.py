@@ -34,6 +34,7 @@ from oracles import (
     extract_undirected,
     join_sentences,
     local_enhancement_oracle,
+    one_call_slots,
     score,
 )
 
@@ -676,9 +677,9 @@ class TestOneDirectedScorer:
         calls, real = [], features.hash_arcs
 
         def hashing(*args):
-            flat, starts = real(*args)
+            flat, starts = args[4:]
             calls.append((len(starts), len(flat), flat))
-            return flat, starts
+            return real(*args)
 
         monkeypatch.setattr(features, "hash_arcs", hashing)
         return calls
@@ -695,7 +696,6 @@ class TestOneDirectedScorer:
 
     def test_blocked_scores_equal_one_unblocked_call(self, bundled, monkeypatch):
         pruner = bundled[0]
-        real = features.hash_arcs
         monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
         calls = self._hashing(monkeypatch)
         rng = np.random.default_rng(167)
@@ -705,7 +705,7 @@ class TestOneDirectedScorer:
             n = len(s)
             for p in (None, pruner.mask(s)):
                 a, b = np.nonzero(arc_matrix(n) if p is None else p)
-                flat, starts = real(position_table([s], "directed"), a, b, 16)
+                flat, starts = one_call_slots(position_table([s], "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
                 reference[a, b] = np.add.reduceat(model.weights[flat], starts)
                 calls.clear()
@@ -735,9 +735,9 @@ class TestOneDirectedScorer:
         real, real_table = features.hash_arcs, LazyArcScores.table
         hashed, tables = [], []
 
-        def hashing(table, a, b, hash_bits):
+        def hashing(table, a, b, *args):
             hashed.append(a * len(table.pos_len) + b)
-            return real(table, a, b, hash_bits)
+            return real(table, a, b, *args)
 
         def counting(lazy):
             tables.append(lazy)
@@ -753,7 +753,7 @@ class TestOneDirectedScorer:
             for p in (None, pruner.mask(s)):
                 allowed = arc_matrix(n) if p is None else p
                 a, b = np.nonzero(allowed)
-                flat, starts = real(position_table([s], "directed"), a, b, 16)
+                flat, starts = one_call_slots(position_table([s], "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
                 reference[a, b] = np.add.reduceat(model.weights[flat], starts)
                 tables.clear()
@@ -779,7 +779,6 @@ class TestOneDirectedScorer:
         """A cache hashed in blocks of 256 slots stores the bytes of one
         unblocked hash_arcs call over its pairs, pruned and unpruned."""
         pruner = bundled[0]
-        real = features.hash_arcs
         monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
         calls = self._hashing(monkeypatch)
         blocked = 0
@@ -789,7 +788,7 @@ class TestOneDirectedScorer:
                 cache = SentenceFeatures(s, mode, 16, p)
                 arcs = arc_matrix(len(s)) if p is None else p
                 a, b = np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
-                flat, starts = real(position_table([s], mode), a, b, 16)
+                flat, starts = one_call_slots(position_table([s], mode), a, b, 16)
                 assert cache._flat.tobytes() == flat.tobytes()
                 assert cache._starts.tobytes() == starts.tobytes()
                 assert all(slots <= 256 or arcs == 1 for arcs, slots, _ in calls)
@@ -798,7 +797,7 @@ class TestOneDirectedScorer:
 
     def test_one_call_when_the_arcs_fit_a_block(self, bundled, monkeypatch):
         """A matrix or a cache whose arcs fit one block is one hashing call
-        (the cache keeps that call's slot array), and an empty arc list
+        (which writes the cache's whole slot array), and an empty arc list
         none."""
         calls = self._hashing(monkeypatch)
         model = Model.new("directed", hash_bits=12)
@@ -809,7 +808,8 @@ class TestOneDirectedScorer:
         for mode in ("directed", "undirected"):
             calls.clear()
             cache = SentenceFeatures(s, mode, 12)
-            assert len(calls) == 1 and cache._flat is calls[0][2]
+            assert len(calls) == 1 and len(cache._flat) == calls[0][1]
+            assert np.shares_memory(cache._flat, calls[0][2])
         calls.clear()
         none = np.zeros((len(s) + 1,) * 2, dtype=bool)
         assert np.all(directed_score_table(s, model, none) == -np.inf)

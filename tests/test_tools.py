@@ -137,7 +137,7 @@ def test_perf_ab_parse_seeds(text, seeds):
     assert _perf_ab().parse_seeds(text) == seeds
 
 
-@pytest.mark.parametrize("text", ["3-1", "", "-1", "a", "1,"])
+@pytest.mark.parametrize("text", ["3-1", "", "-1", "a", "1,", "1,10-5", "1,1,2", "1-3,2"])
 def test_perf_ab_parse_seeds_rejects(text):
     with pytest.raises(argparse.ArgumentTypeError):
         _perf_ab().parse_seeds(text)

@@ -53,16 +53,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,3,5' (or a mix) into a list of seeds."""
+    """'1-10' or '1,3,5' (or a mix) into a list of distinct seeds.  Every
+    part must name at least one seed (no reversed range), and no seed may
+    come twice: a repeated seed would count one pair twice."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         try:
-            seeds.extend(range(int(lo), int(hi or lo) + 1))
+            part_seeds = range(int(lo), int(hi or lo) + 1)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
-    if not seeds or min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}")
+        if not part_seeds:
+            raise argparse.ArgumentTypeError(f"bad seed list {text!r}")
+        seeds.extend(part_seeds)
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
