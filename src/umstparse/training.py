@@ -12,18 +12,27 @@ hashed from one stacked position table, with each sentence's cache a
 slice of its chunk's slots.  d-mst and u-mst-df predictions read the
 directed scores from one ``directed_score_table`` call on the cache;
 u-mst-df caches also keep their surviving undirected pairs, built at
-the first prediction.  An update touches only the arcs where
-gold and prediction differ (a new model's weights and their running sum
-receive whole numbers, so the shared arcs' additions would cancel
-exactly), and gathers their slots from the sentence's cache; only an arc
-the cache lacks, in a pruned u-mst-df update, makes it hash them all from
-a position table built for the update.  Averaging subtracts the running
-sum at the slots that updates touched, the only ones where it is not zero.
+the first prediction.  Training then runs in the corpus's slot space
+(``_SlotSpace``): the sorted distinct slots the caches hold, numbered,
+with each cache's stored slots rewritten in place as their numbers, so
+a prediction gathers its scores from a weight vector of that length
+(270k entries for perfbench ``long``'s 40 caches, against 2**22 in the
+table) and an update adds to it and to a running sum of the same length.
+An update touches only the arcs where gold and prediction differ (a new
+model's weights and their running sum receive whole numbers, so the
+shared arcs' additions would cancel exactly), and gathers their numbers
+from the sentence's cache; only an arc the cache lacks, in a pruned
+u-mst-df update, makes it hash them all from a position table built for
+the update, and their slots are then numbered through the space, which
+a slot no cache holds joins.
+Averaging is one pass over the space, since the running sum is 0
+wherever no update landed, and writes the averaged weights into the
+model's table at the space's slots; every other slot keeps its weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,6 +89,80 @@ def _arcs(heads, mode: str) -> list[tuple[int, int]]:
     return [(min(h, m), max(h, m)) for m, h in enumerate(heads, 1)]
 
 
+class _SlotSpace:
+    """The slots a training run reads and writes, numbered: first the
+    sorted distinct slots its caches hold (``held``), then each slot a
+    hashed update adds, in the order they come.  Building it rewrites every
+    cache's stored slots in place as these numbers, so that predictions
+    gather from ``model``, the model with the compact ``weights`` in place
+    of the full table; ``sums`` holds their running sums.  Both have room
+    past the slots numbered so far, which added slots fill.
+
+    A bool mark and then an int64 table from slot to number, each of
+    2**hash_bits entries, exist only while the space is built."""
+
+    def __init__(self, caches: list[SentenceFeatures], model: Model):
+        held = np.zeros(model.size(), dtype=bool)
+        for cache in caches:
+            held[cache._flat] = True
+        self.held = np.flatnonzero(held)
+        del held
+        table = np.empty(model.size(), dtype=np.int64)
+        table[self.held] = np.arange(len(self.held))
+        for cache in caches:
+            # a cache's slots are read-only views of its chunk's array;
+            # take in mode "clip" writes them in place, without a buffer
+            flat = cache._flat
+            flat.setflags(write=True)
+            np.take(table, flat, out=flat, mode="clip")
+            flat.setflags(write=False)
+        self._full = model.weights
+        self._added: dict[int, int] = {}
+        self.weights = self._full[self.held]
+        self.sums = np.zeros(len(self.held))
+        self.model = replace(model, weights=self.weights)
+
+    def ids(self, slots: np.ndarray) -> np.ndarray:
+        """The numbers of ``slots``; a slot that no cache holds joins the
+        space, with the model's weight there and a zero sum."""
+        ids = np.searchsorted(self.held, slots)
+        miss = np.flatnonzero(self.held[np.minimum(ids, len(self.held) - 1)] != slots)
+        missed = slots[miss].tolist()
+        new = [slot for slot in dict.fromkeys(missed) if slot not in self._added]
+        if new:
+            first = len(self.held) + len(self._added)
+            end = first + len(new)
+            self._added.update(zip(new, range(first, end)))
+            if end > len(self.weights):
+                # room for as many added slots again
+                more = 2 * end - len(self.held) - len(self.weights)
+                self.weights = np.concatenate([self.weights, np.empty(more)])
+                self.sums = np.concatenate([self.sums, np.zeros(more)])
+                self.model.weights = self.weights
+            self.weights[first:end] = self._full[new]
+        ids[miss] = [self._added[slot] for slot in missed]
+        return ids
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Every slot of the space, in the order of their numbers."""
+        return np.concatenate([self.held, np.fromiter(self._added, np.int64)])
+
+    def average(self, steps: int) -> None:
+        """Write the averaged weights into the model's table; where no
+        update landed the sum is 0, and w - 0.0 / steps is w."""
+        slots = self.slots
+        self._full[slots] = self.weights[:len(slots)] - self.sums[:len(slots)] / steps
+
+
+def _holds(cache: SentenceFeatures, arcs: list[tuple[int, int]]) -> bool:
+    """Whether the cache holds every arc, so that ``sum_indices`` gathers
+    their stored slots rather than hashing them."""
+    held = np.zeros((len(cache.sentence) + 1,) * 2, dtype=bool)
+    held[cache.pair_a, cache.pair_b] = True
+    return all(held[arc] for arc in arcs)
+
+
 def _predict(sentence: Sentence, model: Model, config: ParserConfig,
              pruner: Pruner | None, cache: SentenceFeatures,
              sentence_index: int) -> DependencyTree:
@@ -95,7 +178,10 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     attachment accuracy of the predictions made (before each update)
     during that epoch.  A given ``init_model`` is trained in place; with
     fractional weights (an averaged model) it can end in the last bits
-    apart from updating on all gold and predicted arcs.
+    apart from updating on all gold and predicted arcs.  The caches'
+    weights and running sums live in the corpus's slot space while the
+    epochs run; the averaged weights are written back at its slots, and
+    every slot outside it keeps its weight bit for bit.
     """
     config.validate()
     if not corpus:
@@ -116,13 +202,10 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
                                  f"but the initial model has {name} {have!r}")
         model = init_model
     pruner = build_pruner(corpus) if parser_config.pruned else None
-    weights = model.weights
-    # numpy allocates the zeros lazily; averaging reads only updated slots
-    usum = np.zeros(weights.shape, weights.dtype)
-    updated = []
     # each cache holds what parse would featurize, in either mode
     caches = featurize_corpus(corpus, mode, config.hash_bits,
                               None if pruner is None else pruner.mask)
+    space = _SlotSpace(caches, model)
     golds = [(arcs, set(arcs)) for arcs in (_arcs(s.gold_heads, mode) for s in corpus)]
     t = 1
     epoch_uas = []
@@ -134,8 +217,8 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
         correct = 0
         total = 0
         for idx in order.tolist():
-            sentence = corpus[idx]
-            pred = _predict(sentence, model, parser_config, pruner, caches[idx], idx)
+            sentence, cache = corpus[idx], caches[idx]
+            pred = _predict(sentence, space.model, parser_config, pruner, cache, idx)
             total += len(sentence)
             correct += sum(1 for p, g in zip(pred.heads, sentence.gold_heads)
                            if p == g)
@@ -143,18 +226,17 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
             pred_arcs = _arcs(pred.heads, mode)
             pred_set = set(pred_arcs)
             if gold_set != pred_set:
-                slots, sign = caches[idx].sum_indices(
-                    [arc for arc in gold_arcs if arc not in pred_set],
-                    [arc for arc in pred_arcs if arc not in gold_set])
-                np.add.at(weights, slots, sign)
-                np.add.at(usum, slots, sign * (t - 1))
-                updated.append(slots)
+                gained = [arc for arc in gold_arcs if arc not in pred_set]
+                lost = [arc for arc in pred_arcs if arc not in gold_set]
+                ids, sign = cache.sum_indices(gained, lost)
+                if not _holds(cache, gained + lost):
+                    # sum_indices hashed the arcs: these are slots
+                    ids = space.ids(ids)
+                np.add.at(space.weights, ids, sign)
+                np.add.at(space.sums, ids, sign * (t - 1))
             t += 1
         epoch_uas.append(100.0 * correct / total if total else 0.0)
-    # an untouched slot's average is w - 0.0 / (t - 1), which is w
-    if updated:
-        at = np.unique(np.concatenate(updated))
-        weights[at] -= usum[at] / (t - 1)
+    space.average(t - 1)
     return model, epoch_uas
 
 

@@ -257,23 +257,42 @@ def test_update_on_the_difference_trains_the_full_update_bytes(system, pruning):
     assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
 
 
-def test_continued_training_from_fractional_weights_updates_on_the_difference():
+@pytest.mark.parametrize("system, pruning", [("u-mst-uf", "none"),
+                                             ("u-mst-df", "length-dictionary")])
+def test_continued_training_from_fractional_weights_updates_on_the_difference(
+        monkeypatch, system, pruning):
     """``init_model`` is trained in place and updated on the difference
     only.  An averaged model's weights are fractional, and there a +1 and
     a -1 on a shared arc's slot need not cancel exactly, so continued
-    training can differ in the last bits from updating on all of both."""
+    training can differ in the last bits from updating on all of both.
+    Slots outside the run's slot space keep the initial weights bit for
+    bit (pruned u-mst-df: the first model's pruner kept arcs the second
+    one drops, and its hashed updates grow the space)."""
     corpus = load_conll(FIXTURE_TRAIN)[:40]
-    config = TrainConfig(epochs=2, system="u-mst-uf", hash_bits=16, seed=3,
-                         shuffle=True)
+    config = TrainConfig(epochs=2, system=system, hash_bits=16, seed=3,
+                         shuffle=True, pruning=pruning)
     first = train(corpus[:10], config)
     assert (first.weights % 1).any()
     start = replace(first, weights=first.weights.copy())
+    spaces = []
+    real_space = training._SlotSpace
+
+    def recording_space(*args):
+        spaces.append(real_space(*args))
+        return spaces[-1]
+
+    monkeypatch.setattr(training, "_SlotSpace", recording_space)
     model, log = train_full(corpus, config, init_model=first)
     assert model is first and min(log) < 100
     assert model.weights.tobytes() == _reference_train(
         corpus, config, init=start, difference=True).weights.tobytes()
     full = _reference_train(corpus, config, init=start).weights
     assert np.allclose(model.weights, full, rtol=0, atol=1e-12)
+    outside = np.ones(model.size(), dtype=bool)
+    outside[spaces[0].slots] = False
+    assert model.weights[outside].tobytes() == start.weights[outside].tobytes()
+    if system == "u-mst-df":
+        assert (start.weights[outside] % 1).any()
 
 
 @pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-df"])
@@ -282,12 +301,12 @@ def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
     every arc.  d-mst and u-mst-uf always do: the pruner keeps every gold
     arc of its own corpus, and predictions come from the cache's pairs.
     A pruned u-mst-df cache lacks the directions its mask dropped, so an
-    update that loses one hashes all its arcs; the weights still equal
-    the reference's bytes."""
+    update that loses one hashes all its arcs, and it updates slots that
+    no cache holds; the weights still equal the reference's bytes."""
     corpus = load_conll(FIXTURE_TRAIN)[:40]
     config = TrainConfig(epochs=3, system=system, hash_bits=16, seed=3,
                          shuffle=True, pruning="length-dictionary")
-    hashed, updates = [], []
+    hashed, updates, hashed_slots = [], [], []
     real_hash, real_sum = features.hash_arcs, SentenceFeatures.sum_indices
 
     def counting_hash(*args):
@@ -298,6 +317,8 @@ def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
         before = len(hashed)
         result = real_sum(self, gained, lost)
         updates.append(len(hashed) - before)
+        if updates[-1]:
+            hashed_slots.append(result[0])
         return result
 
     monkeypatch.setattr(features, "hash_arcs", counting_hash)
@@ -307,6 +328,9 @@ def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
     assert updates and set(updates) <= {0, 1}
     if system == "u-mst-df":
         assert 0 < sum(updates) < len(updates)
+        cached = np.concatenate([cache._flat for cache in features.featurize_corpus(
+            corpus, "directed", config.hash_bits, build_pruner(corpus).mask)])
+        assert not np.isin(np.concatenate(hashed_slots), cached).all()
     else:
         assert sum(updates) == 0
     assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
