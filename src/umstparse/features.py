@@ -333,6 +333,18 @@ class PositionTable:
     conjunction; ``bar_len`` the shift of btw's mid POS, |{bp}| plus the
     conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.  These
     three hold stride times each shift.
+
+    The T POS tags of the table are numbered (``tag``, one number a
+    position).  ``counts`` holds (N + 1) x T, row-major: row pos the
+    number of positions before pos holding each tag.  ``first`` holds
+    N x T, row-major: row pos the positions where each tag first comes
+    at or after pos (N where it never does), ascending, as the keys
+    (N + 1) pos + position, so that the whole array ascends.  An arc's
+    mids lo+1..hi-1 then hold ``np.searchsorted(first, (N + 1) (lo + 1)
+    + hi) - T (lo + 1)`` distinct tags, the first mid of each is one of
+    that many entries of row lo + 1, and a tag's mids number the
+    difference of two rows of ``counts``.  Both take O(N T) memory, at
+    most O(N²) when every position has its own tag.
     """
     mode: str
     planes: np.ndarray
@@ -341,6 +353,20 @@ class PositionTable:
     trail: np.ndarray
     bar_len: np.ndarray
     pos_len: np.ndarray
+    tag: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+
+    @property
+    def ntags(self) -> int:
+        """T, the number of POS tags of the table."""
+        return len(self.first) // len(self.tag)
+
+    def mult_dtype(self) -> type:
+        """The dtype of multiplicities hashed from this table, which count
+        fewer mids than it has positions: 2 bytes but for a sentence of
+        2**16 tokens, which is a chunk of its own in ``featurize_corpus``."""
+        return np.uint16 if len(self.tag) < 1 << 16 else np.int32
 
     def read(self, at: np.ndarray) -> np.ndarray:
         """The planes at flat indices ``at``: a gather when the table holds
@@ -370,14 +396,27 @@ def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
     40-byte tags has about 1,000 slots and would need 3,700 more, and
     planes up to the shift of a 100 kB form would take 10 MB a token.
     ``hash_blocks`` builds them only for a list with slots enough."""
-    words, contexts = [], []
+    words, contexts, names = [], [], []
     for sentence in sentences:
         forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
         tags = [ROOT_POS] + [t.postag for t in sentence.tokens]
         around = [NIL] + tags + [NIL]
         words += [_word_pieces(mode, w, p) for w, p in zip(forms, tags)]
         contexts += [_context_pieces(mode, *around[i:i + 3]) for i in range(len(tags))]
+        names += tags
     words, contexts = np.array(words), np.array(contexts)
+    number = {}
+    tag = np.array([number.setdefault(name, len(number)) for name in names])
+    n1, at = len(tag), np.arange(len(tag))
+    counts = np.zeros((n1 + 1, len(number)), dtype=np.int32)
+    counts[at + 1, tag] = 1
+    counts.cumsum(0, out=counts)
+    # row pos: where each tag first comes at or after pos, ascending, keyed
+    first = np.full((n1, len(number)), n1)
+    first[at, tag] = at
+    np.minimum.accumulate(first[::-1], out=first[::-1])
+    first.sort()
+    first += (n1 + 1) * at[:, None]
     variants = _CONJ[mode][2]
     nv = len(variants)
     ends = np.concatenate([words[:, 7 * _SHIFTS:-7].reshape(-1, nv, 13),
@@ -394,51 +433,71 @@ def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
     trail = stride * (suffix_len[:, None] + variants[:, None])
     return PositionTable(mode=mode, planes=planes.ravel(), width=width,
                          ends=ends.reshape(-1, 17), trail=(trail + np.arange(11)).reshape(-1, 11),
-                         bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len)
+                         bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len,
+                         tag=tag, counts=counts.ravel(), first=first.ravel())
 
 
-def arc_slots(a, b):
-    """Slots of each arc (a[k], b[k]): 17 templates and a btw per mid, twice."""
-    return 2 * (abs(b - a) + 16)
+def arc_slots(table: PositionTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Slots of each arc (a[k], b[k]) of ``table``: 17 templates and a btw
+    per distinct POS tag among its mids, twice.  The tags are counted by
+    one binary search of ``table.first``, O(log(N T)) an arc."""
+    row = np.minimum(a, b) + 1
+    slots = np.searchsorted(table.first, (len(table.tag) + 1) * row + np.maximum(a, b))
+    slots -= table.ntags * row
+    slots += 17
+    slots *= 2
+    return slots
 
 
-def _offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _offsets(table: PositionTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Each arc's start offset in the slots of its list, then the list's
     slot count: the layout ``hash_arcs`` writes and ``hash_blocks`` cuts."""
     offsets = np.zeros(len(a) + 1, dtype=np.int64)
-    np.cumsum(arc_slots(a, b), out=offsets[1:])
+    np.cumsum(arc_slots(table, a, b), out=offsets[1:])
     return offsets
 
 
-def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
-              hash_bits: int, flat: np.ndarray, starts: np.ndarray) -> None:
-    """Write the slots of the arcs (a[k], b[k]), ``arc_slots`` each in the
-    emission order of the string templates of ``table.mode``, into
-    ``flat``, arc k's at ``starts[k]``.  The caller owns both: ``flat`` is
-    an int64 array of exactly ``arc_slots(a, b).sum()`` entries (a slice
-    of a list's slots, or a scorer's buffer), and ``starts`` each arc's
-    start offset in it (``_offsets`` without the total), which the caller
-    computed to size it; the call allocates no slot array.  ``table`` is the ``position_table`` of the
-    arcs' sentence, or of a stack of sentences with each arc's ends at its
-    sentence's positions there; the call reads it and never changes it.
-    An arc's slots do not depend on the other arcs of the call
+def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int,
+              flat: np.ndarray, mult: np.ndarray, offsets: np.ndarray) -> None:
+    """Write the slots of the arcs (a[k], b[k]) of ``table.mode``'s
+    templates into ``flat``, arc k's run of ``arc_slots`` at
+    ``offsets[k]``, and each slot's multiplicity into ``mult``.  A run is
+    two halves, the arc's features and then its conjoined ones; a half
+    holds the 17 templates other than btw, in the order the string
+    templates emit them, each of multiplicity 1, then one btw slot per
+    distinct POS tag among the mids, in the order the tags first come
+    there, whose multiplicity is the number of mids holding the tag.  An
+    arc's score is the sum of weights[flat] * mult over its run, and an
+    arc of distance d costs O(min(d, T)) slots for T tags.  The caller
+    owns the arrays: ``flat`` is an int64 array of exactly
+    ``arc_slots(table, a, b).sum()`` entries (a slice of a list's slots,
+    or a scorer's buffer), ``mult`` an array as long of
+    ``table.mult_dtype()``, and ``offsets`` each arc's start offset in
+    them and then their length (``_offsets``), which the caller computed
+    to size them and which give each arc's count of btw slots; the call
+    allocates no slot array.  ``table`` is the ``position_table`` of the
+    arcs' sentence, or of a stack of sentences with each arc's ends at
+    its sentence's positions there; the call reads it and never changes
+    it.  An arc's slots do not depend on the other arcs of the call
     (``hash_blocks`` cuts lists, and builds planes).
 
     Every slot XORs gathers from ``table``, by
     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C:
     a unigram is an end; a two-sided template a plane and an end; btw two
     planes (a|, shifted past the mid POS and |{bp}; the mid POS, past
-    |{bp}) and an end.  A conjoined slot shifts each of them further by
-    the conjunction's length and XORs the conjunction's CRC."""
+    |{bp}), read at the first mid holding the tag, and an end.  A
+    conjoined slot shifts each of them further by the conjunction's
+    length and XORs the conjunction's CRC."""
     count, mode = len(a), table.mode
     dist = np.abs(b - a)
     key = np.minimum(dist, 11)
     if mode == "directed":
         key += 12 * (b > a)
     conj_crc, conj_variant, variants = _CONJ[mode]
-    nb = dist - 1                     # btw features of each arc
+    starts = offsets[:-1]
+    nb = ((offsets[1:] - starts) >> 1) - 17          # btw slots of each arc
     # halves: each arc's features, then each arc's conjoined ones; a half
-    # holds 13 base templates, then btw by mid, then 4 sr templates
+    # holds the 17 templates in the strings' order, then btw by tag
     variant = np.concatenate([np.zeros(count, dtype=np.int64), conj_variant[key]])
     a2, b2, nb2 = (np.concatenate([x, x]) for x in (a, b, nb))
     rows_b = len(variants) * b2 + variant
@@ -448,21 +507,29 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray,
     tail = values[:, 6 + _BAR].copy()
     row_a = 13 * a2
     values[:, 6:] ^= table.read(table.trail[rows_b] + row_a[:, None])
-    # an arc's conjoined half follows its 16 + dist plain features
-    head = np.concatenate([starts, starts + dist + 16])
-    pos = head[:, None] + np.arange(17)
-    pos[:, 13:] += nb2[:, None]
-    flat[pos] = values
-    if nb2.any():
-        # one btw per (half, mid), mids ascending
-        first = np.cumsum(nb2) - nb2
-        k = np.arange(first[-1] + nb2[-1])
-        mid = k - np.repeat(first - np.minimum(a2, b2) - 1, nb2)
+    # an arc's conjoined half follows its 17 + nb plain features
+    head = np.concatenate([starts, starts + nb + 17])
+    flat[head[:, None] + np.arange(17)] = values
+    mult[:] = 1
+    if nb.any():
+        # one btw per (arc, tag), read at the tag's first mid, in each half
+        ntags = table.ntags
+        first = np.cumsum(nb) - nb
+        k = np.arange(first[-1] + nb[-1])
+        mid = table.first[k - np.repeat(first - ntags * (np.minimum(a, b) + 1), nb)] \
+            % (len(table.tag) + 1)
+        # the tag's mids: those before hi less those before its first mid
+        tag = table.tag[mid]
+        times = table.counts[np.repeat(ntags * np.maximum(a, b), nb) + tag] \
+            - table.counts[ntags * mid + tag]
+        mid, first = np.concatenate([mid, mid]), np.concatenate([first, first])
         bar = table.bar_len[rows_b]
         btw = table.read(np.repeat(row_a + 11 + bar, nb2) + table.pos_len[mid])
         btw ^= table.read(np.repeat(12 + bar, nb2) + 13 * mid)
         btw ^= np.repeat(tail, nb2)
-        flat[k + np.repeat(head + 13 - first, nb2)] = btw
+        slot = np.concatenate([k, k]) + np.repeat(head + 17 - first, nb2)
+        flat[slot] = btw
+        mult[slot] = np.concatenate([times, times])
     flat &= (1 << hash_bits) - 1
 
 
@@ -497,8 +564,11 @@ class LazyArcScores:
     scores only the arcs requested and not yet scored, once each and
     row-major; ``table()`` scores every allowed arc still pending.  One
     call hashes each ``hash_blocks`` block of its arcs into one slot
-    buffer, sized to the call's largest block, and reduces it to scores:
-    bit-identical to a cache's gather, in O(n²) memory plus one block.
+    buffer and one multiplicity buffer, sized to the call's largest
+    block, and reduces them to scores (``_scores``): bit-identical to a
+    cache's gather, in O(n²) memory plus one block.  An arc costs
+    O(min(d, T)) slots for distance d and T tags in the sentence, so
+    ``table()`` is O(n² T).
     Arcs the pruner drops (or that are no candidate arcs) read as -inf
     without being hashed.  ``allowed``
     is the pruner's arc mask (``Pruner.mask``), kept unchanged; None allows
@@ -539,14 +609,24 @@ class LazyArcScores:
             return
         if self._table is None:
             self._table = position_table([self._sentence], "directed")
-        offsets = _offsets(a, b)
-        # a block holds at most _BLOCK_SLOTS slots, or one arc
-        longest = max(_BLOCK_SLOTS, arc_slots(0, len(self._sentence)))
-        buffer = np.empty(min(int(offsets[-1]), longest), dtype=np.int64)
+        offsets = _offsets(self._table, a, b)
+        # a block holds at most _BLOCK_SLOTS slots, or one arc of at most T tags
+        longest = 2 * (17 + self._table.ntags)
+        size = min(int(offsets[-1]), max(_BLOCK_SLOTS, longest))
+        buffer, times = np.empty(size, dtype=np.int64), np.empty(size, self._table.mult_dtype())
         for lo, hi in hash_blocks(self._table, offsets):
-            flat, starts = buffer[:offsets[hi] - offsets[lo]], offsets[lo:hi] - offsets[lo]
-            hash_arcs(self._table, a[lo:hi], b[lo:hi], self._model.hash_bits, flat, starts)
-            self._matrix[a[lo:hi], b[lo:hi]] = np.add.reduceat(self._model.weights[flat], starts)
+            at = offsets[lo:hi + 1] - offsets[lo]
+            flat, mult = buffer[:at[-1]], times[:at[-1]]
+            hash_arcs(self._table, a[lo:hi], b[lo:hi], self._model.hash_bits, flat, mult, at)
+            self._matrix[a[lo:hi], b[lo:hi]] = _scores(self._model.weights, flat, mult, at[:-1])
+
+
+def _scores(weights: np.ndarray, flat: np.ndarray, mult: np.ndarray,
+            starts: np.ndarray) -> np.ndarray:
+    """Each run's sum of weights[flat] * mult, the runs starting at ``starts``."""
+    gathered = weights[flat]
+    gathered *= mult
+    return np.add.reduceat(gathered, starts)
 
 
 class SentenceFeatures:
@@ -557,13 +637,16 @@ class SentenceFeatures:
     that ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps
     every candidate arc) drops are simply absent: a cache holds what a
     parse with that mask scores.  Pairs are (head, mod) in directed mode
-    and (left, right) in undirected mode, row-major; each pair's slots
-    follow the emission order of the string templates.  ``sum_indices``
-    gathers the slots of held arcs from these runs.  A cache is the
-    one-sentence case of ``featurize_corpus``, which training builds its
-    caches with.  A cache keeps no position table (a training run keeps
-    every cache): it hashes an arc it does not hold from one built for
-    the call.
+    and (left, right) in undirected mode, row-major; each pair's run of
+    slots (``_flat``, at ``_starts``, the ``_offsets`` but the last) and
+    multiplicities (``_mult``) is
+    what ``hash_arcs`` writes, 2 (17 + c) slots for c distinct mid tags,
+    so a directed cache of an n-token sentence with T tags holds
+    O(n² T) slots.  ``sum_indices`` gathers the slots of held arcs from
+    these runs.  A cache is the one-sentence case of
+    ``featurize_corpus``, which training builds its caches with.  A cache
+    keeps no position table (a training run keeps every cache): it hashes
+    an arc it does not hold from one built for the call.
     """
 
     def __init__(self, sentence: Sentence, mode: str,
@@ -571,17 +654,20 @@ class SentenceFeatures:
                  allowed: np.ndarray | None = None):
         check_hash_bits(hash_bits)
         a, b = _held_arcs(sentence, mode, allowed)
+        table = position_table([sentence], mode)
+        offsets = _offsets(table, a, b)
         self._hold(sentence, mode, hash_bits, a, b,
-                   *_hash_list(position_table([sentence], mode), a, b, hash_bits))
+                   *_hash_list(table, a, b, hash_bits, offsets), offsets)
 
-    def _hold(self, sentence, mode, hash_bits, a, b, flat, starts) -> None:
+    def _hold(self, sentence, mode, hash_bits, a, b, flat, mult, offsets) -> None:
         self.sentence = sentence
         self.mode = mode
         self.hash_bits = hash_bits
-        self.pair_a, self.pair_b, self._flat, self._starts = a, b, flat, starts
+        self.pair_a, self.pair_b, self._flat, self._mult, self._offsets = a, b, flat, mult, offsets
         self._layout = None
-        for array in (a, b, flat, starts):
+        for array in (a, b, flat, mult, offsets):
             array.setflags(write=False)
+        self._starts = offsets[:-1]
 
     def pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The undirected view of a directed cache, which u-mst-df reads:
@@ -603,36 +689,41 @@ class SentenceFeatures:
 
     def score_all(self, weights: np.ndarray) -> np.ndarray:
         """Score of every stored pair, aligned with self.pairs."""
-        return np.add.reduceat(weights[self._flat], self._starts)
+        return _scores(weights, self._flat, self._mult, self._starts)
 
-    def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray]:
+    def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray, bool]:
         """The slots of the arcs ``gained`` then ``lost``, in that order
-        and each in emission order, and a sign per slot (+1.0 gained, -1.0
-        lost) for a perceptron update.  Each arc's run length is its
-        ``arc_slots``.  When the cache holds every arc, each run is
-        gathered from the stored slots at its ``_starts``; when it lacks
-        one (an arc its mask dropped, as a pruned u-mst-df prediction can
-        direct a pair), all are hashed by ``hash_blocks`` from a fresh
-        ``position_table``.  Both give the same slots in the same order;
-        no arcs give two empty arrays."""
+        and each as ``hash_arcs`` lays it out; the amount a perceptron
+        update adds at each slot, its multiplicity times +1.0 for a gained
+        arc and -1.0 for a lost one; and whether the slots were hashed.
+        When the cache holds every arc, each run is gathered from the
+        stored slots and multiplicities (False); when it lacks one (an arc
+        its mask dropped, as a pruned u-mst-df prediction can direct a
+        pair), all are hashed by ``hash_blocks`` from a fresh
+        ``position_table`` (True).  Both give the same slots in the same
+        order; no arcs give two empty arrays."""
         arcs = np.asarray([*gained, *lost], dtype=np.int64).reshape(-1, 2)
         a, b = arcs[:, 0], arcs[:, 1]
-        lengths = arc_slots(a, b)
-        starts = np.cumsum(lengths) - lengths
         n1 = len(self.sentence) + 1
         # np.nonzero stores the pairs row-major, so their keys are sorted
         keys = self.pair_a * n1 + self.pair_b
         wanted = a * n1 + b
         at = np.searchsorted(keys, wanted)
-        if (at < len(keys)).all() and (keys[at] == wanted).all():
-            first = self._starts[at]
-            flat = self._flat[np.arange(lengths.sum()) + np.repeat(first - starts, lengths)]
+        hashed = not ((at < len(keys)).all() and (keys[at] == wanted).all())
+        if hashed:
+            table = position_table([self.sentence], self.mode)
+            offsets = _offsets(table, a, b)
+            flat, mult = _hash_list(table, a, b, self.hash_bits, offsets)
+            lengths = np.diff(offsets)
         else:
-            flat = _hash_list(position_table([self.sentence], self.mode), a, b,
-                              self.hash_bits)[0]
-        sign = np.ones(len(flat))
-        sign[lengths[:len(gained)].sum():] = -1.0
-        return flat, sign
+            first = self._offsets[at]
+            lengths = self._offsets[at + 1] - first
+            ends = np.cumsum(lengths)
+            run = np.arange(lengths.sum()) + np.repeat(first + lengths - ends, lengths)
+            flat, mult = self._flat[run], self._mult[run]
+        step = mult.astype(np.float64)
+        step[lengths[:len(gained)].sum():] *= -1.0
+        return flat, step, hashed
 
 
 def _held_arcs(sentence: Sentence, mode: str, allowed: np.ndarray | None):
@@ -643,16 +734,18 @@ def _held_arcs(sentence: Sentence, mode: str, allowed: np.ndarray | None):
     return np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
 
 
-def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int):
-    """The slots of a whole arc list and each arc's start offset: the
-    list's slots are allocated once, and ``hash_arcs`` writes each
-    ``hash_blocks`` block into its slice of them."""
-    offsets = _offsets(a, b)
+def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int,
+               offsets: np.ndarray):
+    """The slots and multiplicities of a whole arc list whose ``_offsets``
+    are ``offsets``: the list's arrays are allocated once, and
+    ``hash_arcs`` writes each ``hash_blocks`` block into its slice of
+    them."""
     flat = np.empty(offsets[-1], dtype=np.int64)
+    mult = np.empty(offsets[-1], dtype=table.mult_dtype())
     for lo, hi in hash_blocks(table, offsets):
         hash_arcs(table, a[lo:hi], b[lo:hi], hash_bits, flat[offsets[lo]:offsets[hi]],
-                  offsets[lo:hi] - offsets[lo])
-    return flat, offsets[:-1]
+                  mult[offsets[lo]:offsets[hi]], offsets[lo:hi + 1] - offsets[lo])
+    return flat, mult
 
 
 def featurize_corpus(sentences: list[Sentence], mode: str,
@@ -677,19 +770,20 @@ def featurize_corpus(sentences: list[Sentence], mode: str,
         shift = np.repeat(np.cumsum([0] + [len(s) + 1 for s in chunk[:-1]]), counts)
         a = np.concatenate([a for a, _ in pairs]) + shift
         b = np.concatenate([b for _, b in pairs]) + shift
-        offsets = _offsets(a, b)
         firsts = np.cumsum([0] + counts).tolist()      # each sentence's first arc
+        table = position_table(chunk, mode)
+        offsets = _offsets(table, a, b)
         spans = list(zip(firsts, firsts[1:]))
-        # Every cache's starts are made before the chunk's slots, and the
-        # list's own starts (_) live until the next chunk is hashed.  In
-        # this form perfbench long's peak RSS read 173 MB, as at the parent,
-        # against 182 in others; how much heap glibc keeps after training
-        # moves in 9 MB steps with small changes, a local's name included.
-        starts = [offsets[i:j] - offsets[i] for i, j in spans]
-        flat, _ = _hash_list(position_table(chunk, mode), a, b, hash_bits)
-        for sentence, (pair_a, pair_b), (i, j), at in zip(chunk, pairs, spans, starts):
+        # Every cache's offsets are made before the chunk's slots.  In this
+        # form a perfbench long session peaked at 149 MB RSS, against 167
+        # with them made after, when glibc kept 23 MB of freed heap
+        # untrimmed after u-mst-df's training (mallinfo2).
+        runs = [offsets[i:j + 1] - offsets[i] for i, j in spans]
+        flat, mult = _hash_list(table, a, b, hash_bits, offsets)
+        for sentence, (pair_a, pair_b), (i, j), at in zip(chunk, pairs, spans, runs):
             cache = SentenceFeatures.__new__(SentenceFeatures)
-            cache._hold(sentence, mode, hash_bits, pair_a, pair_b, flat[offsets[i]:offsets[j]], at)
+            cache._hold(sentence, mode, hash_bits, pair_a, pair_b, flat[offsets[i]:offsets[j]],
+                        mult[offsets[i]:offsets[j]], at)
             caches.append(cache)
         lo = hi
     return caches

@@ -21,10 +21,13 @@ table) and an update adds to it and to a running sum of the same length.
 An update touches only the arcs where gold and prediction differ (a new
 model's weights and their running sum receive whole numbers, so the
 shared arcs' additions would cancel exactly), and gathers their numbers
-from the sentence's cache; only an arc the cache lacks, in a pruned
-u-mst-df update, makes it hash them all from a position table built for
-the update, and their slots are then numbered through the space, which
-a slot no cache holds joins.
+and multiplicities from the sentence's cache, adding each multiplicity
+once where the string templates would add 1 per mid; whole numbers sum
+exactly in any order, so this changes no weight.  Only an arc the cache
+lacks, in a pruned u-mst-df update, makes ``sum_indices`` hash them all
+from a position table built for the update (it says so), and their
+slots are then numbered through the space, which a slot no cache holds
+joins.
 Averaging is one pass over the space, since the running sum is 0
 wherever no update landed, and writes the averaged weights into the
 model's table at the space's slots; every other slot keeps its weight.
@@ -155,14 +158,6 @@ class _SlotSpace:
         self._full[slots] = self.weights[:len(slots)] - self.sums[:len(slots)] / steps
 
 
-def _holds(cache: SentenceFeatures, arcs: list[tuple[int, int]]) -> bool:
-    """Whether the cache holds every arc, so that ``sum_indices`` gathers
-    their stored slots rather than hashing them."""
-    held = np.zeros((len(cache.sentence) + 1,) * 2, dtype=bool)
-    held[cache.pair_a, cache.pair_b] = True
-    return all(held[arc] for arc in arcs)
-
-
 def _predict(sentence: Sentence, model: Model, config: ParserConfig,
              pruner: Pruner | None, cache: SentenceFeatures,
              sentence_index: int) -> DependencyTree:
@@ -228,12 +223,12 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
             if gold_set != pred_set:
                 gained = [arc for arc in gold_arcs if arc not in pred_set]
                 lost = [arc for arc in pred_arcs if arc not in gold_set]
-                ids, sign = cache.sum_indices(gained, lost)
-                if not _holds(cache, gained + lost):
-                    # sum_indices hashed the arcs: these are slots
+                ids, step, hashed = cache.sum_indices(gained, lost)
+                if hashed:
+                    # slots, not the numbers a cache holds
                     ids = space.ids(ids)
-                np.add.at(space.weights, ids, sign)
-                np.add.at(space.sums, ids, sign * (t - 1))
+                np.add.at(space.weights, ids, step)
+                np.add.at(space.sums, ids, step * (t - 1))
             t += 1
         epoch_uas.append(100.0 * correct / total if total else 0.0)
     space.average(t - 1)

@@ -9,7 +9,7 @@ by one: the spec that the package's composed CRCs are checked against.
 from __future__ import annotations
 
 import zlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,14 +221,28 @@ def join_sentences(sentences):
 
 
 def one_call_slots(table, a, b, hash_bits):
-    """The slots of the arcs (a[k], b[k]) from one unblocked ``hash_arcs``
-    call into an array of their own, and each arc's start offset: the
-    reference that blocked lists, caches and scorers must equal.  It calls
-    the function bound at import, so a test's wrapper does not see it."""
-    offsets = _offsets(a, b)
+    """The slots and multiplicities of the arcs (a[k], b[k]) from one
+    unblocked ``hash_arcs`` call into arrays of their own, and each arc's
+    start offset: the reference that blocked lists, caches and scorers
+    must equal.  It calls the function bound at import, so a test's
+    wrapper does not see it."""
+    offsets = _offsets(table, a, b)
     flat = np.empty(offsets[-1], dtype=np.int64)
-    hash_arcs(table, a, b, hash_bits, flat, offsets[:-1])
-    return flat, offsets[:-1]
+    mult = np.empty(offsets[-1], dtype=table.mult_dtype())
+    hash_arcs(table, a, b, hash_bits, flat, mult, offsets)
+    return flat, mult, offsets[:-1]
+
+
+def slot_multiset(slots, mult) -> Counter:
+    """How often each slot fires in a run of slots with their
+    multiplicities (a slot may repeat, as two templates can hash alike);
+    signed multiplicities, as an update adds, net out, and slots that
+    net to 0 are left out.  ``slot_multiset(slots, np.ones(len(slots)))``
+    is the multiset of hashed strings."""
+    counts = Counter()
+    for slot, times in zip(np.asarray(slots).tolist(), np.asarray(mult).tolist()):
+        counts[slot] += times
+    return Counter({slot: times for slot, times in counts.items() if times})
 
 
 def directed_arcs(sentence, pruner=None):

@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from umstparse import features
 from umstparse.conll import Sentence, Token, load_conll
 from umstparse.errors import DataError, InputError
-from umstparse.features import (COMBINERS, Model, SentenceFeatures, arc_matrix,
-                                distance_bin, featurize_corpus, hash_arcs, load_model,
-                                pair_mask, position_table, save_model)
+from umstparse.features import (COMBINERS, LazyArcScores, Model, SentenceFeatures,
+                                arc_matrix, arc_slots, distance_bin, featurize_corpus,
+                                hash_arcs, load_model, pair_mask, position_table,
+                                save_model)
 from umstparse.inference import build_pruner
 from umstparse.training import TrainConfig
 
@@ -26,6 +27,7 @@ from oracles import (
     join_sentences,
     one_call_slots,
     score,
+    slot_multiset,
     undirected_feature_strings,
     undirected_pairs,
 )
@@ -278,7 +280,9 @@ class TestSentenceFeatures:
     def test_cached_indices_match_extraction(self):
         cache = SentenceFeatures(FIXTURE, "undirected", hash_bits=12)
         fv = extract_undirected(FIXTURE, 1, 4, hash_bits=12)
-        assert sorted(cache.sum_indices([(1, 4)])[0].tolist()) == fv.indices.tolist()
+        slots, step, _ = cache.sum_indices([(1, 4)])
+        assert sorted(slot_multiset(slots, step.astype(np.int64)).elements()) == \
+            fv.indices.tolist()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InputError, match="unknown feature mode"):
@@ -296,9 +300,10 @@ class TestSentenceFeatures:
         calls = []
         monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
         for cache in (empty, full):
-            slots, sign = cache.sum_indices([], [])
+            slots, step, hashed = cache.sum_indices([], [])
             assert slots.dtype == np.int64 and len(slots) == 0
-            assert sign.dtype == np.float64 and len(sign) == 0
+            assert step.dtype == np.float64 and len(step) == 0
+            assert hashed is False
         assert calls == []
 
 
@@ -322,15 +327,33 @@ def padded(sentence, width):
     return dataclasses.replace(sentence, tokens=tokens)
 
 
+def _runs(flat, mult, starts):
+    """Each arc's run of (slot, multiplicity) pairs."""
+    return [list(zip(f.tolist(), m.tolist()))
+            for f, m in zip(np.split(flat, starts[1:]), np.split(mult, starts[1:]))]
+
+
+def _multisets(flat, mult, starts):
+    """Each arc's slot multiset."""
+    return [slot_multiset(f, m) for f, m in zip(np.split(flat, starts[1:]),
+                                                np.split(mult, starts[1:]))]
+
+
+def _string_multiset(strings, mask):
+    return slot_multiset([zlib.crc32(f.encode("utf-8")) & mask for f in strings],
+                         np.ones(len(strings), dtype=np.int64))
+
+
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
-def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
-    """Every pair's slots are the CRC32s of its feature strings, in the
-    order *_feature_strings emits them, both as stored and as
-    ``sum_indices`` hashes them; pairs come in row-major order.  Dev
-    sentences with 15-byte tags read only planes copied from memo
-    rows; with 40-byte tags, the calls of the longest sentences build the
-    planes past the memo's 64 shifts, and the others compose those they
-    read."""
+def test_cache_matches_string_oracle_slot_multisets(bundled, mode):
+    """Every pair's slots, with their multiplicities, fire as the CRC32s
+    of its feature strings do: the same slots, each as often, both as
+    stored and as ``sum_indices`` gathers or hashes them; pairs come in
+    row-major order.  (A btw slot stands for every mid with its tag, so
+    the runs are not the strings' order.)  Dev sentences with 15-byte
+    tags read only planes copied from memo rows; with 40-byte tags, the
+    calls of the longest sentences build the planes past the memo's 64
+    shifts, and the others compose those they read."""
     pruner, dev = bundled
     long = join_sentences(dev[2:10])
     assert len(long) == 70
@@ -345,28 +368,74 @@ def test_cache_matches_string_oracle_in_emission_order(bundled, mode):
     cases += [(sentence, rules) for sentences, rules in tagged.values()
               for sentence in sentences]
     for sentence, rules in cases:
-        crcs = {}
+        texts = {}
         for rule in (None, rules):
             pairs = enumerate_pairs(sentence, rule)
             allowed = None if rule is None else rule.mask(sentence)
             for a, b in pairs:
-                if (a, b) not in crcs:
-                    crcs[a, b] = np.asarray(
-                        [zlib.crc32(s.encode("utf-8")) for s in strings(sentence, a, b)])
+                if (a, b) not in texts:
+                    texts[a, b] = strings(sentence, a, b)
             for hash_bits in (1, 12, 22, 30):
                 mask = (1 << hash_bits) - 1
                 cache = SentenceFeatures(sentence, mode, hash_bits, allowed)
                 assert cache.pairs == pairs
-                for a, b in pairs:
-                    assert cache.sum_indices([(a, b)])[0].tolist() == \
-                        (crcs[a, b] & mask).tolist()
-                expected = [crcs[p] & mask for p in pairs]
-                assert cache.sum_indices(pairs)[0].tolist() == \
-                    np.concatenate(expected).tolist()
+                expected = [_string_multiset(texts[p], mask) for p in pairs]
+                for (a, b), want in zip(pairs, expected):
+                    slots, step, hashed = cache.sum_indices([(a, b)])
+                    assert slot_multiset(slots, step) == want and not hashed
+                slots, step, _ = cache.sum_indices(pairs)
+                assert _multisets(slots, step.astype(np.int64), cache._starts) == expected
                 # the stored slots, which parse and training predictions read
-                assert cache._flat.tolist() == np.concatenate(expected).tolist()
-                assert cache._starts.tolist() == \
-                    np.cumsum([0] + [len(e) for e in expected[:-1]]).tolist()
+                assert _multisets(cache._flat, cache._mult, cache._starts) == expected
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_integer_weights_score_as_the_string_oracle(bundled, mode):
+    """With whole-number weights every sum is exact in any order, so each
+    arc's score from a cache (``score_all``) and, in directed mode, from
+    ``LazyArcScores`` equals the string oracle's ``score`` exactly: a btw
+    slot's weight times its multiplicity is the sum over its mids."""
+    _, dev = bundled
+    model = Model.new(mode, hash_bits=16)
+    model.weights = np.random.default_rng(211).integers(-1000, 1000, model.size()) * 1.0
+    extract = extract_directed if mode == "directed" else extract_undirected
+    for sentence in dev[:4] + [join_sentences(dev[2:8]), WIDE]:
+        cache = SentenceFeatures(sentence, mode, 16)
+        want = [score(model, extract(sentence, a, b, hash_bits=16)) for a, b in cache.pairs]
+        assert cache.score_all(model.weights).tolist() == want
+        if mode == "directed":
+            lazy = LazyArcScores(sentence, model)
+            assert lazy[cache.pair_a, cache.pair_b].tolist() == want
+
+
+def test_directed_slots_grow_with_the_tags_not_the_distance():
+    """d-mst is O(n² T): on the dev sentences joined into one of about
+    600 tokens, with T tags (the root's included), no directed arc has
+    more than 2 (T + 16) slots, so a directed cache of every arc holds at
+    most 2 (T + 16) n² (counted here without hashing them).  The arc
+    (0, n) has 2 (17 + c) slots for the c distinct tags of its mids,
+    where the string templates have 2 (16 + n), and its multiplicities
+    add up to those; a cache of the root's arcs stores runs of those
+    lengths."""
+    dev = load_conll(BUNDLED / "fixture_dev.conll")
+    parts = next(k for k in range(len(dev)) if sum(map(len, dev[:k])) >= 600)
+    sentence = join_sentences(dev[:parts])
+    n = len(sentence)
+    assert 600 <= n <= 620
+    tags = len({t.postag for t in sentence.tokens}) + 1
+    table = position_table([sentence], "directed")
+    a, b = np.nonzero(arc_matrix(n))
+    slots = arc_slots(table, a, b)
+    assert slots.max() <= 2 * (tags + 16) and slots.sum() <= 2 * (tags + 16) * n * n
+    mids = len({t.postag for t in sentence.tokens[:-1]})
+    root = np.zeros((n + 1, n + 1), dtype=bool)
+    root[0, 1:] = True
+    cache = SentenceFeatures(sentence, "directed", 16, root)
+    runs = np.diff(cache._starts, append=len(cache._flat))
+    heads = np.zeros(n, dtype=np.int64)
+    assert runs.tolist() == arc_slots(table, heads, np.arange(1, n + 1)).tolist()
+    assert runs[-1] == 2 * (17 + mids)
+    assert cache._mult[cache._starts[-1]:].sum() == 2 * (16 + n)
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
@@ -388,15 +457,19 @@ def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
     dropped = [tuple(arc) for arc in np.argwhere(candidates & ~kept).tolist()]
     assert len(dropped) and not set(dropped) & set(pruned.pairs)
 
-    def oracle(arcs):
-        return [hash_feature(f, 12) for a, b in arcs for f in strings(sentence, a, b)]
+    def oracle(gained, lost=()):
+        signed = [(hash_feature(f, 12), sign) for arcs, sign in ((gained, 1), (lost, -1))
+                  for a, b in arcs for f in strings(sentence, a, b)]
+        return slot_multiset(*zip(*signed))
 
     for a, b in dropped[::7]:
-        assert pruned.sum_indices([(a, b)])[0].tolist() == oracle([(a, b)])
+        slots, step, hashed = pruned.sum_indices([(a, b)])
+        assert slot_multiset(slots, step) == oracle([(a, b)]) and hashed
     gained, lost = dropped[:3], [pruned.pairs[0], dropped[-1]]
-    slots, sign = pruned.sum_indices(gained, lost)
-    assert slots.tolist() == oracle(gained + lost)
-    assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
+    slots, step, hashed = pruned.sum_indices(gained, lost)
+    assert slot_multiset(slots, step) == oracle(gained, lost) and hashed
+    split = len(pruned.sum_indices(gained)[0])
+    assert (step[:split] > 0).all() and (step[split:] < 0).all()
 
 
 def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
@@ -413,8 +486,8 @@ def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
     gained, lost = dropped[:20], cache.pairs[::20][:10] + dropped[20:25]
     assert len(gained) == 20 and len(lost) >= 15
     arcs = np.array(gained + lost)
-    want, starts = one_call_slots(position_table([sentence], "directed"),
-                                  arcs[:, 0], arcs[:, 1], 16)
+    want, mult, starts = one_call_slots(position_table([sentence], "directed"),
+                                        arcs[:, 0], arcs[:, 1], 16)
     monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
     calls, real = [], features.hash_arcs
 
@@ -423,12 +496,12 @@ def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(features, "hash_arcs", hashing)
-    slots, sign = cache.sum_indices(gained, lost)
-    assert len(calls) > 1
-    assert all(len(flat) <= 256 or len(at) == 1 for flat, at in calls)
+    slots, step, hashed = cache.sum_indices(gained, lost)
+    assert hashed and len(calls) > 1
+    assert all(len(flat) <= 256 or len(at) == 2 for flat, _, at in calls)
     assert slots.tobytes() == want.tobytes()
-    assert sign.tolist() == [1.0] * starts[len(gained)] + \
-        [-1.0] * (len(want) - starts[len(gained)])
+    sign = np.where(np.arange(len(want)) < starts[len(gained)], 1.0, -1.0)
+    assert step.tolist() == (sign * mult).tolist()
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
@@ -445,16 +518,17 @@ def test_a_cache_costs_its_stored_slots_plus_one_block(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cache._flat.nbytes + cache._starts.nbytes + 16e6, peak
+    assert peak <= cache._flat.nbytes + cache._mult.nbytes + cache._starts.nbytes + 16e6, peak
 
 
 @pytest.mark.parametrize("pruned", [False, True])
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_held_arcs_are_gathered_from_the_stored_slots(bundled, monkeypatch, mode, pruned):
     """``sum_indices`` on arcs the cache holds (as every gold arc and
-    every prediction of d-mst and u-mst-uf is) hashes nothing: it gathers
-    each arc's stored run, in the order the arcs are given, with the
-    string oracle's slots and +1/-1 signs for gained and lost arcs."""
+    every prediction of d-mst and u-mst-uf is) hashes nothing and says
+    so: it gathers each arc's stored run, in the order the arcs are
+    given, whose slots fire as the string oracle's do, with the stored
+    multiplicities signed +1 for gained and -1 for lost arcs."""
     pruner, dev = bundled
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
@@ -465,24 +539,22 @@ def test_held_arcs_are_gathered_from_the_stored_slots(bundled, monkeypatch, mode
     monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
     for sentence, cache in zip(sentences, caches):
 
-        def oracle(arcs):
-            return [hash_feature(f, 12) for a, b in arcs for f in strings(sentence, a, b)]
-
+        runs = dict(zip(cache.pairs, _runs(cache._flat, cache._mult, cache._starts)))
         held = cache.pairs[::-3]
         for gained, lost in ((held[:3], []), ([], held[-2:]), (held[1:4], held[:1] + held[-1:])):
-            slots, sign = cache.sum_indices(gained, lost)
-            assert slots.tolist() == oracle(gained + lost)
-            assert sign.tolist() == [1.0] * len(oracle(gained)) + [-1.0] * len(oracle(lost))
+            slots, step, hashed = cache.sum_indices(gained, lost)
+            want = [(slot, sign * times) for arcs, sign in ((gained, 1), (lost, -1))
+                    for arc in arcs for slot, times in runs[arc]]
+            assert list(zip(slots.tolist(), step.tolist())) == want and not hashed
+            for arc in gained + lost:
+                assert slot_multiset(*zip(*runs[arc])) == \
+                    _string_multiset(strings(sentence, *arc), (1 << 12) - 1)
     assert calls == []
 
 
 def _all_arcs(sentence, mode):
     arcs = arc_matrix(len(sentence))
     return np.nonzero(arcs if mode == "directed" else pair_mask(arcs))
-
-
-def _slices(flat, starts):
-    return np.split(flat, starts[1:])
 
 
 @settings(max_examples=80, deadline=None)
@@ -503,28 +575,28 @@ def test_arc_slots_do_not_depend_on_the_call(bundled, data):
     a, b = _all_arcs(sentence, mode)
     pick = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60),
                      label="arcs")
-    before = _slices(*one_call_slots(table, a[pick], b[pick], 30))
-    full = _slices(*one_call_slots(table, a, b, 30))
-    after = _slices(*one_call_slots(table, a[pick], b[pick], 30))
+    before = _runs(*one_call_slots(table, a[pick], b[pick], 30))
+    full = _runs(*one_call_slots(table, a, b, 30))
+    after = _runs(*one_call_slots(table, a[pick], b[pick], 30))
     for k, first, again in zip(pick, before, after):
-        assert first.tolist() == full[k].tolist() == again.tolist()
+        assert first == full[k] == again
     k = pick[0]
-    alone, = _slices(*one_call_slots(position_table([sentence], mode),
-                                     a[k:k + 1], b[k:k + 1], 30))
-    assert alone.tolist() == full[k].tolist()
+    alone, = _runs(*one_call_slots(position_table([sentence], mode),
+                                   a[k:k + 1], b[k:k + 1], 30))
+    assert alone == full[k]
 
 
 def _oracle_slots(sentence, mode, a, b):
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
-    return [zlib.crc32(s.encode("utf-8")) & (1 << 30) - 1 for s in strings(sentence, a, b)]
+    return _string_multiset(strings(sentence, a, b), (1 << 30) - 1)
 
 
-def _arcs_of_slots(a, b, slots):
+def _arcs_of_slots(table, a, b, slots):
     """Indices of arcs whose hash_arcs call has exactly ``slots`` slots;
-    an arc has 2 (16 + |b - a|) of them."""
+    an arc has ``arc_slots`` of them."""
     ways = {0: []}
-    for k, size in enumerate((32 + 2 * np.abs(b - a)).tolist()):
+    for k, size in enumerate(features.arc_slots(table, a, b).tolist()):
         for total, arcs in list(ways.items()):
             if total + size <= slots:
                 ways.setdefault(total + size, arcs + [k])
@@ -551,18 +623,20 @@ def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, shor
     missing = (longest + 1 - 64) * stride
     table = position_table([sentence], mode)
     assert len(table.planes) == stride * min(longest + 1, 64)
-    pick = _arcs_of_slots(a, b, missing - short) if missing else np.arange(len(a))
-    first = _slices(*features._hash_list(table, a[pick], b[pick], 30))
+    pick = _arcs_of_slots(table, a, b, missing - short) if missing else np.arange(len(a))
+    offsets = features._offsets(table, a[pick], b[pick])
+    flat, mult = features._hash_list(table, a[pick], b[pick], 30, offsets)
+    first = _multisets(flat, mult, offsets[:-1])
     assert len(first) == len(pick)
     assert len(table.planes) == stride * (64 if short else max(longest + 1, 64))
     for k, got in zip(pick, first):
-        assert got.tolist() == oracle[k]
-    for k, got in enumerate(_slices(*one_call_slots(table, a, b, 30))):
-        assert got.tolist() == oracle[k]
+        assert got == oracle[k]
+    for k, got in enumerate(_multisets(*one_call_slots(table, a, b, 30))):
+        assert got == oracle[k]
     for k in (0, len(a) // 2, len(a) - 1):
-        alone, = _slices(*one_call_slots(position_table([sentence], mode),
-                                         a[k:k + 1], b[k:k + 1], 30))
-        assert alone.tolist() == oracle[k]
+        alone, = _multisets(*one_call_slots(position_table([sentence], mode),
+                                            a[k:k + 1], b[k:k + 1], 30))
+        assert alone == oracle[k]
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
@@ -577,14 +651,14 @@ def test_long_token_costs_no_planes(mode):
     tracemalloc.start()
     try:
         table = position_table([sentence], mode)
-        flat, starts = one_call_slots(table, a, b, 30)
+        slots = one_call_slots(table, a, b, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(table.planes) == 64 * 5 * 13
     assert peak < 4_000_000
-    for k, got in enumerate(_slices(flat, starts)):
-        assert got.tolist() == _oracle_slots(sentence, mode, a[k], b[k])
+    for k, got in enumerate(_multisets(*slots)):
+        assert got == _oracle_slots(sentence, mode, a[k], b[k])
 
 
 def test_a_read_never_changes_the_table():
@@ -612,7 +686,7 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     max(one block, 13 (n+1)²)); else each block composes them.  12 tokens
     with 30-byte tags lack 1,014 (directed) or 676 planes, with 40-byte
     ones 4,394 or 4,056, against 13 (n+1)² = 2,197 and, for every arc,
-    5,908 or 3,224 slots.  Either way the blocks hold the slots of one
+    5,138 or 2,784 slots.  Either way the blocks hold the slots of one
     unblocked call.  The blocks cut the list in order, none longer than
     a block."""
     monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
@@ -621,7 +695,8 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     table = position_table([sentence], mode)
     stride = 13 * 13
     assert len(table.planes) == 64 * stride
-    offsets = features._offsets(a, b)
+    offsets = features._offsets(table, a, b)
+    assert offsets[-1] == {"directed": 5138, "undirected": 2784}[mode]
     blocks = features.hash_blocks(table, offsets)
     bounds = [next(blocks)]
     assert bounds[0][0] == 0 and bounds[0][1] < len(a)
@@ -632,19 +707,21 @@ def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, blo
     assert bounds[-1][1] == len(a)
     assert all(offsets[hi] - offsets[lo] <= block for lo, hi in bounds)
     flat = np.empty(offsets[-1], dtype=np.int64)
+    mult = np.empty(offsets[-1], dtype=table.mult_dtype())
     for lo, hi in bounds:
         hash_arcs(table, a[lo:hi], b[lo:hi], 30, flat[offsets[lo]:offsets[hi]],
-                  offsets[lo:hi] - offsets[lo])
-    assert flat.tolist() == one_call_slots(position_table([sentence], mode), a, b, 30)[0].tolist()
+                  mult[offsets[lo]:offsets[hi]], offsets[lo:hi + 1] - offsets[lo])
+    want, want_mult, _ = one_call_slots(position_table([sentence], mode), a, b, 30)
+    assert flat.tolist() == want.tolist() and mult.tolist() == want_mult.tolist()
 
 
 def _recording(monkeypatch):
     """The slot array every hash_arcs call receives, in call order."""
     received, real = [], features.hash_arcs
 
-    def hashing(table, a, b, hash_bits, flat, starts):
+    def hashing(table, a, b, hash_bits, flat, mult, offsets):
         received.append(flat)
-        return real(table, a, b, hash_bits, flat, starts)
+        return real(table, a, b, hash_bits, flat, mult, offsets)
 
     monkeypatch.setattr(features, "hash_arcs", hashing)
     return received
@@ -675,9 +752,10 @@ def test_blocks_are_hashed_in_place_into_the_cache(bundled, monkeypatch, corpus_
         assert np.shares_memory(flat, cache._flat) and _address(flat) == at
         at += flat.nbytes
     assert at == _address(cache._flat) + cache._flat.nbytes
-    want, starts = one_call_slots(position_table([sentence], "directed"),
-                                  cache.pair_a, cache.pair_b, 16)
+    want, mult, starts = one_call_slots(position_table([sentence], "directed"),
+                                        cache.pair_a, cache.pair_b, 16)
     assert cache._flat.tobytes() == want.tobytes()
+    assert cache._mult.tobytes() == mult.tobytes()
     assert cache._starts.tobytes() == starts.tobytes()
 
 
@@ -709,8 +787,8 @@ def test_a_scorer_hashes_every_block_into_one_buffer(bundled, monkeypatch):
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_training_caches_keep_only_their_arrays(mode, corpus_pass):
     """Pruned training caches of the first 300 bundled training sentences
-    (perfbench's ``short`` corpus) retain their stored slots, starts and
-    pairs and little else, built one by one or by the corpus pass (whose
+    (perfbench's ``short`` corpus) retain their stored slots, multiplicities,
+    starts and pairs and little else, built one by one or by the corpus pass (whose
     caches' slots are slices of their chunk's): no position table, with
     which they retained 4.0 MB more in either mode."""
     import tracemalloc
@@ -729,8 +807,8 @@ def test_training_caches_keep_only_their_arrays(mode, corpus_pass):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    stored = sum(c._flat.nbytes + c._starts.nbytes + c.pair_a.nbytes + c.pair_b.nbytes
-                 for c in caches)
+    stored = sum(c._flat.nbytes + c._mult.nbytes + c._starts.nbytes + c.pair_a.nbytes
+                 + c.pair_b.nbytes for c in caches)
     assert kept <= stored + 1e6, (kept, stored)
 
 
@@ -763,12 +841,12 @@ def test_corpus_pass_equals_one_cache_a_sentence(bundled, monkeypatch, mode, pru
     assert len(chunks) >= 2 and sum(chunks) == len(corpus)
     assert len(caches) == len(corpus)
     full = SentenceFeatures(long, mode, 22)
-    assert len(full._flat) > 2 * features._BLOCK_SLOTS
+    assert len(full._flat) > features._BLOCK_SLOTS
     for sentence, cache in zip(corpus, caches):
         alone = SentenceFeatures(sentence, mode, 22, None if mask is None else mask(sentence))
         assert cache.sentence is sentence
         assert (cache.mode, cache.hash_bits) == (mode, 22)
-        for name in ("pair_a", "pair_b", "_flat", "_starts"):
+        for name in ("pair_a", "pair_b", "_flat", "_mult", "_starts"):
             got, want = getattr(cache, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable and not want.flags.writeable, name
@@ -787,6 +865,6 @@ def test_corpus_pass_holds_one_chunk_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    stored = sum(c._flat.nbytes + c._starts.nbytes + c.pair_a.nbytes + c.pair_b.nbytes
-                 for c in caches)
+    stored = sum(c._flat.nbytes + c._mult.nbytes + c._starts.nbytes + c.pair_a.nbytes
+                 + c.pair_b.nbytes for c in caches)
     assert peak <= stored + 16e6, (peak, stored)

@@ -677,8 +677,8 @@ class TestOneDirectedScorer:
         calls, real = [], features.hash_arcs
 
         def hashing(*args):
-            flat, starts = args[4:]
-            calls.append((len(starts), len(flat), flat))
+            flat, _, offsets = args[4:]
+            calls.append((len(offsets) - 1, len(flat), flat))
             return real(*args)
 
         monkeypatch.setattr(features, "hash_arcs", hashing)
@@ -705,9 +705,9 @@ class TestOneDirectedScorer:
             n = len(s)
             for p in (None, pruner.mask(s)):
                 a, b = np.nonzero(arc_matrix(n) if p is None else p)
-                flat, starts = one_call_slots(position_table([s], "directed"), a, b, 16)
+                flat, mult, starts = one_call_slots(position_table([s], "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
-                reference[a, b] = np.add.reduceat(model.weights[flat], starts)
+                reference[a, b] = np.add.reduceat(model.weights[flat] * mult, starts)
                 calls.clear()
                 blocked = directed_score_table(s, model, p)
                 assert len(calls) >= (2 if p is None else 1)
@@ -753,9 +753,9 @@ class TestOneDirectedScorer:
             for p in (None, pruner.mask(s)):
                 allowed = arc_matrix(n) if p is None else p
                 a, b = np.nonzero(allowed)
-                flat, starts = one_call_slots(position_table([s], "directed"), a, b, 16)
+                flat, mult, starts = one_call_slots(position_table([s], "directed"), a, b, 16)
                 reference = np.full((n + 1, n + 1), -np.inf)
-                reference[a, b] = np.add.reduceat(model.weights[flat], starts)
+                reference[a, b] = np.add.reduceat(model.weights[flat] * mult, starts)
                 tables.clear()
                 assert directed_score_table(s, model, p).tobytes() == reference.tobytes()
                 assert len(tables) == 1
@@ -788,8 +788,9 @@ class TestOneDirectedScorer:
                 cache = SentenceFeatures(s, mode, 16, p)
                 arcs = arc_matrix(len(s)) if p is None else p
                 a, b = np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
-                flat, starts = one_call_slots(position_table([s], mode), a, b, 16)
+                flat, mult, starts = one_call_slots(position_table([s], mode), a, b, 16)
                 assert cache._flat.tobytes() == flat.tobytes()
+                assert cache._mult.tobytes() == mult.tobytes()
                 assert cache._starts.tobytes() == starts.tobytes()
                 assert all(slots <= 256 or arcs == 1 for arcs, slots, _ in calls)
                 blocked += len(calls) > 1

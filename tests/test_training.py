@@ -301,8 +301,8 @@ def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
     every arc.  d-mst and u-mst-uf always do: the pruner keeps every gold
     arc of its own corpus, and predictions come from the cache's pairs.
     A pruned u-mst-df cache lacks the directions its mask dropped, so an
-    update that loses one hashes all its arcs, and it updates slots that
-    no cache holds; the weights still equal the reference's bytes."""
+    update that loses one hashes all its arcs, says so, and updates slots
+    that no cache holds; the weights still equal the reference's bytes."""
     corpus = load_conll(FIXTURE_TRAIN)[:40]
     config = TrainConfig(epochs=3, system=system, hash_bits=16, seed=3,
                          shuffle=True, pruning="length-dictionary")
@@ -317,6 +317,7 @@ def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
         before = len(hashed)
         result = real_sum(self, gained, lost)
         updates.append(len(hashed) - before)
+        assert result[2] is bool(updates[-1])
         if updates[-1]:
             hashed_slots.append(result[0])
         return result
