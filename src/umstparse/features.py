@@ -310,6 +310,15 @@ def _context_pieces(mode: str, prev: str, p: str, nxt: str) -> np.ndarray:
 _BAR = 3                         # b's |{bp}: the suffix of bg4, and of btw
 
 
+def _mult_dtype(tokens: int) -> type:
+    """The dtype of the multiplicities of a sentence of ``tokens`` tokens,
+    which count fewer mids than it has tokens: 1 byte below 256 tokens.
+    A multiplicity is stored beside every 8-byte slot; at 2 bytes, one
+    pruned d-mst epoch on the bundled training set 12 times over peaked
+    at 449 MB RSS against 416 MB, and 395 MB with no multiplicities."""
+    return np.uint8 if tokens < 1 << 8 else np.uint16 if tokens < 1 << 16 else np.int32
+
+
 @dataclass
 class PositionTable:
     """What ``hash_arcs`` gathers from, for the positions of one or more
@@ -339,12 +348,15 @@ class PositionTable:
     number of positions before pos holding each tag.  ``first`` holds
     N x T, row-major: row pos the positions where each tag first comes
     at or after pos (N where it never does), ascending, as the keys
-    (N + 1) pos + position, so that the whole array ascends.  An arc's
-    mids lo+1..hi-1 then hold ``np.searchsorted(first, (N + 1) (lo + 1)
-    + hi) - T (lo + 1)`` distinct tags, the first mid of each is one of
-    that many entries of row lo + 1, and a tag's mids number the
-    difference of two rows of ``counts``.  Both take O(N T) memory, at
-    most O(N²) when every position has its own tag.
+    (N + 1) pos + position, so that the whole array ascends; int32 while
+    the keys fit.  An arc's mids lo+1..hi-1 then hold
+    ``np.searchsorted(first, (N + 1) (lo + 1) + hi) - T (lo + 1)``
+    distinct tags, the first mid of each is one of that many entries of
+    row lo + 1, and a tag's mids number the difference of two rows of
+    ``counts``.  Both take O(N min(N, T)) memory, since T <= N, on every
+    route (a pruned parse builds them too): 4 bytes an entry while the
+    keys fit in 32 bits, and N² entries when every position has its own
+    tag.
     """
     mode: str
     planes: np.ndarray
@@ -356,6 +368,7 @@ class PositionTable:
     tag: np.ndarray
     counts: np.ndarray
     first: np.ndarray
+    longest: int
 
     @property
     def ntags(self) -> int:
@@ -363,10 +376,9 @@ class PositionTable:
         return len(self.first) // len(self.tag)
 
     def mult_dtype(self) -> type:
-        """The dtype of multiplicities hashed from this table, which count
-        fewer mids than it has positions: 2 bytes but for a sentence of
-        2**16 tokens, which is a chunk of its own in ``featurize_corpus``."""
-        return np.uint16 if len(self.tag) < 1 << 16 else np.int32
+        """The dtype of multiplicities hashed from this table: those of
+        its longest sentence (``longest`` tokens), ``_mult_dtype``."""
+        return _mult_dtype(self.longest)
 
     def read(self, at: np.ndarray) -> np.ndarray:
         """The planes at flat indices ``at``: a gather when the table holds
@@ -412,11 +424,12 @@ def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
     counts[at + 1, tag] = 1
     counts.cumsum(0, out=counts)
     # row pos: where each tag first comes at or after pos, ascending, keyed
-    first = np.full((n1, len(number)), n1)
+    key = np.int32 if (n1 + 1) ** 2 < 1 << 31 else np.int64
+    first = np.full((n1, len(number)), n1, dtype=key)
     first[at, tag] = at
     np.minimum.accumulate(first[::-1], out=first[::-1])
     first.sort()
-    first += (n1 + 1) * at[:, None]
+    first += np.arange(0, (n1 + 1) * n1, n1 + 1, dtype=key)[:, None]
     variants = _CONJ[mode][2]
     nv = len(variants)
     ends = np.concatenate([words[:, 7 * _SHIFTS:-7].reshape(-1, nv, 13),
@@ -434,7 +447,8 @@ def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
     return PositionTable(mode=mode, planes=planes.ravel(), width=width,
                          ends=ends.reshape(-1, 17), trail=(trail + np.arange(11)).reshape(-1, 11),
                          bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len,
-                         tag=tag, counts=counts.ravel(), first=first.ravel())
+                         tag=tag, counts=counts.ravel(), first=first.ravel(),
+                         longest=max(map(len, sentences)))
 
 
 def arc_slots(table: PositionTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -442,7 +456,8 @@ def arc_slots(table: PositionTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     per distinct POS tag among its mids, twice.  The tags are counted by
     one binary search of ``table.first``, O(log(N T)) an arc."""
     row = np.minimum(a, b) + 1
-    slots = np.searchsorted(table.first, (len(table.tag) + 1) * row + np.maximum(a, b))
+    keys = (len(table.tag) + 1) * row + np.maximum(a, b)
+    slots = np.searchsorted(table.first, keys.astype(table.first.dtype))
     slots -= table.ntags * row
     slots += 17
     slots *= 2
@@ -517,7 +532,7 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int
         first = np.cumsum(nb) - nb
         k = np.arange(first[-1] + nb[-1])
         mid = table.first[k - np.repeat(first - ntags * (np.minimum(a, b) + 1), nb)] \
-            % (len(table.tag) + 1)
+            % np.int64(len(table.tag) + 1)
         # the tag's mids: those before hi less those before its first mid
         tag = table.tag[mid]
         times = table.counts[np.repeat(ntags * np.maximum(a, b), nb) + tag] \
@@ -737,11 +752,16 @@ def _held_arcs(sentence: Sentence, mode: str, allowed: np.ndarray | None):
 def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int,
                offsets: np.ndarray):
     """The slots and multiplicities of a whole arc list whose ``_offsets``
-    are ``offsets``: the list's arrays are allocated once, and
-    ``hash_arcs`` writes each ``hash_blocks`` block into its slice of
-    them."""
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    mult = np.empty(offsets[-1], dtype=table.mult_dtype())
+    are ``offsets``: the list's arrays are views of one allocation, and
+    ``hash_arcs`` writes each ``hash_blocks`` block into its slices of
+    them.  As two allocations, the multiplicities of the chunks of short
+    sentences stayed on the heap among freed temporaries: ``train
+    --system all`` on the bundled training set 12 times over, pruned,
+    peaked at 530 MB RSS against 476 MB as one (2-byte multiplicities
+    both)."""
+    size, dtype = int(offsets[-1]), np.dtype(table.mult_dtype())
+    memory = np.empty((8 + dtype.itemsize) * size, dtype=np.uint8)
+    flat, mult = memory[:8 * size].view(np.int64), memory[8 * size:].view(dtype)
     for lo, hi in hash_blocks(table, offsets):
         hash_arcs(table, a[lo:hi], b[lo:hi], hash_bits, flat[offsets[lo]:offsets[hi]],
                   mult[offsets[lo]:offsets[hi]], offsets[lo:hi + 1] - offsets[lo])
@@ -753,14 +773,18 @@ def featurize_corpus(sentences: list[Sentence], mode: str,
     """``SentenceFeatures(s, mode, hash_bits, mask(s))`` of each sentence
     s, array for array (``mask`` is ``Pruner.mask``, or None to keep
     every candidate arc), built chunk by chunk: consecutive sentences of
-    at most _CHUNK_POSITIONS positions in all share one stacked position
-    table and one ``hash_blocks`` pass, and each cache's slots are a
-    slice of its chunk's."""
+    at most _CHUNK_POSITIONS positions in all, and of one multiplicity
+    dtype, share one stacked position table and one ``hash_blocks``
+    pass, and each cache's slots and multiplicities are slices of its
+    chunk's."""
     check_hash_bits(hash_bits)
     caches, lo = [], 0
     while lo < len(sentences):
         hi, size = lo + 1, len(sentences[lo]) + 1
-        while hi < len(sentences) and size + len(sentences[hi]) + 1 <= _CHUNK_POSITIONS:
+        # a chunk's sentences share a multiplicity dtype, each its own
+        dtype = _mult_dtype(len(sentences[lo]))
+        while hi < len(sentences) and size + len(sentences[hi]) + 1 <= _CHUNK_POSITIONS \
+                and _mult_dtype(len(sentences[hi])) == dtype:
             size += len(sentences[hi]) + 1
             hi += 1
         chunk = sentences[lo:hi]

@@ -819,33 +819,37 @@ def test_corpus_pass_equals_one_cache_a_sentence(bundled, monkeypatch, mode, pru
     ``SentenceFeatures(sentence, mode, hash_bits, mask)``, byte for byte
     and read-only alike, over chunks of at most _CHUNK_POSITIONS
     positions: 1-token sentences, forms and tags past 256 bytes, a
-    70-token sentence whose arcs take several hashing blocks, and
-    sentences with 40-byte tags, whose shifts go past 64, stacked with
-    15-byte ones."""
+    94-token sentence whose arcs take several hashing blocks, sentences
+    with 40-byte tags, whose shifts go past 64, stacked with 15-byte
+    ones, and a 256-token sentence, whose multiplicities take 2 bytes
+    where the others' take 1, in a chunk of its own."""
     pruner, dev = bundled
     one = sent([("x", "NN")])
-    long = join_sentences(dev[2:10])
+    long = join_sentences(dev[2:12])
+    huge = join_sentences(dev[:27])
     wide = [padded(s, 40) for s in dev[10:14]]
-    corpus = [one, FIXTURE, WIDE] + dev[:40] + [long] + wide + [one] + dev[40:60]
+    corpus = [one, FIXTURE, WIDE] + dev[:40] + [long] + wide + [one, huge] + dev[40:60]
     rules = build_pruner(dev + wide + [WIDE])
     mask = rules.mask if pruned else None
     chunks, real = [], features.position_table
 
     def table(sentences, table_mode):
-        chunks.append(len(sentences))
+        chunks.append(sentences)
         return real(sentences, table_mode)
 
     monkeypatch.setattr(features, "position_table", table)
     caches = featurize_corpus(corpus, mode, 22, mask)
     monkeypatch.undo()
-    assert len(chunks) >= 2 and sum(chunks) == len(corpus)
+    assert len(chunks) >= 2 and sum(map(len, chunks)) == len(corpus)
     assert len(caches) == len(corpus)
     full = SentenceFeatures(long, mode, 22)
-    assert len(full._flat) > features._BLOCK_SLOTS
+    assert len(long) == 94 and len(full._flat) > 2 * features._BLOCK_SLOTS
+    assert len(huge) == 256 and any(len(c) == 1 and c[0] is huge for c in chunks)
     for sentence, cache in zip(corpus, caches):
         alone = SentenceFeatures(sentence, mode, 22, None if mask is None else mask(sentence))
         assert cache.sentence is sentence
         assert (cache.mode, cache.hash_bits) == (mode, 22)
+        assert cache._mult.dtype == (np.uint16 if sentence is huge else np.uint8)
         for name in ("pair_a", "pair_b", "_flat", "_mult", "_starts"):
             got, want = getattr(cache, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
