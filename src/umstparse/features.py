@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conll import Sentence
-from .errors import DataError, InputError
+from .errors import DataError, InputError, StructureError
 
 ROOT_FORM = "*root*"
 ROOT_POS = "*ROOT*"
@@ -319,7 +319,7 @@ def _mult_dtype(tokens: int) -> type:
     return np.uint8 if tokens < 1 << 8 else np.uint16 if tokens < 1 << 16 else np.int32
 
 
-@dataclass
+@dataclass(frozen=True)
 class PositionTable:
     """What ``hash_arcs`` gathers from, for the positions of one or more
     sentences (``position_table``) in feature family ``mode``.
@@ -332,8 +332,8 @@ class PositionTable:
     shift-major: piece k of position pos at L * stride + 13 * pos + k,
     with stride = 13 N for N positions (n + 1 for one sentence), so an
     index names its shift even past the planes held.  ``width`` is the
-    longest shift of any sentence plus one; the table starts with shifts
-    below min(width, 64); ``hash_blocks`` adds more.
+    longest shift of any sentence plus one; the table holds the shifts
+    below min(width, 64), and ``read`` composes the others.
 
     Row V * pos + v of the others describes pos as b in variant v: ``ends``
     holds its 17 ends (its unigrams in both roles, then the suffix of each
@@ -383,7 +383,7 @@ class PositionTable:
     def read(self, at: np.ndarray) -> np.ndarray:
         """The planes at flat indices ``at``: a gather when the table holds
         every shift below the width, else ``_combine`` of each plane read
-        from its unshifted one.  A read never changes the table."""
+        from its unshifted one.  The table never changes."""
         stride = 13 * len(self.pos_len)
         if len(self.planes) < self.width * stride:
             return _combine(self.planes[at % stride], 0, at // stride)
@@ -403,11 +403,11 @@ def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
     memo rows, where the width is the longest shift any sentence reads (a
     suffix, or btw's mid POS and |{bp}, plus a conjunction) plus one: for
     N positions, a fixed cost of N * 13 * min(width, 64) planes and
-    N * V * 17 ends copied.  The planes of longer shifts could
-    outnumber the slots that read them: a pruned 10-token sentence with
-    40-byte tags has about 1,000 slots and would need 3,700 more, and
-    planes up to the shift of a 100 kB form would take 10 MB a token.
-    ``hash_blocks`` builds them only for a list with slots enough."""
+    N * V * 17 ends copied.  No plane of a longer shift is built: such
+    planes could outnumber the slots that read them (a pruned 10-token
+    sentence with 40-byte tags has about 1,000 slots and would need 3,700
+    more, and planes up to the shift of a 100 kB form would take 10 MB a
+    token), so every read of a wider table composes (``read``)."""
     words, contexts, names = [], [], []
     for sentence in sentences:
         forms = [ROOT_FORM] + [t.form for t in sentence.tokens]
@@ -494,7 +494,7 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int
     arcs' sentence, or of a stack of sentences with each arc's ends at
     its sentence's positions there; the call reads it and never changes
     it.  An arc's slots do not depend on the other arcs of the call
-    (``hash_blocks`` cuts lists, and builds planes).
+    (``hash_blocks`` cuts lists).
 
     Every slot XORs gathers from ``table``, by
     crc(A + B + C) = Z_{|B|+|C|}(crc A) ^ Z_{|C|}(crc B) ^ crc C:
@@ -548,22 +548,14 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int
     flat &= (1 << hash_bits) - 1
 
 
-def hash_blocks(table: PositionTable, offsets: np.ndarray):
+def hash_blocks(offsets: np.ndarray):
     """Yield (lo, hi) for consecutive blocks of an arc list, the arcs
     lo..hi-1 whose slots lie at offsets[lo]:offsets[hi] (``offsets`` is
     ``_offsets`` of the list), at most _BLOCK_SLOTS slots each (an arc
     longer than a block is its own).  The caller hashes each block
     (``hash_arcs``) into memory it owns; so a cache costs its stored slots
-    plus one block's temporaries, and scoring O(n²) plus one block.
-    The only code that builds planes: before the first block, all those
-    the table lacks, if they number at most the list's slots and at most
-    max(one block, 13 N²) for N positions (n+1 for one sentence), to stay
-    O(n²); else every read composes."""
-    n1, lo, count = len(table.pos_len), 0, len(offsets) - 1
-    missing = table.width * 13 * n1 - len(table.planes)
-    if 0 < missing <= min(int(offsets[-1]), max(_BLOCK_SLOTS, 13 * n1 * n1)):
-        shifts = np.arange(len(table.planes) // (13 * n1), table.width)[:, None]
-        table.planes = np.r_[table.planes, _combine(table.planes[:13 * n1], 0, shifts).ravel()]
+    plus one block's temporaries, and scoring O(n²) plus one block."""
+    lo, count = 0, len(offsets) - 1
     while lo < count:
         hi = count
         if offsets[-1] - offsets[lo] > _BLOCK_SLOTS:
@@ -629,7 +621,7 @@ class LazyArcScores:
         longest = 2 * (17 + self._table.ntags)
         size = min(int(offsets[-1]), max(_BLOCK_SLOTS, longest))
         buffer, times = np.empty(size, dtype=np.int64), np.empty(size, self._table.mult_dtype())
-        for lo, hi in hash_blocks(self._table, offsets):
+        for lo, hi in hash_blocks(offsets):
             at = offsets[lo:hi + 1] - offsets[lo]
             flat, mult = buffer[:at[-1]], times[:at[-1]]
             hash_arcs(self._table, a[lo:hi], b[lo:hi], self._model.hash_bits, flat, mult, at)
@@ -648,54 +640,51 @@ class SentenceFeatures:
     """Hashed feature indices for every candidate arc of one sentence.
 
     Built once per sentence and reused across epochs; scoring all arcs is
-    then a single gather + segmented sum over the weight vector.  Arcs
-    that ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps
-    every candidate arc) drops are simply absent: a cache holds what a
-    parse with that mask scores.  Pairs are (head, mod) in directed mode
-    and (left, right) in undirected mode, row-major; each pair's run of
-    slots (``_flat``, at ``_starts``, the ``_offsets`` but the last) and
-    multiplicities (``_mult``) is
-    what ``hash_arcs`` writes, 2 (17 + c) slots for c distinct mid tags,
-    so a directed cache of an n-token sentence with T tags holds
-    O(n² T) slots.  ``sum_indices`` gathers the slots of held arcs from
-    these runs.  A cache is the one-sentence case of
-    ``featurize_corpus``, which training builds its caches with.  A cache
-    keeps no position table (a training run keeps every cache): it hashes
-    an arc it does not hold from one built for the call.
+    then a single gather + segmented sum over the weight vector.  A pair
+    survives ``allowed`` (a pruner's arc mask, ``Pruner.mask``; None keeps
+    every candidate arc) when either of its directions does.  An
+    undirected cache holds the surviving pairs (left, right); a directed
+    one holds both directions (head, mod) of each, but no arc into the
+    root, so it holds every arc a parse with that mask can predict.
+    ``dropped`` holds the held arcs the mask drops, as (heads, mods),
+    which ``directed_score_table`` reads as -inf (none in undirected
+    mode).  Pairs are row-major; each pair's run of slots (``_flat``,
+    at ``_starts``, the ``_offsets`` but the last) and multiplicities
+    (``_mult``) is what ``hash_arcs`` writes, 2 (17 + c) slots for c
+    distinct mid tags, so a directed cache of an n-token sentence with T
+    tags holds O(n² T) slots.  ``sum_indices`` gathers the slots of held
+    arcs from these runs.  A cache is the one-sentence case of
+    ``featurize_corpus``, which training builds its caches with, and
+    keeps no position table (a training run keeps every cache).
     """
 
     def __init__(self, sentence: Sentence, mode: str,
                  hash_bits: int = DEFAULT_HASH_BITS,
                  allowed: np.ndarray | None = None):
         check_hash_bits(hash_bits)
-        a, b = _held_arcs(sentence, mode, allowed)
+        a, b, dropped = _held_arcs(sentence, mode, allowed)
         table = position_table([sentence], mode)
         offsets = _offsets(table, a, b)
-        self._hold(sentence, mode, hash_bits, a, b,
+        self._hold(sentence, mode, hash_bits, a, b, dropped,
                    *_hash_list(table, a, b, hash_bits, offsets), offsets)
 
-    def _hold(self, sentence, mode, hash_bits, a, b, flat, mult, offsets) -> None:
+    def _hold(self, sentence, mode, hash_bits, a, b, dropped, flat, mult, offsets) -> None:
         self.sentence = sentence
         self.mode = mode
         self.hash_bits = hash_bits
-        self.pair_a, self.pair_b, self._flat, self._mult, self._offsets = a, b, flat, mult, offsets
-        self._layout = None
-        for array in (a, b, flat, mult, offsets):
+        self.pair_a, self.pair_b, self.dropped = a, b, dropped
+        self._flat, self._mult, self._offsets = flat, mult, offsets
+        for array in (a, b, *dropped, flat, mult, offsets):
             array.setflags(write=False)
         self._starts = offsets[:-1]
 
     def pair_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The undirected view of a directed cache, which u-mst-df reads:
-        the pairs (u, v), u < v, that survive (``pair_mask`` of the held
-        arcs), row-major.  Built on the first call and kept, read-only: it
-        depends on the arcs, not on the weights."""
-        if self._layout is None:
-            held = np.zeros((len(self.sentence) + 1,) * 2, dtype=bool)
-            held[self.pair_a, self.pair_b] = True
-            self._layout = np.nonzero(pair_mask(held))
-            for array in self._layout:
-                array.setflags(write=False)
-        return self._layout
+        the pairs (u, v), u < v, that survive, row-major.  The cache holds
+        both directions of each, or only (0, v) at the root, so these are
+        its held arcs with u < v."""
+        forward = self.pair_a < self.pair_b
+        return self.pair_a[forward], self.pair_b[forward]
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -706,47 +695,47 @@ class SentenceFeatures:
         """Score of every stored pair, aligned with self.pairs."""
         return _scores(weights, self._flat, self._mult, self._starts)
 
-    def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray, bool]:
-        """The slots of the arcs ``gained`` then ``lost``, in that order
-        and each as ``hash_arcs`` lays it out; the amount a perceptron
-        update adds at each slot, its multiplicity times +1.0 for a gained
-        arc and -1.0 for a lost one; and whether the slots were hashed.
-        When the cache holds every arc, each run is gathered from the
-        stored slots and multiplicities (False); when it lacks one (an arc
-        its mask dropped, as a pruned u-mst-df prediction can direct a
-        pair), all are hashed by ``hash_blocks`` from a fresh
-        ``position_table`` (True).  Both give the same slots in the same
-        order; no arcs give two empty arrays."""
+    def sum_indices(self, gained, lost=()) -> tuple[np.ndarray, np.ndarray]:
+        """The slots of the arcs ``gained`` then ``lost``, in that order,
+        each arc's run gathered from the stored slots; and the amount a
+        perceptron update adds at each slot, its stored multiplicity times
+        +1.0 for a gained arc and -1.0 for a lost one.  No arcs give two
+        empty arrays.  Every arc must be held, as an update's are: the
+        pruner keeps every gold arc of its own corpus, and a prediction
+        makes only held arcs.  Any other arc is a StructureError."""
         arcs = np.asarray([*gained, *lost], dtype=np.int64).reshape(-1, 2)
-        a, b = arcs[:, 0], arcs[:, 1]
         n1 = len(self.sentence) + 1
         # np.nonzero stores the pairs row-major, so their keys are sorted
         keys = self.pair_a * n1 + self.pair_b
-        wanted = a * n1 + b
+        wanted = arcs[:, 0] * n1 + arcs[:, 1]
         at = np.searchsorted(keys, wanted)
-        hashed = not ((at < len(keys)).all() and (keys[at] == wanted).all())
-        if hashed:
-            table = position_table([self.sentence], self.mode)
-            offsets = _offsets(table, a, b)
-            flat, mult = _hash_list(table, a, b, self.hash_bits, offsets)
-            lengths = np.diff(offsets)
-        else:
-            first = self._offsets[at]
-            lengths = self._offsets[at + 1] - first
-            ends = np.cumsum(lengths)
-            run = np.arange(lengths.sum()) + np.repeat(first + lengths - ends, lengths)
-            flat, mult = self._flat[run], self._mult[run]
-        step = mult.astype(np.float64)
+        if not ((at < len(keys)).all() and (keys[at] == wanted).all()):
+            raise StructureError(f"an update arc is not held by the {self.mode} cache")
+        first = self._offsets[at]
+        lengths = self._offsets[at + 1] - first
+        ends = np.cumsum(lengths)
+        run = np.arange(lengths.sum()) + np.repeat(first + lengths - ends, lengths)
+        step = self._mult[run].astype(np.float64)
         step[lengths[:len(gained)].sum():] *= -1.0
-        return flat, step, hashed
+        return self._flat[run], step
+
+
+# an undirected cache's ``dropped``
+_NO_ARCS = (np.empty(0, dtype=np.int64),) * 2
 
 
 def _held_arcs(sentence: Sentence, mode: str, allowed: np.ndarray | None):
-    """The arcs (or pairs) a cache holds, row-major."""
+    """The arcs (or pairs) a cache holds, row-major, and the held arcs
+    ``allowed`` drops (see ``SentenceFeatures``)."""
     if mode not in _ROLES:
         raise InputError(f"unknown feature mode {mode!r}")
-    arcs = arc_matrix(len(sentence)) if allowed is None else allowed
-    return np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
+    if mode == "undirected":
+        kept = arc_matrix(len(sentence)) if allowed is None else allowed
+        return (*np.nonzero(pair_mask(kept)), _NO_ARCS)
+    arcs = arc_matrix(len(sentence))
+    allowed = arcs if allowed is None else allowed
+    held = allowed | (allowed.T & arcs)
+    return (*np.nonzero(held), np.nonzero(held & ~allowed))
 
 
 def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int,
@@ -762,7 +751,7 @@ def _hash_list(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: in
     size, dtype = int(offsets[-1]), np.dtype(table.mult_dtype())
     memory = np.empty((8 + dtype.itemsize) * size, dtype=np.uint8)
     flat, mult = memory[:8 * size].view(np.int64), memory[8 * size:].view(dtype)
-    for lo, hi in hash_blocks(table, offsets):
+    for lo, hi in hash_blocks(offsets):
         hash_arcs(table, a[lo:hi], b[lo:hi], hash_bits, flat[offsets[lo]:offsets[hi]],
                   mult[offsets[lo]:offsets[hi]], offsets[lo:hi + 1] - offsets[lo])
     return flat, mult
@@ -789,11 +778,11 @@ def featurize_corpus(sentences: list[Sentence], mode: str,
             hi += 1
         chunk = sentences[lo:hi]
         pairs = [_held_arcs(s, mode, None if mask is None else mask(s)) for s in chunk]
-        counts = [len(a) for a, _ in pairs]
+        counts = [len(a) for a, _, _ in pairs]
         # in the stacked table, a sentence's positions follow the previous one's
         shift = np.repeat(np.cumsum([0] + [len(s) + 1 for s in chunk[:-1]]), counts)
-        a = np.concatenate([a for a, _ in pairs]) + shift
-        b = np.concatenate([b for _, b in pairs]) + shift
+        a = np.concatenate([a for a, _, _ in pairs]) + shift
+        b = np.concatenate([b for _, b, _ in pairs]) + shift
         firsts = np.cumsum([0] + counts).tolist()      # each sentence's first arc
         table = position_table(chunk, mode)
         offsets = _offsets(table, a, b)
@@ -804,9 +793,9 @@ def featurize_corpus(sentences: list[Sentence], mode: str,
         # untrimmed after u-mst-df's training (mallinfo2).
         runs = [offsets[i:j + 1] - offsets[i] for i, j in spans]
         flat, mult = _hash_list(table, a, b, hash_bits, offsets)
-        for sentence, (pair_a, pair_b), (i, j), at in zip(chunk, pairs, spans, runs):
+        for sentence, held, (i, j), at in zip(chunk, pairs, spans, runs):
             cache = SentenceFeatures.__new__(SentenceFeatures)
-            cache._hold(sentence, mode, hash_bits, pair_a, pair_b, flat[offsets[i]:offsets[j]],
+            cache._hold(sentence, mode, hash_bits, *held, flat[offsets[i]:offsets[j]],
                         mult[offsets[i]:offsets[j]], at)
             caches.append(cache)
         lo = hi

@@ -159,19 +159,23 @@ def directed_score_table(sentence: Sentence, model: Model,
                          cache: SentenceFeatures | None = None) -> np.ndarray:
     """The (n+1)x(n+1) matrix of arc scores, ``[head, mod]``, of every
     directed arc of the sentence that ``allowed`` (a ``Pruner.mask``; None
-    for all) keeps, or that ``cache`` holds; every other entry is -inf.
-    It is the one route to a sentence's directed scores: CLE reads it, and
-    so do u-mst-df's pairs, with or without a cache.
+    for all) keeps; every other entry is -inf.  It is the one route to a
+    sentence's directed scores: CLE reads it, and so do u-mst-df's pairs,
+    with or without a cache.
 
-    ``cache`` is a training cache, whose stored slots are gathered; without
-    one, the matrix is ``LazyArcScores(sentence, model, allowed).table()``,
-    bit for bit the same scores in O(n²) memory plus one hashing block."""
+    ``cache`` is a training cache built with the mask (``allowed`` is then
+    not read): its stored slots are gathered, and the arcs it holds but
+    its mask dropped (``SentenceFeatures.dropped``) read -inf.  Without
+    one, the matrix is ``LazyArcScores(sentence, model, allowed).table()``.
+    Both give the same bytes; the scorer takes O(n²) memory plus one
+    hashing block."""
     if model.mode != "directed":
         raise InputError("directed score table needs a directed-mode model")
     if cache is None:
         return LazyArcScores(sentence, model, allowed).table()
     matrix = np.full((len(sentence) + 1,) * 2, -np.inf)
     matrix[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+    matrix[cache.dropped] = -np.inf
     return matrix
 
 
@@ -201,10 +205,9 @@ def build_parse_graph(sentence: Sentence, model: Model,
     the larger one, its only present arc.  ``allowed`` is the pruner's arc
     mask (``Pruner.mask``; None keeps every arc): a pair survives when
     either of its directions does, and pairs touching the root always
-    survive, keeping the graph connected.  A given ``cache`` holds only
-    what ``allowed`` keeps (``SentenceFeatures`` built with that mask); a
-    directed one also keeps its surviving pairs (``pair_layout``, built
-    once per cache), which do not depend on the weights.
+    survive, keeping the graph connected.  A given ``cache`` is the
+    ``SentenceFeatures`` built with that mask; a directed one gives the
+    surviving pairs (``pair_layout``).
     """
     n = len(sentence)
     matrix = None

@@ -10,24 +10,22 @@ pruned as parse would prune them, by one corpus pass
 (``features.featurize_corpus``): chunks of consecutive sentences, each
 hashed from one stacked position table, with each sentence's cache a
 slice of its chunk's slots.  d-mst and u-mst-df predictions read the
-directed scores from one ``directed_score_table`` call on the cache;
-u-mst-df caches also keep their surviving undirected pairs, built at
-the first prediction.  Training then runs in the corpus's slot space
-(``_SlotSpace``): the sorted distinct slots the caches hold, numbered,
-with each cache's stored slots rewritten in place as their numbers, so
-a prediction gathers its scores from a weight vector of that length
-(270k entries for perfbench ``long``'s 40 caches, against 2**22 in the
-table) and an update adds to it and to a running sum of the same length.
-An update touches only the arcs where gold and prediction differ (a new
-model's weights and their running sum receive whole numbers, so the
-shared arcs' additions would cancel exactly), and gathers their numbers
-and multiplicities from the sentence's cache, adding each multiplicity
-once where the string templates would add 1 per mid; whole numbers sum
-exactly in any order, so this changes no weight.  Only an arc the cache
-lacks, in a pruned u-mst-df update, makes ``sum_indices`` hash them all
-from a position table built for the update (it says so), and their
-slots are then numbered through the space, which a slot no cache holds
-joins.
+directed scores from one ``directed_score_table`` call on the cache.  A
+pruned directed cache holds both directions of every pair its mask
+keeps, and reads the directions the mask dropped as -inf, so it holds
+every arc a prediction can make.  Training then runs in the corpus's
+slot space (``_SlotSpace``): the sorted distinct slots the caches hold,
+numbered, with each cache's stored slots rewritten in place as their
+numbers, so a prediction gathers its scores from a weight vector of
+that length (270k entries for perfbench ``long``'s 40 caches, against
+2**22 in the table) and an update adds to it and to a running sum of
+the same length.  An update touches only the arcs where gold and
+prediction differ (a new model's weights and their running sum receive
+whole numbers, so the shared arcs' additions would cancel exactly), and
+gathers their numbers and multiplicities from the sentence's cache
+(``sum_indices``), adding each multiplicity once where the string
+templates would add 1 per mid; whole numbers sum exactly in any order,
+so this changes no weight.  No update hashes.
 Averaging is one pass over the space, since the running sum is 0
 wherever no update landed, and writes the averaged weights into the
 model's table at the space's slots; every other slot keeps its weight.
@@ -93,13 +91,12 @@ def _arcs(heads, mode: str) -> list[tuple[int, int]]:
 
 
 class _SlotSpace:
-    """The slots a training run reads and writes, numbered: first the
-    sorted distinct slots its caches hold (``held``), then each slot a
-    hashed update adds, in the order they come.  Building it rewrites every
-    cache's stored slots in place as these numbers, so that predictions
-    gather from ``model``, the model with the compact ``weights`` in place
-    of the full table; ``sums`` holds their running sums.  Both have room
-    past the slots numbered so far, which added slots fill.
+    """The slots a training run reads and writes: the sorted distinct
+    slots its caches hold (``held``), numbered in that order.  Building it
+    rewrites every cache's stored slots in place as these numbers, so that
+    predictions gather from ``model``, the model with the compact
+    ``weights`` in place of the full table, and updates add to
+    ``weights`` and to their running sums, ``sums``.
 
     A bool mark and then an int64 table from slot to number, each of
     2**hash_bits entries, exist only while the space is built."""
@@ -120,42 +117,14 @@ class _SlotSpace:
             np.take(table, flat, out=flat, mode="clip")
             flat.setflags(write=False)
         self._full = model.weights
-        self._added: dict[int, int] = {}
         self.weights = self._full[self.held]
         self.sums = np.zeros(len(self.held))
         self.model = replace(model, weights=self.weights)
 
-    def ids(self, slots: np.ndarray) -> np.ndarray:
-        """The numbers of ``slots``; a slot that no cache holds joins the
-        space, with the model's weight there and a zero sum."""
-        ids = np.searchsorted(self.held, slots)
-        miss = np.flatnonzero(self.held[np.minimum(ids, len(self.held) - 1)] != slots)
-        missed = slots[miss].tolist()
-        new = [slot for slot in dict.fromkeys(missed) if slot not in self._added]
-        if new:
-            first = len(self.held) + len(self._added)
-            end = first + len(new)
-            self._added.update(zip(new, range(first, end)))
-            if end > len(self.weights):
-                # room for as many added slots again
-                more = 2 * end - len(self.held) - len(self.weights)
-                self.weights = np.concatenate([self.weights, np.empty(more)])
-                self.sums = np.concatenate([self.sums, np.zeros(more)])
-                self.model.weights = self.weights
-            self.weights[first:end] = self._full[new]
-        ids[miss] = [self._added[slot] for slot in missed]
-        return ids
-
-    @property
-    def slots(self) -> np.ndarray:
-        """Every slot of the space, in the order of their numbers."""
-        return np.concatenate([self.held, np.fromiter(self._added, np.int64)])
-
     def average(self, steps: int) -> None:
         """Write the averaged weights into the model's table; where no
         update landed the sum is 0, and w - 0.0 / steps is w."""
-        slots = self.slots
-        self._full[slots] = self.weights[:len(slots)] - self.sums[:len(slots)] / steps
+        self._full[self.held] = self.weights - self.sums / steps
 
 
 def _predict(sentence: Sentence, model: Model, config: ParserConfig,
@@ -223,10 +192,7 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
             if gold_set != pred_set:
                 gained = [arc for arc in gold_arcs if arc not in pred_set]
                 lost = [arc for arc in pred_arcs if arc not in gold_set]
-                ids, step, hashed = cache.sum_indices(gained, lost)
-                if hashed:
-                    # slots, not the numbers a cache holds
-                    ids = space.ids(ids)
+                ids, step = cache.sum_indices(gained, lost)
                 np.add.at(space.weights, ids, step)
                 np.add.at(space.sums, ids, step * (t - 1))
             t += 1

@@ -253,6 +253,14 @@ def directed_arcs(sentence, pruner=None):
             if h != m and (pruner is None or pruner.allows(sentence, h, m))]
 
 
+def held_arcs(sentence, pruner=None):
+    """Candidate arcs (head, mod) in row-major order whose pair survives
+    the scalar pruning rule (either direction kept): the arcs a directed
+    cache holds."""
+    return [(h, m) for h, m in directed_arcs(sentence)
+            if pruner is None or pruner.allows(sentence, h, m) or pruner.allows(sentence, m, h)]
+
+
 def undirected_pairs(sentence, pruner=None):
     """Pairs (i, j), i < j, in row-major order, kept when either direction
     survives the scalar pruning rule."""

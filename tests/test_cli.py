@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from umstparse import cli
@@ -667,6 +668,28 @@ def test_structure_error_is_one_internal_error_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: spanning tree does not cover all vertices\n"
+
+
+def test_an_update_arc_outside_the_cache_exits_3(mini_corpus, tmp_path, monkeypatch, capsys):
+    """Training's caches hold every arc an update reads.  A mask that keeps
+    only the root's arcs drops gold arcs from the pruned u-mst-df caches,
+    which breaks that invariant: ``train`` ends in exit 3 with one line
+    and writes no model."""
+    from umstparse import inference
+
+    def root_arcs_only(self, sentence):
+        allowed = np.zeros((len(sentence) + 1,) * 2, dtype=bool)
+        allowed[0, 1:] = True
+        return allowed
+
+    monkeypatch.setattr(inference.Pruner, "mask", root_arcs_only)
+    capsys.readouterr()
+    model = tmp_path / "u-mst-df.model"
+    assert run("train", "--train", mini_corpus[0], "--model-out", model, "--system", "u-mst-df",
+               "--pruning", "length-dictionary", *TRAIN_FLAGS) == 3
+    assert capsys.readouterr().err == \
+        "internal error: an update arc is not held by the directed cache\n"
+    assert not model.exists()
 
 
 def test_parse_keeps_non_tree_gold_with_a_warning(bad_input_files, tmp_path, caplog):

@@ -9,21 +9,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from umstparse import features
 from umstparse.conll import Sentence, Token, load_conll
-from umstparse.errors import DataError, InputError
+from umstparse.errors import DataError, InputError, StructureError
 from umstparse.features import (COMBINERS, LazyArcScores, Model, SentenceFeatures,
                                 arc_matrix, arc_slots, distance_bin, featurize_corpus,
                                 hash_arcs, load_model, pair_mask, position_table,
                                 save_model)
-from umstparse.inference import build_pruner
+from umstparse.inference import build_pruner, directed_score_table
 from umstparse.training import TrainConfig
 
 from oracles import (
     FeatureVector,
-    directed_arcs,
     directed_feature_strings,
     extract_directed,
     extract_undirected,
     hash_feature,
+    held_arcs,
     join_sentences,
     one_call_slots,
     score,
@@ -280,7 +280,7 @@ class TestSentenceFeatures:
     def test_cached_indices_match_extraction(self):
         cache = SentenceFeatures(FIXTURE, "undirected", hash_bits=12)
         fv = extract_undirected(FIXTURE, 1, 4, hash_bits=12)
-        slots, step, _ = cache.sum_indices([(1, 4)])
+        slots, step = cache.sum_indices([(1, 4)])
         assert sorted(slot_multiset(slots, step.astype(np.int64)).elements()) == \
             fv.indices.tolist()
 
@@ -300,10 +300,9 @@ class TestSentenceFeatures:
         calls = []
         monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
         for cache in (empty, full):
-            slots, step, hashed = cache.sum_indices([], [])
+            slots, step = cache.sum_indices([], [])
             assert slots.dtype == np.int64 and len(slots) == 0
             assert step.dtype == np.float64 and len(step) == 0
-            assert hashed is False
         assert calls == []
 
 
@@ -348,12 +347,13 @@ def _string_multiset(strings, mask):
 def test_cache_matches_string_oracle_slot_multisets(bundled, mode):
     """Every pair's slots, with their multiplicities, fire as the CRC32s
     of its feature strings do: the same slots, each as often, both as
-    stored and as ``sum_indices`` gathers or hashes them; pairs come in
-    row-major order.  (A btw slot stands for every mid with its tag, so
-    the runs are not the strings' order.)  Dev sentences with 15-byte
-    tags read only planes copied from memo rows; with 40-byte tags, the
-    calls of the longest sentences build the planes past the memo's 64
-    shifts, and the others compose those they read."""
+    stored and as ``sum_indices`` gathers them; pairs come in row-major
+    order, and a pruned directed cache holds both directions of each
+    pair the scalar rule keeps, naming those it drops in ``dropped``.  (A
+    btw slot stands for every mid with its tag, so the runs are not the
+    strings' order.)  Dev sentences with 15-byte tags read only planes
+    copied from memo rows; with 40-byte tags, every read past the memo's
+    64 shifts composes."""
     pruner, dev = bundled
     long = join_sentences(dev[2:10])
     assert len(long) == 70
@@ -363,7 +363,7 @@ def test_cache_matches_string_oracle_slot_multisets(bundled, mode):
               for width in (15, 40)}
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
-    enumerate_pairs = directed_arcs if mode == "directed" else undirected_pairs
+    enumerate_pairs = held_arcs if mode == "directed" else undirected_pairs
     cases = [(sentence, pruner) for sentence in (FIXTURE, long, WIDE)]
     cases += [(sentence, rules) for sentences, rules in tagged.values()
               for sentence in sentences]
@@ -372,6 +372,8 @@ def test_cache_matches_string_oracle_slot_multisets(bundled, mode):
         for rule in (None, rules):
             pairs = enumerate_pairs(sentence, rule)
             allowed = None if rule is None else rule.mask(sentence)
+            dropped = [arc for arc in pairs if mode == "directed" and rule is not None
+                       and not rule.allows(sentence, *arc)]
             for a, b in pairs:
                 if (a, b) not in texts:
                     texts[a, b] = strings(sentence, a, b)
@@ -379,11 +381,12 @@ def test_cache_matches_string_oracle_slot_multisets(bundled, mode):
                 mask = (1 << hash_bits) - 1
                 cache = SentenceFeatures(sentence, mode, hash_bits, allowed)
                 assert cache.pairs == pairs
+                assert list(zip(*(d.tolist() for d in cache.dropped))) == dropped
                 expected = [_string_multiset(texts[p], mask) for p in pairs]
                 for (a, b), want in zip(pairs, expected):
-                    slots, step, hashed = cache.sum_indices([(a, b)])
-                    assert slot_multiset(slots, step) == want and not hashed
-                slots, step, _ = cache.sum_indices(pairs)
+                    slots, step = cache.sum_indices([(a, b)])
+                    assert slot_multiset(slots, step) == want
+                slots, step = cache.sum_indices(pairs)
                 assert _multisets(slots, step.astype(np.int64), cache._starts) == expected
                 # the stored slots, which parse and training predictions read
                 assert _multisets(cache._flat, cache._mult, cache._starts) == expected
@@ -438,12 +441,36 @@ def test_directed_slots_grow_with_the_tags_not_the_distance():
     assert cache._mult[cache._starts[-1]:].sum() == 2 * (16 + n)
 
 
+def test_a_masked_directed_cache_holds_both_directions_of_each_pair(bundled):
+    """A directed cache built with a mask holds both directions of every
+    pair the mask keeps (either direction allowed), only (0, v) of a root
+    pair, and no other arc.  ``dropped`` lists, row-major, the held arcs
+    the mask drops, and ``pair_layout`` the pairs an undirected cache
+    with that mask holds."""
+    pruner, dev = bundled
+    for sentence in dev[:40] + [join_sentences(dev[2:10])]:
+        allowed = pruner.mask(sentence)
+        cache = SentenceFeatures(sentence, "directed", 12, allowed)
+        pairs = undirected_pairs(sentence, pruner)
+        both = {(a, b) for a, b in pairs} | {(b, a) for a, b in pairs if a > 0}
+        assert cache.pairs == sorted(both)
+        assert list(zip(*(d.tolist() for d in cache.dropped))) == \
+            [arc for arc in cache.pairs if not allowed[arc]]
+        u, v = cache.pair_layout()
+        assert list(zip(u.tolist(), v.tolist())) == pairs == \
+            SentenceFeatures(sentence, "undirected", 12, allowed).pairs
+
+
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
-def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
-    """A pruned cache keeps no position table, yet the arcs (or pairs) its
-    mask dropped still get their oracle slots, hashed from a table built
-    for the call, alone and beside arcs the cache holds; the signs mark
-    the gained arcs' slots +1 and the lost arcs' -1."""
+def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, monkeypatch, mode):
+    """A pruned cache keeps no position table.  A directed one holds both
+    directions of each pair its mask keeps, so the arcs its mask dropped
+    in such a pair are gathered from its stored slots and fire as their
+    strings do, alone and beside arcs the mask kept; the signs mark the
+    gained arcs' slots +1 and the lost arcs' -1.  An arc (or pair) of no
+    surviving pair, or no candidate at all, is not held: asking for it,
+    gained or lost, alone or beside held arcs, is a StructureError, and
+    hashes nothing."""
     pruner, dev = bundled
     sentence = join_sentences(dev[2:10])
     allowed = pruner.mask(sentence)
@@ -455,50 +482,56 @@ def test_arcs_a_pruned_cache_dropped_match_the_string_oracle(bundled, mode):
         kept, candidates = pair_mask(allowed), np.triu(candidates, 1)
         strings = undirected_feature_strings
     dropped = [tuple(arc) for arc in np.argwhere(candidates & ~kept).tolist()]
-    assert len(dropped) and not set(dropped) & set(pruned.pairs)
+    held = [arc for arc in dropped if arc in set(pruned.pairs)]
+    missing = [arc for arc in dropped if arc not in set(pruned.pairs)]
+    assert held == (list(zip(*(d.tolist() for d in pruned.dropped))) if mode == "directed"
+                    else [])
+    assert len(held) >= (100 if mode == "directed" else 0) and len(missing) >= 100
 
     def oracle(gained, lost=()):
         signed = [(hash_feature(f, 12), sign) for arcs, sign in ((gained, 1), (lost, -1))
                   for a, b in arcs for f in strings(sentence, a, b)]
         return slot_multiset(*zip(*signed))
 
-    for a, b in dropped[::7]:
-        slots, step, hashed = pruned.sum_indices([(a, b)])
-        assert slot_multiset(slots, step) == oracle([(a, b)]) and hashed
-    gained, lost = dropped[:3], [pruned.pairs[0], dropped[-1]]
-    slots, step, hashed = pruned.sum_indices(gained, lost)
-    assert slot_multiset(slots, step) == oracle(gained, lost) and hashed
-    split = len(pruned.sum_indices(gained)[0])
-    assert (step[:split] > 0).all() and (step[split:] < 0).all()
+    calls = []
+    monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
+    for a, b in held[::7]:
+        slots, step = pruned.sum_indices([(a, b)])
+        assert slot_multiset(slots, step) == oracle([(a, b)])
+    if held:
+        gained, lost = held[:3], [pruned.pairs[0], held[-1]]
+        slots, step = pruned.sum_indices(gained, lost)
+        assert slot_multiset(slots, step) == oracle(gained, lost)
+        split = len(pruned.sum_indices(gained)[0])
+        assert (step[:split] > 0).all() and (step[split:] < 0).all()
+    n = len(sentence)
+    for arcs in ([missing[0]], pruned.pairs[:2] + missing[-1:], [(n, n)], [(n, 0)]):
+        for update in ((arcs, []), ([], arcs)):
+            with pytest.raises(StructureError, match="not held"):
+                pruned.sum_indices(*update)
+    assert calls == []
 
 
-def test_blocked_update_of_dropped_arcs_equals_one_call(bundled, monkeypatch):
-    """An update with arcs a pruned u-mst-df (directed) cache dropped is
-    hashed by ``hash_blocks``, in blocks of at most ``_BLOCK_SLOTS`` slots
-    (256 here), and gives the slots of one unblocked hash_arcs call over
-    the gained then the lost arcs, signed +1 then -1."""
+def test_update_of_dropped_arcs_gathers_one_call_slots(bundled, monkeypatch):
+    """An update with arcs that a pruned u-mst-df (directed) cache,
+    hashed in blocks of 256 slots, holds but its mask dropped hashes
+    nothing, and gives the slots of one unblocked hash_arcs call over the
+    gained then the lost arcs, signed +1 then -1."""
     pruner, dev = bundled
     sentence = join_sentences(dev[:11])
     assert 100 <= len(sentence) <= 110
-    allowed = pruner.mask(sentence)
-    cache = SentenceFeatures(sentence, "directed", 16, allowed)
-    dropped = np.argwhere(arc_matrix(len(sentence)) & ~allowed)[::40].tolist()
+    monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
+    cache = SentenceFeatures(sentence, "directed", 16, pruner.mask(sentence))
+    dropped = np.transpose(cache.dropped)[::5].tolist()
     gained, lost = dropped[:20], cache.pairs[::20][:10] + dropped[20:25]
-    assert len(gained) == 20 and len(lost) >= 15
+    assert len(gained) == 20 and len(lost) == 15
     arcs = np.array(gained + lost)
     want, mult, starts = one_call_slots(position_table([sentence], "directed"),
                                         arcs[:, 0], arcs[:, 1], 16)
-    monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
-    calls, real = [], features.hash_arcs
-
-    def hashing(*args):
-        calls.append(args[4:])
-        return real(*args)
-
-    monkeypatch.setattr(features, "hash_arcs", hashing)
-    slots, step, hashed = cache.sum_indices(gained, lost)
-    assert hashed and len(calls) > 1
-    assert all(len(flat) <= 256 or len(at) == 2 for flat, _, at in calls)
+    calls = []
+    monkeypatch.setattr(features, "hash_arcs", lambda *args: calls.append(args))
+    slots, step = cache.sum_indices(gained, lost)
+    assert calls == []
     assert slots.tobytes() == want.tobytes()
     sign = np.where(np.arange(len(want)) < starts[len(gained)], 1.0, -1.0)
     assert step.tolist() == (sign * mult).tolist()
@@ -524,11 +557,10 @@ def test_a_cache_costs_its_stored_slots_plus_one_block(mode):
 @pytest.mark.parametrize("pruned", [False, True])
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
 def test_held_arcs_are_gathered_from_the_stored_slots(bundled, monkeypatch, mode, pruned):
-    """``sum_indices`` on arcs the cache holds (as every gold arc and
-    every prediction of d-mst and u-mst-uf is) hashes nothing and says
-    so: it gathers each arc's stored run, in the order the arcs are
-    given, whose slots fire as the string oracle's do, with the stored
-    multiplicities signed +1 for gained and -1 for lost arcs."""
+    """``sum_indices`` hashes nothing: it gathers each arc's stored run,
+    in the order the arcs are given, whose slots fire as the string
+    oracle's do, with the stored multiplicities signed +1 for gained and
+    -1 for lost arcs."""
     pruner, dev = bundled
     strings = directed_feature_strings if mode == "directed" \
         else undirected_feature_strings
@@ -542,10 +574,10 @@ def test_held_arcs_are_gathered_from_the_stored_slots(bundled, monkeypatch, mode
         runs = dict(zip(cache.pairs, _runs(cache._flat, cache._mult, cache._starts)))
         held = cache.pairs[::-3]
         for gained, lost in ((held[:3], []), ([], held[-2:]), (held[1:4], held[:1] + held[-1:])):
-            slots, step, hashed = cache.sum_indices(gained, lost)
+            slots, step = cache.sum_indices(gained, lost)
             want = [(slot, sign * times) for arcs, sign in ((gained, 1), (lost, -1))
                     for arc in arcs for slot, times in runs[arc]]
-            assert list(zip(slots.tolist(), step.tolist())) == want and not hashed
+            assert list(zip(slots.tolist(), step.tolist())) == want
             for arc in gained + lost:
                 assert slot_multiset(*zip(*runs[arc])) == \
                     _string_multiset(strings(sentence, *arc), (1 << 12) - 1)
@@ -592,51 +624,36 @@ def _oracle_slots(sentence, mode, a, b):
     return _string_multiset(strings(sentence, a, b), (1 << 30) - 1)
 
 
-def _arcs_of_slots(table, a, b, slots):
-    """Indices of arcs whose hash_arcs call has exactly ``slots`` slots;
-    an arc has ``arc_slots`` of them."""
-    ways = {0: []}
-    for k, size in enumerate(features.arc_slots(table, a, b).tolist()):
-        for total, arcs in list(ways.items()):
-            if total + size <= slots:
-                ways.setdefault(total + size, arcs + [k])
-    return np.array(ways[slots])
-
-
+@pytest.mark.parametrize("block", [256, 1 << 16])
 @pytest.mark.parametrize("mode, longest_conj", [("directed", 7), ("undirected", 5)])
-@pytest.mark.parametrize("longest, short", [(63, 0), (64, 2), (64, 0), (65, 2), (65, 0)])
-def test_each_kind_of_table_matches_the_oracle(mode, longest_conj, longest, short):
+@pytest.mark.parametrize("longest", [63, 64, 65])
+def test_each_kind_of_table_matches_the_oracle(monkeypatch, mode, longest_conj, longest,
+                                               block):
     """The table holds the planes of the shifts below min(width, 64), the
-    width being the sentence's longest shift plus one.  When it lacks
-    some, a first ``hash_blocks`` list ``short`` slots short of the
-    missing planes composes those it reads, and one with as many builds
-    them all; with 12 positions there are 156 missing planes a shift, and
-    as every list's slot count is even, 2 short is the closest.  That
-    list, and a full call after it, gives every arc the CRC32s of its
-    feature strings, and so does a single arc from a fresh table."""
+    width being the sentence's longest shift plus one, and never more: a
+    list of every arc, hashed in blocks of 256 slots or in one, leaves the
+    planes as they were and gives every arc the CRC32s of its feature
+    strings, composing the planes past 64 shifts that it reads; so does a
+    single arc from a fresh table."""
+    monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
     # "|{w}|NN" is len(w) + 4 bytes long
     form = "w" * (longest - longest_conj - 4)
     sentence = sent([("a", "DT"), (form, "NN")] + [("b", "VB")] * 9)
     a, b = _all_arcs(sentence, mode)
-    oracle = [_oracle_slots(sentence, mode, a[k], b[k]) for k in range(len(a))]
     stride = 13 * 12
-    missing = (longest + 1 - 64) * stride
     table = position_table([sentence], mode)
-    assert len(table.planes) == stride * min(longest + 1, 64)
-    pick = _arcs_of_slots(table, a, b, missing - short) if missing else np.arange(len(a))
-    offsets = features._offsets(table, a[pick], b[pick])
-    flat, mult = features._hash_list(table, a[pick], b[pick], 30, offsets)
-    first = _multisets(flat, mult, offsets[:-1])
-    assert len(first) == len(pick)
-    assert len(table.planes) == stride * (64 if short else max(longest + 1, 64))
-    for k, got in zip(pick, first):
-        assert got == oracle[k]
-    for k, got in enumerate(_multisets(*one_call_slots(table, a, b, 30))):
-        assert got == oracle[k]
+    planes = table.planes
+    assert table.width == longest + 1 and len(planes) == stride * min(longest + 1, 64)
+    offsets = features._offsets(table, a, b)
+    assert offsets[-1] > 256
+    flat, mult = features._hash_list(table, a, b, 30, offsets)
+    assert table.planes is planes and len(planes) == stride * min(longest + 1, 64)
+    for k, got in enumerate(_multisets(flat, mult, offsets[:-1])):
+        assert got == _oracle_slots(sentence, mode, a[k], b[k])
     for k in (0, len(a) // 2, len(a) - 1):
         alone, = _multisets(*one_call_slots(position_table([sentence], mode),
                                             a[k:k + 1], b[k:k + 1], 30))
-        assert alone == oracle[k]
+        assert alone == _oracle_slots(sentence, mode, a[k], b[k])
 
 
 @pytest.mark.parametrize("mode", ["directed", "undirected"])
@@ -662,55 +679,62 @@ def test_long_token_costs_no_planes(mode):
 
 
 def test_a_read_never_changes_the_table():
-    """Reading every index of a table that lacks planes past 64 shifts
-    composes them and leaves the table as it was, and so does a direct
-    hash_arcs call over every arc: only hash_blocks builds planes."""
+    """A table is frozen.  Reading every index of one that lacks planes
+    past 64 shifts gives each index's unshifted plane run through as many
+    zero bytes as its shift, the held planes where it holds them, and
+    leaves the planes as they were; so does a list of every arc hashed in
+    blocks of 256 slots."""
     sentence = sent([(f"w{i}", "NN".ljust(40, "-")) for i in range(12)])
     table = position_table([sentence], "directed")
     planes, stride = table.planes, 13 * 13
     assert len(planes) == 64 * stride < table.width * stride
-    read = table.read(np.arange(table.width * stride))
+    at = np.arange(table.width * stride)
+    read = table.read(at)
     assert table.planes is planes and len(table.planes) == 64 * stride
     assert read[:len(planes)].tolist() == planes.tolist()
-    one_call_slots(table, *_all_arcs(sentence, "directed"), 30)
+    # crc(A + L zero bytes) = Z_L(crc A) ^ crc(L zero bytes)
+    for k in at[::37].tolist():
+        zeros = bytes(k // stride)
+        assert read[k] == zlib.crc32(zeros, int(planes[k % stride])) ^ zlib.crc32(zeros)
+    a, b = _all_arcs(sentence, "directed")
+    offsets = features._offsets(table, a, b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_BLOCK_SLOTS", 256)
+        features._hash_list(table, a, b, 30, offsets)
     assert table.planes is planes and len(table.planes) == 64 * stride
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.planes = read
 
 
-@pytest.mark.parametrize("mode, width, block, built", [
-    ("directed", 30, 256, True), ("directed", 40, 256, False),
-    ("undirected", 30, 256, True), ("undirected", 40, 256, False),
-    ("directed", 40, 4394, True), ("directed", 40, 4392, False)])
-def test_hash_blocks_builds_before_its_first_block(monkeypatch, mode, width, block, built):
-    """A list longer than one block builds every plane its table lacks,
-    before its first block, when they number at most min(its slots,
-    max(one block, 13 (n+1)²)); else each block composes them.  12 tokens
-    with 30-byte tags lack 1,014 (directed) or 676 planes, with 40-byte
-    ones 4,394 or 4,056, against 13 (n+1)² = 2,197 and, for every arc,
-    5,138 or 2,784 slots.  Either way the blocks hold the slots of one
-    unblocked call.  The blocks cut the list in order, none longer than
-    a block."""
+@pytest.mark.parametrize("mode, width, block", [
+    ("directed", 30, 256), ("directed", 40, 256), ("undirected", 30, 256),
+    ("undirected", 40, 256), ("directed", 40, 4394), ("directed", 40, 1 << 16)])
+def test_hash_blocks_cuts_a_list_in_order(monkeypatch, mode, width, block):
+    """``hash_blocks`` cuts an arc list into consecutive blocks, in order
+    and none longer than a block (one block when the list fits), and
+    builds nothing: 12 tokens with 30- or 40-byte tags shift past the
+    table's 64, whose planes stay as they were while every block
+    composes those it reads past them.  The blocks hold the slots of one
+    unblocked call."""
     monkeypatch.setattr(features, "_BLOCK_SLOTS", block)
     sentence = sent([(f"w{i}", "NN".ljust(width, "-")) for i in range(12)])
     a, b = _all_arcs(sentence, mode)
     table = position_table([sentence], mode)
-    stride = 13 * 13
-    assert len(table.planes) == 64 * stride
+    planes, stride = table.planes, 13 * 13
+    assert len(planes) == 64 * stride < table.width * stride
     offsets = features._offsets(table, a, b)
     assert offsets[-1] == {"directed": 5138, "undirected": 2784}[mode]
-    blocks = features.hash_blocks(table, offsets)
-    bounds = [next(blocks)]
-    assert bounds[0][0] == 0 and bounds[0][1] < len(a)
-    assert len(table.planes) == (table.width if built else 64) * stride
-    bounds += list(blocks)
-    assert len(table.planes) == (table.width if built else 64) * stride
+    bounds = list(features.hash_blocks(offsets))
+    assert bounds[0][0] == 0 and bounds[-1][1] == len(a)
+    assert (len(bounds) == 1) == (offsets[-1] <= block)
     assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
-    assert bounds[-1][1] == len(a)
     assert all(offsets[hi] - offsets[lo] <= block for lo, hi in bounds)
     flat = np.empty(offsets[-1], dtype=np.int64)
     mult = np.empty(offsets[-1], dtype=table.mult_dtype())
     for lo, hi in bounds:
         hash_arcs(table, a[lo:hi], b[lo:hi], 30, flat[offsets[lo]:offsets[hi]],
                   mult[offsets[lo]:offsets[hi]], offsets[lo:hi + 1] - offsets[lo])
+    assert table.planes is planes
     want, want_mult, _ = one_call_slots(position_table([sentence], mode), a, b, 30)
     assert flat.tolist() == want.tolist() and mult.tolist() == want_mult.tolist()
 
@@ -762,7 +786,8 @@ def test_blocks_are_hashed_in_place_into_the_cache(bundled, monkeypatch, corpus_
 def test_a_scorer_hashes_every_block_into_one_buffer(bundled, monkeypatch):
     """One multi-block ``LazyArcScores.table()`` call hands every block
     the same slot buffer (each block a view of it from its start), and
-    its scores are the bytes of a cache's gather."""
+    its scores are the bytes of a cache's gather, which reads the arcs a
+    pruned cache holds but its mask dropped as -inf."""
     pruner, dev = bundled
     sentence = join_sentences(dev[2:10])
     model = Model.new("directed", hash_bits=16)
@@ -770,9 +795,8 @@ def test_a_scorer_hashes_every_block_into_one_buffer(bundled, monkeypatch):
     monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
     received = _recording(monkeypatch)
     for allowed in (None, pruner.mask(sentence)):
-        cache = SentenceFeatures(sentence, "directed", 16, allowed)
-        want = np.full((len(sentence) + 1,) * 2, -np.inf)
-        want[cache.pair_a, cache.pair_b] = cache.score_all(model.weights)
+        want = directed_score_table(sentence, model, None,
+                                    SentenceFeatures(sentence, "directed", 16, allowed))
         received.clear()
         got = features.LazyArcScores(sentence, model, allowed).table()
         assert len(received) > 2
@@ -788,7 +812,8 @@ def test_a_scorer_hashes_every_block_into_one_buffer(bundled, monkeypatch):
 def test_training_caches_keep_only_their_arrays(mode, corpus_pass):
     """Pruned training caches of the first 300 bundled training sentences
     (perfbench's ``short`` corpus) retain their stored slots, multiplicities,
-    starts and pairs and little else, built one by one or by the corpus pass (whose
+    starts, pairs and dropped arcs and little else, built one by one or by
+    the corpus pass (whose
     caches' slots are slices of their chunk's): no position table, with
     which they retained 4.0 MB more in either mode."""
     import tracemalloc
@@ -808,7 +833,7 @@ def test_training_caches_keep_only_their_arrays(mode, corpus_pass):
     finally:
         tracemalloc.stop()
     stored = sum(c._flat.nbytes + c._mult.nbytes + c._starts.nbytes + c.pair_a.nbytes
-                 + c.pair_b.nbytes for c in caches)
+                 + c.pair_b.nbytes + sum(d.nbytes for d in c.dropped) for c in caches)
     assert kept <= stored + 1e6, (kept, stored)
 
 
@@ -850,8 +875,10 @@ def test_corpus_pass_equals_one_cache_a_sentence(bundled, monkeypatch, mode, pru
         assert cache.sentence is sentence
         assert (cache.mode, cache.hash_bits) == (mode, 22)
         assert cache._mult.dtype == (np.uint16 if sentence is huge else np.uint8)
-        for name in ("pair_a", "pair_b", "_flat", "_mult", "_starts"):
-            got, want = getattr(cache, name), getattr(alone, name)
+        arrays = [(name, getattr(cache, name), getattr(alone, name))
+                  for name in ("pair_a", "pair_b", "_flat", "_mult", "_starts")]
+        arrays += [("dropped", got, want) for got, want in zip(cache.dropped, alone.dropped)]
+        for name, got, want in arrays:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
             assert not got.flags.writeable and not want.flags.writeable, name
 

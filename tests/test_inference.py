@@ -777,7 +777,9 @@ class TestOneDirectedScorer:
     @pytest.mark.parametrize("mode", ["directed", "undirected"])
     def test_blocked_caches_store_one_call_slots(self, bundled, monkeypatch, mode):
         """A cache hashed in blocks of 256 slots stores the bytes of one
-        unblocked hash_arcs call over its pairs, pruned and unpruned."""
+        unblocked hash_arcs call over its pairs, pruned and unpruned: the
+        pairs that survive the mask, or in directed mode both candidate
+        directions of each."""
         pruner = bundled[0]
         monkeypatch.setattr(features, "_BLOCK_SLOTS", 256)
         calls = self._hashing(monkeypatch)
@@ -787,7 +789,10 @@ class TestOneDirectedScorer:
                 calls.clear()
                 cache = SentenceFeatures(s, mode, 16, p)
                 arcs = arc_matrix(len(s)) if p is None else p
-                a, b = np.nonzero(pair_mask(arcs) if mode == "undirected" else arcs)
+                held = pair_mask(arcs)
+                if mode == "directed":
+                    held = (held | held.T) & arc_matrix(len(s))
+                a, b = np.nonzero(held)
                 flat, mult, starts = one_call_slots(position_table([s], mode), a, b, 16)
                 assert cache._flat.tobytes() == flat.tobytes()
                 assert cache._mult.tobytes() == mult.tobytes()
@@ -922,6 +927,28 @@ class TestOneDirectedScoreRoute:
         train_full(corpus, TrainConfig(epochs=1, system=system, pruning=pruning,
                                        hash_bits=12))
         assert len(predictions) == len(corpus)
+
+    def test_a_cache_reads_the_bytes_of_its_mask(self, bundled):
+        """A directed cache built with a mask, pruned or not, holds the
+        arcs the mask dropped in each pair it keeps, and reads them as
+        -inf: its ``directed_score_table`` has the bytes of the table
+        scored without it, and u-mst-df's graph from it has the pairs and
+        weights of the graph built without it."""
+        pruner, sentences = bundled
+        model = Model.new("directed", hash_bits=12)
+        model.weights = np.random.default_rng(157).normal(size=model.size())
+        dropped = 0
+        for s in sentences[::5] + [_wide_tags(sentences[0])]:
+            for allowed in (None, pruner.mask(s)):
+                cache = SentenceFeatures(s, "directed", 12, allowed)
+                dropped += len(cache.dropped[0])
+                assert directed_score_table(s, model, None, cache).tobytes() == \
+                    directed_score_table(s, model, allowed).tobytes()
+                got, want = (build_parse_graph(s, model, mask, c)[0].graph
+                             for mask, c in ((None, cache), (allowed, None)))
+                for name in ("u", "v", "weight"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert dropped > 100
 
     @pytest.mark.parametrize("pruned", [False, True])
     @pytest.mark.parametrize("system", ["d-mst", "u-mst-df"])

@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -43,6 +44,19 @@ def test_src_lines_prints_each_module_and_the_sums():
     assert list(counts) == modules + ["total"]
     for key in ("total", "code"):
         assert counts["total"][key] == sum(counts[m][key] for m in modules)
+
+
+def test_src_lines_exits_quietly_when_the_reader_closes_the_pipe():
+    """Printing into a pipe whose reader is gone (as ``| head -3`` leaves
+    it) is no error: exit 0, nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"), str(ROOT)],
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def _perf_ab():

@@ -266,12 +266,13 @@ def test_continued_training_from_fractional_weights_updates_on_the_difference(
     a -1 on a shared arc's slot need not cancel exactly, so continued
     training can differ in the last bits from updating on all of both.
     Slots outside the run's slot space keep the initial weights bit for
-    bit (pruned u-mst-df: the first model's pruner kept arcs the second
-    one drops, and its hashed updates grow the space)."""
-    corpus = load_conll(FIXTURE_TRAIN)[:40]
+    bit: the first model is trained on other sentences, so it has
+    fractional weights there."""
+    train_set = load_conll(FIXTURE_TRAIN)
+    corpus = train_set[:40]
     config = TrainConfig(epochs=2, system=system, hash_bits=16, seed=3,
                          shuffle=True, pruning=pruning)
-    first = train(corpus[:10], config)
+    first = train(train_set[40:50], config)
     assert (first.weights % 1).any()
     start = replace(first, weights=first.weights.copy())
     spaces = []
@@ -289,51 +290,61 @@ def test_continued_training_from_fractional_weights_updates_on_the_difference(
     full = _reference_train(corpus, config, init=start).weights
     assert np.allclose(model.weights, full, rtol=0, atol=1e-12)
     outside = np.ones(model.size(), dtype=bool)
-    outside[spaces[0].slots] = False
+    outside[spaces[0].held] = False
     assert model.weights[outside].tobytes() == start.weights[outside].tobytes()
-    if system == "u-mst-df":
-        assert (start.weights[outside] % 1).any()
+    assert (start.weights[outside] % 1).any()
 
 
+@pytest.mark.parametrize("pruning", ["none", "length-dictionary"])
 @pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-df"])
-def test_updates_hash_only_the_arcs_a_pruned_cache_dropped(monkeypatch, system):
-    """An update gathers its slots from the sentence's cache when it holds
-    every arc.  d-mst and u-mst-uf always do: the pruner keeps every gold
-    arc of its own corpus, and predictions come from the cache's pairs.
-    A pruned u-mst-df cache lacks the directions its mask dropped, so an
-    update that loses one hashes all its arcs, says so, and updates slots
-    that no cache holds; the weights still equal the reference's bytes."""
+def test_updates_only_gather(monkeypatch, system, pruning):
+    """After the corpus pass, training hashes nothing: every update
+    gathers its slots from the sentence's cache, which holds every gold
+    arc (the pruner keeps the gold arcs of its own corpus) and every arc
+    a prediction can make.  A pruned u-mst-df cache holds both directions
+    of each pair its mask keeps, so some updates gather arcs its mask
+    dropped.  The slot space's arrays never change length, and the
+    weights equal the reference's bytes."""
     corpus = load_conll(FIXTURE_TRAIN)[:40]
     config = TrainConfig(epochs=3, system=system, hash_bits=16, seed=3,
-                         shuffle=True, pruning="length-dictionary")
-    hashed, updates, hashed_slots = [], [], []
+                         shuffle=True, pruning=pruning)
+    hashed, updates, spaces = [], [], []
     real_hash, real_sum = features.hash_arcs, SentenceFeatures.sum_indices
+    real_corpus, real_space = training.featurize_corpus, training._SlotSpace
 
     def counting_hash(*args):
         hashed.append(args)
         return real_hash(*args)
 
-    def counting_sum(self, gained, lost=()):
-        before = len(hashed)
-        result = real_sum(self, gained, lost)
-        updates.append(len(hashed) - before)
-        assert result[2] is bool(updates[-1])
-        if updates[-1]:
-            hashed_slots.append(result[0])
-        return result
+    def corpus_pass(*args):
+        caches = real_corpus(*args)
+        hashed.clear()
+        return caches
+
+    def recording_space(*args):
+        space = real_space(*args)
+        spaces.append((space, space.weights, space.sums))
+        return space
+
+    def recording_sum(self, gained, lost=()):
+        dropped = set(zip(*(d.tolist() for d in self.dropped)))
+        updates.append(bool(dropped & {*gained, *lost}))
+        return real_sum(self, gained, lost)
 
     monkeypatch.setattr(features, "hash_arcs", counting_hash)
-    monkeypatch.setattr(SentenceFeatures, "sum_indices", counting_sum)
+    monkeypatch.setattr(training, "featurize_corpus", corpus_pass)
+    monkeypatch.setattr(training, "_SlotSpace", recording_space)
+    monkeypatch.setattr(SentenceFeatures, "sum_indices", recording_sum)
     model, _ = train_full(corpus, config)
     monkeypatch.undo()
-    assert updates and set(updates) <= {0, 1}
-    if system == "u-mst-df":
+    assert hashed == [] and len(updates) > 10
+    (space, weights, sums), = spaces
+    assert space.weights is weights and space.sums is sums and space.model.weights is weights
+    assert len(weights) == len(sums) == len(space.held)
+    if (system, pruning) == ("u-mst-df", "length-dictionary"):
         assert 0 < sum(updates) < len(updates)
-        cached = np.concatenate([cache._flat for cache in features.featurize_corpus(
-            corpus, "directed", config.hash_bits, build_pruner(corpus).mask)])
-        assert not np.isin(np.concatenate(hashed_slots), cached).all()
     else:
-        assert sum(updates) == 0
+        assert not any(updates)
     assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
 
 

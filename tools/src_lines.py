@@ -55,7 +55,15 @@ def main(argv: list[str]) -> int:
     counts = {path.name: count(path.read_text(encoding="utf-8")) for path in modules}
     counts["total"] = {key: sum(c[key] for c in counts.values())
                        for key in ("total", "code")}
-    print(json.dumps(counts, indent=2))
+    try:
+        print(json.dumps(counts, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader (e.g. head) closed the pipe; not an error
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
     return 0
 
 
