@@ -232,31 +232,44 @@ def build_parse_graph(sentence: Sentence, model: Model,
     return ParseGraph(graph=graph), matrix
 
 
+def _positions_of(graph: UndirectedGraph, edge_ids: frozenset) -> np.ndarray:
+    """The graph positions of the edges with these ids, one per id the
+    graph has: fewer than the ids when it lacks one."""
+    oid = graph.original_id
+    ids = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
+    order = np.argsort(oid, kind="stable")
+    rank = np.searchsorted(oid, ids, sorter=order)
+    found = rank < len(oid)
+    at = order[rank[found]]
+    return at[oid[at] == ids[found]]
+
+
 def direct_tree(graph: UndirectedGraph, mst: SpanningForest) -> DependencyTree:
     """Orient a spanning tree away from the root, vertex 0.
 
     Breadth-first from the root, every tree edge is marked outgoing from
     the side reached first; with the root constrained to have no incoming
-    edge this orientation is the only valid one.  Raises StructureError
-    when the forest does not span the graph's vertices or names an edge
-    id the graph lacks.
+    edge this orientation is the only valid one.
+
+    The walk starts from the forest's edge positions in ``graph``: those
+    its engine kept (``SpanningForest.positions``), or for a forest built
+    from ids alone, those its ids are found at.  Either way there must be
+    one position per edge id, each in [0, m), or the forest names an edge
+    the graph lacks; that, and a forest that does not span the graph's
+    vertices, raise StructureError.
     """
     n = graph.n_vertices
-    oid = graph.original_id
-    ids = np.fromiter(mst.edge_ids, dtype=np.int64, count=len(mst.edge_ids))
-    order = np.argsort(oid, kind="stable")
-    rank = np.searchsorted(oid, ids, sorter=order)
-    at = order[rank[rank < len(oid)]]             # forest edges' positions
-    if len(at) != len(ids) or np.any(oid[at] != ids):
+    at = (_positions_of(graph, mst.edge_ids) if mst.positions is None
+          else mst.positions)
+    pos = at.tolist()
+    if len(pos) != len(mst.edge_ids) or (
+            pos and not 0 <= min(pos) <= max(pos) < graph.n_edges):
         raise StructureError("spanning tree has edges the graph lacks")
-    eu = graph.u[at].tolist()
-    ev = graph.v[at].tolist()
     adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(eu, ev):
+    for a, b in zip(graph.u[at].tolist(), graph.v[at].tolist()):
         adj[a].append(b)
         adj[b].append(a)
-    heads = [-1] * n
-    heads[0] = 0
+    heads = [0] + [-1] * (n - 1)
     queue = [0]
     for x in queue:             # grows while it is walked
         for y in adj[x]:

@@ -16,7 +16,7 @@ the forest is unique and results can be compared as edge-id sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +50,17 @@ _BASE_EDGES = 44
 
 @dataclass(frozen=True)
 class SpanningForest:
-    """Original-graph edge ids of a minimum spanning forest."""
+    """Original-graph edge ids of a minimum spanning forest.
+
+    ``positions`` holds, read-only and sorted, where the forest's edges
+    sit in the graph an engine computed it on, so that
+    ``inference.direct_tree`` can walk them without looking the ids up.
+    A forest built from ids alone has none.  It is neither compared nor
+    hashed: a forest is its ids, however it was built.
+    """
     edge_ids: frozenset
     total_weight: float
+    positions: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_edges(self) -> int:
@@ -94,12 +102,12 @@ def _forest_of(graph: UndirectedGraph, ids: np.ndarray) -> SpanningForest:
 
 
 def _forest_at(graph: UndirectedGraph, positions: np.ndarray) -> SpanningForest:
-    """The forest of the edges at these positions; the weight is summed
-    in position order."""
+    """The forest of the edges at these positions, which it keeps; the
+    weight is summed in position order."""
     positions = np.sort(positions)
-    return SpanningForest(
-        edge_ids=frozenset(graph.original_id[positions].tolist()),
-        total_weight=float(graph.weight[positions].sum()))
+    positions.flags.writeable = False
+    return SpanningForest(frozenset(graph.original_id[positions].tolist()),
+                          float(graph.weight[positions].sum()), positions)
 
 
 def _kruskal_positions(graph: UndirectedGraph) -> np.ndarray:

@@ -2,24 +2,25 @@
 
 Averaged perceptron: each sentence is parsed with the configured system
 using the current weights, and on a mistake the weights move toward the
-gold structure's features and away from the prediction's.  Undirected
-systems compare undirected edge sets; directed systems compare head
-vectors.  Each prediction is one call of the test-time ``parse``, given
-the sentence's features, which are computed once before the first epoch,
-pruned as parse would prune them, by one corpus pass
-(``features.featurize_corpus``): chunks of consecutive sentences, each
-hashed from one stacked position table, with each sentence's cache a
-slice of its chunk's slots.  d-mst and u-mst-df predictions read the
-directed scores from one ``directed_score_table`` call on the cache.  A
-pruned directed cache holds both directions of every pair its mask
-keeps, and reads the directions the mask dropped as -inf, so it holds
-every arc a prediction can make.  Training then runs in the corpus's
-slot space (``_SlotSpace``): the sorted distinct slots the caches hold,
-numbered, with each cache's stored slots rewritten in place as their
-numbers, so a prediction gathers its scores from a weight vector of
-that length (270k entries for perfbench ``long``'s 40 caches, against
-2**22 in the table) and an update adds to it and to a running sum of
-the same length.  An update touches only the arcs where gold and
+gold structure's features and away from the prediction's.  A mistake is
+a head vector unlike gold's, in either mode: two trees rooted at 0 with
+the same undirected edges have the same heads, so undirected edge sets
+differ exactly when head vectors do.  Each prediction is one call of the
+test-time ``parse``, given the sentence's features, which are computed
+once before the first epoch, pruned as parse would prune them, by one
+corpus pass (``features.featurize_corpus``): chunks of consecutive
+sentences, each hashed from one stacked position table, with each
+sentence's cache a slice of its chunk's slots.  d-mst and u-mst-df
+predictions read the directed scores from one ``directed_score_table``
+call on the cache.  A pruned directed cache holds both directions of
+every pair its mask keeps, and reads the directions the mask dropped as
+-inf, so it holds every arc a prediction can make.  Training then runs
+in the corpus's slot space (``_SlotSpace``): the sorted distinct slots
+the caches hold, numbered, with each cache's stored slots rewritten in
+place as their numbers, so a prediction gathers its scores from a weight
+vector of that length (270k entries for perfbench ``long``'s 40 caches,
+against 2**22 in the table) and an update adds to it and to a running
+sum of the same length.  An update touches only the arcs where gold and
 prediction differ (a new model's weights and their running sum receive
 whole numbers, so the shared arcs' additions would cancel exactly), and
 gathers their numbers and multiplicities from the sentence's cache
@@ -33,6 +34,7 @@ model's table at the space's slots; every other slot keeps its weight.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,6 +148,12 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     weights and running sums live in the corpus's slot space while the
     epochs run; the averaged weights are written back at its slots, and
     every slot outside it keeps its weight bit for bit.
+
+    A step updates when the predicted heads differ from gold's, and only
+    then lists the arcs of either; it adds the gold arcs the prediction
+    lacks, then the predicted arcs gold lacks, each in head-vector order,
+    so the additions and the model's bytes do not depend on how the
+    mistake was found.
     """
     config.validate()
     if not corpus:
@@ -170,8 +178,7 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
     caches = featurize_corpus(corpus, mode, config.hash_bits,
                               None if pruner is None else pruner.mask)
     space = _SlotSpace(caches, model)
-    golds = [(arcs, set(arcs)) for arcs in (_arcs(s.gold_heads, mode) for s in corpus)]
-    t = 1
+    tokens = sum(map(len, corpus))
     epoch_uas = []
     for epoch in range(config.epochs):
         if config.shuffle:
@@ -179,25 +186,20 @@ def train_full(corpus: list[Sentence], config: TrainConfig,
         else:
             order = np.arange(len(corpus))
         correct = 0
-        total = 0
-        for idx in order.tolist():
+        for t, idx in enumerate(order.tolist(), epoch * len(corpus) + 1):
             sentence, cache = corpus[idx], caches[idx]
-            pred = _predict(sentence, space.model, parser_config, pruner, cache, idx)
-            total += len(sentence)
-            correct += sum(1 for p, g in zip(pred.heads, sentence.gold_heads)
-                           if p == g)
-            gold_arcs, gold_set = golds[idx]
-            pred_arcs = _arcs(pred.heads, mode)
-            pred_set = set(pred_arcs)
-            if gold_set != pred_set:
+            heads = _predict(sentence, space.model, parser_config, pruner, cache, idx).heads
+            correct += sum(map(operator.eq, heads, sentence.gold_heads))
+            if heads != sentence.gold_heads:
+                gold_arcs, pred_arcs = _arcs(sentence.gold_heads, mode), _arcs(heads, mode)
+                gold_set, pred_set = set(gold_arcs), set(pred_arcs)
                 gained = [arc for arc in gold_arcs if arc not in pred_set]
                 lost = [arc for arc in pred_arcs if arc not in gold_set]
                 ids, step = cache.sum_indices(gained, lost)
                 np.add.at(space.weights, ids, step)
                 np.add.at(space.sums, ids, step * (t - 1))
-            t += 1
-        epoch_uas.append(100.0 * correct / total if total else 0.0)
-    space.average(t - 1)
+        epoch_uas.append(100.0 * correct / tokens if tokens else 0.0)
+    space.average(config.epochs * len(corpus))
     return model, epoch_uas
 
 

@@ -25,7 +25,7 @@ from umstparse.inference import (
     parse,
     swap_gain,
 )
-from umstparse.mst import SpanningForest, kruskal_msf
+from umstparse.mst import RandomSource, SpanningForest, kruskal_msf, randomized_msf
 
 from oracles import (
     cle_heads_reference,
@@ -288,6 +288,47 @@ class TestDirectTree:
             want_pairs = {(min(h, m + 1), max(h, m + 1))
                           for m, h in enumerate(heads)}
             assert got_pairs == want_pairs
+
+
+class TestDirectTreeFromPositions:
+    """direct_tree walks an engine's forest from the positions it kept."""
+
+    def test_engine_forests_direct_as_their_ids(self):
+        # the round trip above, with extra edges that no forest takes and
+        # ids that are not positions: an engine's forest (with positions)
+        # and the keyword-built forest of its ids give the same heads
+        rng = np.random.default_rng(71)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            heads = _random_heads(rng, n)
+            edges = [(h, m + 1, 1.0) for m, h in enumerate(heads)]
+            edges += [(int(a), int(b), 9.0)
+                      for a, b in rng.integers(0, n + 1, size=(n, 2))]
+            perm = rng.permutation(len(edges)).tolist()
+            u, v, w = (np.asarray(col)[perm] for col in zip(*edges))
+            g = UndirectedGraph(n + 1, u, v, w, rng.permutation(len(edges)) * 5 + 3)
+            for forest in (kruskal_msf(g), randomized_msf(g, RandomSource(1))):
+                assert forest.positions is not None
+                plain = SpanningForest(edge_ids=forest.edge_ids,
+                                       total_weight=forest.total_weight)
+                tree = direct_tree(g, forest)
+                assert tree == direct_tree(g, plain)
+                assert tree.heads == tuple(heads)
+
+    @pytest.mark.parametrize("positions", [[0, 2], [-1, 0], [0], [0, 1, 1]])
+    def test_bad_positions_raise(self, positions):
+        g = UndirectedGraph(3, [0, 1], [1, 2], [1.0, 1.0], [0, 1])
+        forest = SpanningForest(edge_ids=frozenset({0, 1}), total_weight=0.0,
+                                positions=np.asarray(positions, dtype=np.int64))
+        with pytest.raises(StructureError, match="edges the graph lacks"):
+            direct_tree(g, forest)
+
+    def test_not_spanning_raises(self):
+        g = UndirectedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        forest = kruskal_msf(g)
+        assert forest.positions is not None
+        with pytest.raises(StructureError, match="does not cover"):
+            direct_tree(g, forest)
 
 
 def table_from(matrix):

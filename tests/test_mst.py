@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umstparse import mst
-from umstparse.bench import random_connected_graph
+from umstparse.bench import ALGORITHMS, random_connected_graph
 from umstparse.errors import InputError
 from umstparse.graph import UndirectedGraph
 from umstparse.mst import (
@@ -209,6 +209,38 @@ class TestRandomized:
             forest = randomized_msf(g, RandomSource(5))
             assert forest.n_edges == n - c
             assert forest.edge_ids == kruskal_msf(g).edge_ids
+
+
+class TestForestPositions:
+    """Each engine keeps the positions of its forest's edges; they are
+    not part of the forest's value."""
+
+    @pytest.mark.parametrize("engine", ["kruskal", "boruvka", "randomized"])
+    def test_positions_hold_the_forests_edges(self, engine):
+        rng = np.random.default_rng(137)
+        for m in (20, 40, 300, 1000):
+            n = max(m // 4, 2)
+            u, v, w = random_graph(rng, n, m, connected=m != 300)
+            ids = rng.permutation(len(u)) * 3 + 7      # ids are not positions
+            g = UndirectedGraph(n, u, v, w, ids)
+            forest = ALGORITHMS[engine](g, 5)
+            at = forest.positions
+            assert not at.flags.writeable
+            assert np.array_equal(at, np.sort(at))
+            assert len(at) == forest.n_edges
+            assert set(g.original_id[at].tolist()) == forest.edge_ids
+            assert forest.edge_ids == kruskal_msf(g).edge_ids
+
+    def test_positions_are_not_compared_or_hashed(self):
+        rng = np.random.default_rng(139)
+        u, v, w = random_graph(rng, 30, 100)
+        engine = randomized_msf(graph_of(30, u, v, w), RandomSource(2))
+        plain = SpanningForest(edge_ids=engine.edge_ids,
+                               total_weight=engine.total_weight)
+        assert engine.positions is not None and plain.positions is None
+        assert engine == plain and hash(engine) == hash(plain)
+        assert "positions" not in repr(engine)
+        assert isinstance(engine.edge_ids, frozenset)
 
 
 class TestRandomSource:

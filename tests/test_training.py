@@ -348,6 +348,32 @@ def test_updates_only_gather(monkeypatch, system, pruning):
     assert model.weights.tobytes() == _reference_train(corpus, config).weights.tobytes()
 
 
+def _random_tree(rng, n):
+    """Heads of a random tree over tokens 1..n rooted at 0: the tokens, in
+    random order, each attach to the root or a token placed before."""
+    heads, placed = [0] * n, [0]
+    for token in rng.permutation(np.arange(1, n + 1)).tolist():
+        heads[token - 1] = placed[int(rng.integers(0, len(placed)))]
+        placed.append(token)
+    return tuple(heads)
+
+
+@pytest.mark.parametrize("mode", ["directed", "undirected"])
+def test_equal_heads_exactly_when_equal_arc_sets(mode):
+    """A training step decides to update on head vectors alone.  That is
+    the arc-set test in both modes: two trees rooted at 0 with the same
+    undirected edges have the same heads."""
+    rng = np.random.default_rng(149)
+    outcomes = set()
+    for _ in range(3000):
+        n = int(rng.integers(1, 6))
+        a, b = _random_tree(rng, n), _random_tree(rng, n)
+        same = a == b
+        assert same == (set(training._arcs(a, mode)) == set(training._arcs(b, mode)))
+        outcomes.add(same)
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("pruning", ["none", "length-dictionary"])
 @pytest.mark.parametrize("system", ["d-mst", "u-mst-uf", "u-mst-df"])
 def test_caches_hashed_in_blocks_train_the_same_model(tmp_path, monkeypatch, system,
