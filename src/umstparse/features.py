@@ -37,7 +37,8 @@ DEFAULT_HASH_BITS = 22
 MAX_HASH_BITS = 30
 
 # Slots per block of hash_blocks, bounding hash_arcs' temporaries: 2**16 timed
-# faster than 2**13, 2**15, 2**18 and unblocked on d-mst parses of 30-70 tokens.
+# faster than 2**13, 2**15, 2**18 and unblocked on d-mst parses of 30-70 tokens,
+# when an arc held a btw slot per mid; not re-timed since it holds one per tag.
 _BLOCK_SLOTS = 1 << 16
 
 # Positions per stacked table of featurize_corpus.  A chunk holds its memo
@@ -144,7 +145,7 @@ def load_model(path) -> Model:
         try:
             slot_s, value_s = line.split(" ")
             slot, value = int(slot_s), float.fromhex(value_s)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:   # OverflowError: a huge exponent
             raise DataError(f"{path}: malformed weight line {line!r}") from exc
         if not 0 <= slot < size:
             raise DataError(f"{path}: slot {slot} outside the 2**{hash_bits} "
@@ -219,8 +220,9 @@ def _zero_tables() -> tuple[np.ndarray, list[np.ndarray]]:
 _LOW, _POW = _zero_tables()
 
 
-def _combine(crc_a: np.ndarray, crc_b: np.ndarray, len_b: np.ndarray) -> np.ndarray:
-    """crc(A + B) elementwise, from crc(A), crc(B) and |B| in bytes."""
+def _combine(crc_a: np.ndarray, len_b: np.ndarray) -> np.ndarray:
+    """Z_|B|(crc(A)) elementwise, from crc(A) and |B| in bytes: crc(A + B)
+    for a B of that length whose own CRC is 0."""
     high = len_b >> 8
     if high.any():
         crc_a, high = np.broadcast_arrays(crc_a, high)
@@ -232,7 +234,6 @@ def _combine(crc_a: np.ndarray, crc_b: np.ndarray, len_b: np.ndarray) -> np.ndar
     out = _LOW[lane | (crc_a & 0xFF)]
     for shift in (8, 16, 24):         # byte lane i sits at offset i << 8
         out ^= _LOW[lane | (shift << 5) | ((crc_a >> shift) & 0xFF)]
-    out ^= crc_b
     return out
 
 
@@ -280,7 +281,7 @@ def _pieces(mode: str, prefixes: tuple[str, ...], ends: tuple[str, ...],
     variants = _CONJ[mode][2]
     crc = _crcs(prefixes + ends)
     k = len(prefixes)
-    row = np.r_[_combine(np.r_[np.tile(crc[:k], _SHIFTS), np.tile(crc[k:], len(variants))], 0,
+    row = np.r_[_combine(np.r_[np.tile(crc[:k], _SHIFTS), np.tile(crc[k:], len(variants))],
                          np.r_[np.repeat(np.arange(_SHIFTS), k),
                                np.repeat(variants, len(ends))]),
                 lengths]
@@ -344,9 +345,9 @@ class PositionTable:
     holds its 17 ends (its unigrams in both roles, then the suffix of each
     two-sided template) shifted by the conjunction; ``trail`` the index of
     each two-sided prefix of position 0 shifted past pos's suffix and the
-    conjunction; ``bar_len`` the shift of btw's mid POS, |{bp}| plus the
-    conjunction.  btw's a| takes the mid's |p| (``pos_len``) on top.  These
-    three hold stride times each shift.
+    conjunction.  btw's mid POS takes bg4's shift, |{bp}| plus the
+    conjunction (``trail[:, _BAR] - _BAR``), and btw's a| the mid's |p|
+    (``pos_len``) on top.  Both hold stride times each shift.
 
     The T POS tags of the table are numbered (``tag``, one number a
     position).  ``counts`` holds (N + 1) x T, row-major: row pos the
@@ -368,7 +369,6 @@ class PositionTable:
     width: int
     ends: np.ndarray
     trail: np.ndarray
-    bar_len: np.ndarray
     pos_len: np.ndarray
     tag: np.ndarray
     counts: np.ndarray
@@ -391,7 +391,7 @@ class PositionTable:
         from its unshifted one.  The table never changes."""
         stride = 13 * len(self.pos_len)
         if len(self.planes) < self.width * stride:
-            return _combine(self.planes[at % stride], 0, at // stride)
+            return _combine(self.planes[at % stride], at // stride)
         return self.planes[at]
 
 
@@ -451,9 +451,8 @@ def position_table(sentences: list[Sentence], mode: str) -> PositionTable:
     trail = stride * (suffix_len[:, None] + variants[:, None])
     return PositionTable(mode=mode, planes=planes.ravel(), width=width,
                          ends=ends.reshape(-1, 17), trail=(trail + np.arange(11)).reshape(-1, 11),
-                         bar_len=trail[:, :, _BAR].ravel(), pos_len=stride * pos_len,
-                         tag=tag, counts=counts.ravel(), first=first.ravel(),
-                         longest=max(map(len, sentences)))
+                         pos_len=stride * pos_len, tag=tag, counts=counts.ravel(),
+                         first=first.ravel(), longest=max(map(len, sentences)))
 
 
 def arc_slots(table: PositionTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -526,7 +525,8 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int
     values[count:] ^= conj_crc[key][:, None]
     tail = values[:, 6 + _BAR].copy()
     row_a = 13 * a2
-    values[:, 6:] ^= table.read(table.trail[rows_b] + row_a[:, None])
+    trail = table.trail[rows_b]
+    values[:, 6:] ^= table.read(trail + row_a[:, None])
     # an arc's conjoined half follows its 17 + nb plain features
     head = np.concatenate([starts, starts + nb + 17])
     flat[head[:, None] + np.arange(17)] = values
@@ -543,7 +543,7 @@ def hash_arcs(table: PositionTable, a: np.ndarray, b: np.ndarray, hash_bits: int
         times = table.counts[np.repeat(ntags * np.maximum(a, b), nb) + tag] \
             - table.counts[ntags * mid + tag]
         mid, first = np.concatenate([mid, mid]), np.concatenate([first, first])
-        bar = table.bar_len[rows_b]
+        bar = trail[:, _BAR] - _BAR
         btw = table.read(np.repeat(row_a + 11 + bar, nb2) + table.pos_len[mid])
         btw ^= table.read(np.repeat(12 + bar, nb2) + 13 * mid)
         btw ^= np.repeat(tail, nb2)
@@ -622,7 +622,9 @@ class LazyArcScores:
         if self._table is None:
             self._table = position_table([self._sentence], "directed")
         offsets = _offsets(self._table, a, b)
-        # a block holds at most _BLOCK_SLOTS slots, or one arc of at most T tags
+        # one buffer for every block, sized to the largest, which holds at
+        # most _BLOCK_SLOTS slots or one arc of T tags: a _hash_list per
+        # block took perfbench long d-mst from 2.01 to 2.04 ms a sentence
         longest = 2 * (17 + self._table.ntags)
         size = min(int(offsets[-1]), max(_BLOCK_SLOTS, longest))
         buffer, times = np.empty(size, dtype=np.int64), np.empty(size, self._table.mult_dtype())
@@ -667,6 +669,8 @@ class SentenceFeatures:
                  hash_bits: int = DEFAULT_HASH_BITS,
                  allowed: np.ndarray | None = None):
         check_hash_bits(hash_bits)
+        # not a one-sentence featurize_corpus chunk, which took 214-226 us a
+        # pruned perfbench short undirected cache against 190-202 us here
         a, b, dropped = _held_arcs(sentence, mode, allowed)
         table = position_table([sentence], mode)
         offsets = _offsets(table, a, b)
@@ -687,7 +691,9 @@ class SentenceFeatures:
         """The undirected view of a directed cache, which u-mst-df reads:
         the pairs (u, v), u < v, that survive, row-major.  The cache holds
         both directions of each, or only (0, v) at the root, so these are
-        its held arcs with u < v."""
+        its held arcs with u < v.  Reading them off the score matrix
+        (``pair_mask`` of where it is finite) took pruned perfbench short
+        u-mst-df ``train_full`` from 326 to 356 ms."""
         forward = self.pair_a < self.pair_b
         return self.pair_a[forward], self.pair_b[forward]
 

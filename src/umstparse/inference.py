@@ -232,18 +232,6 @@ def build_parse_graph(sentence: Sentence, model: Model,
     return ParseGraph(graph=graph), matrix
 
 
-def _positions_of(graph: UndirectedGraph, edge_ids: frozenset) -> np.ndarray:
-    """The graph positions of the edges with these ids, one per id the
-    graph has: fewer than the ids when it lacks one."""
-    oid = graph.original_id
-    ids = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
-    order = np.argsort(oid, kind="stable")
-    rank = np.searchsorted(oid, ids, sorter=order)
-    found = rank < len(oid)
-    at = order[rank[found]]
-    return at[oid[at] == ids[found]]
-
-
 def direct_tree(graph: UndirectedGraph, mst: SpanningForest) -> DependencyTree:
     """Orient a spanning tree away from the root, vertex 0.
 
@@ -251,16 +239,14 @@ def direct_tree(graph: UndirectedGraph, mst: SpanningForest) -> DependencyTree:
     the side reached first; with the root constrained to have no incoming
     edge this orientation is the only valid one.
 
-    The walk starts from the forest's edge positions in ``graph``: those
-    its engine kept (``SpanningForest.positions``), or for a forest built
-    from ids alone, those its ids are found at.  Either way there must be
-    one position per edge id, each in [0, m), or the forest names an edge
-    the graph lacks; that, and a forest that does not span the graph's
-    vertices, raise StructureError.
+    The walk starts from the forest's edge positions in ``graph``
+    (``SpanningForest.positions_in``).  There must be one per edge id,
+    each in [0, m), or the forest names an edge the graph lacks; that,
+    and a forest that does not span the graph's vertices, raise
+    StructureError.
     """
     n = graph.n_vertices
-    at = (_positions_of(graph, mst.edge_ids) if mst.positions is None
-          else mst.positions)
+    at = mst.positions_in(graph)
     pos = at.tolist()
     if len(pos) != len(mst.edge_ids) or (
             pos and not 0 <= min(pos) <= max(pos) < graph.n_edges):

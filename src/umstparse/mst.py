@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, StructureError
 from .graph import (
     UndirectedGraph,
     _contract,
@@ -53,9 +53,8 @@ class SpanningForest:
     """Original-graph edge ids of a minimum spanning forest.
 
     ``positions`` holds, read-only and sorted, where the forest's edges
-    sit in the graph an engine computed it on, so that
-    ``inference.direct_tree`` can walk them without looking the ids up.
-    A forest built from ids alone has none.  It is neither compared nor
+    sit in the graph an engine computed it on; a forest built from ids
+    alone has none (see ``positions_in``).  It is neither compared nor
     hashed: a forest is its ids, however it was built.
     """
     edge_ids: frozenset
@@ -65,6 +64,19 @@ class SpanningForest:
     @property
     def n_edges(self) -> int:
         return len(self.edge_ids)
+
+    def positions_in(self, graph: UndirectedGraph) -> np.ndarray:
+        """Where the forest's edges sit in ``graph``: the positions its
+        engine kept, or for a forest built from ids alone, those of the
+        graph's edges whose ids it holds, fewer than its ids when the
+        graph lacks one.  A graph that repeats one of those ids is a
+        StructureError."""
+        if self.positions is not None:
+            return self.positions
+        at = _positions_of(graph, list(self.edge_ids))
+        if len(np.unique(graph.original_id[at])) < len(at):
+            raise StructureError("the graph repeats an edge id of the forest")
+        return at
 
 
 class RandomSource:
@@ -97,8 +109,13 @@ class RandomSource:
         return self._gen.random(k) < 0.5
 
 
+def _positions_of(graph: UndirectedGraph, ids) -> np.ndarray:
+    """The positions of the graph's edges whose ids are among ``ids``."""
+    return np.flatnonzero(np.isin(graph.original_id, ids))
+
+
 def _forest_of(graph: UndirectedGraph, ids: np.ndarray) -> SpanningForest:
-    return _forest_at(graph, np.nonzero(np.isin(graph.original_id, ids))[0])
+    return _forest_at(graph, _positions_of(graph, ids))
 
 
 def _forest_at(graph: UndirectedGraph, positions: np.ndarray) -> SpanningForest:

@@ -269,8 +269,9 @@ def test_model_outside_its_hash_range_exits_2(mini_corpus, tmp_path, capsys, bod
     "hash_bits 4\nmode undirected\ncombiner mean\nnnz 1\n3 -inf\n",
     "hash_bits 4\nmode undirected\ncombiner mean\nnnz 5\n3 0x1.0p+0\n",
     "hash_bits 4\nmode undirected\ncombiner mean\nnnz 0\n3 0x1.0p+0\n",
+    "hash_bits 4\nmode undirected\ncombiner mean\nnnz 1\n3 0x1.0p+99999\n",
 ], ids=["header-without-space", "nan-weight", "inf-weight", "minus-inf-weight",
-        "fewer-weights-than-nnz", "more-weights-than-nnz"])
+        "fewer-weights-than-nnz", "more-weights-than-nnz", "weight-overflowing-a-float"])
 def test_malformed_model_exits_2(mini_corpus, tmp_path, capsys, body):
     """Rejected when the model is loaded, not later by the parser."""
     _, dev_path = mini_corpus
@@ -725,3 +726,98 @@ def test_parse_keeps_comments_byte_for_byte(mini_corpus, tmp_path):
         else:
             assert g.split("\t")[:6] + g.split("\t")[7:] == \
                 w.split("\t")[:6] + w.split("\t")[7:]
+
+
+def _mutated(data: bytes, rng) -> bytes:
+    """One to four byte edits: overwrite, delete or insert a byte (often a
+    CoNLL delimiter, a digit or a byte no UTF-8 text starts with), or
+    repeat a run of up to 40 bytes."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(out) + 1)
+        kind = rng.randrange(4)
+        byte = rng.choice(b"\t\n -_0123456789\xff\xc3" + bytes([rng.randrange(256)]))
+        if kind == 0 and at < len(out):
+            out[at] = byte
+        elif kind == 1 and at < len(out):
+            del out[at]
+        elif kind == 2:
+            out.insert(at, byte)
+        elif at < len(out):
+            out[at:at] = out[at:at + rng.randint(1, 40)]
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The first 12 dev sentences, as they are and with every POS tag
+    padded past 64 bytes, and the models trained on them (hash bits 14)."""
+    import dataclasses
+    from umstparse.conll import save_conll
+    base = tmp_path_factory.mktemp("fuzz")
+    sentences = load_conll(FIXTURE_DEV)[:12]
+    plain, wide = base / "plain.conll", base / "wide.conll"
+    save_conll(plain, sentences)
+    save_conll(wide, [dataclasses.replace(s, tokens=tuple(
+        dataclasses.replace(t, postag=t.postag.ljust(70, "-")) for t in s.tokens))
+        for s in sentences])
+    models = base / "models"
+    assert run("train", "--train", plain, "--model-out", models, "--system", "all",
+               "--epochs", "1", "--hash-bits", "14") == 0
+    return {"plain": plain, "wide": wide, "models": models}
+
+
+def _fuzz_commands(files, given, out):
+    models = files["models"]
+    return {
+        "parse pruned u-mst-uf": (
+            "parse", "--model", models / "u-mst-uf.model", "--system", "u-mst-uf",
+            "--pruning", "length-dictionary", "--prune-train", given,
+            "--input", given, "--output", out),
+        "parse d-mst": ("parse", "--model", models / "d-mst.model", "--system", "d-mst",
+                        "--input", given, "--output", out),
+        "train pruned u-mst-df": (
+            "train", "--train", given, "--model-out", out, "--system", "u-mst-df",
+            "--pruning", "length-dictionary", "--epochs", "1", "--hash-bits", "14"),
+        "eval": ("eval", "--gold", files["plain"], "--pred", given, "--csv", out),
+        "prune-stats": ("prune-stats", "--train", given, "--dev", given, "--csv", out),
+    }
+
+
+@pytest.mark.parametrize("source, count", [("plain", 150), ("wide", 50), ("model", 200)])
+def test_exit_code_contract_under_byte_mutations(fuzz_inputs, tmp_path, capsys,
+                                                 source, count):
+    """Seeded byte mutations of CoNLL input (through parse, train, eval and
+    prune-stats) and of a u-mst-uf-lep model file (through parse) exit 0
+    or 2.  A failure prints nothing on stdout, ends its stderr with one
+    "data error:" line (conll.py's gold-tree warnings may come before it)
+    and leaves no output, model or CSV file behind."""
+    import random
+    rng = random.Random(f"exit-code-fuzz-{source}")
+    models, out, given = fuzz_inputs["models"], tmp_path / "out", tmp_path / "given"
+    original = (models / "u-mst-uf-lep.model" if source == "model"
+                else fuzz_inputs[source]).read_bytes()
+    breaches, codes = [], set()
+    for case in range(count):
+        given.write_bytes(_mutated(original, rng))
+        if source == "model":
+            runs = {"parse u-mst-uf-lep": (
+                "parse", "--model", given, "--directed-model", models / "d-mst.model",
+                "--system", "u-mst-uf-lep", "--input", fuzz_inputs["plain"],
+                "--output", out)}
+        else:
+            runs = _fuzz_commands(fuzz_inputs, given, out)
+        for name, argv in runs.items():
+            capsys.readouterr()
+            code = run(*argv)
+            stdout, stderr = capsys.readouterr()
+            left = sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("out"))
+            codes.add(code)
+            lines = stderr.strip().splitlines()
+            if code != 0 and (code != 2 or stdout or left
+                              or not lines or not lines[-1].startswith("data error:")):
+                breaches.append((case, name, code, stdout, stderr, left))
+            for path in left:
+                (tmp_path / path).unlink()
+    assert not breaches, breaches[:5]
+    assert codes == {0, 2}          # the mutations reach both outcomes

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from umstparse import features
 from umstparse.conll import DependencyTree, Sentence, Token, is_valid_tree, load_conll
 from umstparse.errors import InputError, StructureError
-from umstparse.features import (Model, SentenceFeatures, arc_matrix, pair_mask,
-                                position_table)
+from umstparse.features import (Model, SentenceFeatures, arc_matrix, arc_slots,
+                                pair_mask, position_table)
 from umstparse.graph import UndirectedGraph
 from umstparse.inference import (
     LazyArcScores,
@@ -267,6 +267,14 @@ class TestDirectTree:
     @pytest.mark.parametrize("ids", [{0, 5}, {0, -1}, {0, 1, 2}])
     def test_foreign_edge_id_raises(self, ids):
         g = UndirectedGraph(3, [0, 1], [1, 2], [1.0, 1.0], [0, 1])
+        forest = SpanningForest(edge_ids=frozenset(ids), total_weight=0.0)
+        with pytest.raises(StructureError):
+            direct_tree(g, forest)
+
+    @pytest.mark.parametrize("ids", [{0, 1}, {0, 5}])
+    def test_repeated_edge_id_raises(self, ids):
+        # id 0 names two edges: found twice, whether or not an id is missing
+        g = UndirectedGraph(3, [0, 1], [1, 2], [1.0, 1.0], [0, 0])
         forest = SpanningForest(edge_ids=frozenset(ids), total_weight=0.0)
         with pytest.raises(StructureError):
             direct_tree(g, forest)
@@ -1010,7 +1018,7 @@ class TestBoundedParseMemory:
     """A d-mst or unpruned u-mst-df parse holds O(n²) memory plus one hashing
     block, not every slot of every directed arc."""
 
-    def test_400_token_parses_stay_under_64_mb(self):
+    def test_400_token_parses_stay_under_24_mb(self):
         import tracemalloc
 
         from umstparse.training import TrainConfig, train
@@ -1018,10 +1026,12 @@ class TestBoundedParseMemory:
         s = join_sentences(dev[:40])
         n = len(s)
         assert 390 <= n <= 400
-        # the int64 slots a directed cache of this sentence stores take
-        # over five times the bound, and hashing them needs over 1 GB
-        heads, mods = np.nonzero(arc_matrix(n))
-        assert 8 * np.sum(2 * (np.abs(heads - mods) + 16)) > 5 * 64e6
+        # a directed cache of this sentence would store its slots (int64)
+        # and multiplicities, over twice the bound (78.4 MB); both parses
+        # peak at 11.4 MB (hash_bits 18)
+        table = position_table([s], "directed")
+        slots = int(arc_slots(table, *np.nonzero(arc_matrix(n))).sum())
+        assert (8 + np.dtype(table.mult_dtype()).itemsize) * slots > 2 * 24e6
         model = train(load_conll(BUNDLED / "fixture_train.conll")[:100],
                       TrainConfig(system="d-mst", epochs=1, hash_bits=18))
         tracemalloc.start()
@@ -1031,7 +1041,7 @@ class TestBoundedParseMemory:
                 tree = parse(s, model, ParserConfig(system=system))
                 peak = tracemalloc.get_traced_memory()[1]
                 assert is_valid_tree(tree.heads) and len(tree.heads) == n
-                assert peak < 64e6, (system, peak)
+                assert peak < 24e6, (system, peak)
         finally:
             tracemalloc.stop()
 
