@@ -1,16 +1,19 @@
 """Weighted undirected multigraph, connected components, contraction.
 
 Edges carry an ``original_id`` that survives contraction, so any edge of a
-derived graph can be traced back to the outermost input graph.  Every
+derived graph can be traced back to the outermost input graph; the
+engines trace their forests back by position instead (a contraction
+returns where its edges sat), so ids serve only to order edges.  Every
 choice of a minimum or of a forest edge breaks weight ties by smallest
-original_id, which makes the minimum spanning forest unique and every
-algorithm deterministic.  That order picks each minimum exactly among
-parallel edges too, so the spanning-forest engines need no clean-up but
-contraction's own: it drops the self edges it creates and keeps parallel
-edges.  One comparison compares weights alone: the randomized engine's
-F-heavy filter (``mst._f_heavy_mask``) keeps an edge that ties its forest
-path maximum, which only leaves the recursion more edges to settle by
-(weight, original_id).
+original_id, and repeated ids by smallest position (every subset keeps
+its parent's edge order), which makes the minimum spanning forest unique
+and every algorithm deterministic.  That order picks each minimum exactly
+among parallel edges too, so the spanning-forest engines need no clean-up
+but contraction's own: it drops the self edges it creates and keeps
+parallel edges.  One comparison compares weights alone: the randomized
+engine's F-heavy filter (``mst._f_heavy_mask``) keeps an edge that ties
+its forest path maximum, which only leaves the recursion more edges to
+settle by (weight, original_id).
 
 The edge store is a set of parallel numpy arrays; this keeps the per-step
 cost of the spanning-forest algorithms dominated by vectorised array passes
@@ -117,21 +120,23 @@ def contract_graph(graph: UndirectedGraph, edge_subset) -> UndirectedGraph:
     other edge inside one component, become self edges and are dropped;
     repetitive edges are retained (use :func:`simplify` to drop them).
     """
-    return _contract(graph, connected_components(graph, edge_subset))
+    return _contract(graph, connected_components(graph, edge_subset))[0]
 
 
-def _contract(graph: UndirectedGraph, labels: np.ndarray) -> UndirectedGraph:
-    """:func:`contract_graph` given the subset's component labels."""
+def _contract(graph: UndirectedGraph,
+              labels: np.ndarray) -> tuple[UndirectedGraph, np.ndarray]:
+    """:func:`contract_graph` given the subset's component labels, and the
+    positions in ``graph`` of the contracted graph's edges (in order)."""
     u, v = labels[graph.u], labels[graph.v]
-    keep = u != v
+    kept = (u != v).nonzero()[0]
     return UndirectedGraph(
         int(labels.max()) + 1 if len(labels) else 0,
-        u[keep],
-        v[keep],
-        graph.weight[keep],
-        graph.original_id[keep],
+        u[kept],
+        v[kept],
+        graph.weight[kept],
+        graph.original_id[kept],
         _validate=False,
-    )
+    ), kept
 
 
 def _edges_where(g: UndirectedGraph, keep: np.ndarray) -> UndirectedGraph:
@@ -147,20 +152,25 @@ _NO_ID = np.iinfo(np.int64).max     # above every original_id
 
 def _lightest(k: int, groups, weight: np.ndarray,
               oid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each of k groups' minimum weight (+inf if empty) and a mask of the
-    edges that are some group's minimum in the (weight, original_id) order;
-    edge i is in group ``g[i]`` for each array ``g`` of ``groups``."""
+    """Each of k groups' minimum weight (+inf if empty) and the position
+    of its lightest edge in the (weight, original_id, position) order
+    (``len(weight)`` if empty); edge i is in group ``g[i]`` for each
+    array ``g`` of ``groups``.  Positions settle only repeated ids, the
+    order Kruskal's stable sort gives them."""
     wmin = np.full(k, np.inf)
     for g in groups:
         np.minimum.at(wmin, g, weight)
-    ties = [weight == wmin[g] for g in groups]
+    ties = [(weight == wmin[g]).nonzero()[0] for g in groups]
+    tie_groups = [g[at] for g, at in zip(groups, ties)]
+    tie_ids = [oid[at] for at in ties]
     idmin = np.full(k, _NO_ID, dtype=np.int64)
-    for g, tie in zip(groups, ties):
-        np.minimum.at(idmin, g[tie], oid[tie])
-    chosen = np.zeros(len(weight), dtype=bool)
-    for g, tie in zip(groups, ties):
-        chosen |= tie & (oid == idmin[g])
-    return wmin, chosen
+    for g, ids in zip(tie_groups, tie_ids):
+        np.minimum.at(idmin, g, ids)
+    pick = np.full(k, len(weight), dtype=np.int64)
+    for g, ids, at in zip(tie_groups, tie_ids, ties):
+        hit = ids == idmin[g]
+        np.minimum.at(pick, g[hit], at[hit])
+    return wmin, pick
 
 
 def simplify(graph: UndirectedGraph) -> UndirectedGraph:
@@ -181,38 +191,59 @@ def simplify(graph: UndirectedGraph) -> UndirectedGraph:
     # group parallel edges by pair key, then scatter-minimize (weight,
     # original_id) per group; cheaper than one big multi-key sort
     gid = np.unique(lo * graph.n_vertices + hi, return_inverse=True)[1]
-    survivors = loopless[_lightest(int(gid.max()) + 1, [gid],
-                                   graph.weight[loopless],
-                                   graph.original_id[loopless])[1]]
-    return _edges_where(graph, survivors)
+    pick = _lightest(int(gid.max()) + 1, [gid], graph.weight[loopless],
+                     graph.original_id[loopless])[1]
+    return _edges_where(graph, loopless[np.sort(pick)])
 
 
-def min_incident_edges(graph: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of each vertex's minimum incident edge, deduplicated, and
-    each vertex's minimum incident weight.
+def _min_edge_step(graph: UndirectedGraph):
+    """Minimum-edge selection on a graph without self edges: each
+    vertex's component label under the selected edges, the sorted
+    positions of those edges, and each vertex's minimum incident weight.
 
-    The comparison order is (weight, original_id); a vertex without any
-    incident edge selects nothing and weighs +inf.
+    Components come from pointer jumping: each vertex points along its
+    lightest edge to the edge's other end (a vertex without an edge, to
+    itself).  In the strict (weight, original_id, position) order the
+    only cycles of these pointers are mutual pairs, the two ends of one
+    edge that both chose it; the smaller end becomes the root, and every
+    other vertex's edge is selected, so the selection is a forest.
+    Pointers then jump (``ptr = ptr[ptr]``) until each reaches its root;
+    the labels are dense from 0 in order of each component's root.
     """
-    wmin, chosen = _lightest(graph.n_vertices, [graph.u, graph.v],
-                             graph.weight, graph.original_id)
-    return np.nonzero(chosen)[0], wmin
+    wmin, pick = _lightest(graph.n_vertices, [graph.u, graph.v],
+                           graph.weight, graph.original_id)
+    vertex = np.arange(graph.n_vertices)
+    ptr = vertex.copy()
+    has = pick < graph.n_edges
+    at = pick[has]
+    ptr[has] = graph.u[at] + graph.v[at] - vertex[has]     # the other end
+    root = (ptr[ptr] == vertex) & (vertex <= ptr)
+    selected = np.sort(pick[~root])
+    ptr = np.where(root, vertex, ptr)
+    while not root[ptr].all():
+        ptr = ptr[ptr]
+    return (np.cumsum(root) - 1)[ptr], selected, wmin
 
 
-def boruvka_step(graph: UndirectedGraph) -> tuple[UndirectedGraph, np.ndarray]:
+def boruvka_step(graph: UndirectedGraph
+                 ) -> tuple[UndirectedGraph, np.ndarray, np.ndarray]:
     """One round of minimum-edge selection followed by contraction.
 
     Selects each vertex's minimum incident edge and contracts the selected
     set.  Returns the contracted graph, which has no self edges but may
-    hold repetitive edges, and the sorted original ids of the selected
-    edges, all of which belong to the unique minimum spanning forest.
+    hold repetitive edges; the sorted positions in ``graph`` of the
+    selected edges, all of which belong to the unique minimum spanning
+    forest; and the positions in ``graph`` of the contracted graph's
+    edges, in order.  Positions, not ids, so a caller maps a forest back
+    through each step without a lookup.
 
     The input graph must contain no self edges.
     """
     if graph.n_edges and (graph.u == graph.v).any():
         raise InputError("boruvka_step requires a graph without self edges")
-    sel = min_incident_edges(graph)[0]
-    return contract_graph(graph, sel), np.sort(graph.original_id[sel])
+    labels, selected, _ = _min_edge_step(graph)
+    contracted, kept = _contract(graph, labels)
+    return contracted, selected, kept
 
 
 def dump_graph(graph: UndirectedGraph, stream: TextIO) -> None:

@@ -349,13 +349,13 @@ def _cle_heads(score: np.ndarray) -> list[int]:
     col = s.T.tolist()
     active = list(range(k))                    # ascending; node 0 first
     rooted = [False] * k
-    levels = []                                # (new node, out, enter) per contraction
+    levels = []                                # (new node, cycle, out) per contraction
     while (cyc := _find_cycle(heads, active[1:], rooted)) is not None:
         c = len(col)
         in_cycle = set(cyc)
         active = [v for v in active if v not in in_cycle]
         # the new node's row: per column, the best arc out of the cycle
-        out = [0] * c
+        out = {}
         first, later = cyc[0], cyc[1:]
         for m in active[1:]:
             cm = col[m]
@@ -370,36 +370,32 @@ def _cle_heads(score: np.ndarray) -> list[int]:
             if heads[m] in in_cycle:
                 heads[m] = cm.index(max(cm))
         # the new node's column: per head, the best arc into the cycle,
-        # scored against the cycle arc it replaces
-        into = enter = None
+        # scored against the cycle arc it replaces; only the root and the
+        # active nodes can head it, every other row reads -inf
+        into = [neg_inf] * (c + 1)
         for v in cyc:
             cv = col[v]
             w = cv[heads[v]]
-            swap = [x - w for x in cv]
-            if into is None:
-                into, enter = swap, [v] * c
-                continue
-            for h, x in enumerate(swap):
+            for h in active:
+                x = cv[h] - w
                 if x > into[h]:
                     into[h] = x
-                    enter[h] = v
-        for v in cyc:
-            into[v] = neg_inf
-        into.append(neg_inf)
         col.append(into)
         heads.append(into.index(max(into)))
         active.append(c)
         rooted.append(False)
-        levels.append((c, out, enter))
-    # expand: nodes headed by a contracted node take their arc's cycle end,
-    # and the cycle node that arc enters takes the contracted node's head
-    # (the other cycle nodes kept their cycle heads)
-    for c, out, enter in reversed(levels):
-        for m in range(1, c):
+        levels.append((c, cyc, out))
+    # expand: the level's nodes headed by a contracted node take their
+    # arc's cycle end, and the cycle node that the contracted node's arc
+    # enters (the best swap, the first among ties) takes its head; the
+    # other cycle nodes keep their cycle heads, and so the scores of the
+    # arcs they replace
+    for c, cyc, out in reversed(levels):
+        for m, arg in out.items():
             if heads[m] == c:
-                heads[m] = out[m]
+                heads[m] = arg
         h = heads[c]
-        heads[enter[h]] = h
+        heads[max(cyc, key=lambda v: col[v][h] - col[v][heads[v]])] = h
     return heads[:k]
 
 

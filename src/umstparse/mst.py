@@ -11,7 +11,10 @@ Three routes to the same forest:
   that are too heavy against the sample's forest.
 
 All three share the global (weight, original_id) tie-breaking order, so
-the forest is unique and results can be compared as edge-id sets.
+the forest is unique and results can be compared as edge-id sets.  A
+graph that repeats an id has its ties settled by position, the order of
+Kruskal's stable sort, so every engine returns the same positions there
+too.  The engines carry positions, never ids, from step to step.
 """
 
 from __future__ import annotations
@@ -21,17 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, StructureError
-from .graph import (
-    UndirectedGraph,
-    _contract,
-    _edges_where,
-    boruvka_step,
-    connected_components,
-    min_incident_edges,
-)
-# perfbench/tracer.py wraps this name on this module, so it is imported
-# here although no engine simplifies: contraction drops its self edges
-from .graph import simplify  # noqa: F401
+from .graph import UndirectedGraph, _contract, _edges_where, _min_edge_step, boruvka_step
+# perfbench/tracer.py wraps these names on this module, so they are
+# imported here although no engine calls them: contraction drops its self
+# edges, and a minimum-edge step labels its components itself
+from .graph import connected_components, simplify  # noqa: F401
 from .unionfind import UnionFind
 
 # Graphs with at most this many edges skip the recursion for Kruskal's
@@ -39,8 +36,9 @@ from .unionfind import UnionFind
 # tools/msf_crossover.py (BENCH_crossover.json, three seeded graphs per
 # cell) finds Kruskal faster up to 1,024 edges on bench graphs and the
 # recursion faster from 4,096 (at 2,048, at density 2 only); on parse
-# graphs Kruskal wins every bin below 1,024 edges, and the bins above are
-# unresolved.
+# graphs Kruskal wins every bin below 1,024 edges (83 against 121 us at
+# 512-1,023), and the recursion the long bins above (142 against 186 us
+# at 1,024-2,047).
 # 44 edges covers nine in ten pruned parse graphs of the bundled dev
 # sentences, while the unpruned parse graph of any sentence of 9 or more
 # tokens (45+ edges) still runs the sampling recursion, as the benchmark's
@@ -55,7 +53,9 @@ class SpanningForest:
     ``positions`` holds, read-only and sorted, where the forest's edges
     sit in the graph an engine computed it on; a forest built from ids
     alone has none (see ``positions_in``).  It is neither compared nor
-    hashed: a forest is its ids, however it was built.
+    hashed: a forest is its ids, however it was built.  In a graph that
+    repeats ids, ``edge_ids`` (and ``n_edges``) collapse the forest's
+    repeated ids while ``positions`` holds one entry per edge.
     """
     edge_ids: frozenset
     total_weight: float
@@ -110,12 +110,9 @@ class RandomSource:
 
 
 def _positions_of(graph: UndirectedGraph, ids) -> np.ndarray:
-    """The positions of the graph's edges whose ids are among ``ids``."""
+    """The positions of the graph's edges whose ids are among ``ids``: the
+    lookup for a forest built from ids alone; engines keep positions."""
     return np.flatnonzero(np.isin(graph.original_id, ids))
-
-
-def _forest_of(graph: UndirectedGraph, ids: np.ndarray) -> SpanningForest:
-    return _forest_at(graph, _positions_of(graph, ids))
 
 
 def _forest_at(graph: UndirectedGraph, positions: np.ndarray) -> SpanningForest:
@@ -150,11 +147,13 @@ def kruskal_msf(graph: UndirectedGraph) -> SpanningForest:
 
 def boruvka_msf(graph: UndirectedGraph) -> SpanningForest:
     """Minimum spanning forest by repeated minimum-edge contraction."""
-    g, ids = _edges_where(graph, graph.u != graph.v), [np.empty(0, np.int64)]
+    at = np.flatnonzero(graph.u != graph.v)     # where g's edges sit in graph
+    g, forest = _edges_where(graph, at), [np.empty(0, np.int64)]
     while g.n_edges:
-        g, selected = boruvka_step(g)
-        ids.append(selected)
-    return _forest_of(graph, np.concatenate(ids))
+        g, selected, kept = boruvka_step(g)
+        forest.append(at[selected])
+        at = at[kept]
+    return _forest_at(graph, np.concatenate(forest))
 
 
 def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray:
@@ -184,10 +183,9 @@ def _f_heavy_mask(graph: UndirectedGraph, forest_mask: np.ndarray) -> np.ndarray
     helds = [np.arange(graph.n_vertices)]   # per round, each vertex's holder
     tops = [np.full(graph.n_vertices, -np.inf)]
     while forest.n_edges:
-        sel, weight = min_incident_edges(forest)
+        labels, _, weight = _min_edge_step(forest)
         tops.append(np.maximum(tops[-1], weight[helds[-1]]))
-        labels = connected_components(forest, sel)
-        forest = _contract(forest, labels)
+        forest = _contract(forest, labels)[0]
         helds.append(labels[helds[-1]])
     tops = np.stack([*tops, np.full(graph.n_vertices, np.inf)])
     u, v = graph.u, graph.v
@@ -211,21 +209,25 @@ def f_heavy_edges(graph: UndirectedGraph, forest: SpanningForest) -> set:
 
 
 def _randomized_rec(g: UndirectedGraph, rng: RandomSource) -> np.ndarray:
-    """Original ids of the forest edges of g, which has no self edges."""
+    """Positions in g of its forest's edges; g has no self edges.  Each
+    subproblem's positions map back through the positions that built it."""
     if g.n_edges <= _BASE_EDGES:
-        return g.original_id[_kruskal_positions(g)]
-    gc, ids = boruvka_step(g)
+        return _kruskal_positions(g)
+    gc, forest, at = boruvka_step(g)            # at: where gc's edges sit in g
     if gc.n_edges:
-        gc, more = boruvka_step(gc)
-        ids = np.concatenate([ids, more])
+        gc, more, kept = boruvka_step(gc)
+        forest = np.concatenate([forest, at[more]])
+        at = at[kept]
     if gc.n_edges == 0:
-        return ids
+        return forest
     # the sample, like the filtered rest, keeps gc's vertices (only
     # contraction renumbers); a vertex with no sampled edge is a singleton
-    sample = _edges_where(gc, rng.coin_flips(gc.n_edges))
-    forest_mask = np.isin(gc.original_id, _randomized_rec(sample, rng))
-    keep = ~_f_heavy_mask(gc, forest_mask)
-    return np.concatenate([ids, _randomized_rec(_edges_where(gc, keep), rng)])
+    sampled = rng.coin_flips(gc.n_edges).nonzero()[0]
+    forest_mask = np.zeros(gc.n_edges, dtype=bool)
+    forest_mask[sampled[_randomized_rec(_edges_where(gc, sampled), rng)]] = True
+    light = (~_f_heavy_mask(gc, forest_mask)).nonzero()[0]
+    rest = _randomized_rec(_edges_where(gc, light), rng)
+    return np.concatenate([forest, at[light[rest]]])
 
 
 def randomized_msf(graph: UndirectedGraph, rng: RandomSource) -> SpanningForest:
@@ -244,5 +246,9 @@ def randomized_msf(graph: UndirectedGraph, rng: RandomSource) -> SpanningForest:
     """
     if graph.n_edges <= _BASE_EDGES:
         return kruskal_msf(graph)
-    return _forest_of(graph, _randomized_rec(
-        _edges_where(graph, graph.u != graph.v), rng))
+    at = np.flatnonzero(graph.u != graph.v)
+    if len(at) == graph.n_edges:
+        # no self edge to drop, so no copy: parse graphs have none, and
+        # the copy cost 1-4 ms (min of 21) of 60-64 on 400 long graphs
+        return _forest_at(graph, _randomized_rec(graph, rng))
+    return _forest_at(graph, at[_randomized_rec(_edges_where(graph, at), rng)])

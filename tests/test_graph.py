@@ -7,12 +7,12 @@ import pytest
 from umstparse.errors import InputError
 from umstparse.graph import (
     UndirectedGraph,
+    _min_edge_step,
     boruvka_step,
     connected_components,
     contract_graph,
     dump_graph,
     load_graph,
-    min_incident_edges,
     simplify,
 )
 
@@ -74,9 +74,8 @@ class TestConnectedComponents:
             m = int(rng.integers(0, max(1, n * (n - 1) // 2)))
             u, v, w = random_graph(rng, n, m, connected=False)
             g = UndirectedGraph(n, u, v, w, np.arange(len(u)))
-            # the full edge set, a minimum-incident selection (the Boruvka
-            # and F-heavy callers' input) and a random half
-            for subset in (np.arange(g.n_edges), min_incident_edges(g)[0],
+            # the full edge set, a minimum-edge selection and a random half
+            for subset in (np.arange(g.n_edges), _min_edge_step(g)[1],
                            np.nonzero(rng.random(g.n_edges) < 0.5)[0]):
                 expected = bfs_components(
                     n, zip(u[subset].tolist(), v[subset].tolist()))
@@ -203,14 +202,15 @@ class TestSimplify:
 class TestBoruvkaStep:
     def test_single_edge(self):
         g = make(2, [(0, 1, 2.0)])
-        res, selected = boruvka_step(g)
+        res, selected, kept = boruvka_step(g)
         assert selected.tolist() == [0]
+        assert kept.tolist() == []
         assert res.n_vertices == 1
         assert res.n_edges == 0
 
     def test_path_forced_minima(self):
         g = make(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        res, selected = boruvka_step(g)
+        res, selected, _ = boruvka_step(g)
         assert selected.tolist() == [0, 1]
         assert res.n_vertices == 1
 
@@ -218,8 +218,9 @@ class TestBoruvkaStep:
         # the graph of TestContractGraph.test_keeps_repetitive_edges: the
         # two light edges are selected, the two heavy ones become parallel
         g = make(4, [(0, 1, 1.0), (2, 3, 1.0), (0, 2, 5.0), (1, 3, 6.0)])
-        res, selected = boruvka_step(g)
+        res, selected, kept = boruvka_step(g)
         assert selected.tolist() == [0, 1]
+        assert kept.tolist() == [2, 3]
         assert res.n_vertices == 2
         assert sorted(res.original_id.tolist()) == [2, 3]
         assert not (res.u == res.v).any()
@@ -236,7 +237,7 @@ class TestBoruvkaStep:
             m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
             u, v, w = random_graph(rng, n, m)
             g = UndirectedGraph(n, u, v, w, np.arange(len(u)))
-            res, selected = boruvka_step(g)
+            res, selected, _ = boruvka_step(g)
             assert len(selected) > 0
             assert res.n_vertices <= (n + 1) // 2
 
@@ -248,9 +249,93 @@ class TestBoruvkaStep:
             m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
             u, v, w = random_graph(rng, n, m)
             g = UndirectedGraph(n, u, v, w, np.arange(len(u)))
-            _, selected = boruvka_step(g)
+            _, selected, _ = boruvka_step(g)
             forest = kruskal_msf(g)
             assert set(selected.tolist()) <= forest.edge_ids
+
+    def test_positions_not_ids(self):
+        # permuted, gapped ids and weights that tie: the step returns
+        # positions in its input, and the contracted graph's edges are
+        # the input's edges at the kept positions, in order
+        from umstparse.mst import kruskal_msf
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            m = int(rng.integers(n - 1, min(4 * n, n * (n - 1) // 2) + 1))
+            u, v, _ = random_graph(rng, n, m)
+            w = rng.integers(0, 3, size=len(u)).astype(float)
+            g = UndirectedGraph(n, u, v, w, rng.permutation(len(u)) * 5 + 3)
+            res, selected, kept = boruvka_step(g)
+            assert np.array_equal(selected, np.sort(selected))
+            assert np.array_equal(kept, np.sort(kept))
+            assert not set(selected.tolist()) & set(kept.tolist())
+            assert (set(g.original_id[selected].tolist())
+                    <= kruskal_msf(g).edge_ids)
+            assert np.array_equal(res.original_id, g.original_id[kept])
+            assert np.array_equal(res.weight, g.weight[kept])
+            # every edge not kept lies inside one component of the selection
+            comps = bfs_components(n, zip(u[selected].tolist(),
+                                          v[selected].tolist()))
+            label = {x: k for k, comp in enumerate(comps) for x in comp}
+            inside = [label[a] == label[b] for a, b in zip(u.tolist(), v.tolist())]
+            assert np.flatnonzero(~np.array(inside)).tolist() == kept.tolist()
+            assert res.n_vertices == len(comps)
+
+
+class TestMinEdgeStep:
+    """The pointer-jumping labels of one minimum-edge selection."""
+
+    @pytest.mark.parametrize("weights", ["distinct", "tied", "tied_repeated_ids"])
+    def test_matches_bfs_of_each_vertexs_lightest_edge(self, weights):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(0, 4 * n + 1))
+            u = rng.integers(0, n, size=m)
+            v = (u + rng.integers(1, max(n, 2), size=m)) % max(n, 1)
+            keep = u != v
+            u, v = u[keep], v[keep]
+            w = (rng.random(len(u)) if weights == "distinct"
+                 else rng.integers(0, 2, size=len(u)).astype(float))
+            ids = (rng.permutation(len(u)) if weights != "tied_repeated_ids"
+                   else rng.integers(0, 3, size=len(u)))
+            g = UndirectedGraph(n, u, v, w, ids)
+            labels, selected, wmin = _min_edge_step(g)
+            # each vertex's lightest edge in (weight, id, position) order
+            lightest = {}
+            for i in range(len(u)):
+                for x in (int(u[i]), int(v[i])):
+                    key = (w[i], ids[i], i)
+                    lightest[x] = min(lightest.get(x, key), key)
+            picked = sorted({key[2] for key in lightest.values()})
+            assert selected.tolist() == picked
+            assert wmin.tolist() == [lightest[x][0] if x in lightest else np.inf
+                                     for x in range(n)]
+            comps = bfs_components(n, zip(u[selected].tolist(),
+                                          v[selected].tolist()))
+            assert len(selected) == n - len(comps)         # a forest
+            assert labels_to_sets(labels, n) == sorted(comps, key=min)
+            assert sorted(set(labels.tolist())) == list(range(len(comps)))
+
+    @pytest.mark.parametrize("shape", ["star", "descending_path", "random_path"])
+    def test_deep_pointer_chains_settle_fast(self, shape):
+        # weights rise along the edge list: on the descending path every
+        # vertex points to its larger neighbour, one chain 20,000 deep,
+        # which each jump halves
+        n = 20_000
+        if shape == "star":
+            u, v = np.arange(n - 1), np.full(n - 1, n - 1)
+        elif shape == "descending_path":
+            u, v = np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)
+        else:
+            order = np.random.default_rng(3).permutation(n)
+            u, v = order[:-1], order[1:]
+        g = UndirectedGraph(n, u, v, np.arange(n - 1.0), np.arange(n - 1))
+        start = time.perf_counter()
+        labels, selected, _ = _min_edge_step(g)
+        assert time.perf_counter() - start < 0.5
+        assert labels.tolist() == [0] * n
+        assert selected.tolist() == list(range(n - 1))
 
 
 class TestDumpFormat:

@@ -211,6 +211,18 @@ class TestRandomized:
             assert forest.edge_ids == kruskal_msf(g).edge_ids
 
 
+def assert_positions_are_kruskals(g, forest):
+    """The forest's positions are sorted, read-only, and exactly those of
+    Kruskal's forest of g; its ids and total weight are Kruskal's."""
+    want = kruskal_msf(g)
+    at = forest.positions
+    assert not at.flags.writeable
+    assert np.array_equal(at, np.sort(at))
+    assert at.tolist() == want.positions.tolist()
+    assert forest.edge_ids == want.edge_ids == set(g.original_id[at].tolist())
+    assert forest.total_weight == want.total_weight
+
+
 class TestForestPositions:
     """Each engine keeps the positions of its forest's edges; they are
     not part of the forest's value."""
@@ -224,12 +236,22 @@ class TestForestPositions:
             ids = rng.permutation(len(u)) * 3 + 7      # ids are not positions
             g = UndirectedGraph(n, u, v, w, ids)
             forest = ALGORITHMS[engine](g, 5)
-            at = forest.positions
-            assert not at.flags.writeable
-            assert np.array_equal(at, np.sort(at))
-            assert len(at) == forest.n_edges
-            assert set(g.original_id[at].tolist()) == forest.edge_ids
-            assert forest.edge_ids == kruskal_msf(g).edge_ids
+            assert_positions_are_kruskals(g, forest)
+
+    @pytest.mark.parametrize("engine", ["boruvka", "randomized"])
+    def test_positions_through_every_level(self, no_base_case, engine):
+        # integer weights tie, so ids settle the order; permuted, gapped
+        # ids, so a position read as an id (or one mapped back through
+        # the wrong level's selection) at any depth names another edge
+        rng = np.random.default_rng(149)
+        for m in (20, 60, 300, 1500):
+            n = max(m // 5, 2)
+            u, v, _ = random_graph(rng, n, m, connected=m != 300)
+            w = rng.integers(0, 4, size=len(u)).astype(float)
+            g = UndirectedGraph(n, u, v, w, rng.permutation(len(u)) * 7 + 11)
+            for seed in (1, 2, 3):
+                assert_positions_are_kruskals(g, ALGORITHMS[engine](g, seed))
+        assert no_base_case
 
     def test_positions_are_not_compared_or_hashed(self):
         rng = np.random.default_rng(139)
@@ -241,6 +263,51 @@ class TestForestPositions:
         assert engine == plain and hash(engine) == hash(plain)
         assert "positions" not in repr(engine)
         assert isinstance(engine.edge_ids, frozenset)
+
+
+class TestRepeatedIds:
+    """A graph may repeat an original id.  Each engine then returns the
+    forest of the (weight, original_id, position) order, the order of
+    Kruskal's stable sort; ``edge_ids`` collapses the repeated ids, its
+    positions do not."""
+
+    @pytest.mark.parametrize("recursion", ["base_case", "no_base_case"])
+    @pytest.mark.parametrize("engine", ["kruskal", "boruvka", "randomized"])
+    def test_each_id_twice(self, request, engine, recursion):
+        if recursion == "no_base_case":
+            request.getfixturevalue("no_base_case")
+        g = random_connected_graph(30, 200, np.random.default_rng(5))
+        want = kruskal_msf(g)
+        twice = UndirectedGraph(g.n_vertices, g.u, g.v, g.weight,
+                                g.original_id // 2)
+        for seed in (1, 2, 3):
+            forest = ALGORITHMS[engine](twice, seed)
+            assert len(forest.positions) == g.n_vertices - 1 == 29
+            assert forest.positions.tolist() == want.positions.tolist()
+            assert forest.total_weight == want.total_weight
+            assert forest.edge_ids == set((g.original_id[want.positions]
+                                           // 2).tolist())
+
+    @pytest.mark.parametrize("recursion", ["base_case", "no_base_case"])
+    def test_repeated_ids_with_tied_weights(self, request, recursion):
+        # weights in {0, 1, 2} and ids in {0, ..., 4}: many edges share
+        # both, so only their positions order them
+        if recursion == "no_base_case":
+            request.getfixturevalue("no_base_case")
+        rng = np.random.default_rng(157)
+        for _ in range(60):
+            n = int(rng.integers(2, 60))
+            m = int(rng.integers(n - 1, min(5 * n, n * (n - 1) // 2) + 1))
+            u, v, _ = random_graph(rng, n, m)
+            g = UndirectedGraph(n, u, v,
+                                rng.integers(0, 3, size=len(u)).astype(float),
+                                rng.integers(0, 5, size=len(u)))
+            want = kruskal_msf(g)
+            assert len(want.positions) == n - 1
+            assert boruvka_msf(g).positions.tolist() == want.positions.tolist()
+            for seed in (1, 2):
+                forest = randomized_msf(g, RandomSource(seed))
+                assert forest.positions.tolist() == want.positions.tolist()
 
 
 class TestRandomSource:
